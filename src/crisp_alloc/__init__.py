@@ -20,6 +20,7 @@ from .analysis import (
 )
 from .baselines import (
     ClusterStats,
+    NodeRecord,
     a1_sum_norm_mvo,
     a2_flat_ivp_tree,
     cotton,
@@ -37,7 +38,6 @@ from .core import (
     kappa,
     markowitz_direct,
     materialize,
-    preconditioned_kappa,
     shrink,
     to_correlation,
 )
@@ -79,7 +79,7 @@ from .metrics import (
     sign_match_fraction,
     signed_cosine,
 )
-from .signal_trees import NodeBudget, hrp_mu, hrp_sigma_mu, hsp, solve_2x2
+from .signal_trees import hrp_mu, hrp_sigma_mu, hsp, solve_2x2
 from .solver import (
     ConstraintSet,
     FactorModel,

@@ -1,10 +1,18 @@
-"""Signal-blind baseline allocators and the two diagnostic tree variants.
+"""Signal-blind baseline allocators, the shared tree-pass kernel, and the two
+diagnostic tree variants.
 
 Contents: hierarchical risk parity (HRP), the Schur-complement allocator with
 its gamma continuum and its condition-number product diagnostic, equal weight,
 direct minimum variance, and two negative-result tree passes kept for
 reproducibility: the flat-representative pass (``a2_flat_ivp_tree``) and the
 sum-normalised recursive mean-variance pass (``a1_sum_norm_mvo``).
+
+All six tree passes (these three and ``signal_trees``' ``hrp_mu``, ``hsp`` and
+``hrp_sigma_mu``) are thin wrappers over one post-order kernel,
+``_tree_pass``, set up by the child representative and the budget
+normalisation. A node's budget never depends on its parent's, so one
+children-first pass serves every member of the family, and each leaf pair of
+the covariance is read once, at its lowest common ancestor.
 """
 
 from __future__ import annotations
@@ -59,6 +67,25 @@ def raw_budgets(v_l: float, v_r: float, s_l: float, s_r: float, c: float, gamma:
     return a_l, a_r, delta
 
 
+@dataclass(frozen=True)
+class NodeRecord(ClusterStats):
+    """One internal node as a tree pass saw it, recorded by ``trace=``.
+
+    Adds the raw Cramer budgets (raw_l, raw_r) and the normalised budgets
+    (alpha_l, alpha_r) the node handed its children to the ClusterStats.
+    """
+
+    raw_l: float
+    raw_r: float
+    alpha_l: float
+    alpha_r: float
+
+    @property
+    def flipped(self) -> bool:
+        """Raw pair sums below zero: sum normalisation flips both signs."""
+        return self.raw_l + self.raw_r < 0.0
+
+
 def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> np.ndarray:
     if sigma.n != tree.n:
         raise ParameterError("tree and covariance cover different asset counts")
@@ -78,17 +105,77 @@ def _sum_one_or_raw(values: np.ndarray) -> WeightVector:
     return WeightVector(values, tag)
 
 
-def _flat_ivp(diag_perm: np.ndarray, span: tuple[int, int]) -> np.ndarray:
-    a = 1.0 / diag_perm[span[0] : span[1]]
-    return a / a.sum()
+def _tree_pass(
+    sigma: CovarianceMatrix,
+    mu: np.ndarray,
+    tree: Dendrogram,
+    gamma: float,
+    rep: str,
+    norm: str,
+    trace: dict | None = None,
+) -> np.ndarray:
+    """Post-order pass shared by the six tree allocators; returns leaf weights.
 
+    ``rep`` is the child representative scored at each node: ``"flat"``
+    (inverse variance), ``"signed"`` (inverse variance times sign(mu), with
+    sign(0) := +1), or ``"stacked"`` (the children's own normalised local
+    optima). ``norm`` divides each raw Cramer pair by ``"sum"`` a_l + a_r or
+    ``"l1"`` |a_l| + |a_r| (equal split when that is zero). A leaf weight is
+    its starting sign times the product of the budgets on its path.
 
-def _block(sp: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
-    return sp[rows[0] : rows[1], cols[0] : cols[1]]
-
-
-def _cluster_variance(sp: np.ndarray, span: tuple[int, int], rep: np.ndarray) -> float:
-    return float(rep @ _block(sp, span, span) @ rep)
+    Each node id carries Q = x'Sigma x and S = x'mu of its representative x,
+    unnormalised (x_i = +-1/sigma_ii for the fixed ones, the output itself
+    for stacked), and its normaliser A = sum |x_i| (1 for stacked), so the
+    child statistics are v = Q/A^2, s = S/A and c = x_l'Sigma_lr x_r/(A_l A_r).
+    A Sigma whose largest variance lies outside [2^-256, 2^256] is scaled by
+    the power of two that brings it into [0.5, 1), so no input scale under-
+    or overflows the 2x2 solve. ``trace`` collects node id -> NodeRecord in
+    the input's units.
+    """
+    g = check_gamma(gamma)
+    sp = _permuted(sigma, tree)
+    order = np.asarray(tree.leaf_order, dtype=int)
+    mperm = mu[order]
+    pos = np.arange(tree.n)
+    d = sp[pos, pos]
+    # far-out scales get the exact power-of-two rescaling; the rest keep
+    # their units bit for bit ((gamma c)**2 in the 2x2 solve is libm pow,
+    # which need not commute with rescaling to the last bit)
+    e = int(np.frexp(d.max())[1])
+    sc = 2.0**-e if abs(e) > 256 else 1.0
+    d = d * sc
+    stacked = rep == "stacked"
+    w = np.where(mperm >= 0.0, 1.0, -1.0) if rep == "signed" else np.ones(tree.n)
+    x = w if stacked else w / d
+    buf = np.empty((3, 2 * tree.n - 1))
+    buf[:, order] = x * x * d, x * mperm, np.abs(x)
+    q, s, a = buf.tolist()
+    for node in tree.internal_nodes:
+        i, j, k = node.left.id, node.right.id, node.id
+        l0, l1 = node.left.span
+        r0, r1 = node.right.span
+        cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc
+        al, ar = a[i], a[j]
+        v_l, v_r = q[i] / (al * al), q[j] / (ar * ar)
+        s_l, s_r, c = s[i] / al, s[j] / ar, cross / (al * ar)
+        raw_l, raw_r, delta = raw_budgets(v_l, v_r, s_l, s_r, c, g)
+        z = raw_l + raw_r if norm == "sum" else abs(raw_l) + abs(raw_r)
+        b_l, b_r = (0.5, 0.5) if z == 0.0 else (raw_l / z, raw_r / z)
+        if trace is not None:
+            u = 1.0 / sc
+            trace[k] = NodeRecord(
+                v_l * u, v_r * u, s_l, s_r, c * u, delta * u * u,
+                raw_l * sc, raw_r * sc, b_l, b_r,
+            )
+        w[l0:l1] *= b_l
+        w[r0:r1] *= b_r
+        if stacked:  # the representative is the rescaled output itself
+            kl, kr, a[k] = b_l, b_r, 1.0
+        else:
+            kl, kr, a[k] = 1.0, 1.0, al + ar
+        q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
+        s[k] = kl * s[i] + kr * s[j]
+    return _unpermute(w, tree)
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -96,24 +183,11 @@ def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
 
     At each internal node the flat inverse-variance portfolio on each child
     scores the cluster variance; the budget split is inverse cluster variance
-    and the leaf weight is the product of the split factors on its path.
+    and the leaf weight is the product of the split factors on its path. This
+    is the flat-representative pass at gamma = 0 on a unit signal.
     """
-    sp = _permuted(sigma, tree)
-    dperm = np.diag(sp).copy()
-    w = np.empty(tree.n)
-    stack: list[tuple[TreeNode, float]] = [(tree.root, 1.0)]
-    while stack:
-        node, budget = stack.pop()
-        if node.is_leaf:
-            w[node.span[0]] = budget
-            continue
-        left, right = node.left, node.right
-        v_l = _cluster_variance(sp, left.span, _flat_ivp(dperm, left.span))
-        v_r = _cluster_variance(sp, right.span, _flat_ivp(dperm, right.span))
-        alpha_l = (1.0 / v_l) / (1.0 / v_l + 1.0 / v_r)
-        stack.append((left, budget * alpha_l))
-        stack.append((right, budget * (1.0 - alpha_l)))
-    return WeightVector(_unpermute(w, tree), "sum_one")
+    w = _tree_pass(sigma, np.ones(tree.n), tree, 0.0, "flat", "sum")
+    return WeightVector(w, "sum_one")
 
 
 def equal_weight(n: int) -> WeightVector:
@@ -262,36 +336,9 @@ def a2_flat_ivp_tree(
     Identical to the signed pass except the representatives are the unsigned
     inverse-variance portfolios, so the aggregate branch signal can cancel to
     zero and the budgets become noise-driven. Kept as a reproducible
-    diagnostic; matches ``hrp`` exactly at gamma = 0 with a flat unit signal.
+    diagnostic; matches ``hrp`` at gamma = 0 with a flat unit signal.
     """
-    g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    dperm = np.diag(sp).copy()
-    mperm = mu.values[np.asarray(tree.leaf_order, dtype=int)]
-    w = np.empty(tree.n)
-    stack: list[tuple[TreeNode, float]] = [(tree.root, 1.0)]
-    while stack:
-        node, budget = stack.pop()
-        if node.is_leaf:
-            w[node.span[0]] = budget
-            continue
-        left, right = node.left, node.right
-        rep_l = _flat_ivp(dperm, left.span)
-        rep_r = _flat_ivp(dperm, right.span)
-        v_l = _cluster_variance(sp, left.span, rep_l)
-        v_r = _cluster_variance(sp, right.span, rep_r)
-        s_l = float(rep_l @ mperm[left.span[0] : left.span[1]])
-        s_r = float(rep_r @ mperm[right.span[0] : right.span[1]])
-        c = float(rep_l @ _block(sp, left.span, right.span) @ rep_r)
-        a_l, a_r, _ = raw_budgets(v_l, v_r, s_l, s_r, c, g)
-        z = a_l + a_r
-        if z == 0.0:
-            a_l = a_r = 0.5
-        else:
-            a_l, a_r = a_l / z, a_r / z
-        stack.append((left, budget * a_l))
-        stack.append((right, budget * a_r))
-    return _sum_one_or_raw(_unpermute(w, tree))
+    return _sum_one_or_raw(_tree_pass(sigma, mu.values, tree, gamma, "flat", "sum"))
 
 
 def a1_sum_norm_mvo(
@@ -307,41 +354,8 @@ def a1_sum_norm_mvo(
     signs whenever that sum is negative; the flips compound along root-to-leaf
     paths and the output direction ends up uncorrelated with the target. Not a
     recommended method; retained as the counterexample the L1-normalised pass
-    repairs. ``trace``, when given, records per node id whether the
-    denominator was negative (a flip) for parity analysis.
+    repairs. ``trace``, when given, collects node id -> NodeRecord, whose
+    ``flipped`` marks a negative denominator for parity analysis.
     """
-    g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    mperm = mu.values[np.asarray(tree.leaf_order, dtype=int)]
-    w = np.empty(tree.n)
-    n_ids = 2 * tree.n - 1
-    vbuf = np.empty(n_ids)
-    sbuf = np.empty(n_ids)
-    for node in tree.post_order:
-        if node.is_leaf:
-            p = node.span[0]
-            w[p] = 1.0
-            vbuf[node.id] = sp[p, p]
-            sbuf[node.id] = mperm[p]
-            continue
-        left, right = node.left, node.right
-        l0, l1 = left.span
-        r0, r1 = right.span
-        c = float(w[l0:l1] @ sp[l0:l1, r0:r1] @ w[r0:r1])
-        a_l, a_r, _ = raw_budgets(
-            vbuf[left.id], vbuf[right.id], sbuf[left.id], sbuf[right.id], c, g
-        )
-        z = a_l + a_r
-        if trace is not None:
-            trace[node.id] = {"raw": (a_l, a_r), "flipped": z < 0.0}
-        if z == 0.0:
-            a_l = a_r = 0.5
-        else:
-            a_l, a_r = a_l / z, a_r / z
-        w[l0:l1] *= a_l
-        w[r0:r1] *= a_r
-        vbuf[node.id] = (
-            a_l * a_l * vbuf[left.id] + a_r * a_r * vbuf[right.id] + 2.0 * a_l * a_r * c
-        )
-        sbuf[node.id] = a_l * sbuf[left.id] + a_r * sbuf[right.id]
-    return _sum_one_or_raw(_unpermute(w, tree))
+    w = _tree_pass(sigma, mu.values, tree, gamma, "stacked", "sum", trace)
+    return _sum_one_or_raw(w)

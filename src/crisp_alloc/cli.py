@@ -27,6 +27,7 @@ from .core import CovarianceMatrix, Signal, markowitz_direct, to_correlation
 from .dendrogram import build_tree
 from .errors import AllocationError
 from .experiments import (
+    METHOD_IDS,
     PRESET_NAMES,
     MethodSpec,
     allocate,
@@ -52,20 +53,7 @@ from .synthetic import (
     worst_case_mu,
 )
 
-_CLI_METHODS = (
-    "one-over-n",
-    "hrp",
-    "cotton",
-    "hrp-mu",
-    "hsp",
-    "hrp-sigma-mu",
-    "crisp",
-    "crisp-stream",
-    "crisp-projected",
-    "markowitz",
-    "a1",
-    "a2",
-)
+_CLI_METHODS = METHOD_IDS + ("crisp-stream", "crisp-projected")
 
 
 class CliError(Exception):
@@ -272,8 +260,9 @@ def cmd_experiment(args) -> int:
         result = run_experiment(spec, jobs=args.jobs)
     except AllocationError as exc:
         root.mkdir(parents=True, exist_ok=True)
-        (root / "FAILED.txt").write_text(f"{exc}\n", encoding="utf-8")
-        print(f"experiment failed: {exc}; partial results at {root}", file=sys.stderr)
+        failed = root / "FAILED.txt"
+        failed.write_text(f"{exc}\n", encoding="utf-8")
+        print(f"experiment failed: {exc}; wrote {failed}", file=sys.stderr)
         return 1
     root.mkdir(parents=True, exist_ok=True)
     for table in result.tables:

@@ -239,17 +239,3 @@ def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:
     except scipy.linalg.LinAlgError as exc:
         raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
     return WeightVector(w, "raw")
-
-
-def preconditioned_kappa(sigma: CovarianceMatrix, gamma: float) -> float:
-    """Condition number of D^-1 P_gamma: ((1-g) + g*l_max) / ((1-g) + g*l_min).
-
-    Interpolates from 1 at gamma = 0 to kappa(C) at gamma = 1, where l_max and
-    l_min are the extreme eigenvalues of the correlation matrix C.
-    """
-    g = check_gamma(gamma)
-    eigs = to_correlation(sigma).eigenvalues
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0:
-        raise ConditioningError("correlation matrix is not positive definite")
-    return ((1.0 - g) + g * hi) / ((1.0 - g) + g * lo)

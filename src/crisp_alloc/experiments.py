@@ -31,7 +31,7 @@ from .core import (
     to_correlation,
 )
 from .dendrogram import Dendrogram, build_tree
-from .errors import ParameterError, SchurBreakdownError
+from .errors import AllocationError, ParameterError
 from .metrics import dir_diag, dir_error, gross_leverage, sharpe, signed_cosine
 from .solver import crisp_solve, sweeps_to_tolerance
 from .synthetic import (
@@ -112,11 +112,15 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """Score of one method in one trial; an allocation that raised is an
+    unstable record with NaN scores and ``reason`` naming the exception class."""
+
     sharpe: float
     signed_cos: float
     leverage: float
     oos_vol: float
     unstable: bool
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -259,8 +263,9 @@ def _run_trial(ctx: _Context, spec: ExperimentSpec, t: int, trial_index: int) ->
         try:
             w = allocate(m, sigma_hat, mu_hat, tree)
             outcomes[m.key] = _score(ctx, w)
-        except SchurBreakdownError:
-            outcomes[m.key] = TrialOutcome(math.nan, math.nan, math.nan, math.inf, True)
+        except AllocationError as exc:
+            reason = type(exc).__name__
+            outcomes[m.key] = TrialOutcome(math.nan, math.nan, math.nan, math.inf, True, reason)
     return TrialRecord(t=t, trial_index=trial_index, outcomes=outcomes)
 
 

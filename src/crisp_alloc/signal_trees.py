@@ -11,39 +11,18 @@ Two recommended constructions on the same dendrogram and the same node-level
   the representative and re-normalises each node's raw budget pair by
   |a_l| + |a_r|, which is strictly positive and therefore sign-preserving.
 
-``hsp`` is the closed-form gamma = 0 endpoint of ``hrp_mu``.
+``hsp`` is the closed-form gamma = 0 endpoint of ``hrp_mu``. All three are
+wrappers over the post-order kernel ``baselines._tree_pass``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
-from .baselines import ClusterStats, raw_budgets, _block, _permuted, _unpermute
+from .baselines import ClusterStats, _tree_pass, raw_budgets
 from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
-from .dendrogram import Dendrogram, TreeNode
+from .dendrogram import Dendrogram
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class NodeBudget:
-    """Normalized budget pair handed to one node's children."""
-
-    alpha_l: float
-    alpha_r: float
-    normalization: Literal["sum_one", "l1_one"]
-
-    def __post_init__(self):
-        if self.normalization == "sum_one":
-            ok = abs(self.alpha_l + self.alpha_r - 1.0) <= 1e-12
-        elif self.normalization == "l1_one":
-            ok = abs(abs(self.alpha_l) + abs(self.alpha_r) - 1.0) <= 1e-12
-        else:
-            raise ParameterError(f"unknown budget normalization {self.normalization!r}")
-        if not ok:
-            raise ParameterError("node budgets violate their normalization")
 
 
 def solve_2x2(stats: ClusterStats, gamma: float) -> tuple[float, float]:
@@ -59,25 +38,6 @@ def solve_2x2(stats: ClusterStats, gamma: float) -> tuple[float, float]:
     return a_l, a_r
 
 
-def _signed_ivp(diag_perm, signs_perm, span):
-    a = 1.0 / diag_perm[span[0] : span[1]]
-    return signs_perm[span[0] : span[1]] * a / a.sum()
-
-
-def _node_stats(sp, mperm, dperm, signs_perm, node: TreeNode, gamma: float) -> ClusterStats:
-    left, right = node.left, node.right
-    rep_l = _signed_ivp(dperm, signs_perm, left.span)
-    rep_r = _signed_ivp(dperm, signs_perm, right.span)
-    v_l = float(rep_l @ _block(sp, left.span, left.span) @ rep_l)
-    v_r = float(rep_r @ _block(sp, right.span, right.span) @ rep_r)
-    # signed rep against the signal: a weighted mean of |mu|, never negative
-    s_l = float(rep_l @ mperm[left.span[0] : left.span[1]])
-    s_r = float(rep_r @ mperm[right.span[0] : right.span[1]])
-    c = float(rep_l @ _block(sp, left.span, right.span) @ rep_r)
-    delta = v_l * v_r - (gamma * c) ** 2
-    return ClusterStats(v_l=v_l, v_r=v_r, s_l=s_l, s_r=s_r, c=c, delta=delta)
-
-
 def hrp_mu(
     sigma: CovarianceMatrix,
     mu: Signal,
@@ -90,33 +50,9 @@ def hrp_mu(
     Budgets are non-negative and sum to one at every node, the leaf weight is
     the budget product times sign(mu_i) with sign(0) := +1, and the output has
     unit gross leverage. ``trace``, when given, collects node id ->
-    ClusterStats for inspection.
+    NodeRecord for inspection.
     """
-    g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    dperm = np.diag(sp).copy()
-    order = np.asarray(tree.leaf_order, dtype=int)
-    mperm = mu.values[order]
-    signs_perm = np.where(mperm >= 0.0, 1.0, -1.0)
-    w = np.empty(tree.n)
-    stack: list[tuple[TreeNode, float]] = [(tree.root, 1.0)]
-    while stack:
-        node, budget = stack.pop()
-        if node.is_leaf:
-            w[node.span[0]] = budget * signs_perm[node.span[0]]
-            continue
-        st = _node_stats(sp, mperm, dperm, signs_perm, node, g)
-        if trace is not None:
-            trace[node.id] = st
-        a_l, a_r, _ = raw_budgets(st.v_l, st.v_r, st.s_l, st.s_r, st.c, g)
-        z = a_l + a_r
-        if z == 0.0:
-            a_l = a_r = 0.5
-        else:
-            a_l, a_r = a_l / z, a_r / z
-        stack.append((node.left, budget * a_l))
-        stack.append((node.right, budget * a_r))
-    out = _unpermute(w, tree)
+    out = _tree_pass(sigma, mu.values, tree, gamma, "signed", "sum", trace)
     # budgets are non-negative for any signal with a nonvanishing branch, so the
     # leaf magnitudes sum to one; fall back to an untagged vector otherwise
     tag = "l1_one" if abs(np.abs(out).sum() - 1.0) <= 1e-10 else "raw"
@@ -130,28 +66,7 @@ def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
     inverse-variance statistics; no cross term enters. Coincides with hrp_mu
     at gamma = 0 and with plain HRP on a flat unit signal.
     """
-    sp = _permuted(sigma, tree)
-    dperm = np.diag(sp).copy()
-    order = np.asarray(tree.leaf_order, dtype=int)
-    mperm = mu.values[order]
-    signs_perm = np.where(mperm >= 0.0, 1.0, -1.0)
-    w = np.empty(tree.n)
-    stack: list[tuple[TreeNode, float]] = [(tree.root, 1.0)]
-    while stack:
-        node, budget = stack.pop()
-        if node.is_leaf:
-            w[node.span[0]] = budget * signs_perm[node.span[0]]
-            continue
-        st = _node_stats(sp, mperm, dperm, signs_perm, node, 0.0)
-        r_l, r_r = st.s_l / st.v_l, st.s_r / st.v_r
-        z = r_l + r_r
-        if z == 0.0:
-            a_l = 0.5
-        else:
-            a_l = r_l / z
-        stack.append((node.left, budget * a_l))
-        stack.append((node.right, budget * (1.0 - a_l)))
-    return WeightVector(_unpermute(w, tree), "l1_one")
+    return WeightVector(_tree_pass(sigma, mu.values, tree, 0.0, "signed", "sum"), "l1_one")
 
 
 def hrp_sigma_mu(
@@ -167,42 +82,7 @@ def hrp_sigma_mu(
     representatives and rescales the raw pair by |a_l| + |a_r|, preserving
     both signs; the stacked root representative (unit gross leverage) is the
     output. Exact for diagonal covariances at any gamma and any tree.
-    ``trace`` collects node id -> NodeBudget.
+    ``trace`` collects node id -> NodeRecord.
     """
-    g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    order = np.asarray(tree.leaf_order, dtype=int)
-    mperm = mu.values[order]
-    w = np.empty(tree.n)
-    n_ids = 2 * tree.n - 1
-    vbuf = np.empty(n_ids)
-    sbuf = np.empty(n_ids)
-    for node in tree.post_order:
-        if node.is_leaf:
-            p = node.span[0]
-            w[p] = 1.0
-            vbuf[node.id] = sp[p, p]
-            sbuf[node.id] = mperm[p]
-            continue
-        left, right = node.left, node.right
-        l0, l1 = left.span
-        r0, r1 = right.span
-        c = float(w[l0:l1] @ sp[l0:l1, r0:r1] @ w[r0:r1])
-        a_l, a_r, _ = raw_budgets(
-            vbuf[left.id], vbuf[right.id], sbuf[left.id], sbuf[right.id], c, g
-        )
-        z = abs(a_l) + abs(a_r)
-        if z == 0.0:
-            a_l = a_r = 0.5
-        else:
-            a_l, a_r = a_l / z, a_r / z
-        if trace is not None:
-            trace[node.id] = NodeBudget(a_l, a_r, "l1_one")
-        w[l0:l1] *= a_l
-        w[r0:r1] *= a_r
-        # exact update of the stacked representative's variance and signal
-        vbuf[node.id] = (
-            a_l * a_l * vbuf[left.id] + a_r * a_r * vbuf[right.id] + 2.0 * a_l * a_r * c
-        )
-        sbuf[node.id] = a_l * sbuf[left.id] + a_r * sbuf[right.id]
-    return WeightVector(_unpermute(w, tree), "l1_one")
+    out = _tree_pass(sigma, mu.values, tree, gamma, "stacked", "l1", trace)
+    return WeightVector(out, "l1_one")

@@ -1,4 +1,5 @@
-"""Shared fixtures: the 4-asset worked example, base universes, random SPD draws."""
+"""Shared fixtures: the 4-asset worked example, base universes, random SPD
+draws, and the six tree passes under one call signature."""
 
 from __future__ import annotations
 
@@ -9,10 +10,27 @@ from crisp_alloc import (
     CovarianceMatrix,
     RegimeSpec,
     Signal,
+    a1_sum_norm_mvo,
+    a2_flat_ivp_tree,
     build_tree,
     gen_regime,
+    hrp,
+    hrp_mu,
+    hrp_sigma_mu,
+    hsp,
     to_correlation,
 )
+
+# every tree pass as (sigma, mu, tree, gamma) -> WeightVector; hrp ignores mu
+# and gamma, hsp ignores gamma
+TREE_PASSES = {
+    "hrp": lambda sigma, mu, tree, gamma: hrp(sigma, tree),
+    "hsp": lambda sigma, mu, tree, gamma: hsp(sigma, mu, tree),
+    "hrp_mu": hrp_mu,
+    "a2": a2_flat_ivp_tree,
+    "a1": a1_sum_norm_mvo,
+    "hrp_sigma_mu": hrp_sigma_mu,
+}
 
 
 @pytest.fixture(scope="session")

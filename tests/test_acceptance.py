@@ -341,7 +341,7 @@ def test_criterion_06_sign_flip_pathology_mc():
     trace = {}
     w_a1 = a1_sum_norm_mvo(sig2, mu2, tree2, 0.0, trace=trace).values
     w_l1 = hrp_sigma_mu(sig2, mu2, tree2, 0.0).values
-    anti_ok = trace[tree2.root.id]["flipped"] and np.abs(w_a1 + w_l1).max() < 1e-10
+    anti_ok = trace[tree2.root.id].flipped and np.abs(w_a1 + w_l1).max() < 1e-10
 
     ok = band_ok and mu_ok and anti_ok
     _report(

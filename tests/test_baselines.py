@@ -218,7 +218,7 @@ class TestA1SumNormMvo:
         tree = build_tree(to_correlation(sigma), "ward")
         trace = {}
         w_a1 = a1_sum_norm_mvo(sigma, mu, tree, 0.0, trace=trace)
-        assert trace[tree.root.id]["flipped"]
+        assert trace[tree.root.id].flipped
         w_l1 = hrp_sigma_mu(sigma, mu, tree, 0.0)
         a = w_a1.values / np.abs(w_a1.values).sum()
         assert np.allclose(a, -w_l1.values, atol=1e-12)
@@ -244,7 +244,7 @@ class TestA1SumNormMvo:
         tree = build_tree(to_correlation(sigma), "ward")
         trace = {}
         w_a1 = a1_sum_norm_mvo(sigma, mu, tree, 0.0, trace=trace).values
-        assert trace[tree.root.id]["flipped"]
+        assert trace[tree.root.id].flipped
         w_l1 = hrp_sigma_mu(sigma, mu, tree, 0.0).values
         assert np.abs(w_a1 + w_l1).max() < 1e-14
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crisp_alloc import SingularCovarianceError, cli
 from crisp_alloc.cli import main
 
 
@@ -90,6 +91,19 @@ class TestErrors:
         code, _, err = run_cli(["experiment", "bogus"], capsys)
         assert code == 2
         assert "recovery" in err and "oos_minvar" in err
+
+    def test_failed_experiment_names_the_file_it_wrote(self, tmp_path, capsys, monkeypatch):
+        def broken(spec, jobs=1):
+            raise SingularCovarianceError("synthetic failure")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path))
+        code, _, err = run_cli(["experiment", "recovery"], capsys)
+        failed = tmp_path / "recovery" / "FAILED.txt"
+        assert code == 1
+        assert failed.read_text(encoding="utf-8") == "synthetic failure\n"
+        assert f"wrote {failed}" in err and "partial" not in err
+        assert [p.name for p in (tmp_path / "recovery").iterdir()] == ["FAILED.txt"]
 
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(["allocate", "--method", "hrp"], capsys)

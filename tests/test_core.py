@@ -10,9 +10,9 @@ from crisp_alloc import (
     Signal,
     WeightVector,
     kappa,
+    kappa_eff,
     markowitz_direct,
     materialize,
-    preconditioned_kappa,
     shrink,
     to_correlation,
 )
@@ -192,14 +192,16 @@ class TestMarkowitzDirect:
 
 class TestPreconditionedKappa:
     def test_endpoints(self, base100):
-        assert preconditioned_kappa(base100, 0.0) == 1.0
-        assert preconditioned_kappa(base100, 1.0) == pytest.approx(
+        assert kappa_eff(to_correlation(base100).eigenvalues, 0.0) == 1.0
+        assert kappa_eff(to_correlation(base100).eigenvalues, 1.0) == pytest.approx(
             kappa(to_correlation(base100)), rel=1e-12
         )
 
     def test_half_gamma_base_universe(self, base100):
         # analytic spectrum 24.4 / 0.4: (0.5 + 0.5*24.4) / (0.5 + 0.5*0.4)
-        assert preconditioned_kappa(base100, 0.5) == pytest.approx(12.7 / 0.7, rel=1e-6)
+        assert kappa_eff(to_correlation(base100).eigenvalues, 0.5) == pytest.approx(
+            12.7 / 0.7, rel=1e-6
+        )
 
     def test_matches_eigendecomposition_oracle(self):
         sigma = random_spd(8, 21)
@@ -207,7 +209,7 @@ class TestPreconditionedKappa:
             p = materialize(shrink(sigma, gamma))
             m = p.entries / np.diag(sigma.entries)[:, None]
             eigs = np.sort(np.real(np.linalg.eigvals(m)))
-            assert preconditioned_kappa(sigma, gamma) == pytest.approx(
+            assert kappa_eff(to_correlation(sigma).eigenvalues, gamma) == pytest.approx(
                 eigs[-1] / eigs[0], rel=1e-8
             )
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ class TestRunExperiment:
         cell = res.cells[0]
         assert cell.trials == 8
         assert cell.instability >= 0  # no exception propagated
+
+    def test_failing_method_is_a_record_not_an_abort(self):
+        # unridged T = 60 < N = 100: the direct solve's factorization fails
+        spec = replace(
+            preset("oos_minvar"),
+            ridge=0.0,
+            t_values=(60,),
+            trials=2,
+            methods=(MethodSpec("hrp"), MethodSpec("markowitz")),
+        )
+        res = run_experiment(spec)
+        for rec in res.records:
+            failed = rec.outcomes[MethodSpec("markowitz").key]
+            assert failed.unstable and math.isnan(failed.sharpe)
+            assert failed.reason == "SingularCovarianceError"
+            kept = rec.outcomes[MethodSpec("hrp").key]
+            assert math.isfinite(kept.sharpe) and kept.reason == ""
+        hrp_cell = next(c for c in res.cells if c.method == "hrp")
+        assert hrp_cell.trials == 2 and math.isfinite(hrp_cell.mean_sharpe)
 
 
 class TestPresets:

@@ -20,9 +20,9 @@ from crisp_alloc import (
     solve_2x2,
     to_correlation,
 )
-from crisp_alloc import signal_trees
+from crisp_alloc import baselines
 from crisp_alloc.baselines import _permuted, raw_budgets
-from tests.conftest import random_spd
+from tests.conftest import TREE_PASSES, random_spd
 
 
 class _ReadCounter(np.ndarray):
@@ -47,6 +47,19 @@ class _ReadCounter(np.ndarray):
 
     def __array_function__(self, func, types, args, kwargs):
         return func(*self._whole(args), **kwargs)
+
+
+@pytest.fixture(scope="module")
+def doubling_inputs():
+    """Balanced-tree inputs at N = 2048 and 4096, built once for all passes."""
+    return {
+        n: (
+            gen_regime(RegimeSpec("block_sector", n=n, sectors=4, seed=42)),
+            balanced_tree(n),
+            gen_signal(SignalSpec("gaussian", seed=3), n),
+        )
+        for n in (2048, 4096)
+    }
 
 
 class TestSolve2x2:
@@ -261,9 +274,12 @@ class TestHrpSigmaMu:
         assert np.abs(w.values).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.slow
-    def test_quadratic_cost_doubling(self, monkeypatch):
+    @pytest.mark.parametrize("name", TREE_PASSES)
+    def test_quadratic_cost_doubling(self, name, doubling_inputs, monkeypatch):
         # counts covariance entries read rather than seconds, so the O(N^2)
-        # claim is checked without depending on the host's memory timing
+        # claim is checked without depending on the host's memory timing; all
+        # six passes read Sigma through the one kernel in baselines
+        run = TREE_PASSES[name]
         counters = []
 
         def counting_permuted(sigma, tree):
@@ -273,14 +289,11 @@ class TestHrpSigmaMu:
             return m
 
         reads = {}
-        for n in (2048, 4096):
-            sigma = gen_regime(RegimeSpec("block_sector", n=n, sectors=4, seed=42))
-            tree = balanced_tree(n)
-            mu = gen_signal(SignalSpec("gaussian", seed=3), n)
-            plain = hrp_sigma_mu(sigma, mu, tree, 0.5).values
+        for n, (sigma, tree, mu) in doubling_inputs.items():
+            plain = run(sigma, mu, tree, 0.5).values
             with monkeypatch.context() as mp:
-                mp.setattr(signal_trees, "_permuted", counting_permuted)
-                counted = hrp_sigma_mu(sigma, mu, tree, 0.5).values
+                mp.setattr(baselines, "_permuted", counting_permuted)
+                counted = run(sigma, mu, tree, 0.5).values
             assert np.array_equal(counted, plain)
             reads[n] = counters.pop().reads
             # each leaf pair meets once at its lowest common ancestor: N(N+1)/2

@@ -19,10 +19,10 @@ from crisp_alloc import (
     dir_error,
     gen_regime,
     gen_signal,
+    kappa_eff,
     long_only_budget,
     markowitz_direct,
     materialize,
-    preconditioned_kappa,
     sector_labels,
     shrink,
     sweeps_to_tolerance,
@@ -66,7 +66,7 @@ class TestCrispSolve:
             sigma = random_spd(8, seed)
             mu = _rand_mu(8, seed + 1000)
             for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-                cap = int(200 + 40 * preconditioned_kappa(sigma, gamma))
+                cap = int(200 + 40 * kappa_eff(to_correlation(sigma).eigenvalues, gamma))
                 diag = sweeps_to_tolerance(sigma, mu, gamma, 1e-8, cap=cap)
                 assert diag.converged
 

@@ -1,0 +1,130 @@
+"""All six tree passes against a test-only oracle built from their definitions.
+
+The oracle recurses over the tree and, at every internal node, builds each
+child's representative as an explicit length-N vector (zero off the child's
+leaves) and scores it with full quadratic forms on the unpermuted covariance.
+It shares nothing with the post-order kernel but the node-level 2x2 solve.
+"""
+
+import numpy as np
+import pytest
+
+from crisp_alloc import (
+    CovarianceMatrix,
+    RegimeSpec,
+    Signal,
+    SignalSpec,
+    build_tree,
+    gen_regime,
+    gen_signal,
+    sample_cov,
+    sample_returns,
+    to_correlation,
+)
+from crisp_alloc.baselines import raw_budgets
+from tests.conftest import TREE_PASSES, random_spd
+
+# pass -> (representative, normalisation, gamma fixed by the pass or None)
+_SETUP = {
+    "hrp": ("flat", "sum", 0.0),
+    "hsp": ("signed", "sum", 0.0),
+    "hrp_mu": ("signed", "sum", None),
+    "a2": ("flat", "sum", None),
+    "a1": ("stacked", "sum", None),
+    "hrp_sigma_mu": ("stacked", "l1", None),
+}
+
+_REGIMES = ("block_sector", "wide_vol", "equicorr", "factor", "spiked", "hedged_tight_blocks")
+
+
+def oracle(sigma, mu, tree, gamma, rep, norm):
+    s, n = sigma.entries, sigma.n
+    signs = np.where(mu >= 0.0, 1.0, -1.0)
+
+    def budgets(x_l, x_r):
+        raw = raw_budgets(x_l @ s @ x_l, x_r @ s @ x_r, x_l @ mu, x_r @ mu, x_l @ s @ x_r, gamma)
+        z = raw[0] + raw[1] if norm == "sum" else abs(raw[0]) + abs(raw[1])
+        return (0.5, 0.5) if z == 0.0 else (raw[0] / z, raw[1] / z)
+
+    def ivp(node):
+        # inverse-variance portfolio on the node's leaves, signed if asked
+        x = np.zeros(n)
+        idx = list(node.leaves)
+        x[idx] = 1.0 / np.diag(s)[idx]
+        x /= x.sum()
+        return x * signs if rep == "signed" else x
+
+    def stacked(node):
+        # the node's own normalised local optimum, its children stacked
+        if node.is_leaf:
+            return np.eye(n)[node.leaf]
+        x_l, x_r = stacked(node.left), stacked(node.right)
+        b_l, b_r = budgets(x_l, x_r)
+        return b_l * x_l + b_r * x_r
+
+    def products(node, budget, w):
+        # leaf weight: product of the budgets on the root-to-leaf path
+        if node.is_leaf:
+            w[node.leaf] = budget
+            return
+        b_l, b_r = budgets(ivp(node.left), ivp(node.right))
+        products(node.left, budget * b_l, w)
+        products(node.right, budget * b_r, w)
+
+    if rep == "stacked":
+        return stacked(tree.root)
+    w = np.zeros(n)
+    products(tree.root, 1.0, w)
+    return w * signs if rep == "signed" else w
+
+
+def _cases(regime):
+    for seed in range(4):
+        for n in (3, 20, 100):
+            pop = gen_regime(RegimeSpec(regime, n=n, seed=seed, sectors=min(5, n)))
+            returns = sample_returns(pop, Signal(np.ones(n)), 2 * n + 5, seed)
+            for sigma in (pop, sample_cov(returns)):
+                tree = build_tree(to_correlation(sigma), "ward")
+                gauss = gen_signal(SignalSpec("gaussian", seed=seed), n)
+                for mu in (Signal(np.ones(n)), gauss):
+                    yield sigma, mu, tree
+
+
+@pytest.mark.parametrize("regime", _REGIMES)
+def test_passes_match_oracle(regime):
+    seen = set()
+    for sigma, mu, tree in _cases(regime):
+        flat_mu = np.all(mu.values == 1.0)
+        for name, run in TREE_PASSES.items():
+            rep, norm, fixed_gamma = _SETUP[name]
+            if name == "hrp" and not flat_mu:
+                continue  # signal-blind: the unit-signal case covers it
+            gammas = (fixed_gamma,) if fixed_gamma is not None else (0.0, 0.5, 1.0)
+            m = np.ones(sigma.n) if name == "hrp" else mu.values
+            for g in gammas:
+                got = run(sigma, mu, tree, g).values
+                want = oracle(sigma, m, tree, g, rep, norm)
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                # flat representatives can cancel under mixed signs (noise-driven)
+                tol = 1e-10 if name == "a2" and not flat_mu else 1e-12
+                assert rel <= tol, f"{name} n={sigma.n} gamma={g}: rel {rel:.2e}"
+                seen.add(name)
+    assert seen == set(TREE_PASSES)
+
+
+@pytest.mark.parametrize("name", TREE_PASSES)
+def test_any_covariance_scale(name):
+    # a far-out scale is brought back by an exact power of two, so tiny or
+    # huge covariances give the in-range weights where the 2x2 solve's
+    # v_l * v_r would otherwise under- or overflow
+    sigma = random_spd(12, 4)
+    tree = build_tree(to_correlation(sigma), "ward")
+    mu = Signal(np.random.default_rng(4).normal(0.0, 0.02, 12))
+    run = TREE_PASSES[name]
+    base = run(sigma, mu, tree, 0.5).values
+    for e in (-700, -600, 600, 700):
+        w = run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, 0.5).values
+        assert np.linalg.norm(w - base) / np.linalg.norm(base) < 1e-14
+    # both far out: the same rescaled matrix, so the same bits
+    far = [run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, 0.5) for e in (600, 700)]
+    assert np.array_equal(far[0].values, far[1].values)
