@@ -54,6 +54,7 @@ from .synthetic import (
 )
 
 _CLI_METHODS = METHOD_IDS + ("crisp-stream", "crisp-projected")
+_TREELESS_METHODS = ("one-over-n", "markowitz", "crisp-stream", "crisp-projected")
 
 
 class CliError(Exception):
@@ -70,7 +71,7 @@ def _read_matrix(path: str) -> np.ndarray:
                     continue
                 cells = line.split(",")
                 try:
-                    rows.append([float(c) for c in cells])
+                    rows.append(np.array([float(c) for c in cells]))
                 except ValueError as exc:
                     bad = next(i for i, c in enumerate(cells) if not _is_float(c))
                     raise CliError(
@@ -210,7 +211,7 @@ def _build_inputs(args):
 
 def cmd_allocate(args) -> int:
     sigma, mu, sectors = _build_inputs(args)
-    tree = build_tree(to_correlation(sigma), "ward")
+    tree = None if args.method in _TREELESS_METHODS else build_tree(to_correlation(sigma), "ward")
     if args.method == "crisp-stream":
         k = args.factors
         eigs, vecs = np.linalg.eigh(sigma.entries)

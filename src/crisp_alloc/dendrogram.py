@@ -1,16 +1,17 @@
 """Correlation-distance agglomerative clustering into a binary tree.
 
 The tree is the scaffold for every hierarchical allocator. Linkage operates
-on the condensed correlation-distance matrix directly via the Lance-Williams
-update (no embedding into Euclidean coordinates), with distance ties broken
-by the lowest (id, id) cluster pair so that the construction is deterministic
-across platforms. Each internal node caches the sorted set of leaf indices
-beneath it and its contiguous span in the quasi-diagonal leaf order.
+on the correlation-distance matrix directly via the Lance-Williams update,
+finding each merge from per-row nearest-neighbour caches (Muellner's generic
+algorithm, arXiv:1109.2378; O(N^2) on typical inputs), with distance ties
+broken by the lowest (id, id) cluster pair so that the construction is
+deterministic across platforms. Each node stores its span in the
+quasi-diagonal leaf order; its leaf set and size are read off that span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, Optional
 
@@ -28,15 +29,14 @@ _RULES = ("ward", "single", "complete", "average")
 class TreeNode:
     """One node of the binary cluster tree.
 
-    ``leaves`` is the sorted tuple of original asset indices beneath the node;
-    ``span`` is the half-open range the node occupies in the dendrogram's
-    quasi-diagonal leaf order.
+    ``span`` is the half-open range the node occupies in ``order``, the
+    dendrogram's quasi-diagonal leaf order (one tuple shared by every node).
     """
 
     id: int
-    leaves: tuple[int, ...]
     span: tuple[int, int]
     height: float
+    order: tuple[int, ...] = field(repr=False)
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
     leaf: Optional[int] = None
@@ -46,8 +46,13 @@ class TreeNode:
         return self.leaf is not None
 
     @property
+    def leaves(self) -> tuple[int, ...]:
+        """Sorted original asset indices beneath the node."""
+        return tuple(sorted(self.order[self.span[0] : self.span[1]]))
+
+    @property
     def size(self) -> int:
-        return len(self.leaves)
+        return self.span[1] - self.span[0]
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,9 @@ class Dendrogram:
 
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:
-    """d_ij = sqrt((1 - C_ij) / 2): symmetric, zero diagonal, entries in [0, 1]."""
-    d = np.sqrt(0.5 * (1.0 - corr.entries))
+    """d_ij = sqrt((1 - C_ij) / 2) on the symmetric part of C; zero diagonal, in [0, 1]."""
+    c = corr.entries  # CorrelationMatrix allows 1e-12 of asymmetry
+    d = np.sqrt(0.5 * (1.0 - 0.5 * (c + c.T)))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -100,61 +106,69 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
     if n < 2:
         raise DegenerateUniverseError("need at least two assets to build a tree")
 
-    d = corr_distance(corr)
-    # Ward's update runs on squared distances; the other rules on raw ones.
-    work = d**2 if rule == "ward" else d.copy()
+    # Ward's update runs on squared distances, the other rules on raw ones,
+    # squared in place so one n x n array is alive. The diagonal and retired
+    # slots hold inf, so no row needs a mask.
+    work = corr_distance(corr)
+    if rule == "ward":
+        np.square(work, out=work)
+    np.fill_diagonal(work, np.inf)
 
-    ids = list(range(n))  # cluster id occupying each active slot
+    ids = np.arange(n)  # cluster id occupying each slot
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     children: dict[int, tuple[int, int]] = {}
     heights: dict[int, float] = {}
-    slot_of: dict[int, int] = {i: i for i in range(n)}
 
-    big = np.inf
+    # nearest-neighbour cache: nn_d[i] = min of row i, nn_j[i] = the slot there
+    # with the lowest cluster id (argmin's first hit while ids are slots)
+    nn_j = work.argmin(axis=1)
+    nn_d = work.min(axis=1)
+
+    def rescan(i: int) -> None:
+        tied = np.flatnonzero(work[i] == work[i].min())
+        nn_j[i] = tied[ids[tied].argmin()]
+        nn_d[i] = work[i, nn_j[i]]
+
     for step in range(n - 1):
-        masked = np.where(active[:, None] & active[None, :], work, big)
-        np.fill_diagonal(masked, big)
-        m = masked.min()
-        # candidate slots at the minimum; pick the smallest (id, id) pair
-        cand = np.argwhere(masked == m)
-        best = None
-        for i, j in cand:
-            if i >= j:
-                continue
-            pair = tuple(sorted((ids[i], ids[j])))
-            if best is None or pair < best[0]:
-                best = (pair, (int(i), int(j)))
-        (id_a, id_b), (si, sj) = best
-        if ids[si] != id_a:
-            si, sj = sj, si
-
+        # the smallest (distance, id, id) pair is cached in the row of its
+        # lower id, which is the lowest id among the rows at the minimum
+        m = nn_d.min()
+        rows = np.flatnonzero(nn_d == m)
+        si = int(rows[ids[rows].argmin()])
+        sj = int(nn_j[si])
         new_id = n + step
-        children[new_id] = (id_a, id_b)
+        children[new_id] = (int(ids[si]), int(ids[sj]))
         heights[new_id] = float(np.sqrt(m)) if rule == "ward" else float(m)
 
+        active[sj] = False
+        k = np.flatnonzero(active)
+        k = k[k != si]
         na, nb = sizes[si], sizes[sj]
-        others = active.copy()
-        others[si] = others[sj] = False
-        k = np.flatnonzero(others)
-        if k.size:
-            dak, dbk = work[si, k], work[sj, k]
-            if rule == "ward":
-                nk = sizes[k]
-                new = ((na + nk) * dak + (nb + nk) * dbk - nk * work[si, sj]) / (na + nb + nk)
-            elif rule == "single":
-                new = np.minimum(dak, dbk)
-            elif rule == "complete":
-                new = np.maximum(dak, dbk)
-            else:  # average
-                new = (na * dak + nb * dbk) / (na + nb)
-            work[si, k] = new
-            work[k, si] = new
-
+        dak, dbk = work[si, k], work[sj, k]
+        if rule == "ward":
+            nk = sizes[k]
+            new = ((na + nk) * dak + (nb + nk) * dbk - nk * work[si, sj]) / (na + nb + nk)
+        elif rule == "single":
+            new = np.minimum(dak, dbk)
+        elif rule == "complete":
+            new = np.maximum(dak, dbk)
+        else:  # average
+            new = (na * dak + nb * dbk) / (na + nb)
+        work[si, k] = new
+        work[k, si] = new
+        work[:, sj] = np.inf
+        nn_d[sj] = np.inf
         ids[si] = new_id
         sizes[si] = na + nb
-        active[sj] = False
-        slot_of[new_id] = si
+
+        # other rows changed in columns si, sj only: rescan those cached there,
+        # update the rest when strictly closer (new_id is largest, loses ties)
+        stale = k[(nn_j[k] == si) | (nn_j[k] == sj)]
+        closer = k[new < nn_d[k]]
+        nn_d[closer], nn_j[closer] = work[closer, si], si
+        for i in (si, *stale):
+            rescan(i)
 
     return _assemble(n, children, heights)
 
@@ -172,24 +186,24 @@ def _assemble(n: int, children: dict[int, tuple[int, int]], heights: dict[int, f
             a, b = children[nid]
             stack.append(b)
             stack.append(a)
-    pos = {leaf: p for p, leaf in enumerate(order)}
+    leaf_order = tuple(order)
 
     nodes: dict[int, TreeNode] = {
-        i: TreeNode(id=i, leaves=(i,), span=(pos[i], pos[i] + 1), height=0.0, leaf=i)
-        for i in range(n)
+        leaf: TreeNode(id=leaf, span=(p, p + 1), height=0.0, order=leaf_order, leaf=leaf)
+        for p, leaf in enumerate(order)
     }
     for nid in range(n, root_id + 1):
         a, b = children[nid]
         left, right = nodes[a], nodes[b]
         nodes[nid] = TreeNode(
             id=nid,
-            leaves=tuple(sorted(left.leaves + right.leaves)),
             span=(left.span[0], right.span[1]),
             height=heights[nid],
+            order=leaf_order,
             left=left,
             right=right,
         )
-    return Dendrogram(root=nodes[root_id], leaf_order=tuple(order))
+    return Dendrogram(root=nodes[root_id], leaf_order=leaf_order)
 
 
 def balanced_tree(n: int) -> Dendrogram:

@@ -45,6 +45,22 @@ class TestGenAllocateRoundTrip:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "method", ("one-over-n", "markowitz", "crisp-stream", "crisp-projected")
+    )
+    def test_treeless_method_builds_no_tree(self, method, capsys, monkeypatch):
+        args = ["allocate", "--method", method, "--regime", "block", "--n", "10", "--seed", "4"]
+        code, want, _ = run_cli(args, capsys)
+        assert code == 0
+
+        def no_tree(*_):
+            raise RuntimeError("build_tree called")
+
+        monkeypatch.setattr(cli, "build_tree", no_tree)
+        code, got, _ = run_cli(args, capsys)
+        assert code == 0
+        assert got == want
+
 
 class TestDeterminism:
     def test_allocate_output_bytes_identical(self, tmp_path, capsys):

@@ -1,16 +1,96 @@
 import numpy as np
 import pytest
+import scipy.cluster.hierarchy as sch
+from scipy.spatial.distance import squareform
 
 from crisp_alloc import (
     CorrelationMatrix,
     DegenerateUniverseError,
     ParameterError,
+    RegimeSpec,
+    Signal,
     balanced_tree,
     build_tree,
     corr_distance,
+    gen_regime,
+    sample_cov,
+    sample_returns,
     to_correlation,
 )
+from crisp_alloc.dendrogram import _assemble
 from tests.conftest import random_spd
+
+RULES = ("ward", "single", "complete", "average")
+REGIMES = ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks", "wide_vol")
+
+
+def reference_tree(corr, rule):
+    """The O(N^3) merge loop ``build_tree`` replaced: a masked minimum over the
+    whole matrix at every merge, ties to the lowest sorted (id, id) pair.
+    Kept as the oracle for the merges, tie rule and heights."""
+    n = corr.n
+    d = corr_distance(corr)
+    work = d**2 if rule == "ward" else d.copy()
+
+    ids = list(range(n))
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    children, heights = {}, {}
+    for step in range(n - 1):
+        masked = np.where(active[:, None] & active[None, :], work, np.inf)
+        np.fill_diagonal(masked, np.inf)
+        m = masked.min()
+        best = None
+        for i, j in np.argwhere(masked == m):
+            if i >= j:
+                continue
+            pair = tuple(sorted((ids[i], ids[j])))
+            if best is None or pair < best[0]:
+                best = (pair, (int(i), int(j)))
+        (id_a, id_b), (si, sj) = best
+        if ids[si] != id_a:
+            si, sj = sj, si
+
+        new_id = n + step
+        children[new_id] = (id_a, id_b)
+        heights[new_id] = float(np.sqrt(m)) if rule == "ward" else float(m)
+
+        na, nb = sizes[si], sizes[sj]
+        others = active.copy()
+        others[si] = others[sj] = False
+        k = np.flatnonzero(others)
+        if k.size:
+            dak, dbk = work[si, k], work[sj, k]
+            if rule == "ward":
+                nk = sizes[k]
+                new = ((na + nk) * dak + (nb + nk) * dbk - nk * work[si, sj]) / (na + nb + nk)
+            elif rule == "single":
+                new = np.minimum(dak, dbk)
+            elif rule == "complete":
+                new = np.maximum(dak, dbk)
+            else:
+                new = (na * dak + nb * dbk) / (na + nb)
+            work[si, k] = new
+            work[k, si] = new
+
+        ids[si] = new_id
+        sizes[si] = na + nb
+        active[sj] = False
+    return _assemble(n, children, heights)
+
+
+def merges(tree):
+    """Children, heights and leaf order: everything the merge loop decides."""
+    nodes = {node.id: (node.left.id, node.right.id, node.height) for node in tree.internal_nodes}
+    return nodes, tree.leaf_order
+
+
+def regime_corrs(regime, n, seed=0):
+    """The population correlation of a regime (exact ties in the block kinds)
+    and a sampled one (T = 2N + 5 draws, tie-free)."""
+    sigma = gen_regime(RegimeSpec(regime, n=n, seed=seed))
+    returns = sample_returns(sigma, Signal(np.zeros(n)), 2 * n + 5, seed)
+    return to_correlation(sigma), to_correlation(sample_cov(returns))
 
 
 class TestCorrDistance:
@@ -99,6 +179,17 @@ class TestBuildTree:
                 lo, hi = node.span
                 assert tuple(sorted(tree.leaf_order[lo:hi])) == node.leaves
 
+    def test_near_symmetric_correlation(self):
+        # CorrelationMatrix accepts asymmetry up to 1e-12; the tree is that of
+        # the symmetric part (the masked loop used to find no pair and crash)
+        a = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        a[1, 0] = 0.5 + 1e-14
+        d = corr_distance(CorrelationMatrix(a))
+        assert np.array_equal(d, d.T)
+        for rule in RULES:
+            tree = build_tree(CorrelationMatrix(a), rule)
+            assert merges(tree) == merges(build_tree(CorrelationMatrix(0.5 * (a + a.T)), rule))
+
     def test_leaf_order_preserves_spectrum(self):
         sigma = random_spd(10, 5)
         tree = build_tree(to_correlation(sigma), "ward")
@@ -119,3 +210,39 @@ class TestBalancedTree:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ParameterError):
             balanced_tree(6)
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_same_merges_ties_and_heights(self, rule, regime):
+        for n in (2, 3, 50, 200):
+            if regime == "hedged_tight_blocks" and n < RegimeSpec(regime).sectors:
+                continue  # the regime needs one asset per sector
+            for corr in regime_corrs(regime, n):
+                assert merges(build_tree(corr, rule)) == merges(reference_tree(corr, rule)), n
+
+    @pytest.mark.slow
+    def test_population_block_sector_n1000(self):
+        # every within-sector and every cross-sector distance ties exactly
+        corr, _ = regime_corrs("block_sector", 1000)
+        assert merges(build_tree(corr)) == merges(reference_tree(corr, "ward"))
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("rule", RULES)
+    def test_same_clusters_and_heights(self, rule):
+        # sampled matrices are tie-free, so the greedy merge sequence is unique
+        for regime, n, seed in (("block_sector", 60, 1), ("factor", 200, 2), ("spiked", 120, 3)):
+            _, corr = regime_corrs(regime, n, seed)
+            z = sch.linkage(squareform(corr_distance(corr), checks=False), rule)
+            members = [frozenset([i]) for i in range(n)]
+            theirs = {}
+            for a, b, h, _ in z:
+                members.append(members[int(a)] | members[int(b)])
+                theirs[members[-1]] = h
+            tree = build_tree(corr, rule)
+            ours = {frozenset(node.leaves): node.height for node in tree.internal_nodes}
+            assert ours.keys() == theirs.keys()
+            for key, h in theirs.items():
+                assert abs(ours[key] - h) <= 1e-12 * h
