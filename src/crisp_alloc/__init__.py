@@ -32,12 +32,10 @@ from .baselines import (
 from .core import (
     CorrelationMatrix,
     CovarianceMatrix,
-    ShrinkageOperator,
     Signal,
     WeightVector,
     kappa,
     markowitz_direct,
-    materialize,
     shrink,
     to_correlation,
 )

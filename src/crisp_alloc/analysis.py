@@ -10,6 +10,7 @@ along gamma, and the KL information cost of shrinking correlations away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -19,14 +20,11 @@ from .core import (
     Signal,
     check_gamma,
     markowitz_direct,
-    materialize,
     shrink,
 )
 from .errors import ParameterError
 from .metrics import dir_error
-from .solver import crisp_solve
-
-_FORCE_FULL_SWEEPS = 1e-300  # disables the relative-change early stop
+from .solver import _gauss_seidel
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> np
     if gamma == 0.0:
         # P_0 is the diagonal; match the solver's expression bit for bit
         return mu.values / np.diag(sigma.entries)
-    p = materialize(shrink(sigma, gamma))
+    p = shrink(sigma, gamma)
     c, low = scipy.linalg.cho_factor(p.entries, lower=True, check_finite=False)
     return scipy.linalg.cho_solve((c, low), mu.values, check_finite=False)
 
@@ -89,7 +87,7 @@ def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> 
     w_star = markowitz_direct(sigma, mu).values
     w_hat = _exact_shrunk_solve(sigma, mu, g)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
-    p = materialize(shrink(sigma, g))
+    p = shrink(sigma, g)
     c, low = scipy.linalg.cho_factor(p.entries, lower=True, check_finite=False)
     correction = scipy.linalg.cho_solve((c, low), e @ w_star, check_finite=False)
     resid = (w_star - w_hat) + (1.0 - g) * correction
@@ -111,7 +109,7 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
     w_star = markowitz_direct(sigma, mu).values
     w_hat = _exact_shrunk_solve(sigma, mu, g)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
-    p = materialize(shrink(sigma, g))
+    p = shrink(sigma, g)
     p_inv_e = scipy.linalg.solve(p.entries, e, assume_a="pos", check_finite=False)
     op_norm = float(np.linalg.norm(p_inv_e, ord=2))
     u = p_inv_e @ w_star
@@ -140,7 +138,10 @@ def trajectory(
     gammas: np.ndarray | None = None,
     p: int = 200,
 ) -> list[TrajectoryPoint]:
-    """Exact and finite-sweep direction errors along the shrinkage grid."""
+    """Exact and finite-sweep (``p`` Gauss-Seidel sweeps) direction errors
+    along the shrinkage grid."""
+    if p < 1:
+        raise ParameterError("p must be at least 1")
     if gammas is None:
         gammas = default_gamma_grid()
     w_star = markowitz_direct(sigma, mu).values
@@ -148,7 +149,7 @@ def trajectory(
     for gamma in np.asarray(gammas, dtype=float):
         g = check_gamma(gamma)
         exact = _exact_shrunk_solve(sigma, mu, g)
-        iterate = crisp_solve(sigma, mu, g, p_max=p, eps=_FORCE_FULL_SWEEPS).weights.values
+        iterate, _ = next(islice(_gauss_seidel(sigma, mu, g), p, None))
         out.append(
             TrajectoryPoint(
                 gamma=g,

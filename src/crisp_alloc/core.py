@@ -1,7 +1,7 @@
 """Core numerical types and spectral utilities.
 
 Containers for covariance, correlation, signal and weight data, plus the
-shrinkage operator P_gamma = (1 - gamma) * D + gamma * Sigma (D the diagonal
+shrunk covariance P_gamma = (1 - gamma) * D + gamma * Sigma (D the diagonal
 of Sigma), condition numbers, and the direct Markowitz solve. Everything here
 is immutable after construction and safe to share across threads.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -164,20 +164,6 @@ class WeightVector:
         return WeightVector(self.values / s, "l1_one")
 
 
-@dataclass(frozen=True)
-class ShrinkageOperator:
-    """The pair (Sigma, gamma) realizing P_gamma = (1 - gamma) * D + gamma * Sigma."""
-
-    sigma: CovarianceMatrix
-    gamma: float
-
-    def __post_init__(self):
-        check_gamma(self.gamma)
-
-    def materialize(self) -> CovarianceMatrix:
-        return materialize(self)
-
-
 MatrixLike = Union[CovarianceMatrix, CorrelationMatrix, np.ndarray]
 
 
@@ -214,15 +200,21 @@ def kappa(matrix: MatrixLike) -> float:
     return hi / lo
 
 
-def shrink(sigma: CovarianceMatrix, gamma: float) -> ShrinkageOperator:
-    return ShrinkageOperator(sigma, check_gamma(gamma))
+def _shrunk(s: np.ndarray, gamma: float, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """P_gamma of the entries ``s`` as one new array, rows and columns in ``order``.
+
+    The off-diagonal is scaled by gamma and the diagonal is copied exactly.
+    """
+    p = s.copy() if order is None else s[np.ix_(order, order)]
+    d = np.diag(p).copy()
+    p *= gamma
+    np.fill_diagonal(p, d)
+    return p
 
 
-def materialize(op: ShrinkageOperator) -> CovarianceMatrix:
+def shrink(sigma: CovarianceMatrix, gamma: float) -> CovarianceMatrix:
     """Dense P_gamma: off-diagonal scaled by gamma, diagonal of Sigma kept exact."""
-    m = op.gamma * op.sigma.entries
-    np.fill_diagonal(m, np.diag(op.sigma.entries))
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(_shrunk(sigma.entries, check_gamma(gamma)))
 
 
 def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:

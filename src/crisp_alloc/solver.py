@@ -1,25 +1,26 @@
-"""Iterative shrinkage solver: scalar Gauss-Seidel on P_gamma w = mu.
+"""Iterative shrinkage solver: Gauss-Seidel on P_gamma w = mu.
 
-P_gamma = (1 - gamma) * diag(Sigma) + gamma * Sigma keeps every variance
-unchanged and attenuates only the off-diagonal, so the sweep
-
-    w_i <- (mu_i - gamma * sum_{j != i} sigma_ij w_j_latest) / sigma_ii
-
-starts from the diagonal solve w = mu / diag(Sigma), converges for every SPD
-covariance and every gamma in [0, 1], and costs O(N^2) per sweep. A
-factor-streaming variant runs the identical iteration without materializing
-the dense covariance, and a projected variant handles box, budget, and linear
-inequality constraints.
+P_gamma = (1 - gamma) * diag(Sigma) + gamma * Sigma = D + gamma (L + U) keeps
+every variance and attenuates only the off-diagonal. One sweep is the
+triangular splitting (D + gamma L) w+ = mu - gamma U w, with the residual
+P_gamma w+ - mu = gamma U (w+ - w) for free; started from the diagonal solve
+w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
+[0, 1] at O(N^2) per sweep. A factor-streaming variant runs the identical
+iteration without materializing the dense covariance, and a projected variant
+handles box, budget, and linear inequality constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dtrmv
 
-from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
+from .core import CovarianceMatrix, Signal, WeightVector, _shrunk, check_gamma
 from .errors import (
     InfeasibleConstraintsError,
     InvalidCovarianceError,
@@ -52,9 +53,9 @@ class SweepDiagnostic(NamedTuple):
 def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
     g = check_gamma(gamma)
     if p_max < 1:
-        raise ParameterError("p_max must be at least 1")
+        raise ParameterError("the sweep cap must be at least 1")
     if not eps > 0.0:
-        raise ParameterError("eps must be strictly positive")
+        raise ParameterError("the tolerance must be strictly positive")
     return g
 
 
@@ -64,6 +65,44 @@ def _rel_change(w: np.ndarray, w_prev: np.ndarray) -> float:
     if ref == 0.0:
         return 0.0 if change == 0.0 else np.inf
     return change / ref
+
+
+def _visiting_order(sigma: CovarianceMatrix, mu: Signal, ordering) -> Optional[np.ndarray]:
+    """Checked sweep order of the dense kernel (None for the natural order)."""
+    if mu.n != sigma.n:
+        raise ParameterError("signal length does not match covariance size")
+    if ordering is None:
+        return None
+    perm = np.asarray(ordering, dtype=int)
+    if sorted(perm.tolist()) != list(range(sigma.n)):
+        raise ParameterError("ordering must be a permutation of 0..N-1")
+    return perm
+
+
+def _gauss_seidel(
+    sigma: CovarianceMatrix, mu: Signal, g: float, perm: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Gauss-Seidel iterates on P_g w = mu, in visiting order ``perm``.
+
+    Yields (w, residual) pairs: first the diagonal solve (residual None), then
+    one pair per sweep with the residual P_g w - mu. P_g is formed, in visiting
+    order, only when the first sweep is asked for: one N x N array whose lower
+    triangle holds D + g L and whose strict upper triangle holds g U.
+    """
+    m, d = mu.values, np.diag(sigma.entries)
+    if perm is not None:
+        m, d = m[perm], d[perm]
+    w = m / d
+    yield w, None
+    # P_g^T is Fortran-ordered, so LAPACK/BLAS read the C-ordered P_g in place:
+    # the lower triangle of P_g is the transposed upper triangle of P_g^T.
+    pt = _shrunk(sigma.entries, g, perm).T
+    upper = dtrmv(pt, w, lower=1, trans=1, diag=1) - w  # g U w
+    while True:
+        w = scipy.linalg.solve_triangular(pt, m - upper, trans=1, check_finite=False)
+        new_upper = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
+        yield w, new_upper - upper
+        upper = new_upper
 
 
 def crisp_solve(
@@ -83,49 +122,19 @@ def crisp_solve(
     ||w - w_prev||_2 <= eps * ||w_prev||_2.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
-    s = sigma.entries
-    d = np.diag(s).copy()
-    if np.any(d <= 0.0):
-        raise InvalidCovarianceError("covariance diagonal must be strictly positive")
-
-    if ordering is not None:
-        perm = np.asarray(ordering, dtype=int)
-        if sorted(perm.tolist()) != list(range(sigma.n)):
-            raise ParameterError("ordering must be a permutation of 0..N-1")
-        s = s[np.ix_(perm, perm)]
-        d = d[perm]
-        m = mu.values[perm]
-    else:
-        perm = None
-        m = mu.values
-
-    w = m / d
-    if g < eps:
-        return _report(w, perm, sigma.n, 0, 0.0, True)
-
-    n = sigma.n
-    sweeps = 0
-    rel = np.inf
-    for sweeps in range(1, p_max + 1):
-        w_prev = w.copy()
-        for i in range(n):
-            off = s[i] @ w - d[i] * w[i]
-            w[i] = (m[i] - g * off) / d[i]
-        rel = _rel_change(w, w_prev)
-        if rel <= eps:
-            return _report(w, perm, n, sweeps, rel, True)
-    return _report(w, perm, n, sweeps, rel, False)
-
-
-def _report(w, perm, n, sweeps, rel, converged) -> SolveReport:
+    perm = _visiting_order(sigma, mu, ordering)
+    iterates = _gauss_seidel(sigma, mu, g, perm)
+    w, _ = next(iterates)
+    sweeps, rel, converged = 0, 0.0, g < eps
+    if not converged:
+        for sweeps, (w_next, _) in enumerate(islice(iterates, p_max), 1):
+            rel, w = _rel_change(w_next, w), w_next
+            if rel <= eps:
+                converged = True
+                break
     if perm is not None:
-        out = np.empty(n)
-        out[perm] = w
-    else:
-        out = w
-    return SolveReport(WeightVector(out, "raw"), sweeps, rel, converged)
+        w = w[np.argsort(perm)]
+    return SolveReport(WeightVector(w, "raw"), sweeps, rel, converged)
 
 
 @dataclass(frozen=True)
@@ -311,7 +320,11 @@ def _project_box_budget(w, lo, hi, budget):
 
 
 def _project_general(w, lo, hi, budget, rows, tol=1e-10, max_iter=20000):
-    """Dykstra alternating projection onto box, budget hyperplane, half-spaces."""
+    """Dykstra alternating projection onto box, budget hyperplane, half-spaces.
+
+    Returns the point and whether the last iteration moved it by less than
+    ``tol`` (False when ``max_iter`` iterations ran out first).
+    """
     n = w.size
     sets = []
     if np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)):
@@ -320,8 +333,6 @@ def _project_general(w, lo, hi, budget, rows, tol=1e-10, max_iter=20000):
         sets.append(("half", (a, float(a @ a), bb)))
     if budget is not None:
         sets.append(("budget", None))  # last, so the returned point meets it exactly
-    if not sets:
-        return w.copy()
 
     x = w.copy()
     incr = [np.zeros(n) for _ in sets]
@@ -339,8 +350,8 @@ def _project_general(w, lo, hi, budget, rows, tol=1e-10, max_iter=20000):
                 x = y - (viol / aa) * a if viol > 0.0 else y.copy()
             incr[idx] = y - x
         if float(np.max(np.abs(x - x_old))) < tol:
-            break
-    return x
+            return x, True
+    return x, False
 
 
 def _violation(w, lo, hi, budget, rows) -> float:
@@ -368,8 +379,9 @@ def crisp_projected(
     from the constraint residuals (diagonally scaled ascent) and projects the
     iterate onto {A w <= b, 1.w = budget} so that the reported weights are
     always feasible. Without the shift the sweep cannot see the budget's
-    shadow price and stalls off the constrained optimum. With no constraints
-    at all this is exactly ``crisp_solve``.
+    shadow price and stalls off the constrained optimum. ``converged`` is
+    False when the last projection stopped at its iteration cap. With no
+    constraints at all this is exactly ``crisp_solve``.
     """
     if constraints.is_trivial:
         return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
@@ -385,7 +397,7 @@ def crisp_projected(
         hi_sum = np.where(np.isfinite(hi), hi, np.inf).sum()
         if budget < lo_sum or budget > hi_sum:
             raise InfeasibleConstraintsError("budget outside the box's reachable sums")
-    probe = _project(np.zeros(n), lo, hi, budget, rows)
+    probe, _ = _project(np.zeros(n), lo, hi, budget, rows)
     if _violation(probe, lo, hi, budget, rows) > 1e-8:
         raise InfeasibleConstraintsError("feasibility probe failed to satisfy constraints")
 
@@ -399,7 +411,7 @@ def crisp_projected(
     nu = np.zeros(len(rows))
 
     w = np.clip(m / d, lo, hi)
-    y = _project(w, lo, hi, budget, rows)
+    y, projected = _project(w, lo, hi, budget, rows)
 
     sweeps = 0
     rel = np.inf
@@ -418,22 +430,23 @@ def crisp_projected(
         for k in range(len(rows)):
             h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
             nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
-        y = _project(w, lo, hi, budget, rows)
+        y, projected = _project(w, lo, hi, budget, rows)
         rel = _rel_change(y, y_prev)
         viol = _violation(w, lo, hi, budget, rows)
         if rel <= eps and viol <= max(eps, 1e-9):
             break
-    converged = rel <= eps and viol <= max(eps, 1e-9)
+    converged = rel <= eps and viol <= max(eps, 1e-9) and projected
     tag = "sum_one" if budget is not None and abs(budget - 1.0) < 1e-15 else "raw"
     return SolveReport(WeightVector(y, tag), sweeps, rel, converged)
 
 
 def _project(w, lo, hi, budget, rows):
+    """Projection onto the constraints, and whether it met its tolerance."""
     if rows:
         return _project_general(w, lo, hi, budget, rows)
     if budget is not None:
-        return _project_box_budget(w, lo, hi, budget)
-    return np.clip(w, lo, hi)
+        return _project_box_budget(w, lo, hi, budget), True
+    return np.clip(w, lo, hi), True
 
 
 def sweeps_to_tolerance(
@@ -450,24 +463,10 @@ def sweeps_to_tolerance(
     is always performed and counted. Returns a non-convergence report (not an
     exception) when the cap is exceeded.
     """
-    g = check_gamma(gamma)
-    if not tol > 0.0:
-        raise ParameterError("tol must be strictly positive")
-    s = sigma.entries
-    d = np.diag(s).copy()
-    m = mu.values
-    if ordering is not None:
-        perm = np.asarray(ordering, dtype=int)
-        s = s[np.ix_(perm, perm)]
-        d = d[perm]
-        m = m[perm]
-    n = sigma.n
-    w = m / d
-    for sweeps in range(1, cap + 1):
-        for i in range(n):
-            off = s[i] @ w - d[i] * w[i]
-            w[i] = (m[i] - g * off) / d[i]
-        resid = g * (s @ w) + (1.0 - g) * d * w - m
+    g = _check_solver_args(gamma, cap, tol)
+    iterates = _gauss_seidel(sigma, mu, g, _visiting_order(sigma, mu, ordering))
+    next(iterates)
+    for sweeps, (_, resid) in enumerate(islice(iterates, cap), 1):
         if float(np.linalg.norm(resid)) < tol:
             return SweepDiagnostic(sweeps, True)
     return SweepDiagnostic(cap, False)

@@ -166,6 +166,8 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
         return _corr_to_cov(np.clip(corr, -1.0, 1.0), _vols(spec, rng))
 
     if spec.kind == "hedged_tight_blocks":
+        if n < spec.sectors:
+            raise ParameterError("hedged_tight_blocks needs at least one asset per sector")
         corr = _block_corr(n, spec.sectors, 0.8, 0.0)
         labels = sector_labels(n, spec.sectors)
         for p in range(spec.sectors):

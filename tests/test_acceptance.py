@@ -40,7 +40,6 @@ from crisp_alloc import (
     kappa_eff,
     long_only_budget,
     markowitz_direct,
-    materialize,
     minvar_sharpe_sum1,
     nonmonotone_instance,
     perturbation_residual,
@@ -205,7 +204,7 @@ def test_criterion_04_solver_correctness(base100):
         s = random_spd(14, seed)
         mu = Signal(np.random.default_rng(seed).normal(0, 0.02, 14))
         for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-            p = materialize(shrink(s, gamma)).entries
+            p = shrink(s, gamma).entries
             target = np.linalg.solve(p, mu.values)
             rep = crisp_solve(s, mu, gamma, p_max=30000, eps=1e-13)
             worst = max(worst, dir_error(rep.weights.values, target))

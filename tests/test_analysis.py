@@ -17,7 +17,6 @@ from crisp_alloc import (
     kappa_eff,
     kappa_eff_linearized,
     markowitz_direct,
-    materialize,
     nonmonotone_instance,
     perturbation_residual,
     shrink,
@@ -66,7 +65,7 @@ class TestDirBound:
         _, vecs = np.linalg.eigh(corr.entries)
         mu = Signal(np.sqrt(np.diag(sigma.entries)) * vecs[:, 1])
         for gamma in (0.0, 0.5, 0.9):
-            w_hat = np.linalg.solve(materialize(shrink(sigma, gamma)).entries, mu.values)
+            w_hat = np.linalg.solve(shrink(sigma, gamma).entries, mu.values)
             d = dir_error(w_hat, markowitz_direct(sigma, mu).values)
             bound, _ = dir_bound_factors(sigma, mu, gamma)
             assert d <= bound + 1e-15
@@ -77,7 +76,7 @@ class TestDirBound:
             sigma = random_spd(6, seed)
             mu = _rand_mu(6, seed + 500)
             gamma = float(rng.uniform(0.0, 0.99))
-            w_hat = np.linalg.solve(materialize(shrink(sigma, gamma)).entries, mu.values)
+            w_hat = np.linalg.solve(shrink(sigma, gamma).entries, mu.values)
             d = dir_error(w_hat, markowitz_direct(sigma, mu).values)
             bound, g_factor = dir_bound_factors(sigma, mu, gamma)
             assert 0.0 <= g_factor <= 1.0

@@ -12,7 +12,6 @@ from crisp_alloc import (
     kappa,
     kappa_eff,
     markowitz_direct,
-    materialize,
     shrink,
     to_correlation,
 )
@@ -121,17 +120,17 @@ class TestKappa:
 class TestShrink:
     def test_gamma_zero_is_diagonal(self, four_asset):
         sigma, _, _ = four_asset
-        p0 = materialize(shrink(sigma, 0.0))
+        p0 = shrink(sigma, 0.0)
         assert np.array_equal(p0.entries, np.diag(np.diag(sigma.entries)))
 
     def test_gamma_one_is_sigma(self, four_asset):
         sigma, _, _ = four_asset
-        p1 = materialize(shrink(sigma, 1.0))
+        p1 = shrink(sigma, 1.0)
         assert np.allclose(p1.entries, sigma.entries, atol=0, rtol=0)
 
     def test_half_gamma_four_asset(self, four_asset):
         sigma, _, _ = four_asset
-        p = materialize(shrink(sigma, 0.5))
+        p = shrink(sigma, 0.5)
         assert p.entries[0, 1] == pytest.approx(0.0200, abs=1e-12)
         assert np.array_equal(np.diag(p.entries), np.diag(sigma.entries))
 
@@ -146,7 +145,7 @@ class TestShrink:
         for seed in range(10):
             sigma = random_spd(7, seed)
             for gamma in np.linspace(0.0, 1.0, 5):
-                p = materialize(shrink(sigma, gamma))
+                p = shrink(sigma, gamma)
                 assert p.min_eigenvalue() > 0.0
 
 
@@ -206,7 +205,7 @@ class TestPreconditionedKappa:
     def test_matches_eigendecomposition_oracle(self):
         sigma = random_spd(8, 21)
         for gamma in (0.25, 0.6, 0.9):
-            p = materialize(shrink(sigma, gamma))
+            p = shrink(sigma, gamma)
             m = p.entries / np.diag(sigma.entries)[:, None]
             eigs = np.sort(np.real(np.linalg.eigvals(m)))
             assert kappa_eff(to_correlation(sigma).eigenvalues, gamma) == pytest.approx(
@@ -227,6 +226,6 @@ class TestParallelDirection:
                 mu = Signal(d_half * vecs[:, k])
                 ray = mu.values / np.diag(sigma.entries)
                 for gamma in np.linspace(0.0, 1.0, 21):
-                    p = materialize(shrink(sigma, gamma))
+                    p = shrink(sigma, gamma)
                     w = np.linalg.solve(p.entries, mu.values)
                     assert dir_error(w, ray) < 1e-10

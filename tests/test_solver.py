@@ -22,17 +22,43 @@ from crisp_alloc import (
     kappa_eff,
     long_only_budget,
     markowitz_direct,
-    materialize,
     sector_labels,
     shrink,
     sweeps_to_tolerance,
     to_correlation,
 )
+from crisp_alloc.solver import _project_general
 from tests.conftest import random_spd
 
 
 def _rand_mu(n, seed):
     return Signal(np.random.default_rng(seed).normal(0.0, 0.02, n))
+
+
+def reference_sweeps(sigma, mu, gamma, ordering=None):
+    """The per-coordinate Gauss-Seidel loop the triangular-splitting kernel
+    replaced: each w_i is updated in turn from its row of Sigma, in visiting
+    order. Kept as the oracle; yields the iterate (original order) and the
+    dense residual P_gamma w - mu after every sweep."""
+    s = sigma.entries
+    d = np.diag(s).copy()
+    m = mu.values
+    perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
+    s, d, m = s[np.ix_(perm, perm)], d[perm], m[perm]
+    w = m / d
+    while True:
+        for i in range(sigma.n):
+            off = s[i] @ w - d[i] * w[i]
+            w[i] = (m[i] - gamma * off) / d[i]
+        out = np.empty_like(w)
+        out[perm] = w
+        yield out, gamma * (s @ w) + (1.0 - gamma) * d * w - m
+
+
+def reference_sweep_count(sigma, mu, gamma, tol, cap=50000):
+    for sweeps, (_, resid) in enumerate(reference_sweeps(sigma, mu, gamma), 1):
+        if float(np.linalg.norm(resid)) < tol or sweeps == cap:
+            return sweeps
 
 
 class TestCrispSolve:
@@ -75,7 +101,7 @@ class TestCrispSolve:
         mu = _rand_mu(15, 3)
         eps = 1e-10
         rep = crisp_solve(sigma, mu, 0.6, p_max=10000, eps=eps)
-        p = materialize(shrink(sigma, 0.6)).entries
+        p = shrink(sigma, 0.6).entries
         resid = np.linalg.norm(p @ rep.weights.values - mu.values) / np.linalg.norm(mu.values)
         assert rep.converged
         assert resid <= 10 * eps
@@ -117,6 +143,50 @@ class TestCrispSolve:
             crisp_solve(sigma, mu, 0.5, eps=0.0)
         with pytest.raises(ParameterError):
             crisp_solve(sigma, mu, 0.5, ordering=[0, 0, 1, 2])
+
+
+class TestAgainstScalarLoop:
+    @pytest.mark.parametrize("n", (2, 3, 50, 200))
+    @pytest.mark.parametrize("regime", ("block_sector", "equicorr", "hedged_tight_blocks"))
+    def test_same_iterates(self, regime, n):
+        sigma = gen_regime(RegimeSpec(regime, n=n, sectors=min(n, 5), seed=n))
+        mu = _rand_mu(n, n)
+        leaf_order = build_tree(to_correlation(sigma), "ward").leaf_order
+        for gamma in (0.3, 0.5, 1.0):
+            for ordering in (None, leaf_order):
+                ref = reference_sweeps(sigma, mu, gamma, ordering)
+                want = {p: next(ref)[0] for p in range(1, 101)}
+                for p in (1, 5, 100):
+                    rep = crisp_solve(sigma, mu, gamma, p_max=p, eps=1e-300, ordering=ordering)
+                    got = rep.weights.values
+                    dev = np.abs(got - want[p]).max() / np.abs(want[p]).max()
+                    assert dev < 1e-12, (gamma, ordering is not None, p)
+
+    @pytest.mark.parametrize(
+        "spec",
+        (RegimeSpec("block_sector", n=100, seed=1), RegimeSpec("equicorr", n=30, rho=0.6, seed=1)),
+        ids=("block_sector", "equicorr"),
+    )
+    def test_same_sweep_counts_on_the_sweep_rate_grid(self, spec):
+        sigma = gen_regime(spec)
+        for gamma in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0):
+            for k in range(5):
+                mu = gen_signal(SignalSpec("gaussian", seed=100 + k), spec.n)
+                diag = sweeps_to_tolerance(sigma, mu, gamma, 1e-10)
+                assert diag.converged
+                assert diag.sweeps == reference_sweep_count(sigma, mu, gamma, 1e-10), (gamma, k)
+
+    def test_one_working_matrix(self):
+        # the permuted P_gamma is the only N x N array: no triangle copies
+        n = 1000
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
+        mu = _rand_mu(n, 5)
+        order = build_tree(to_correlation(sigma), "ward").leaf_order
+        tracemalloc.start()
+        crisp_solve(sigma, mu, 0.5, p_max=3, eps=1e-300, ordering=order)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestFactorStream:
@@ -202,6 +272,32 @@ class TestProjected:
         with pytest.raises(InfeasibleConstraintsError):
             crisp_projected(sigma, mu, 0.5, constraints=bad)
 
+    def test_projection_reports_its_iteration_cap(self):
+        # box w >= 0, budget 1 and a 30 % cap on the first five assets
+        n = 10
+        w = np.linspace(0.5, -0.3, n)
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        rows = [(np.r_[np.ones(5), np.zeros(5)], 0.3)]
+        _, met = _project_general(w, lo, hi, 1.0, rows, max_iter=1)
+        assert not met
+        x, met = _project_general(w, lo, hi, 1.0, rows)
+        assert met
+        assert x[:5].sum() <= 0.3 + 1e-8 and x.min() >= -1e-8
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_capped_projection_is_not_converged(self, monkeypatch):
+        sigma = gen_regime(RegimeSpec("block_sector", n=20, seed=4))
+        sect = sector_labels(20, 4)
+        caps = [((sect == k).astype(float), 0.40) for k in range(4)]
+        cs = long_only_budget(20, caps)
+        assert crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs).converged
+        monkeypatch.setattr(
+            "crisp_alloc.solver._project_general",
+            lambda *args: _project_general(*args, max_iter=1),
+        )
+        rep = crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs)
+        assert not rep.converged
+
     def test_bounds_validation(self):
         sigma = random_spd(3, 9)
         mu = _rand_mu(3, 9)
@@ -230,3 +326,17 @@ class TestSweepsToTolerance:
             for g in (0.0, 0.2, 0.5, 0.8, 1.0)
         ]
         assert counts == sorted(counts)
+
+    def test_signal_length_mismatch(self, base100):
+        with pytest.raises(ParameterError):
+            sweeps_to_tolerance(base100, _rand_mu(99, 1), 0.5, 1e-10)
+
+    def test_ordering_must_be_a_permutation(self):
+        sigma = random_spd(4, 1)
+        with pytest.raises(ParameterError):
+            sweeps_to_tolerance(sigma, _rand_mu(4, 1), 0.5, 1e-10, ordering=[0, 0, 1, 2])
+
+    def test_cap_must_be_positive(self):
+        sigma = random_spd(4, 1)
+        with pytest.raises(ParameterError):
+            sweeps_to_tolerance(sigma, _rand_mu(4, 1), 0.5, 1e-10, cap=0)

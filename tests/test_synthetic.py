@@ -74,6 +74,12 @@ class TestRegimes:
         assert np.linalg.eigvalsh(corr.entries)[0] > 0
         assert corr.entries.min() < -0.3
 
+    def test_hedged_needs_one_asset_per_sector(self):
+        for n, sectors in ((3, 5), (6, 7)):
+            with pytest.raises(ParameterError):
+                gen_regime(RegimeSpec("hedged_tight_blocks", n=n, sectors=sectors))
+        assert gen_regime(RegimeSpec("hedged_tight_blocks", n=2, sectors=2)).n == 2
+
     def test_vol_range_respected(self):
         cov = gen_regime(RegimeSpec("block_sector", n=50, vol_range=(0.05, 1.0), seed=7))
         vols = np.sqrt(np.diag(cov.entries))
