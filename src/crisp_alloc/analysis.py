@@ -68,28 +68,36 @@ class AdaptiveInputs:
         return self.kappa_c**2 * self.n / (self.t * self.ic**2)
 
 
-def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> np.ndarray:
+def _shrunk_factor(sigma: CovarianceMatrix, gamma: float):
+    """Cholesky factor of P_gamma, for ``scipy.linalg.cho_solve``."""
+    return scipy.linalg.cho_factor(shrink(sigma, gamma).entries, lower=True, check_finite=False)
+
+
+def _exact_shrunk_solve(
+    sigma: CovarianceMatrix, mu: Signal, gamma: float, factor=None
+) -> np.ndarray:
+    """P_gamma^-1 mu, with P_gamma's ``factor`` when the caller already has it."""
     if gamma == 0.0:
         # P_0 is the diagonal; match the solver's expression bit for bit
         return mu.values / np.diag(sigma.entries)
-    p = shrink(sigma, gamma)
-    c, low = scipy.linalg.cho_factor(p.entries, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve((c, low), mu.values, check_finite=False)
+    if factor is None:
+        factor = _shrunk_factor(sigma, gamma)
+    return scipy.linalg.cho_solve(factor, mu.values, check_finite=False)
 
 
 def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> float:
     """Residual of the exact error identity; ~0 for every instance and gamma.
 
     Computes ||(w* - w(gamma)) + (1-gamma) P_gamma^-1 E w*|| / ||w*|| from two
-    independent direct solves.
+    independent direct solves, with Sigma and with P_gamma; P_gamma is factored
+    once for both of its solves.
     """
     g = check_gamma(gamma)
     w_star = markowitz_direct(sigma, mu).values
-    w_hat = _exact_shrunk_solve(sigma, mu, g)
+    factor = _shrunk_factor(sigma, g)
+    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
-    p = shrink(sigma, g)
-    c, low = scipy.linalg.cho_factor(p.entries, lower=True, check_finite=False)
-    correction = scipy.linalg.cho_solve((c, low), e @ w_star, check_finite=False)
+    correction = scipy.linalg.cho_solve(factor, e @ w_star, check_finite=False)
     resid = (w_star - w_hat) + (1.0 - g) * correction
     return float(np.linalg.norm(resid) / np.linalg.norm(w_star))
 
@@ -107,10 +115,10 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
     if g >= 1.0:
         raise ParameterError("the bound is defined for gamma in [0, 1)")
     w_star = markowitz_direct(sigma, mu).values
-    w_hat = _exact_shrunk_solve(sigma, mu, g)
+    factor = _shrunk_factor(sigma, g)
+    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
-    p = shrink(sigma, g)
-    p_inv_e = scipy.linalg.solve(p.entries, e, assume_a="pos", check_finite=False)
+    p_inv_e = scipy.linalg.cho_solve(factor, e, check_finite=False)
     op_norm = float(np.linalg.norm(p_inv_e, ord=2))
     u = p_inv_e @ w_star
     if not np.any(u):

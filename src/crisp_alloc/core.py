@@ -157,12 +157,6 @@ class WeightVector:
             raise DegenerateInputError("cannot sum-normalize weights with zero sum")
         return WeightVector(self.values / s, "sum_one")
 
-    def l1_normalized(self) -> "WeightVector":
-        s = float(np.abs(self.values).sum())
-        if s == 0.0:
-            raise DegenerateInputError("cannot l1-normalize an all-zero weight vector")
-        return WeightVector(self.values / s, "l1_one")
-
 
 MatrixLike = Union[CovarianceMatrix, CorrelationMatrix, np.ndarray]
 

@@ -388,15 +388,11 @@ def nonmonotone_instance() -> tuple[CovarianceMatrix, Signal]:
 # ---------------------------------------------------------------------------
 
 
-def _sum1(w: WeightVector) -> np.ndarray:
-    return w.values / w.values.sum()
-
-
 def _run_recovery(spec: ExperimentSpec) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     ones = Signal(np.ones(spec.regime.n))
     tree = build_tree(to_correlation(sigma), "ward")
-    w_hrp = _sum1(baselines.hrp(sigma, tree))
+    w_hrp = baselines.hrp(sigma, tree).sum_normalized().values
 
     comparisons = [
         ("cotton g=0", baselines.cotton(sigma, tree, 0.0)),
@@ -407,7 +403,7 @@ def _run_recovery(spec: ExperimentSpec) -> ExperimentResult:
     ]
     rows = []
     for label, w in comparisons:
-        v = _sum1(w)
+        v = w.sum_normalized().values
         rel = float(np.linalg.norm(v - w_hrp) / np.linalg.norm(w_hrp))
         cos = signed_cosine(v, w_hrp)
         verdict = "match" if rel < 1e-12 else ("approx" if cos > 0.98 else "differ")

@@ -276,91 +276,90 @@ def long_only_budget(n: int, caps: Optional[Sequence[tuple[np.ndarray, float]]] 
     )
 
 
-def _project_box_budget(w, lo, hi, budget):
-    """Exact projection onto {l <= x <= u, 1.x = budget}.
+def _project(y, lo, hi, budget, a_mat, c_vec, max_iter=100):
+    """Certified Euclidean projection onto {lo <= x <= hi, 1.x = budget, A x <= c}.
 
-    The projection is clip(w + tau, lo, hi) for the shift tau solving
-    sum clip(w + tau) = budget; that sum is a nondecreasing piecewise-linear
-    function of tau whose breakpoints are the finite lo - w and hi - w, so a
-    single sorted sweep finds the right segment in O(N log N).
+    Semismooth Newton (Qi and Sun, Math. Programming 58, 1993) on the dual. With
+    E the budget row stacked over A and z = (lambda, nu) its multipliers, the
+    Lagrangian's minimiser over the box is x(z) = clip(y - E^T z, lo, hi); the
+    dual q(z) is concave with gradient E x(z) - (budget, c), and z solves the
+    natural residual F(z) = [budget - 1.x; min(nu, c - A x)] = 0. A Jacobian
+    row is a row of E_F E_F^T (F the free coordinates) where F reads the
+    constraint and a unit row where it reads nu; a ridge keeps it invertible
+    when a row has no free coordinate.
+
+    The step length (halved from 1, nu kept >= 0) must raise q by an Armijo
+    fraction, or certify. Backtracking on ||F||^2 instead can accept a far
+    point across a flat stretch of the dual where ||F|| merely happens to be
+    smaller, and stall there; q is concave along the step, so its acceptable
+    lengths form an interval from 0. The rise of q is summed from
+    per-coordinate differences, exact to rounding where q itself is not, and
+    the inputs are rescaled by a power of two so that those products neither
+    underflow nor overflow. When no length raises q, a projected gradient
+    step of length 1/L (L >= ||E||^2) does.
+
+    Returns x, inside the box exactly, and ``met``: whether nu >= 0 and each
+    |F_k| is within 8 eps N times the size of row k's terms, |d_k| +
+    |E_k| (|x| + (|y| + |E|^T |z|) on free coordinates), the last term being
+    what rounding in y - E^T z can leave. That certifies primal feasibility
+    and complementary slackness; x(z) is stationary by construction. False
+    when ``max_iter`` steps ran out.
     """
-    n = w.size
-    events = []  # (tau, d_const, d_w, d_free)
-    s_const = 0.0
-    s_w = 0.0
-    n_free = 0
-    for i in range(n):
-        if np.isfinite(lo[i]):
-            s_const += lo[i]
-            events.append((lo[i] - w[i], -lo[i], w[i], 1))
-        else:
-            s_w += w[i]
-            n_free += 1
-        if np.isfinite(hi[i]):
-            events.append((hi[i] - w[i], hi[i], -w[i], -1))
-    events.sort(key=lambda e: e[0])
+    if budget is None and not c_vec.size:
+        return np.clip(y, lo, hi), True
+    eq = int(budget is not None)
+    e = np.vstack([np.ones((eq, y.size)), a_mat])
+    d = np.r_[[budget] * eq, c_vec]
+    finite = np.r_[y, d, lo[np.isfinite(lo)], hi[np.isfinite(hi)]]
+    unit = np.ldexp(1.0, -np.frexp(np.abs(finite).max())[1])
+    y, lo, hi, d = y * unit, lo * unit, hi * unit, d * unit
+    abs_e, abs_y = np.abs(e), np.abs(y)
+    tol = 8.0 * np.finfo(float).eps * y.size
+    norms = (e * e).sum(axis=1)
+    ridge, lip = 1e-12 * max(1.0, float(norms.max())), max(1.0, float(norms.sum()))
 
-    prev = -np.inf
-    for tau_e, d_const, d_w, d_free in events:
-        if n_free > 0:
-            tau = (budget - s_const - s_w) / n_free
-            if prev <= tau <= tau_e:
-                return np.clip(w + tau, lo, hi)
-        elif budget == s_const:
-            return np.clip(w + prev if np.isfinite(prev) else w, lo, hi)
-        s_const += d_const
-        s_w += d_w
-        n_free += d_free
-        prev = tau_e
-    if n_free > 0:
-        tau = (budget - s_const - s_w) / n_free
-        if tau >= prev:
-            return np.clip(w + tau, lo, hi)
-    raise InfeasibleConstraintsError("budget is unreachable within the box")
+    def dual(z):
+        v = y - z @ e
+        x = np.clip(v, lo, hi)
+        free = (v >= lo) & (v <= hi)
+        grad = e @ x - d
+        f = -grad
+        f[eq:] = np.minimum(z[eq:], f[eq:])
+        size = np.abs(d) + abs_e @ (np.abs(x) + np.where(free, abs_y + np.abs(z) @ abs_e, 0.0))
+        return v, x, free, grad, f, bool(np.all(np.abs(f) <= tol * size))
 
-
-def _project_general(w, lo, hi, budget, rows, tol=1e-10, max_iter=20000):
-    """Dykstra alternating projection onto box, budget hyperplane, half-spaces.
-
-    Returns the point and whether the last iteration moved it by less than
-    ``tol`` (False when ``max_iter`` iterations ran out first).
-    """
-    n = w.size
-    sets = []
-    if np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)):
-        sets.append(("box", None))
-    for a, bb in rows:
-        sets.append(("half", (a, float(a @ a), bb)))
-    if budget is not None:
-        sets.append(("budget", None))  # last, so the returned point meets it exactly
-
-    x = w.copy()
-    incr = [np.zeros(n) for _ in sets]
+    z = np.zeros(d.size)
+    v, x, free, grad, f, met = dual(z)
     for _ in range(max_iter):
-        x_old = x.copy()
-        for idx, (kind, data) in enumerate(sets):
-            y = x + incr[idx]
-            if kind == "box":
-                x = np.clip(y, lo, hi)
-            elif kind == "budget":
-                x = y + (budget - y.sum()) / n
-            else:
-                a, aa, bb = data
-                viol = float(a @ y) - bb
-                x = y - (viol / aa) * a if viol > 0.0 else y.copy()
-            incr[idx] = y - x
-        if float(np.max(np.abs(x - x_old))) < tol:
-            return x, True
-    return x, False
+        if met:
+            break
+        ef = e[:, free]
+        reads_row = np.r_[np.full(eq, True), f[eq:] < z[eq:]]
+        jac = np.where(reads_row[:, None], ef @ ef.T + ridge * np.eye(d.size), np.eye(d.size))
+        step = np.linalg.solve(jac, -f)
+        t = 1.0 if grad @ step > 0.0 else 0.0
+        while t > 1e-18:
+            z_t = z + t * step
+            z_t[eq:] = np.maximum(z_t[eq:], 0.0)
+            trial = dual(z_t)
+            _, x_t, _, grad_t, _, met_t = trial
+            rise = float((x_t - x) @ (0.5 * (x_t + x) - v) + (z_t - z) @ grad_t)
+            if met_t or rise >= 1e-4 * float(grad @ (z_t - z)) > 0.0:
+                break
+            t *= 0.5
+        else:
+            z_t = z + grad / lip
+            z_t[eq:] = np.maximum(z_t[eq:], 0.0)
+            trial = dual(z_t)
+        z, (v, x, free, grad, f, met) = z_t, trial
+    return x / unit, met
 
 
-def _violation(w, lo, hi, budget, rows) -> float:
+def _violation(w, lo, hi, budget, a_mat, c_vec) -> float:
     v = max(float(np.max(lo - w, initial=0.0)), float(np.max(w - hi, initial=0.0)))
     if budget is not None:
         v = max(v, abs(float(w.sum()) - budget))
-    for a, bb in rows:
-        v = max(v, float(a @ w) - bb)
-    return v
+    return max(v, float(np.max(a_mat @ w - c_vec, initial=0.0)))
 
 
 def crisp_projected(
@@ -377,11 +376,14 @@ def crisp_projected(
     sweep updates coordinates against the dual-shifted signal
     mu - lambda * 1 - A^T nu and clamps to the box, then refreshes the duals
     from the constraint residuals (diagonally scaled ascent) and projects the
-    iterate onto {A w <= b, 1.w = budget} so that the reported weights are
-    always feasible. Without the shift the sweep cannot see the budget's
-    shadow price and stalls off the constrained optimum. ``converged`` is
-    False when the last projection stopped at its iteration cap. With no
-    constraints at all this is exactly ``crisp_solve``.
+    iterate onto the whole constraint set (``_project``, an exact dual
+    Newton solve) so that the reported weights are feasible to rounding and
+    inside the box exactly. Without the shift the sweep cannot see the budget's
+    shadow price and stalls off the constrained optimum. ``converged`` needs
+    the stop rule and the last projection's KKT certificate; it is False when
+    that projection is uncertified (its iteration cap), and the weights of
+    an uncertified projection are tagged ``raw``. With no constraints at all
+    this is exactly ``crisp_solve``.
     """
     if constraints.is_trivial:
         return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
@@ -390,6 +392,8 @@ def crisp_projected(
     if mu.n != n:
         raise ParameterError("signal length does not match covariance size")
     lo, hi, budget, rows = constraints.resolved(n)
+    a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
+    b_vec = np.array([bb for _, bb in rows]) if rows else np.zeros(0)
 
     # feasibility probe: project the origin and check residual violation
     if budget is not None and not rows:
@@ -397,21 +401,19 @@ def crisp_projected(
         hi_sum = np.where(np.isfinite(hi), hi, np.inf).sum()
         if budget < lo_sum or budget > hi_sum:
             raise InfeasibleConstraintsError("budget outside the box's reachable sums")
-    probe, _ = _project(np.zeros(n), lo, hi, budget, rows)
-    if _violation(probe, lo, hi, budget, rows) > 1e-8:
+    probe, _ = _project(np.zeros(n), lo, hi, budget, a_mat, b_vec)
+    if _violation(probe, lo, hi, budget, a_mat, b_vec) > 1e-8:
         raise InfeasibleConstraintsError("feasibility probe failed to satisfy constraints")
 
     s = sigma.entries
     d = np.diag(s).copy()
     m = mu.values
     inv_d = 1.0 / d
-    a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
-    b_vec = np.array([bb for _, bb in rows]) if rows else np.zeros(0)
     lam = 0.0
     nu = np.zeros(len(rows))
 
     w = np.clip(m / d, lo, hi)
-    y, projected = _project(w, lo, hi, budget, rows)
+    y, projected = _project(w, lo, hi, budget, a_mat, b_vec)
 
     sweeps = 0
     rel = np.inf
@@ -430,23 +432,14 @@ def crisp_projected(
         for k in range(len(rows)):
             h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
             nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
-        y, projected = _project(w, lo, hi, budget, rows)
+        y, projected = _project(w, lo, hi, budget, a_mat, b_vec)
         rel = _rel_change(y, y_prev)
-        viol = _violation(w, lo, hi, budget, rows)
+        viol = _violation(w, lo, hi, budget, a_mat, b_vec)
         if rel <= eps and viol <= max(eps, 1e-9):
             break
     converged = rel <= eps and viol <= max(eps, 1e-9) and projected
-    tag = "sum_one" if budget is not None and abs(budget - 1.0) < 1e-15 else "raw"
+    tag = "sum_one" if projected and budget is not None and abs(budget - 1.0) < 1e-15 else "raw"
     return SolveReport(WeightVector(y, tag), sweeps, rel, converged)
-
-
-def _project(w, lo, hi, budget, rows):
-    """Projection onto the constraints, and whether it met its tolerance."""
-    if rows:
-        return _project_general(w, lo, hi, budget, rows)
-    if budget is not None:
-        return _project_box_budget(w, lo, hi, budget), True
-    return np.clip(w, lo, hi), True
 
 
 def sweeps_to_tolerance(

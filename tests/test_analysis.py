@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,30 @@ class TestDirBound:
         sigma = random_spd(4, 2)
         with pytest.raises(ParameterError):
             dir_bound_factors(sigma, _rand_mu(4, 2), 1.0)
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("gamma", (0.0, 0.5))
+    @pytest.mark.parametrize("fn", (perturbation_residual, dir_bound_factors))
+    def test_p_gamma_factored_once(self, monkeypatch, fn, gamma):
+        # Sigma's own factorization (markowitz_direct) plus one of P_gamma,
+        # shared by w(gamma) and the P_gamma^-1 E solve; no dense solve
+        factored = []
+        real = scipy.linalg.cho_factor
+
+        def counting(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        monkeypatch.setattr(scipy.linalg, "solve", no_dense_solve)
+        sigma, mu = random_spd(50, 4), _rand_mu(50, 4)
+        fn(sigma, mu, gamma)
+        assert len(factored) == 2
+        assert sum(np.array_equal(a, shrink(sigma, gamma).entries) for a in factored) == 1
 
 
 class TestTrajectory:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from crisp_alloc import (
     ConstraintSet,
@@ -27,7 +28,7 @@ from crisp_alloc import (
     sweeps_to_tolerance,
     to_correlation,
 )
-from crisp_alloc.solver import _project_general
+from crisp_alloc.solver import _project, _violation
 from tests.conftest import random_spd
 
 
@@ -226,6 +227,272 @@ class TestFactorStream:
         assert peak < dense_bytes / 10  # far below any N x N materialization
 
 
+def _project_box_budget(w, lo, hi, budget):
+    """Exact projection onto {l <= x <= u, 1.x = budget}: the breakpoint search
+    ``crisp_projected`` used before the dual Newton solve, kept as the oracle.
+    It is wrong where the budget is an extreme sum of the box (the only
+    feasible point is a corner): it returns the unshifted clip or raises, so
+    the oracle grid below keeps the budget strictly inside.
+
+    The projection is clip(w + tau, lo, hi) for the shift tau solving
+    sum clip(w + tau) = budget; that sum is a nondecreasing piecewise-linear
+    function of tau whose breakpoints are the finite lo - w and hi - w, so a
+    single sorted sweep finds the right segment in O(N log N).
+    """
+    n = w.size
+    events = []  # (tau, d_const, d_w, d_free)
+    s_const = 0.0
+    s_w = 0.0
+    n_free = 0
+    for i in range(n):
+        if np.isfinite(lo[i]):
+            s_const += lo[i]
+            events.append((lo[i] - w[i], -lo[i], w[i], 1))
+        else:
+            s_w += w[i]
+            n_free += 1
+        if np.isfinite(hi[i]):
+            events.append((hi[i] - w[i], hi[i], -w[i], -1))
+    events.sort(key=lambda e: e[0])
+
+    prev = -np.inf
+    for tau_e, d_const, d_w, d_free in events:
+        if n_free > 0:
+            tau = (budget - s_const - s_w) / n_free
+            if prev <= tau <= tau_e:
+                return np.clip(w + tau, lo, hi)
+        elif budget == s_const:
+            return np.clip(w + prev if np.isfinite(prev) else w, lo, hi)
+        s_const += d_const
+        s_w += d_w
+        n_free += d_free
+        prev = tau_e
+    if n_free > 0:
+        tau = (budget - s_const - s_w) / n_free
+        if tau >= prev:
+            return np.clip(w + tau, lo, hi)
+    raise InfeasibleConstraintsError("budget is unreachable within the box")
+
+
+def _project_general(w, lo, hi, budget, rows, tol=1e-10, max_iter=20000):
+    """Dykstra alternating projection onto box, budget hyperplane, half-spaces:
+    the projection ``crisp_projected`` used before the dual Newton solve, kept
+    as an oracle and as the source of the false-certificate reproducer.
+
+    Returns the point and whether the last iteration moved it by less than
+    ``tol`` (False when ``max_iter`` iterations ran out first).
+    """
+    n = w.size
+    sets = []
+    if np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)):
+        sets.append(("box", None))
+    for a, bb in rows:
+        sets.append(("half", (a, float(a @ a), bb)))
+    if budget is not None:
+        sets.append(("budget", None))  # last, so the returned point meets it exactly
+
+    x = w.copy()
+    incr = [np.zeros(n) for _ in sets]
+    for _ in range(max_iter):
+        x_old = x.copy()
+        for idx, (kind, data) in enumerate(sets):
+            y = x + incr[idx]
+            if kind == "box":
+                x = np.clip(y, lo, hi)
+            elif kind == "budget":
+                x = y + (budget - y.sum()) / n
+            else:
+                a, aa, bb = data
+                viol = float(a @ y) - bb
+                x = y - (viol / aa) * a if viol > 0.0 else y.copy()
+            incr[idx] = y - x
+        if float(np.max(np.abs(x - x_old))) < tol:
+            return x, True
+    return x, False
+
+
+def assert_kkt(x, y, lo, hi, budget, a, c, tol):
+    """The projection's KKT conditions at x. Rows that do not bind have a zero
+    multiplier (complementary slackness); those of the budget and the binding
+    rows are recovered by least squares from the free coordinates, where
+    x = y - E^T z holds exactly."""
+    binding = c - a @ x <= tol
+    e = a[binding] if budget is None else np.vstack([np.ones(x.size), a[binding]])
+    free = (x > lo) & (x < hi)
+    z = np.linalg.lstsq(e[:, free].T, (y - x)[free], rcond=None)[0]
+    u = y - e.T @ z  # the unclipped point: x must be its clip onto the box
+    assert np.abs(u - x)[free].max() <= tol
+    assert np.all(u[x == lo] <= lo[x == lo] + tol) and np.all(u[x == hi] >= hi[x == hi] - tol)
+    assert np.all((x >= lo) & (x <= hi))
+    assert z[e.shape[0] - int(binding.sum()) :].min(initial=0.0) >= -tol
+    assert (a @ x - c).max(initial=0.0) <= tol
+    if budget is not None:
+        assert abs(x.sum() - budget) <= tol
+
+
+def _projection_case(case, seed):
+    """A small feasible projection problem: y, lo, hi, budget, A, c."""
+    rng = np.random.default_rng(seed)
+    n = 12 + seed
+    y = rng.normal(0.0, 1.0, n)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    if case == "mixed_sign_rows":
+        lo = np.full(n, -0.5)
+        a = rng.normal(0.0, 1.0, (3, n))
+    elif case == "finite_upper":
+        lo, hi = np.zeros(n), rng.uniform(0.1, 0.3, n)
+        a = (rng.integers(0, 3, n) == np.arange(3)[:, None]).astype(float)
+    elif case == "rows_no_budget":
+        lo[: n // 2], hi[n // 2 :] = -0.2, 0.4
+        a = rng.normal(0.0, 1.0, (4, n)) * (rng.random((4, n)) < 0.6)
+    else:  # budget_only
+        lo = np.where(rng.random(n) < 0.7, 0.0, -np.inf)
+        hi = np.where(rng.random(n) < 0.5, 0.3, np.inf)
+        a = np.zeros((0, n))
+    x0 = np.clip(rng.normal(0.0, 0.2, n), lo, hi)
+    c = a @ x0 + rng.uniform(0.0, 0.2, a.shape[0]) * (rng.random(a.shape[0]) < 0.6)
+    budget = None if case == "rows_no_budget" else float(x0.sum())
+    return y, lo, hi, budget, a, c, x0
+
+
+class TestProjection:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize(
+        "case", ("mixed_sign_rows", "finite_upper", "rows_no_budget", "budget_only")
+    )
+    def test_matches_slsqp(self, case, seed):
+        y, lo, hi, budget, a, c, x0 = _projection_case(case, seed)
+        x, met = _project(y, lo, hi, budget, a, c)
+        assert met
+        assert _violation(x, lo, hi, budget, a, c) <= 1e-12
+        cons = [{"type": "ineq", "fun": lambda v: c - a @ v, "jac": lambda v: -a}] if len(c) else []
+        if budget is not None:
+            cons.append(
+                {"type": "eq", "fun": lambda v: v.sum() - budget, "jac": lambda v: np.ones_like(v)}
+            )
+        bounds = [(b if np.isfinite(b) else None, t if np.isfinite(t) else None) for b, t in zip(lo, hi)]
+        ref = minimize(
+            lambda v: 0.5 * (v - y) @ (v - y), x0, jac=lambda v: v - y, bounds=bounds,
+            constraints=cons, method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        assert ref.success
+        assert np.abs(x - ref.x).max() < 1e-7
+        assert 0.5 * (x - y) @ (x - y) <= 0.5 * (ref.x - y) @ (ref.x - y) + 1e-12
+
+    def test_budget_only_matches_breakpoint_search(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 40, 300):
+            for scale in (1e-200, 1e-3, 1.0, 1e4):
+                y = rng.normal(0.0, 1.0, n) * scale
+                lo = np.where(rng.random(n) < 0.8, rng.normal(-0.3, 0.2, n) * scale, -np.inf)
+                base = np.where(np.isfinite(lo), lo, 0.0)
+                hi = np.where(rng.random(n) < 0.5, base + scale, np.inf)
+                budget = float(np.clip(rng.normal(0.0, 0.3, n) * scale, lo, hi).sum())
+                x, met = _project(y, lo, hi, budget, np.zeros((0, n)), np.zeros(0))
+                want = _project_box_budget(y, lo, hi, budget)
+                assert met
+                assert np.abs(x - want).max() <= 1e-12 * np.abs(y).max(), (n, scale)
+
+    @pytest.mark.parametrize("scale", (1.0, 1e-200, 1e200))
+    def test_flat_dual_stretch(self, scale):
+        # every coordinate clamps at the start, so the first Newton step is the
+        # ridge's long jump; backtracking on ||F||^2 accepts a far point where
+        # ||F|| is smaller and stalls there, backtracking on the dual does not
+        y = scale * np.array([-0.7, 3.2, 0.5, -2.7])
+        lo, hi = scale * np.array([-0.2, 0.0, -0.1, -0.4]), scale * np.array([0.0, 0.4, 0.5, -0.1])
+        x, met = _project(y, lo, hi, -0.6 * scale, np.zeros((0, 4)), np.zeros(0))
+        assert met
+        assert np.abs(x - _project_box_budget(y, lo, hi, -0.6 * scale)).max() <= 1e-15 * scale
+        assert np.allclose(x / scale, [-0.2, 0.1, -0.1, -0.4], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", (1.0, 1e-200, 1e200))
+    def test_newton_stall_falls_back_to_a_gradient_step(self, scale):
+        # a Newton direction here does not raise the dual at any step length;
+        # the projected gradient step gets past it
+        y = scale * np.array([-2.9, 1.5, -2.6])
+        lo, hi = scale * np.array([0.3, -np.inf, -np.inf]), scale * np.array([0.8, 0.4, np.inf])
+        a = np.array([[-2.0, 2.0, 0.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0]])
+        c = scale * np.array([-0.2, 1.0, 1.3])
+        x, met = _project(y, lo, hi, scale, a, c)
+        assert met
+        assert np.allclose(x / scale, [0.4, 0.3, 0.3], rtol=0.0, atol=1e-14)
+        assert_kkt(x / scale, y / scale, lo / scale, hi / scale, 1.0, a, c / scale, 1e-12)
+
+    def test_budget_at_a_corner_of_the_box(self):
+        # the only feasible point is a corner; the breakpoint search returned
+        # (1, 1), (1, 0) and raised on these
+        lo, hi, none = np.zeros(2), np.ones(2), (np.zeros((0, 2)), np.zeros(0))
+        for y, budget, want in (((1.0, 2.0), 0.0, (0.0, 0.0)), ((5.0, -2.0), 0.0, (0.0, 0.0)),
+                                ((-3.0, 0.5), 2.0, (1.0, 1.0))):
+            x, met = _project(np.array(y), lo, hi, budget, *none)
+            assert met and np.array_equal(x, want)
+
+    def test_cancelling_multipliers_certify(self):
+        # a nearly degenerate set: the two multipliers are ~4e3 times the
+        # weights and cancel on the one free coordinate, so |F| cannot fall
+        # below the rounding of y - E^T z, which the certificate's size counts
+        y = np.array([8.096874233347314e-07, -4.953778275980728e-07])
+        lo = np.array([-2.8941512583747127e-07, -5.766511718817745e-07])
+        hi = np.array([np.inf, -2.0182930959769015e-07])
+        a = np.array([[-0.9278425039727966, 0.0], [-0.6926934127927644, -0.9807510034951831]])
+        c = np.array([-2.1379878204800837e-07, 3.8329915790302045e-08])
+        x, met = _project(y, lo, hi, 2.859641581645487e-08, a, c)
+        assert met
+        assert _violation(x, lo, hi, 2.859641581645487e-08, a, c) <= 1e-17  # 1e-10 of the weights
+
+    def test_box_only_is_a_clip(self):
+        y = np.array([-2.0, 0.5, 3.0])
+        lo, hi = np.zeros(3), np.ones(3)
+        x, met = _project(y, lo, hi, None, np.zeros((0, 3)), np.zeros(0))
+        assert met and np.array_equal(x, np.clip(y, lo, hi))
+
+    def test_dykstra_false_certificate(self):
+        # Dykstra's cycle stops moving while its increments have not settled,
+        # so its stop rule reports a point that breaks the first cap by 0.27
+        y = np.array([-0.43, -0.74, 0.25])
+        lo, hi = np.zeros(3), np.full(3, np.inf)
+        a, c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.array([0.6, 0.6])
+        x_dykstra, met_dykstra = _project_general(y, lo, hi, 1.0, list(zip(a, c)), tol=1e-15)
+        assert met_dykstra and (a @ x_dykstra - c).max() > 1e-8
+        x, met = _project(y, lo, hi, 1.0, a, c)
+        assert met and _violation(x, lo, hi, 1.0, a, c) <= 1e-15
+        assert np.allclose(x, [0.0, 0.4, 0.6], rtol=0.0, atol=1e-15)
+        assert_kkt(x, y, lo, hi, 1.0, a, c, 1e-14)
+
+    def test_agrees_with_dykstra_where_it_converges(self):
+        n = 60
+        sect = sector_labels(n, 5)
+        a = np.stack([(sect == k).astype(float) for k in range(5)])
+        c = np.full(5, 0.3)
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        y = np.random.default_rng(3).normal(0.02, 0.02, n) + 0.03 * (sect < 2)
+        x_dykstra, met_dykstra = _project_general(
+            y, lo, hi, 1.0, list(zip(a, c)), tol=1e-15, max_iter=200000
+        )
+        x, met = _project(y, lo, hi, 1.0, a, c)
+        assert met_dykstra and met
+        assert (a @ x - c).max() > -1e-12  # a cap binds
+        assert np.abs(x - x_dykstra).max() < 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("scale", (1e-3, 10.0))
+    def test_kkt_certificate_on_the_desk_book(self, scale):
+        # long-only, budget one, five 30 % sector caps at N = 1000; the large
+        # scale stands for the early sweeps, whose iterates reach tens
+        n = 1000
+        sect = sector_labels(n, 5)
+        a = np.stack([(sect == k).astype(float) for k in range(5)])
+        c = np.full(5, 0.3)
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        rng = np.random.default_rng(11)
+        y = scale * (rng.normal(0.5, 1.0, n) + 2.0 * (sect == 0) + 1.0 * (sect == 1))
+        x, met = _project(y, lo, hi, 1.0, a, c)
+        assert met
+        assert x.min() >= 0.0 and _violation(x, lo, hi, 1.0, a, c) <= 1e-12
+        assert (a @ x - c).max() > -1e-12  # a cap binds
+        assert_kkt(x, y, lo, hi, 1.0, a, c, 1e-10 * max(1.0, scale))
+
+
 class TestProjected:
     def test_no_constraints_identical(self):
         sigma = random_spd(12, 5)
@@ -249,7 +516,7 @@ class TestProjected:
         cs = long_only_budget(30)
         rep = crisp_projected(sigma, mu, 0.5, p=400, constraints=cs)
         w = rep.weights.values
-        assert w.min() >= -1e-8
+        assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert rep.weights.norm_tag == "sum_one"
 
@@ -262,7 +529,7 @@ class TestProjected:
         w = rep.weights.values
         for k in range(4):
             assert w[sect == k].sum() <= 0.40 + 1e-8
-        assert w.min() >= -1e-8
+        assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_infeasible_raises(self):
@@ -272,17 +539,45 @@ class TestProjected:
         with pytest.raises(InfeasibleConstraintsError):
             crisp_projected(sigma, mu, 0.5, constraints=bad)
 
+    def test_budget_at_the_top_of_the_box(self):
+        # budget 10 in [0, 1]^10 leaves one feasible point, all ones
+        sigma = gen_regime(RegimeSpec("block_sector", n=10, seed=1))
+        cs = ConstraintSet(lower=np.zeros(10), upper=np.ones(10), budget=10.0)
+        rep = crisp_projected(sigma, _rand_mu(10, 1), 0.5, p=50, constraints=cs)
+        assert rep.converged and np.array_equal(rep.weights.values, np.ones(10))
+
+    def _five_caps(self, n, cap):
+        sect = sector_labels(n, 5)
+        return long_only_budget(n, [((sect == k).astype(float), cap) for k in range(5)])
+
+    def test_infeasible_caps_raise(self):
+        # five 10 % caps hold at most half of the unit budget
+        sigma = gen_regime(RegimeSpec("block_sector", n=50, seed=2))
+        with pytest.raises(InfeasibleConstraintsError):
+            crisp_projected(sigma, Signal(np.ones(50)), 0.5, constraints=self._five_caps(50, 0.1))
+
+    def test_exactly_tight_caps_solve(self):
+        # five 20 % caps: feasible only with every cap binding
+        sigma = gen_regime(RegimeSpec("block_sector", n=50, seed=2))
+        cs = self._five_caps(50, 0.2)
+        rep = crisp_projected(sigma, Signal(np.ones(50)), 0.5, p=200, constraints=cs)
+        lo, hi, budget, rows = cs.resolved(50)
+        a, c = np.stack([r for r, _ in rows]), np.array([b for _, b in rows])
+        assert rep.converged
+        assert _violation(rep.weights.values, lo, hi, budget, a, c) <= 1e-8
+        assert rep.weights.values.min() >= 0.0
+
     def test_projection_reports_its_iteration_cap(self):
         # box w >= 0, budget 1 and a 30 % cap on the first five assets
         n = 10
         w = np.linspace(0.5, -0.3, n)
         lo, hi = np.zeros(n), np.full(n, np.inf)
-        rows = [(np.r_[np.ones(5), np.zeros(5)], 0.3)]
-        _, met = _project_general(w, lo, hi, 1.0, rows, max_iter=1)
+        a, c = np.r_[np.ones(5), np.zeros(5)][None, :], np.array([0.3])
+        _, met = _project(w, lo, hi, 1.0, a, c, max_iter=1)
         assert not met
-        x, met = _project_general(w, lo, hi, 1.0, rows)
+        x, met = _project(w, lo, hi, 1.0, a, c)
         assert met
-        assert x[:5].sum() <= 0.3 + 1e-8 and x.min() >= -1e-8
+        assert x[:5].sum() <= 0.3 + 1e-8 and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_capped_projection_is_not_converged(self, monkeypatch):
@@ -290,13 +585,15 @@ class TestProjected:
         sect = sector_labels(20, 4)
         caps = [((sect == k).astype(float), 0.40) for k in range(4)]
         cs = long_only_budget(20, caps)
-        assert crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs).converged
+        rep = crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs)
+        assert rep.converged and rep.weights.norm_tag == "sum_one"
         monkeypatch.setattr(
-            "crisp_alloc.solver._project_general",
-            lambda *args: _project_general(*args, max_iter=1),
+            "crisp_alloc.solver._project",
+            lambda *args: _project(*args, max_iter=1),
         )
         rep = crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs)
         assert not rep.converged
+        assert rep.weights.norm_tag == "raw"  # an uncertified projection's weights
 
     def test_bounds_validation(self):
         sigma = random_spd(3, 9)
