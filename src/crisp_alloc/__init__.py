@@ -72,7 +72,6 @@ from .metrics import (
     dir_error,
     direction_report,
     gross_leverage,
-    minvar_sharpe_sum1,
     sharpe,
     sign_match_fraction,
     signed_cosine,

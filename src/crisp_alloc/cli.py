@@ -28,6 +28,7 @@ from .dendrogram import build_tree
 from .errors import AllocationError
 from .experiments import (
     METHOD_IDS,
+    METHODS,
     PRESET_NAMES,
     MethodSpec,
     allocate,
@@ -53,8 +54,11 @@ from .synthetic import (
     worst_case_mu,
 )
 
-_CLI_METHODS = METHOD_IDS + ("crisp-stream", "crisp-projected")
-_TREELESS_METHODS = ("one-over-n", "markowitz", "crisp-stream", "crisp-projected")
+# CLI-only methods read --eps (and --factors), which MethodSpec does not
+# carry; neither reads a tree
+_CLI_ONLY_METHODS = ("crisp-stream", "crisp-projected")
+_CLI_METHODS = METHOD_IDS + _CLI_ONLY_METHODS
+_TREELESS_METHODS = _CLI_ONLY_METHODS + tuple(k for k, (_, tree) in METHODS.items() if not tree)
 
 
 class CliError(Exception):
@@ -214,6 +218,8 @@ def cmd_allocate(args) -> int:
     tree = None if args.method in _TREELESS_METHODS else build_tree(to_correlation(sigma), "ward")
     if args.method == "crisp-stream":
         k = args.factors
+        if not 1 <= k <= sigma.n:
+            raise CliError(f"--factors must be between 1 and N = {sigma.n}, got {k}")
         eigs, vecs = np.linalg.eigh(sigma.entries)
         top = vecs[:, -k:] * np.sqrt(eigs[-k:])
         idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
@@ -250,11 +256,7 @@ def cmd_experiment(args) -> int:
         print("valid presets: " + ", ".join(PRESET_NAMES), file=sys.stderr)
         return 2
     spec = preset(args.preset, full=args.full, seed=args.seed)
-    if args.trials is not None and spec.kind in (
-        "monte_carlo",
-        "sweep_regularization",
-        "adaptive_calibration",
-    ):
+    if args.trials is not None:  # runners that draw no trials ignore it
         spec = dataclasses.replace(spec, trials=args.trials)
     root = _results_root(args) / args.preset
     try:

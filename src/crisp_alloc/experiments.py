@@ -47,18 +47,31 @@ from .synthetic import (
     worst_case_mu,
 )
 
-METHOD_IDS = (
-    "one-over-n",
-    "hrp",
-    "cotton",
-    "hrp-mu",
-    "hsp",
-    "hrp-sigma-mu",
-    "crisp",
-    "markowitz",
-    "a1",
-    "a2",
-)
+
+def _crisp(m: MethodSpec, sigma: CovarianceMatrix, mu: Signal, tree: Optional[Dendrogram]):
+    ordering = tree.leaf_order if tree is not None else None
+    return crisp_solve(sigma, mu, m.gamma, p_max=m.sweeps, ordering=ordering).weights
+
+
+# The method table: id -> (allocator(m, sigma, mu, tree), whether it reads the
+# tree). Kernels are looked up at call time, so a wrapper installed on a
+# kernel's module attribute sees every call.
+METHODS: dict[str, tuple[Callable[..., WeightVector], bool]] = {
+    "one-over-n": (lambda m, sigma, mu, tree: baselines.equal_weight(sigma.n), False),
+    "hrp": (lambda m, sigma, mu, tree: baselines.hrp(sigma, tree), True),
+    "cotton": (lambda m, sigma, mu, tree: baselines.cotton(sigma, tree, m.gamma), True),
+    "hrp-mu": (lambda m, sigma, mu, tree: signal_trees.hrp_mu(sigma, mu, tree, m.gamma), True),
+    "hsp": (lambda m, sigma, mu, tree: signal_trees.hsp(sigma, mu, tree), True),
+    "hrp-sigma-mu": (
+        lambda m, sigma, mu, tree: signal_trees.hrp_sigma_mu(sigma, mu, tree, m.gamma),
+        True,
+    ),
+    "crisp": (_crisp, True),
+    "markowitz": (lambda m, sigma, mu, tree: markowitz_direct(sigma, mu), False),
+    "a1": (lambda m, sigma, mu, tree: baselines.a1_sum_norm_mvo(sigma, mu, tree, m.gamma), True),
+    "a2": (lambda m, sigma, mu, tree: baselines.a2_flat_ivp_tree(sigma, mu, tree, m.gamma), True),
+}
+METHOD_IDS = tuple(METHODS)
 
 # volatility blowup relative to the oracle minimum-variance level that flags
 # a trial as unstable (the dagger convention of the result tables)
@@ -80,11 +93,6 @@ class MethodSpec:
     @property
     def key(self) -> tuple:
         return (self.method, self.gamma, self.sweeps)
-
-    def label(self) -> str:
-        if self.method in ("one-over-n", "hrp", "markowitz", "hsp"):
-            return self.method
-        return f"{self.method} g={self.gamma:g}"
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,11 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregate of one (method, gamma, T) cell."""
+    """Aggregate of one (method, gamma, sweeps, T) cell."""
 
     method: str
     gamma: float
+    sweeps: int
     t: int
     trials: int
     mean_sharpe: float
@@ -173,28 +182,7 @@ def allocate(
     tree: Optional[Dendrogram],
 ) -> WeightVector:
     """Run one configured allocator on an estimated (Sigma, mu, tree)."""
-    if m.method == "one-over-n":
-        return baselines.equal_weight(sigma.n)
-    if m.method == "hrp":
-        return baselines.hrp(sigma, tree)
-    if m.method == "cotton":
-        return baselines.cotton(sigma, tree, m.gamma)
-    if m.method == "hrp-mu":
-        return signal_trees.hrp_mu(sigma, mu, tree, m.gamma)
-    if m.method == "hsp":
-        return signal_trees.hsp(sigma, mu, tree)
-    if m.method == "hrp-sigma-mu":
-        return signal_trees.hrp_sigma_mu(sigma, mu, tree, m.gamma)
-    if m.method == "crisp":
-        ordering = tree.leaf_order if tree is not None else None
-        return crisp_solve(sigma, mu, m.gamma, p_max=m.sweeps, ordering=ordering).weights
-    if m.method == "markowitz":
-        return markowitz_direct(sigma, mu)
-    if m.method == "a1":
-        return baselines.a1_sum_norm_mvo(sigma, mu, tree, m.gamma)
-    if m.method == "a2":
-        return baselines.a2_flat_ivp_tree(sigma, mu, tree, m.gamma)
-    raise ParameterError(f"unknown method id {m.method!r}")
+    return METHODS[m.method][0](m, sigma, mu, tree)
 
 
 @dataclass(frozen=True)
@@ -288,6 +276,7 @@ def _aggregate(spec: ExperimentSpec, records: list[TrialRecord]) -> list[CellRes
                 CellResult(
                     method=m.method,
                     gamma=m.gamma,
+                    sweeps=m.sweeps,
                     t=t,
                     trials=len(outs),
                     mean_sharpe=float(shs.mean()) if len(good) else math.nan,
@@ -338,22 +327,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         runner = _DIAGNOSTIC_RUNNERS.get(spec.kind)
         if runner is None:
             raise ParameterError(f"unknown experiment kind {spec.kind!r}")
-        return runner(spec)
+        return runner(spec, jobs)
 
     ctx = _make_context(spec)
     work = [(t, i) for t in spec.t_values for i in range(spec.trials)]
+
+    def run(key: tuple[int, int]) -> TrialRecord:
+        return _run_trial(ctx, spec, *key)
+
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_trial, ctx, spec, t, i): (t, i) for (t, i) in work
-            }
-            records_map = {}
-            for fut in concurrent.futures.as_completed(futures):
-                t, i = futures[fut]
-                records_map[(t, i)] = fut.result()
-        records = [records_map[key] for key in work]
+            records = list(pool.map(run, work))
     else:
-        records = [_run_trial(ctx, spec, t, i) for (t, i) in work]
+        records = list(map(run, work))
 
     cells = _aggregate(spec, records)
     table = _cells_table("cells", cells)
@@ -388,7 +374,7 @@ def nonmonotone_instance() -> tuple[CovarianceMatrix, Signal]:
 # ---------------------------------------------------------------------------
 
 
-def _run_recovery(spec: ExperimentSpec) -> ExperimentResult:
+def _run_recovery(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     ones = Signal(np.ones(spec.regime.n))
     tree = build_tree(to_correlation(sigma), "ward")
@@ -412,7 +398,7 @@ def _run_recovery(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(table,))
 
 
-def _run_minvar_direction(spec: ExperimentSpec) -> ExperimentResult:
+def _run_minvar_direction(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     ones = Signal(np.ones(spec.regime.n))
     tree = build_tree(to_correlation(sigma), "ward")
@@ -434,7 +420,7 @@ def _run_minvar_direction(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("minvar_direction", cols, tuple(rows)),))
 
 
-def _run_graduated(spec: ExperimentSpec) -> ExperimentResult:
+def _run_graduated(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     n = spec.regime.n
     panels = [
         ("base_gaussian", RegimeSpec("block_sector", n=n, seed=spec.seed), SignalSpec("gaussian", seed=7)),
@@ -468,7 +454,7 @@ def _run_graduated(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("graduated", cols, tuple(rows)),))
 
 
-def _run_worst_case(spec: ExperimentSpec) -> ExperimentResult:
+def _run_worst_case(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     n = spec.regime.n
     cases = [
         ("hedged", RegimeSpec("hedged_tight_blocks", n=n, seed=spec.seed)),
@@ -486,7 +472,7 @@ def _run_worst_case(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("worst_case", cols, tuple(rows)),))
 
 
-def _run_sweep_rate(spec: ExperimentSpec) -> ExperimentResult:
+def _run_sweep_rate(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     corr_eigs = to_correlation(sigma).eigenvalues
     gammas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0)
@@ -502,7 +488,7 @@ def _run_sweep_rate(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_rate", cols, tuple(rows)),))
 
 
-def _run_trajectory(spec: ExperimentSpec) -> ExperimentResult:
+def _run_trajectory(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     sigma, mu = nonmonotone_instance()
     grid = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
     points = trajectory(sigma, mu, grid, p=200)
@@ -511,7 +497,7 @@ def _run_trajectory(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("trajectory", cols, rows),))
 
 
-def _run_adaptive_calibration(spec: ExperimentSpec) -> ExperimentResult:
+def _run_adaptive_calibration(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     n = spec.regime.n
     regimes = [
         ("block", RegimeSpec("block_sector", n=n, seed=spec.seed)),
@@ -536,7 +522,7 @@ def _run_adaptive_calibration(spec: ExperimentSpec) -> ExperimentResult:
                     ic=ic,
                     kind="monte_carlo",
                 )
-                res = run_experiment(sub)
+                res = run_experiment(sub, jobs)
                 sharpes = {c.gamma: c.mean_sharpe for c in res.cells}
                 best_gamma = max(sharpes, key=sharpes.get)
                 peak = sharpes[best_gamma]
@@ -549,27 +535,21 @@ def _run_adaptive_calibration(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("adaptive_calibration", cols, tuple(rows)),))
 
 
-def _run_sweep_regularization(spec: ExperimentSpec) -> ExperimentResult:
-    gammas = (0.3, 0.5, 0.7, 1.0)
-    sweeps = (1, 5, 10, 50, 100, 500)
-    rows = []
-    for g in gammas:
-        for p in sweeps:
-            sub = replace(
-                spec,
-                methods=(MethodSpec("crisp", gamma=g, sweeps=p),),
-                kind="monte_carlo",
-            )
-            res = run_experiment(sub)
-            for c in res.cells:
-                rows.append((g, p, c.t, c.mean_sharpe, c.std_sharpe))
-    cols = ("gamma", "sweeps", "t", "mean_sharpe", "std_sharpe")
-    return ExperimentResult(
-        spec=spec, tables=(ExperimentTable("sweep_regularization", cols, tuple(rows)),)
+def _run_sweep_regularization(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+    # one run over every (gamma, sweep budget): each draw is sampled, estimated
+    # and clustered once, and the cells come out sorted by (gamma, sweeps, T)
+    methods = tuple(
+        MethodSpec("crisp", gamma=g, sweeps=p)
+        for g in (0.3, 0.5, 0.7, 1.0)
+        for p in (1, 5, 10, 50, 100, 500)
     )
+    res = run_experiment(replace(spec, methods=methods, kind="monte_carlo"), jobs)
+    rows = tuple((c.gamma, c.sweeps, c.t, c.mean_sharpe, c.std_sharpe) for c in res.cells)
+    cols = ("gamma", "sweeps", "t", "mean_sharpe", "std_sharpe")
+    return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_regularization", cols, rows),))
 
 
-_DIAGNOSTIC_RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentResult]] = {
+_DIAGNOSTIC_RUNNERS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
     "recovery": _run_recovery,
     "minvar_direction": _run_minvar_direction,
     "graduated": _run_graduated,

@@ -106,19 +106,6 @@ def sharpe(w: VectorLike, sigma: CovarianceMatrix, mu: Signal) -> float:
     return float(v @ mu.values) / np.sqrt(var)
 
 
-def minvar_sharpe_sum1(w: VectorLike, sigma: CovarianceMatrix) -> float:
-    """Sum-normalize w, then return 1 / sqrt(w.Sigma.w) (minimum-variance Sharpe)."""
-    v = _vec(w)
-    s = float(v.sum())
-    if s == 0.0:
-        raise DegenerateInputError("weights sum to zero; cannot sum-normalize")
-    v = v / s
-    var = float(v @ sigma.entries @ v)
-    if var <= 0.0:
-        raise DegenerateInputError("zero-risk portfolio has no Sharpe ratio")
-    return 1.0 / np.sqrt(var)
-
-
 def gross_leverage(w: VectorLike) -> float:
     """Sum of absolute weights."""
     return float(np.abs(_vec(w)).sum())

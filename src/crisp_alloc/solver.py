@@ -362,6 +362,26 @@ def _violation(w, lo, hi, budget, a_mat, c_vec) -> float:
     return max(v, float(np.max(a_mat @ w - c_vec, initial=0.0)))
 
 
+def _feasible(lo, hi, budget, a_mat, c_vec) -> bool:
+    """Whether {lo <= x <= hi, 1.x = budget, A x <= c} is nonempty to rounding.
+
+    Projects the origin, then that point again. The second projection's
+    multipliers stay small on a nonempty set and grow without bound on an
+    empty one, where only they let its certificate hold; so every row must
+    hold to twice the certificate without them, 16 eps N (|d_k| + 2 |E_k||x|).
+    The box holds exactly, x being a clip.
+    """
+    x, _ = _project(np.zeros(lo.size), lo, hi, budget, a_mat, c_vec)
+    x, _ = _project(x, lo, hi, budget, a_mat, c_vec)
+    eq = int(budget is not None)
+    e = np.vstack([np.ones((eq, x.size)), a_mat])
+    d = np.r_[[budget] * eq, c_vec]
+    resid = e @ x - d
+    resid[eq:] = np.maximum(resid[eq:], 0.0)
+    size = np.abs(d) + 2.0 * np.abs(e) @ np.abs(x)
+    return bool(np.all(np.abs(resid) <= 16.0 * np.finfo(float).eps * x.size * size))
+
+
 def crisp_projected(
     sigma: CovarianceMatrix,
     mu: Signal,
@@ -395,15 +415,8 @@ def crisp_projected(
     a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
     b_vec = np.array([bb for _, bb in rows]) if rows else np.zeros(0)
 
-    # feasibility probe: project the origin and check residual violation
-    if budget is not None and not rows:
-        lo_sum = np.where(np.isfinite(lo), lo, -np.inf).sum()
-        hi_sum = np.where(np.isfinite(hi), hi, np.inf).sum()
-        if budget < lo_sum or budget > hi_sum:
-            raise InfeasibleConstraintsError("budget outside the box's reachable sums")
-    probe, _ = _project(np.zeros(n), lo, hi, budget, a_mat, b_vec)
-    if _violation(probe, lo, hi, budget, a_mat, b_vec) > 1e-8:
-        raise InfeasibleConstraintsError("feasibility probe failed to satisfy constraints")
+    if not _feasible(lo, hi, budget, a_mat, b_vec):
+        raise InfeasibleConstraintsError("the constraint set has no feasible point")
 
     s = sigma.entries
     d = np.diag(s).copy()

@@ -28,7 +28,6 @@ from crisp_alloc import (
     crisp_solve,
     crisp_solve_stream,
     dir_error,
-    direct_minvar,
     gamma_star,
     gen_regime,
     gen_signal,
@@ -40,7 +39,6 @@ from crisp_alloc import (
     kappa_eff,
     long_only_budget,
     markowitz_direct,
-    minvar_sharpe_sum1,
     nonmonotone_instance,
     perturbation_residual,
     run_experiment,
@@ -56,6 +54,7 @@ from crisp_alloc import (
     trajectory,
     worst_case_mu,
 )
+from crisp_alloc.experiments import _make_context
 from tests.conftest import ACCEPTANCE_LINES, random_spd
 
 
@@ -405,8 +404,7 @@ def test_criterion_07_oos_tournament():
         trials=40,
     )
     mv_res = run_experiment(mv, jobs=2)
-    sigma_true = gen_regime(mv.regime)
-    oracle = minvar_sharpe_sum1(direct_minvar(sigma_true).values, sigma_true)
+    oracle = 1.0 / _make_context(mv).oracle_minvar_vol
     fracs = [c.mean_sharpe / oracle for c in sorted(mv_res.cells, key=lambda c: c.t)]
     increasing = fracs[0] < fracs[1] < fracs[2]
 

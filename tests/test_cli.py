@@ -89,6 +89,14 @@ class TestDeterminism:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("k", ("0", "11"))
+    def test_factor_count_outside_one_to_n(self, k, capsys):
+        args = ["allocate", "--method", "crisp-stream", "--regime", "block", "--n", "10",
+                "--factors", k]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "--factors" in err
+
     def test_malformed_csv_line_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,0.1\n0.1,oops\n")

@@ -28,7 +28,8 @@ from crisp_alloc import (
     sharpe,
     to_correlation,
 )
-from crisp_alloc.experiments import PRESET_NAMES, _Context, _score
+from crisp_alloc import experiments
+from crisp_alloc.experiments import METHOD_IDS, PRESET_NAMES, _Context, _score
 
 
 def _mini_spec(**kw):
@@ -68,6 +69,18 @@ class TestRunTrial:
             w1 = allocate(MethodSpec(mid), sigma, mu1, tree).values
             w2 = allocate(MethodSpec(mid), sigma, mu2, tree).values
             assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_every_method_in_the_table_allocates(self, method):
+        sigma = gen_regime(RegimeSpec("block_sector", n=12, sectors=3, seed=1))
+        mu = gen_signal(SignalSpec("gaussian", seed=1), 12)
+        tree = build_tree(to_correlation(sigma), "ward")
+        w = allocate(MethodSpec(method, 0.5, 20), sigma, mu, tree)
+        assert w.n == 12 and np.all(np.isfinite(w.values))
+
+    def test_unknown_method_id(self):
+        with pytest.raises(ParameterError):
+            MethodSpec("ledoit-wolf")
 
     def test_oracle_ceiling(self):
         # with true inputs, no method beats the direct solution's Sharpe
@@ -156,6 +169,40 @@ class TestPresets:
         assert spec.name == name
         full = preset(name, full=True)
         assert full.trials >= spec.trials
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_jobs_do_not_change_the_tables(self, name):
+        spec = replace(preset(name), trials=1)
+        serial = [export(t) for t in run_experiment(spec, jobs=1).tables]
+        threaded = [export(t) for t in run_experiment(spec, jobs=2).tables]
+        assert serial == threaded
+
+    @pytest.mark.parametrize("name", ("sweep_regularization", "adaptive_calibration"))
+    def test_nested_presets_pass_jobs_through(self, name, monkeypatch):
+        inner = experiments.run_experiment
+        seen = []
+
+        def spy(spec, jobs=1):
+            seen.append((spec.kind, jobs))
+            return inner(spec, jobs)
+
+        monkeypatch.setattr(experiments, "run_experiment", spy)
+        spy(replace(preset(name), trials=1), jobs=2)
+        assert seen[0] == (name, 2)
+        assert seen[1:] and all(s == ("monte_carlo", 2) for s in seen[1:])
+
+    def test_sweep_regularization_matches_one_run_per_configuration(self):
+        # the table as it was built before: one single-method run per (gamma, p)
+        spec = replace(preset("sweep_regularization"), trials=2)
+        rows = []
+        for g in (0.3, 0.5, 0.7, 1.0):
+            for p in (1, 5, 10, 50, 100, 500):
+                sub = replace(spec, methods=(MethodSpec("crisp", g, p),), kind="monte_carlo")
+                for c in run_experiment(sub).cells:
+                    rows.append((g, p, c.t, c.mean_sharpe, c.std_sharpe))
+        cols = ("gamma", "sweeps", "t", "mean_sharpe", "std_sharpe")
+        oracle = ExperimentTable("sweep_regularization", cols, tuple(rows))
+        assert export(run_experiment(spec).tables[0]) == export(oracle)
 
     def test_recovery_preset_runs(self):
         spec = preset("recovery")

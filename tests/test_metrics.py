@@ -7,17 +7,18 @@ from crisp_alloc import (
     CovarianceMatrix,
     DegenerateInputError,
     Signal,
+    WeightVector,
     dir_diag,
     dir_error,
     direction_report,
     gross_leverage,
     markowitz_direct,
-    minvar_sharpe_sum1,
     sharpe,
     sign_match_fraction,
     signed_cosine,
     to_correlation,
 )
+from crisp_alloc.experiments import _Context, _score
 from tests.conftest import random_spd
 
 _vec = st.lists(
@@ -134,22 +135,29 @@ class TestSharpe:
         assert sharpe(-w, sigma, mu) == pytest.approx(-s, rel=1e-12)
 
 
+def _minvar_score(w, sigma):
+    """The harness's minimum-variance Sharpe of w: 1 / vol of w / sum(w)."""
+    n = sigma.n
+    ctx = _Context(sigma, Signal(np.ones(n)), np.zeros(n, int), np.ones(n), 1.0, minvar_mode=True)
+    return _score(ctx, WeightVector(np.asarray(w, dtype=float)))
+
+
 class TestMinvarSharpe:
     def test_equal_weights_identity(self):
         sigma = CovarianceMatrix(np.eye(4))
-        assert minvar_sharpe_sum1([0.25] * 4, sigma) == pytest.approx(2.0, abs=1e-12)
+        assert _minvar_score([0.25] * 4, sigma).sharpe == pytest.approx(2.0, abs=1e-12)
 
     def test_direct_formula_oracle(self):
         sigma = random_spd(5, 6)
         w = np.random.default_rng(6).uniform(0.1, 1.0, 5)
         v = w / w.sum()
         expect = 1.0 / np.sqrt(v @ sigma.entries @ v)
-        assert minvar_sharpe_sum1(w, sigma) == pytest.approx(expect, rel=1e-12)
+        assert _minvar_score(w, sigma).sharpe == pytest.approx(expect, rel=1e-12)
 
-    def test_zero_sum_raises(self):
-        sigma = CovarianceMatrix(np.eye(2))
-        with pytest.raises(DegenerateInputError):
-            minvar_sharpe_sum1([1.0, -1.0], sigma)
+    def test_zero_sum_is_an_unstable_record(self):
+        # weights summing to zero cannot be sum-normalized: no score, flagged
+        out = _minvar_score([1.0, -1.0], CovarianceMatrix(np.eye(2)))
+        assert np.isnan(out.sharpe) and out.unstable
 
 
 class TestGrossLeverage:

@@ -28,7 +28,7 @@ from crisp_alloc import (
     sweeps_to_tolerance,
     to_correlation,
 )
-from crisp_alloc.solver import _project, _violation
+from crisp_alloc.solver import _feasible, _project, _violation
 from tests.conftest import random_spd
 
 
@@ -555,6 +555,31 @@ class TestProjected:
         sigma = gen_regime(RegimeSpec("block_sector", n=50, seed=2))
         with pytest.raises(InfeasibleConstraintsError):
             crisp_projected(sigma, Signal(np.ones(50)), 0.5, constraints=self._five_caps(50, 0.1))
+
+    def test_nearly_tight_caps_raise(self):
+        # five caps of 0.19999999 miss the unit budget by 5e-8: a probe
+        # tolerance of 1e-8 passed them and the solve later failed its sum-one tag
+        sigma = gen_regime(RegimeSpec("block_sector", n=50, seed=42))
+        cs = self._five_caps(50, 0.19999999)
+        with pytest.raises(InfeasibleConstraintsError):
+            crisp_projected(sigma, Signal(np.ones(50)), 0.5, p=200, constraints=cs)
+
+    def test_probe_of_a_one_point_set(self):
+        # every row binds at the set's only point and two rows are nearly
+        # parallel: the origin's projection misses a row by 82 times the
+        # probe's tolerance, through its large multipliers; the re-projection
+        # by 0.014 times
+        a = np.array([[-0.38, -0.38], [-0.37975, -0.37945], [-0.65, -1.91]])
+        x0 = np.array([11.0, 4.0]) / 15.0
+        assert _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0)
+        assert not _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0 - 1e-9)
+
+    @pytest.mark.parametrize("seed", (30, 31))
+    def test_probe_allows_the_rounding_of_a_certified_point(self, seed):
+        # feasible sets whose re-projected origin misses a row by 1.13 and 1.21
+        # times 8 eps N (|d_k| + |E_k||x|), within the probe's tolerance
+        _, lo, hi, budget, a, c, _ = _projection_case("finite_upper", seed)
+        assert _feasible(lo, hi, budget, a, c)
 
     def test_exactly_tight_caps_solve(self):
         # five 20 % caps: feasible only with every cap binding
