@@ -17,14 +17,17 @@ the covariance is read once, at its lowest common ancestor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
-from .dendrogram import Dendrogram, TreeNode
+from .dendrogram import Dendrogram
 from .errors import (
+    ConditioningError,
     DegenerateInputError,
     ParameterError,
     SchurBreakdownError,
@@ -211,84 +214,53 @@ def direct_minvar(sigma: CovarianceMatrix) -> WeightVector:
 # ---------------------------------------------------------------------------
 
 
-def _solve_2x2_system(q: np.ndarray, b: np.ndarray, depth: int, gamma: float, strict: bool):
-    det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-    if strict and (q[0, 0] <= 0.0 or det <= 0.0):
-        raise SchurBreakdownError(depth, gamma, "2x2 block not positive definite")
-    if det == 0.0:
-        if strict:
-            raise SchurBreakdownError(depth, gamma, "singular 2x2 block")
-        return np.zeros(2)
-    return np.array(
-        [
-            (q[1, 1] * b[0] - q[0, 1] * b[1]) / det,
-            (q[0, 0] * b[1] - q[0, 1] * b[0]) / det,
-        ]
-    )
+def _chol(m: np.ndarray, depth: int, gamma: float) -> np.ndarray:
+    """Lower Cholesky factor of m; a failure is a Schur breakdown at depth."""
+    low, info = dpotrf(m, lower=1, clean=0)
+    if info:
+        raise SchurBreakdownError(depth, gamma)
+    return low
 
 
-def _kappa_or_inf(m: np.ndarray) -> float:
-    eigs = scipy.linalg.eigvalsh(m)
-    if eigs[0] <= 0.0:
-        return np.inf
-    return float(eigs[-1] / eigs[0])
+def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
+    """Top-down Schur pass: fills w (leaf order, unnormalised) and yields each
+    augmented child block it forms.
 
-
-def _schur_recurse(
-    q: np.ndarray,
-    b: np.ndarray,
-    node: TreeNode,
-    depth: int,
-    gamma: float,
-    strict: bool,
-    kappas: list | None,
-) -> np.ndarray:
-    if node.is_leaf:
-        if q[0, 0] == 0.0:
-            raise SchurBreakdownError(depth, gamma, "zero variance at leaf")
-        return b[:1] / q[0, 0]
-    if node.size == 2:
-        # closed-form bottom-out avoids a 1x1 Schur step
-        return _solve_2x2_system(q, b, depth, gamma, strict)
-
-    n_l = node.left.size
-    a = q[:n_l, :n_l]
-    d = q[n_l:, n_l:]
-    off = q[:n_l, n_l:]
-    b_l, b_r = b[:n_l], b[n_l:]
-
-    if gamma == 0.0:
-        a_c, b_a, d_c, b_d = a, b_l, d, b_r
-    else:
-        try:
-            xd = np.linalg.solve(d, np.concatenate([off.T, b_r[:, None]], axis=1))
-            xa = np.linalg.solve(a, np.concatenate([off, b_l[:, None]], axis=1))
-        except np.linalg.LinAlgError as exc:
-            if strict:
-                raise SchurBreakdownError(depth, gamma, "singular child block") from exc
-            if kappas is not None:
-                kappas.append(np.inf)
-            return np.zeros(node.size)
-        a_c = a - gamma * off @ xd[:, :-1]
-        b_a = b_l - gamma * off @ xd[:, -1]
-        d_c = d - gamma * off.T @ xa[:, :-1]
-        b_d = b_r - gamma * off.T @ xa[:, -1]
-        a_c = 0.5 * (a_c + a_c.T)
-        d_c = 0.5 * (d_c + d_c.T)
-
-    if kappas is not None:
-        kappas.append(_kappa_or_inf(a_c))
-        kappas.append(_kappa_or_inf(d_c))
-    if strict:
-        for blk in (a_c, d_c):
-            try:
-                np.linalg.cholesky(blk)
-            except np.linalg.LinAlgError as exc:
-                raise SchurBreakdownError(depth, gamma) from exc
-
-    w_l = _schur_recurse(a_c, b_a, node.left, depth + 1, gamma, strict, kappas)
-    w_r = _schur_recurse(d_c, b_d, node.right, depth + 1, gamma, strict, kappas)
-    return np.concatenate([w_l, w_r])
+    A node holds Q = [[A, B], [B^T, D]] and its parent's lower factor L_Q,
+    whose leading block is L_A (the root factors A); L_D is its one new
+    factor. With X = L_A^-1 [B | b_l] and Y = L_D^-1 [B^T | b_r] the children
+    get A - gamma Y_B^T Y_B and D - gamma X_B^T X_B, with right-hand sides
+    b_l - gamma Y_B^T y and b_r - gamma X_B^T x. Each child block is factored
+    once, as the breakdown check and as the child's solver; a node of one or
+    two leaves solves with the factor it was handed.
+    """
+    root = tree.root
+    m = root.left.size if root.size > 2 else root.size
+    stack = [(root, sp, _chol(sp[:m, :m], 0, gamma), np.ones(tree.n), 0)]
+    while stack:
+        node, q, low, b, depth = stack.pop()
+        if node.size <= 2:
+            lo, hi = node.span
+            w[lo:hi] = dpotrs(low, b, lower=1)[0]
+            continue
+        k = node.left.size
+        a, off, d, b_l, b_r = q[:k, :k], q[:k, k:], q[k:, k:], b[:k], b[k:]
+        low_a, low_d = low[:k, :k], _chol(d, depth, gamma)
+        if gamma == 0.0:
+            kids = ((a, low_a, b_l), (d, low_d, b_r))
+        else:
+            x = dtrtrs(low_a, np.column_stack([off, b_l]), lower=1)[0]
+            y = dtrtrs(low_d, np.column_stack([off.T, b_r]), lower=1)[0]
+            x_b, y_b = x[:, :-1], y[:, :-1]
+            a_c = a - gamma * (y_b.T @ y_b)
+            d_c = d - gamma * (x_b.T @ x_b)
+            kids = (
+                (a_c, _chol(a_c, depth, gamma), b_l - gamma * (y_b.T @ y[:, -1])),
+                (d_c, _chol(d_c, depth, gamma), b_r - gamma * (x_b.T @ x[:, -1])),
+            )
+        for child, (blk, low_c, rhs) in zip((node.left, node.right), kids):
+            yield blk
+            stack.append((child, blk, low_c, rhs, depth + 1))
 
 
 def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVector:
@@ -297,12 +269,15 @@ def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVec
     Each internal node hands its children the gamma-augmented Schur block
     A - gamma * B D^-1 B^T and the corrected right-hand side; stacking the
     child solutions reproduces Sigma^-1 1 exactly at gamma = 1. Raises
-    SchurBreakdownError when an augmented block loses positive definiteness
-    (a small-sample phenomenon on estimated covariances).
+    SchurBreakdownError when a block's Cholesky factorization fails. For
+    gamma in [0, 1] every block of a positive definite Sigma is positive
+    definite, so that needs a Sigma that is not, to rounding (an unridged
+    sample covariance with T <= N, say).
     """
     g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    w_perm = _schur_recurse(sp, np.ones(tree.n), tree.root, 0, g, strict=True, kappas=None)
+    w_perm = np.empty(tree.n)
+    for _ in _schur_pass(_permuted(sigma, tree), tree, g, w_perm):
+        pass
     total = float(w_perm.sum())
     if total == 0.0:
         raise DegenerateInputError("Schur allocation sums to zero; cannot normalize")
@@ -313,14 +288,28 @@ def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float
     """Product of condition numbers of every augmented child block.
 
     Diagnostic only: bounds the error amplification the nested block solves
-    can accumulate. Returns inf when any block loses positive definiteness.
-    At gamma = 0 this is the product of the principal-block condition numbers.
+    can accumulate. Returns inf when a block breaks down (its factorization
+    fails or its smallest eigenvalue is not positive), and raises
+    ConditioningError when every block is positive definite but the product
+    overflows a float. At gamma = 0 this is the product of the
+    principal-block condition numbers.
     """
     g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
-    kappas: list[float] = []
-    _schur_recurse(sp, np.ones(tree.n), tree.root, 0, g, strict=False, kappas=kappas)
-    return float(np.prod(kappas)) if kappas else 1.0
+    log_k = 0.0
+    try:
+        for blk in _schur_pass(_permuted(sigma, tree), tree, g, np.empty(tree.n)):
+            eigs = scipy.linalg.eigvalsh(blk)
+            if eigs[0] <= 0.0:
+                return np.inf
+            log_k += math.log(eigs[-1]) - math.log(eigs[0])
+    except SchurBreakdownError:
+        return np.inf
+    try:
+        return math.exp(log_k)
+    except OverflowError:
+        raise ConditioningError(
+            f"condition-number product 10^{log_k / math.log(10.0):.1f} overflows a float"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

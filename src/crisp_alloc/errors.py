@@ -16,7 +16,8 @@ class SingularCovarianceError(AllocationError):
 
 
 class ConditioningError(AllocationError):
-    """Spectral routine received a matrix that is not positive definite."""
+    """A spectral routine got a matrix that is not positive definite, or a
+    conditioning figure that overflows a float."""
 
 
 class ParameterError(AllocationError):

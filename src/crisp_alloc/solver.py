@@ -398,12 +398,14 @@ def crisp_projected(
     from the constraint residuals (diagonally scaled ascent) and projects the
     iterate onto the whole constraint set (``_project``, an exact dual
     Newton solve) so that the reported weights are feasible to rounding and
-    inside the box exactly. Without the shift the sweep cannot see the budget's
-    shadow price and stalls off the constrained optimum. ``converged`` needs
-    the stop rule and the last projection's KKT certificate; it is False when
-    that projection is uncertified (its iteration cap), and the weights of
-    an uncertified projection are tagged ``raw``. With no constraints at all
-    this is exactly ``crisp_solve``.
+    inside the box exactly. The last projection is projected once more, which
+    keeps the weights feasible when the dual ascent diverges. Without the
+    shift the sweep cannot see the budget's shadow price and stalls off the
+    constrained optimum. ``converged`` needs the stop rule and the last
+    projection's KKT certificate; it is False when that projection is
+    uncertified (its iteration cap), and the weights of an uncertified
+    projection are tagged ``raw``. With no constraints at all this is exactly
+    ``crisp_solve``.
     """
     if constraints.is_trivial:
         return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
@@ -450,6 +452,10 @@ def crisp_projected(
         viol = _violation(w, lo, hi, budget, a_mat, b_vec)
         if rel <= eps and viol <= max(eps, 1e-9):
             break
+    # a projection is idempotent, and projecting a feasible point needs only
+    # small multipliers; projecting a diverged iterate (say 1e13) may not, and
+    # its certificate, which scales with its input, then admits a violation
+    y, projected = _project(y, lo, hi, budget, a_mat, b_vec)
     converged = rel <= eps and viol <= max(eps, 1e-9) and projected
     tag = "sum_one" if projected and budget is not None and abs(budget - 1.0) < 1e-15 else "raw"
     return SolveReport(WeightVector(y, tag), sweeps, rel, converged)

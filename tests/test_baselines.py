@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crisp_alloc import (
+    ConditioningError,
     CovarianceMatrix,
     RegimeSpec,
     SchurBreakdownError,
@@ -28,6 +30,90 @@ from crisp_alloc import (
     to_correlation,
 )
 from tests.conftest import random_spd
+
+
+# The recursive Schur allocator that ``cotton`` replaced, kept as its oracle:
+# LU solves per node, a Cramer 2x2 bottom-out, and a Cholesky check of each
+# child block in strict mode; ``kappas`` collects the child condition numbers.
+
+
+def _oracle_solve_2x2(q, b, depth, gamma, strict):
+    det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+    if strict and (q[0, 0] <= 0.0 or det <= 0.0):
+        raise SchurBreakdownError(depth, gamma, "2x2 block not positive definite")
+    if det == 0.0:
+        if strict:
+            raise SchurBreakdownError(depth, gamma, "singular 2x2 block")
+        return np.zeros(2)
+    return np.array(
+        [(q[1, 1] * b[0] - q[0, 1] * b[1]) / det, (q[0, 0] * b[1] - q[0, 1] * b[0]) / det]
+    )
+
+
+def _oracle_kappa(m):
+    eigs = scipy.linalg.eigvalsh(m)
+    return np.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
+
+
+def _oracle_recurse(q, b, node, depth, gamma, strict, kappas):
+    if node.is_leaf:
+        if q[0, 0] == 0.0:
+            raise SchurBreakdownError(depth, gamma, "zero variance at leaf")
+        return b[:1] / q[0, 0]
+    if node.size == 2:
+        return _oracle_solve_2x2(q, b, depth, gamma, strict)
+    n_l = node.left.size
+    a, d, off = q[:n_l, :n_l], q[n_l:, n_l:], q[:n_l, n_l:]
+    b_l, b_r = b[:n_l], b[n_l:]
+    if gamma == 0.0:
+        a_c, b_a, d_c, b_d = a, b_l, d, b_r
+    else:
+        try:
+            xd = np.linalg.solve(d, np.concatenate([off.T, b_r[:, None]], axis=1))
+            xa = np.linalg.solve(a, np.concatenate([off, b_l[:, None]], axis=1))
+        except np.linalg.LinAlgError as exc:
+            if strict:
+                raise SchurBreakdownError(depth, gamma, "singular child block") from exc
+            if kappas is not None:
+                kappas.append(np.inf)
+            return np.zeros(node.size)
+        a_c = a - gamma * off @ xd[:, :-1]
+        b_a = b_l - gamma * off @ xd[:, -1]
+        d_c = d - gamma * off.T @ xa[:, :-1]
+        b_d = b_r - gamma * off.T @ xa[:, -1]
+        a_c = 0.5 * (a_c + a_c.T)
+        d_c = 0.5 * (d_c + d_c.T)
+    if kappas is not None:
+        kappas.append(_oracle_kappa(a_c))
+        kappas.append(_oracle_kappa(d_c))
+    if strict:
+        for blk in (a_c, d_c):
+            try:
+                np.linalg.cholesky(blk)
+            except np.linalg.LinAlgError as exc:
+                raise SchurBreakdownError(depth, gamma) from exc
+    w_l = _oracle_recurse(a_c, b_a, node.left, depth + 1, gamma, strict, kappas)
+    w_r = _oracle_recurse(d_c, b_d, node.right, depth + 1, gamma, strict, kappas)
+    return np.concatenate([w_l, w_r])
+
+
+def _oracle_sp(sigma, tree):
+    order = np.asarray(tree.leaf_order)
+    return sigma.entries[np.ix_(order, order)], order
+
+
+def _oracle_cotton(sigma, tree, gamma):
+    sp, order = _oracle_sp(sigma, tree)
+    w_perm = _oracle_recurse(sp, np.ones(tree.n), tree.root, 0, gamma, True, None)
+    w = np.empty(tree.n)
+    w[order] = w_perm / w_perm.sum()
+    return w
+
+
+def _oracle_kappa_product(sigma, tree, gamma):
+    kappas = []
+    _oracle_recurse(_oracle_sp(sigma, tree)[0], np.ones(tree.n), tree.root, 0, gamma, False, kappas)
+    return float(np.prod(kappas)) if kappas else 1.0
 
 
 class TestHrp:
@@ -108,22 +194,53 @@ class TestCotton:
                 cotton(sigma, tree, gamma)
 
     def test_breakdown_carries_depth_and_gamma(self):
-        # near-singular sample covariance at small T triggers the typed error
-        sigma = gen_regime(RegimeSpec("block_sector", n=40, seed=42))
-        mu = Signal(np.zeros(40))
-        raised = None
-        for trial in range(30):
-            rets = sample_returns(sigma, mu, 41, seed=(1, trial))
-            hat = sample_cov(rets, ridge=1e-12)
-            tree = build_tree(to_correlation(hat), "ward")
-            try:
-                cotton(hat, tree, 0.6)
-            except SchurBreakdownError as exc:
-                raised = exc
-                break
-        if raised is not None:
-            assert raised.gamma == 0.6
-            assert raised.depth >= 0
+        # an indefinite 2x2 block inside the root's right half: breakdown
+        # needs a Sigma that is not positive definite, since for gamma in
+        # [0, 1] A - gamma B D^-1 B^T dominates the gamma = 1 Schur complement
+        m = np.eye(8)
+        m[4, 5] = m[5, 4] = 1.5
+        sigma, tree = CovarianceMatrix(m), balanced_tree(8)
+        for gamma in (0.0, 0.5, 1.0):
+            with pytest.raises(SchurBreakdownError) as new:
+                cotton(sigma, tree, gamma)
+            with pytest.raises(SchurBreakdownError) as old:
+                _oracle_cotton(sigma, tree, gamma)
+            assert (new.value.depth, new.value.gamma) == (0, gamma)
+            assert (old.value.depth, old.value.gamma) == (0, gamma)
+            assert cotton_kappa_product(sigma, tree, gamma) == np.inf
+
+    def test_matches_the_recursive_oracle(self):
+        cases = []
+        for n in (3, 10, 33):
+            for seed in range(20):
+                s = random_spd(n, seed)
+                cases.append((s, build_tree(to_correlation(s), "ward")))
+        for seed in range(5):
+            cases.append((random_spd(16, seed), balanced_tree(16)))
+        sigma = gen_regime(RegimeSpec("block_sector", n=100, seed=42))
+        for t in (60, 120):
+            rets = sample_returns(sigma, Signal(np.zeros(100)), t, seed=(7, t))
+            hat = sample_cov(rets, ridge=1e-4)
+            cases.append((hat, build_tree(to_correlation(hat), "ward")))
+        for s, tree in cases:
+            for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+                got, want = cotton(s, tree, gamma).values, _oracle_cotton(s, tree, gamma)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                k_got = cotton_kappa_product(s, tree, gamma)
+                k_want = _oracle_kappa_product(s, tree, gamma)
+                assert np.isfinite(k_want) and k_got == pytest.approx(k_want, rel=1e-8)
+
+    def test_exact_under_power_of_two_scaling(self):
+        # an even power of two passes exactly through every product, quotient
+        # and square root of a Cholesky pass, and no quantity squares the scale
+        for n, seed in ((10, 3), (60, 3)):
+            sigma = random_spd(n, seed)
+            tree = build_tree(to_correlation(sigma), "ward")
+            for gamma in (0.5, 1.0):
+                ref = cotton(sigma, tree, gamma).values
+                for e in (300, -300, 600, -600, 900, -900):
+                    scaled = CovarianceMatrix(sigma.entries * 2.0**e)
+                    assert np.array_equal(cotton(scaled, tree, gamma).values, ref)
 
 
 class TestKappaProduct:
@@ -173,6 +290,13 @@ class TestKappaProduct:
 
         assert prod >= 1e10
         assert prod / kappa(hat.entries) >= 1e6
+
+
+    def test_overflow_is_not_a_breakdown(self):
+        # every block is positive definite, but the product is 1e1800
+        d = np.where(np.arange(8) % 2 == 0, 1e-150, 1e150)
+        with pytest.raises(ConditioningError, match="10\\^"):
+            cotton_kappa_product(CovarianceMatrix(np.diag(d)), balanced_tree(8), 0.5)
 
 
 class TestA2FlatIvpTree:

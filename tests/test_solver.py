@@ -371,9 +371,12 @@ class TestProjection:
                 {"type": "eq", "fun": lambda v: v.sum() - budget, "jac": lambda v: np.ones_like(v)}
             )
         bounds = [(b if np.isfinite(b) else None, t if np.isfinite(t) else None) for b, t in zip(lo, hi)]
+        # a finer ftol is below what SLSQP's line search resolves: it then
+        # stops next to the answer with status 8, on seeds that vary with the
+        # BLAS thread count
         ref = minimize(
             lambda v: 0.5 * (v - y) @ (v - y), x0, jac=lambda v: v - y, bounds=bounds,
-            constraints=cons, method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000},
+            constraints=cons, method="SLSQP", options={"ftol": 1e-12, "maxiter": 1000},
         )
         assert ref.success
         assert np.abs(x - ref.x).max() < 1e-7
@@ -573,6 +576,19 @@ class TestProjected:
         x0 = np.array([11.0, 4.0]) / 15.0
         assert _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0)
         assert not _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0 - 1e-9)
+
+    def test_diverging_duals_return_a_feasible_point(self):
+        # on the one-point set above the dual ascent diverges (the iterate
+        # grows to 4.5e13); the projection of that iterate, certified relative
+        # to its size, misses the second row by 2.2e-4, and projecting its
+        # output once more lands on the set's only point
+        a = np.array([[-0.38, -0.38], [-0.37975, -0.37945], [-0.65, -1.91]])
+        x0 = np.array([11.0, 4.0]) / 15.0
+        cs = long_only_budget(2, list(zip(a, a @ x0)))
+        rep = crisp_projected(random_spd(2, 3), _rand_mu(2, 3), 0.5, p=50, constraints=cs)
+        assert rep.weights.norm_tag == "sum_one"
+        assert _violation(rep.weights.values, np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0) <= 1e-10
+        assert np.allclose(rep.weights.values, x0, atol=1e-7)
 
     @pytest.mark.parametrize("seed", (30, 31))
     def test_probe_allows_the_rounding_of_a_certified_point(self, seed):
