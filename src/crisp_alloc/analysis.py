@@ -15,13 +15,7 @@ from itertools import islice
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    CovarianceMatrix,
-    Signal,
-    check_gamma,
-    markowitz_direct,
-    shrink,
-)
+from .core import CovarianceMatrix, Signal, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
 from .solver import _gauss_seidel
@@ -68,20 +62,16 @@ class AdaptiveInputs:
         return self.kappa_c**2 * self.n / (self.t * self.ic**2)
 
 
-def _shrunk_factor(sigma: CovarianceMatrix, gamma: float):
-    """Cholesky factor of P_gamma, for ``scipy.linalg.cho_solve``."""
-    return scipy.linalg.cho_factor(shrink(sigma, gamma).entries, lower=True, check_finite=False)
+def _shrunk_factor(p: np.ndarray):
+    """Cholesky factor of the shrunk covariance ``p``, for ``scipy.linalg.cho_solve``."""
+    return scipy.linalg.cho_factor(p, lower=True, check_finite=False)
 
 
-def _exact_shrunk_solve(
-    sigma: CovarianceMatrix, mu: Signal, gamma: float, factor=None
-) -> np.ndarray:
-    """P_gamma^-1 mu, with P_gamma's ``factor`` when the caller already has it."""
+def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float, factor) -> np.ndarray:
+    """P_gamma^-1 mu from P_gamma's ``factor`` (not read at gamma = 0)."""
     if gamma == 0.0:
         # P_0 is the diagonal; match the solver's expression bit for bit
         return mu.values / np.diag(sigma.entries)
-    if factor is None:
-        factor = _shrunk_factor(sigma, gamma)
     return scipy.linalg.cho_solve(factor, mu.values, check_finite=False)
 
 
@@ -94,7 +84,7 @@ def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> 
     """
     g = check_gamma(gamma)
     w_star = markowitz_direct(sigma, mu).values
-    factor = _shrunk_factor(sigma, g)
+    factor = _shrunk_factor(_shrunk(sigma.entries, g))
     w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
     correction = scipy.linalg.cho_solve(factor, e @ w_star, check_finite=False)
@@ -115,7 +105,7 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
     if g >= 1.0:
         raise ParameterError("the bound is defined for gamma in [0, 1)")
     w_star = markowitz_direct(sigma, mu).values
-    factor = _shrunk_factor(sigma, g)
+    factor = _shrunk_factor(_shrunk(sigma.entries, g))
     w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
     p_inv_e = scipy.linalg.cho_solve(factor, e, check_finite=False)
@@ -153,11 +143,14 @@ def trajectory(
     if gammas is None:
         gammas = default_gamma_grid()
     w_star = markowitz_direct(sigma, mu).values
+    d = np.diag(sigma.entries)
     out = []
     for gamma in np.asarray(gammas, dtype=float):
         g = check_gamma(gamma)
-        exact = _exact_shrunk_solve(sigma, mu, g)
-        iterate, _ = next(islice(_gauss_seidel(sigma, mu, g), p, None))
+        # one P_gamma: the exact solve factors the array the sweep reads
+        p_g = _shrunk(sigma.entries, g)
+        exact = _exact_shrunk_solve(sigma, mu, g, _shrunk_factor(p_g) if g else None)
+        iterate, _ = next(islice(_gauss_seidel(mu.values, d, lambda s, e: p_g.T), p, None))
         out.append(
             TrajectoryPoint(
                 gamma=g,

@@ -24,14 +24,13 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
+from .core import CovarianceMatrix, Signal, WeightVector, check_gamma, markowitz_direct
 from .dendrogram import Dendrogram
 from .errors import (
     ConditioningError,
     DegenerateInputError,
     ParameterError,
     SchurBreakdownError,
-    SingularCovarianceError,
 )
 
 # |delta| below this multiple of v_l * v_r counts as a degenerate determinant
@@ -201,12 +200,7 @@ def equal_weight(n: int) -> WeightVector:
 
 def direct_minvar(sigma: CovarianceMatrix) -> WeightVector:
     """Raw Sigma^-1 1 by symmetric factorization."""
-    try:
-        c, low = scipy.linalg.cho_factor(sigma.entries, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve((c, low), np.ones(sigma.n), check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
-    return WeightVector(w, "raw")
+    return markowitz_direct(sigma, Signal(np.ones(sigma.n)))
 
 
 # ---------------------------------------------------------------------------

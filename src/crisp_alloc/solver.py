@@ -5,20 +5,24 @@ every variance and attenuates only the off-diagonal. One sweep is the
 triangular splitting (D + gamma L) w+ = mu - gamma U w, with the residual
 P_gamma w+ - mu = gamma U (w+ - w) for free; started from the diagonal solve
 w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
-[0, 1] at O(N^2) per sweep. A factor-streaming variant runs the identical
-iteration without materializing the dense covariance, and a projected variant
-handles box, budget, and linear inequality constraints.
+[0, 1] at O(N^2) per sweep. One kernel runs it over the diagonal blocks of
+P_gamma: a dense Sigma is one block, and a factor model streams blocks of
+sqrt(N K) assets formed from its loadings, coupled through B^T w, in O(N K)
+memory. A projected variant handles box, budget, and linear inequality
+constraints.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dtrtrs
 
 from .core import CovarianceMatrix, Signal, WeightVector, _shrunk, check_gamma
 from .errors import (
@@ -67,42 +71,76 @@ def _rel_change(w: np.ndarray, w_prev: np.ndarray) -> float:
     return change / ref
 
 
-def _visiting_order(sigma: CovarianceMatrix, mu: Signal, ordering) -> Optional[np.ndarray]:
-    """Checked sweep order of the dense kernel (None for the natural order)."""
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
-    if ordering is None:
-        return None
-    perm = np.asarray(ordering, dtype=int)
-    if sorted(perm.tolist()) != list(range(sigma.n)):
-        raise ParameterError("ordering must be a permutation of 0..N-1")
-    return perm
-
-
 def _gauss_seidel(
-    sigma: CovarianceMatrix, mu: Signal, g: float, perm: Optional[np.ndarray] = None
+    m: np.ndarray, d: np.ndarray, block: Callable, size=None, b=None, gbl=None
 ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Gauss-Seidel iterates on P_g w = mu, in visiting order ``perm``.
+    """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g.
+
+    A sweep is the triangular splitting (D + g L) w+ = m - g U w, taken one
+    diagonal block of ``size`` coordinates (all N when None) at a time: each
+    block's lower triangle is solved against m less the block's upper
+    triangle times w, carried from the previous sweep, and less its coupling
+    to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
+    for a C-ordered block, so LAPACK and BLAS read it in place. Outside the
+    diagonal blocks P_g[i, j] = gbl[i] . b[j], so the coupling is read through
+    K-vectors b^T w (there is none when b is None).
 
     Yields (w, residual) pairs: first the diagonal solve (residual None), then
-    one pair per sweep with the residual P_g w - mu. P_g is formed, in visiting
-    order, only when the first sweep is asked for: one N x N array whose lower
-    triangle holds D + g L and whose strict upper triangle holds g U.
+    one pair per sweep with the residual P_g w+ - m = g U (w+ - w).
     """
-    m, d = mu.values, np.diag(sigma.entries)
-    if perm is not None:
-        m, d = m[perm], d[perm]
+    n, k = m.size, 0 if b is None else b.shape[1]
+    starts = list(range(0, n, size or n))
+    edges = list(zip(starts, starts[1:] + [n]))
+
+    def upper(pt, x):  # g U x inside a block
+        return dtrmv(pt, x, lower=1, trans=1, diag=1) - x
+
     w = m / d
     yield w, None
-    # P_g^T is Fortran-ordered, so LAPACK/BLAS read the C-ordered P_g in place:
-    # the lower triangle of P_g is the transposed upper triangle of P_g^T.
-    pt = _shrunk(sigma.entries, g, perm).T
-    upper = dtrmv(pt, w, lower=1, trans=1, diag=1) - w  # g U w
+    g_uw = np.concatenate([upper(block(s, e), w[s:e]) for s, e in edges])
     while True:
-        w = scipy.linalg.solve_triangular(pt, m - upper, trans=1, check_finite=False)
-        new_upper = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
-        yield w, new_upper - upper
-        upper = new_upper
+        w_prev, w, new_g_uw = w, np.empty(n), np.empty(n)
+        for s, e in edges:
+            pt, rhs = block(s, e), m[s:e] - g_uw[s:e]
+            if k:  # the blocks solved this sweep, and the old values after
+                rhs -= gbl[s:e] @ (b[:s].T @ w[:s] + b[e:].T @ w_prev[e:])
+            w[s:e] = dtrtrs(pt, rhs, trans=1)[0]  # info is 0: the diagonal d is > 0
+            new_g_uw[s:e] = upper(pt, w[s:e])
+        resid = new_g_uw - g_uw
+        if k:  # the later blocks' change reaches a block through b^T
+            for s, e in edges[:-1]:
+                resid[s:e] += gbl[s:e] @ (b[e:].T @ (w[e:] - w_prev[e:]))
+        yield w, resid
+        g_uw = new_g_uw
+
+
+def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering):
+    """Kernel iterates on a dense Sigma in visiting order, and that order;
+    P_g is one block, formed when the first sweep asks for it."""
+    if mu.n != sigma.n:
+        raise ParameterError("signal length does not match covariance size")
+    m, d, perm = mu.values, np.diag(sigma.entries), None
+    if ordering is not None:
+        perm = np.asarray(ordering, dtype=int)
+        if sorted(perm.tolist()) != list(range(sigma.n)):
+            raise ParameterError("ordering must be a permutation of 0..N-1")
+        m, d = m[perm], d[perm]
+    pt = functools.cache(lambda s, e: _shrunk(sigma.entries, g, perm).T)
+    return _gauss_seidel(m, d, pt), perm
+
+
+def _drive(iterates, g: float, p_max: int, eps: float, perm=None) -> SolveReport:
+    """The stop rule over kernel ``iterates``, weights back in original order."""
+    w, _ = next(iterates)
+    sweeps, rel = 0, 0.0
+    # gamma below eps stops at the diagonal solve, converged
+    for sweeps, (w_next, _) in enumerate(islice(iterates, p_max if g >= eps else 0), 1):
+        rel, w = _rel_change(w_next, w), w_next
+        if rel <= eps:
+            break
+    if perm is not None:
+        w = w[np.argsort(perm)]
+    return SolveReport(WeightVector(w, "raw"), sweeps, rel, rel <= eps)
 
 
 def crisp_solve(
@@ -122,19 +160,8 @@ def crisp_solve(
     ||w - w_prev||_2 <= eps * ||w_prev||_2.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    perm = _visiting_order(sigma, mu, ordering)
-    iterates = _gauss_seidel(sigma, mu, g, perm)
-    w, _ = next(iterates)
-    sweeps, rel, converged = 0, 0.0, g < eps
-    if not converged:
-        for sweeps, (w_next, _) in enumerate(islice(iterates, p_max), 1):
-            rel, w = _rel_change(w_next, w), w_next
-            if rel <= eps:
-                converged = True
-                break
-    if perm is not None:
-        w = w[np.argsort(perm)]
-    return SolveReport(WeightVector(w, "raw"), sweeps, rel, converged)
+    iterates, perm = _dense_sweeps(sigma, mu, g, ordering)
+    return _drive(iterates, g, p_max, eps, perm)
 
 
 @dataclass(frozen=True)
@@ -164,8 +191,6 @@ class FactorModel:
 
     @staticmethod
     def implied_diagonal(b, lam, dv) -> np.ndarray:
-        if b.shape[1] == 0:
-            return dv.copy()
         return np.einsum("ik,kl,il->i", b, lam, b) + dv
 
     @property
@@ -193,38 +218,24 @@ def crisp_solve_stream(
 ) -> SolveReport:
     """Factor-streaming Gauss-Seidel: same iterates, O(N K) working memory.
 
-    Maintains the K-vector aggregate z = B^T w, removing and re-adding each
-    asset's contribution per update; never materializes an N x N array.
+    ``crisp_solve``'s kernel and stop rule, on diagonal blocks of
+    c = ceil(sqrt(N max(K, 1))) assets: each sweep forms every c x c block of
+    P_gamma from the loadings in turn, and the blocks meet through the
+    K-vector z = B^T w, so no N x N array is ever formed.
     """
     g = _check_solver_args(gamma, p_max, eps)
     if mu.n != fm.n:
         raise ParameterError("signal length does not match factor model size")
-    b = fm.loadings
-    lam = fm.factor_cov
-    sig2 = fm.diagonal()
-    m = mu.values
+    b, d = fm.loadings, fm.diagonal()
+    gbl = g * (b @ fm.factor_cov)
 
-    w = m / sig2
-    if g < eps:
-        return SolveReport(WeightVector(w, "raw"), 0, 0.0, True)
+    def block(s, e):
+        p = gbl[s:e] @ b[s:e].T
+        np.fill_diagonal(p, d[s:e])
+        return p.T
 
-    z = b.T @ w
-    n = fm.n
-    sweeps = 0
-    rel = np.inf
-    for sweeps in range(1, p_max + 1):
-        w_prev = w.copy()
-        for i in range(n):
-            bi = b[i]
-            z -= bi * w[i]
-            off = bi @ (lam @ z)
-            w_new = (m[i] - g * off) / sig2[i]
-            z += bi * w_new
-            w[i] = w_new
-        rel = _rel_change(w, w_prev)
-        if rel <= eps:
-            return SolveReport(WeightVector(w, "raw"), sweeps, rel, True)
-    return SolveReport(WeightVector(w, "raw"), sweeps, rel, False)
+    size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
+    return _drive(_gauss_seidel(mu.values, d, block, size, b, gbl), g, p_max, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +487,8 @@ def sweeps_to_tolerance(
     exception) when the cap is exceeded.
     """
     g = _check_solver_args(gamma, cap, tol)
-    iterates = _gauss_seidel(sigma, mu, g, _visiting_order(sigma, mu, ordering))
-    next(iterates)
-    for sweeps, (_, resid) in enumerate(islice(iterates, cap), 1):
+    iterates, _ = _dense_sweeps(sigma, mu, g, ordering)
+    for sweeps, (_, resid) in enumerate(islice(iterates, 1, cap + 1), 1):
         if float(np.linalg.norm(resid)) < tol:
             return SweepDiagnostic(sweeps, True)
     return SweepDiagnostic(cap, False)

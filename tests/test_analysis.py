@@ -25,6 +25,7 @@ from crisp_alloc import (
     to_correlation,
     trajectory,
 )
+from crisp_alloc import analysis
 from tests.conftest import random_spd
 
 
@@ -90,16 +91,14 @@ class TestDirBound:
 
 
 class TestOneFactorization:
-    @pytest.mark.parametrize("gamma", (0.0, 0.5))
-    @pytest.mark.parametrize("fn", (perturbation_residual, dir_bound_factors))
-    def test_p_gamma_factored_once(self, monkeypatch, fn, gamma):
-        # Sigma's own factorization (markowitz_direct) plus one of P_gamma,
-        # shared by w(gamma) and the P_gamma^-1 E solve; no dense solve
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """The arrays handed to cho_factor; a dense solve fails the test."""
         factored = []
         real = scipy.linalg.cho_factor
 
         def counting(a, *args, **kwargs):
-            factored.append(np.array(a))
+            factored.append(a)
             return real(a, *args, **kwargs)
 
         def no_dense_solve(*args, **kwargs):
@@ -107,10 +106,38 @@ class TestOneFactorization:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
         monkeypatch.setattr(scipy.linalg, "solve", no_dense_solve)
+        return factored
+
+    @pytest.mark.parametrize("gamma", (0.0, 0.5))
+    @pytest.mark.parametrize("fn", (perturbation_residual, dir_bound_factors))
+    def test_p_gamma_factored_once(self, factored, fn, gamma):
+        # Sigma's own factorization (markowitz_direct) plus one of P_gamma,
+        # shared by w(gamma) and the P_gamma^-1 E solve
         sigma, mu = random_spd(50, 4), _rand_mu(50, 4)
         fn(sigma, mu, gamma)
         assert len(factored) == 2
         assert sum(np.array_equal(a, shrink(sigma, gamma).entries) for a in factored) == 1
+
+    def test_trajectory_factors_p_gamma_once_per_point(self, factored, monkeypatch):
+        # Sigma's factorization plus one of P_gamma per gamma > 0 (P_0 is the
+        # diagonal), and the sweep reads the very array that was factored
+        swept = []
+        real = analysis._gauss_seidel
+
+        def recording(m, d, block, *args):
+            swept.append(block(0, m.size).T)
+            return real(m, d, block, *args)
+
+        monkeypatch.setattr(analysis, "_gauss_seidel", recording)
+        sigma, mu = random_spd(30, 6), _rand_mu(30, 6)
+        gammas = np.array([0.0, 0.25, 0.5, 1.0])
+        trajectory(sigma, mu, gammas, p=3)
+        assert len(factored) == 1 + 3
+        assert np.array_equal(factored[0], sigma.entries)
+        for g, a in zip(gammas[1:], factored[1:]):
+            assert np.array_equal(a, shrink(sigma, g).entries)
+        assert all(np.array_equal(a, shrink(sigma, g).entries) for g, a in zip(gammas, swept))
+        assert all(np.shares_memory(a, b) for a, b in zip(swept[1:], factored[1:]))
 
 
 class TestTrajectory:

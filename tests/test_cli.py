@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from crisp_alloc import SingularCovarianceError, cli
+from crisp_alloc import (
+    FactorModel,
+    RegimeSpec,
+    Signal,
+    SingularCovarianceError,
+    cli,
+    crisp_solve_stream,
+    gen_regime,
+)
 from crisp_alloc.cli import main
 
 
@@ -60,6 +68,23 @@ class TestGenAllocateRoundTrip:
         code, got, _ = run_cli(args, capsys)
         assert code == 0
         assert got == want
+
+
+class TestStreamAllocate:
+    def test_prints_the_library_weights(self, capsys):
+        # N = 200, K = 3: the stream sweeps 8 blocks of 25 assets
+        n, k = 200, 3
+        args = ["allocate", "--method", "crisp-stream", "--regime", "block", "--n", str(n),
+                "--seed", "7", "--factors", str(k), "--gamma", "0.7"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=7))
+        eigs, vecs = np.linalg.eigh(sigma.entries)
+        top = vecs[:, -k:] * np.sqrt(eigs[-k:])
+        idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
+        fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
+        rep = crisp_solve_stream(fm, Signal(np.ones(n)), 0.7, p_max=100, eps=1e-8)
+        assert out.splitlines()[1] == "weights: " + " ".join(f"{x:.6g}" for x in rep.weights.values)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from crisp_alloc import (
     sweeps_to_tolerance,
     to_correlation,
 )
+from crisp_alloc import solver
 from crisp_alloc.solver import _feasible, _project, _violation
 from tests.conftest import random_spd
 
@@ -190,11 +192,33 @@ class TestAgainstScalarLoop:
         assert peak < 1.5 * 8 * n * n
 
 
+def reference_stream_sweeps(fm, mu, gamma):
+    """The per-coordinate factor-streaming loop the block sweep replaced: each
+    w_i is updated in turn against the K-vector z = B^T w, from which its own
+    contribution is removed first and re-added after. Kept as the oracle;
+    yields the iterate after every sweep."""
+    b, lam, sig2, m = fm.loadings, fm.factor_cov, fm.diagonal(), mu.values
+    w = m / sig2
+    z = b.T @ w
+    while True:
+        for i in range(fm.n):
+            bi = b[i]
+            z -= bi * w[i]
+            off = bi @ (lam @ z)
+            w_new = (m[i] - gamma * off) / sig2[i]
+            z += bi * w_new
+            w[i] = w_new
+        yield w.copy()
+
+
 class TestFactorStream:
-    def _model(self, n, k, seed):
+    def _model(self, n, k, seed, full_lam=False):
         rng = np.random.default_rng(seed)
         b = 0.2 * rng.standard_normal((n, k))
         lam = np.diag(rng.uniform(0.01, 0.05, k)) if k else np.zeros((0, 0))
+        if full_lam:
+            a = rng.standard_normal((k, k))
+            lam = 0.01 * (a @ a.T / k + 0.5 * np.eye(k))
         dv = rng.uniform(0.01, 0.09, n)
         return FactorModel(b, lam, dv)
 
@@ -203,6 +227,58 @@ class TestFactorStream:
         mu = _rand_mu(5, 2)
         rep = crisp_solve_stream(fm, mu, 0.8, p_max=10, eps=1e-300)
         assert np.allclose(rep.weights.values, mu.values / 0.1, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, k, full_lam",
+        (
+            (30, 0, False),  # no factors: blocks of ceil(sqrt(N)) = 6, no coupling
+            (1, 2, True),  # one asset
+            (3, 5, True),  # N < c = 4: one block
+            (4, 4, True),  # N = c = 4: one block
+            (50, 3, False),  # c = 13 does not divide N: a last block of 11
+            (200, 3, True),  # 8 blocks of 25, non-diagonal Lambda
+        ),
+    )
+    def test_same_iterates_as_the_scalar_loop(self, n, k, full_lam):
+        fm = self._model(n, k, n + k, full_lam)
+        mu = _rand_mu(n, n)
+        for gamma in (0.3, 0.7, 1.0):
+            ref = reference_stream_sweeps(fm, mu, gamma)
+            want = {p: next(ref) for p in range(1, 101)}
+            for p in (1, 5, 100):
+                got = crisp_solve_stream(fm, mu, gamma, p_max=p, eps=1e-300).weights.values
+                dev = np.abs(got - want[p]).max() / np.abs(want[p]).max()
+                assert dev < 1e-12, (gamma, p)
+
+    def test_same_stop_as_the_scalar_loop(self):
+        fm = self._model(50, 3, 2, True)
+        mu = _rand_mu(50, 2)
+        rep = crisp_solve_stream(fm, mu, 0.9, p_max=10000, eps=1e-10)
+        w = mu.values / fm.diagonal()
+        for sweeps, w_next in enumerate(reference_stream_sweeps(fm, mu, 0.9), 1):
+            done = np.linalg.norm(w_next - w) <= 1e-10 * np.linalg.norm(w)
+            w = w_next
+            if done:
+                break
+        assert rep.converged
+        assert rep.sweeps_used == sweeps
+
+    def test_kernel_residual_is_the_dense_one(self, monkeypatch):
+        # the blocks' residual P_gamma w - mu includes their coupling to the later blocks
+        fm = self._model(200, 3, 1, True)
+        mu = _rand_mu(200, 1)
+        p_g = shrink(fm.materialize(), 0.7).entries
+        devs = []
+
+        def recording(iterates, *args):
+            next(iterates)
+            for w, resid in islice(iterates, 20):
+                devs.append(np.abs(resid - (p_g @ w - mu.values)).max())
+
+        monkeypatch.setattr(solver, "_drive", recording)
+        crisp_solve_stream(fm, mu, 0.7)
+        assert len(devs) == 20
+        assert max(devs) < 1e-12 * np.abs(mu.values).max()
 
     def test_matches_dense_path(self):
         fm = self._model(50, 3, 11)
@@ -214,17 +290,29 @@ class TestFactorStream:
             dev = np.abs(r_stream.weights.values - r_dense.weights.values).max()
             assert dev < 1e-10
 
-    def test_memory_stays_linear(self):
-        n, k = 3000, 2
-        fm = self._model(n, k, 0)
-        mu = _rand_mu(n, 0)
+    @staticmethod
+    def _peak(fm, mu):
         crisp_solve_stream(fm, mu, 0.5, p_max=1, eps=1e-300)  # warm caches
         tracemalloc.start()
         crisp_solve_stream(fm, mu, 0.5, p_max=3, eps=1e-300)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        return peak
+
+    def test_memory_stays_linear(self):
+        n, k = 3000, 2
+        fm = self._model(n, k, 0)
+        mu = _rand_mu(n, 0)
+        peak = self._peak(fm, mu)
         dense_bytes = n * n * 8
         assert peak < dense_bytes / 10  # far below any N x N materialization
+
+    def test_memory_grows_linearly(self):
+        # a block of c x c = N K entries keeps the peak linear in N; a block
+        # size growing faster than sqrt(N) would make 4x the assets cost
+        # 8x the memory (c ~ N^(3/4)) or more
+        small, large = (self._peak(self._model(n, 2, 0), _rand_mu(n, 0)) for n in (3000, 12000))
+        assert large < 5 * small
 
 
 def _project_box_budget(w, lo, hi, budget):
