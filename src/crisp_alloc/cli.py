@@ -21,11 +21,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .analysis import default_gamma_grid, trajectory
 from .core import CovarianceMatrix, Signal, markowitz_direct, to_correlation
 from .dendrogram import build_tree
-from .errors import AllocationError
+from .errors import AllocationError, ParameterError
 from .experiments import (
     METHOD_IDS,
     METHODS,
@@ -141,8 +142,6 @@ def _regime_from_string(text: str, n: int, seed: int) -> RegimeSpec:
         kwargs["rho"] = float(params["rho"])
     if "sectors" in params:
         kwargs["sectors"] = int(params["sectors"])
-    if aliases[kind] == "wide_vol":
-        kwargs["vol_range"] = (0.05, 1.0)
     return RegimeSpec(**kwargs)
 
 
@@ -220,8 +219,8 @@ def cmd_allocate(args) -> int:
         k = args.factors
         if not 1 <= k <= sigma.n:
             raise CliError(f"--factors must be between 1 and N = {sigma.n}, got {k}")
-        eigs, vecs = np.linalg.eigh(sigma.entries)
-        top = vecs[:, -k:] * np.sqrt(eigs[-k:])
+        eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(sigma.n - k, sigma.n - 1))
+        top = vecs * np.sqrt(eigs)
         idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
         fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
         w = crisp_solve_stream(fm, mu, args.gamma, p_max=args.sweeps, eps=args.eps).weights
@@ -251,11 +250,12 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.preset not in PRESET_NAMES:
+    try:
+        spec = preset(args.preset, full=args.full, seed=args.seed)
+    except ParameterError:
         print(f"unknown preset {args.preset!r}", file=sys.stderr)
         print("valid presets: " + ", ".join(PRESET_NAMES), file=sys.stderr)
         return 2
-    spec = preset(args.preset, full=args.full, seed=args.seed)
     if args.trials is not None:  # runners that draw no trials ignore it
         spec = dataclasses.replace(spec, trials=args.trials)
     root = _results_root(args) / args.preset

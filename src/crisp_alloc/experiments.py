@@ -4,9 +4,9 @@ One trial draws T observations from the true (mu, Sigma), forms the ridged
 sample covariance, rebuilds the cluster tree from its correlation, allocates
 every configured method, and scores the weights under the true moments.
 Aggregation is a deterministic reduction keyed by trial index, so running
-trials across worker threads cannot change any number. Diagnostic presets
-(recovery identities, direction ladders, sweep counts, trajectories) share
-the same table/export machinery.
+trials across worker threads cannot change any number. Each experiment kind,
+the Monte Carlo one included, is one runner in ``_RUNNERS``, and each preset
+one row of ``_PRESETS``; all share the same table/export machinery.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import concurrent.futures
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -290,45 +290,18 @@ def _aggregate(spec: ExperimentSpec, records: list[TrialRecord]) -> list[CellRes
     return cells
 
 
-def _cells_table(name: str, cells: list[CellResult]) -> ExperimentTable:
-    cols = (
-        "method",
-        "gamma",
-        "t",
-        "trials",
-        "mean_sharpe",
-        "std_sharpe",
-        "mean_cos",
-        "frac_neg_cos",
-        "mean_leverage",
-        "instability",
-    )
-    rows = tuple(
-        (
-            c.method,
-            c.gamma,
-            c.t,
-            c.trials,
-            c.mean_sharpe,
-            c.std_sharpe,
-            c.mean_cos,
-            c.frac_neg_cos,
-            c.mean_leverage,
-            c.instability,
-        )
-        for c in cells
-    )
-    return ExperimentTable(name=name, columns=cols, rows=rows)
+_CELL_COLUMNS = tuple(f.name for f in fields(CellResult) if f.name != "sweeps")
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
-    """Execute the experiment; trials are parallel-safe, aggregation ordered."""
-    if spec.kind != "monte_carlo":
-        runner = _DIAGNOSTIC_RUNNERS.get(spec.kind)
-        if runner is None:
-            raise ParameterError(f"unknown experiment kind {spec.kind!r}")
-        return runner(spec, jobs)
+    """Execute the experiment with the runner its ``kind`` names."""
+    runner = _RUNNERS.get(spec.kind)
+    if runner is None:
+        raise ParameterError(f"unknown experiment kind {spec.kind!r}")
+    return runner(spec, jobs)
 
+
+def _run_monte_carlo(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     ctx = _make_context(spec)
     work = [(t, i) for t in spec.t_values for i in range(spec.trials)]
 
@@ -342,10 +315,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         records = list(map(run, work))
 
     cells = _aggregate(spec, records)
-    table = _cells_table("cells", cells)
-    return ExperimentResult(
-        spec=spec, tables=(table,), cells=tuple(cells), records=tuple(records)
-    )
+    rows = tuple(tuple(getattr(c, col) for col in _CELL_COLUMNS) for c in cells)
+    table = ExperimentTable("cells", _CELL_COLUMNS, rows)
+    return ExperimentResult(spec, (table,), tuple(cells), tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +342,7 @@ def nonmonotone_instance() -> tuple[CovarianceMatrix, Signal]:
 
 
 # ---------------------------------------------------------------------------
-# Diagnostic preset runners
+# Diagnostic runners
 # ---------------------------------------------------------------------------
 
 
@@ -549,7 +521,8 @@ def _run_sweep_regularization(spec: ExperimentSpec, jobs: int) -> ExperimentResu
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_regularization", cols, rows),))
 
 
-_DIAGNOSTIC_RUNNERS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
+_RUNNERS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
+    "monte_carlo": _run_monte_carlo,
     "recovery": _run_recovery,
     "minvar_direction": _run_minvar_direction,
     "graduated": _run_graduated,
@@ -565,137 +538,90 @@ _DIAGNOSTIC_RUNNERS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]
 # Presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "recovery",
-    "minvar_direction",
-    "graduated",
-    "worst_case",
-    "sweep_rate",
-    "trajectory",
-    "oos_sensitivity",
-    "oos_structural",
-    "oos_minvar",
-    "sweep_regularization",
-    "adaptive_calibration",
-)
+
+class _Preset(NamedTuple):
+    """One preset row, its regime drawn at the preset's seed. ``full`` holds the
+    row fields that differ at full scale, ``spec`` further ExperimentSpec fields."""
+
+    kind: str
+    regime: str
+    n: int
+    signal: SignalSpec
+    t_values: tuple[int, ...] = (120,)
+    trials: int = 40
+    full: dict = {}
+    spec: dict = {}
+
+
+def _at(method: str, *gammas: float) -> tuple[MethodSpec, ...]:
+    return tuple(MethodSpec(method, g) for g in gammas)
+
+
+_ONES, _GAUSS = SignalSpec("ones"), SignalSpec("gaussian", seed=7)
+_BLIND = (MethodSpec("one-over-n"), MethodSpec("hrp"))
+
+_PRESETS = {
+    "recovery": _Preset("recovery", "block_sector", 200, _ONES),
+    "minvar_direction": _Preset("minvar_direction", "block_sector", 200, _ONES),
+    "graduated": _Preset("graduated", "block_sector", 200, _GAUSS),
+    "worst_case": _Preset(
+        "worst_case", "hedged_tight_blocks", 100, SignalSpec("worst_case", restarts=16),
+        full=dict(signal=SignalSpec("worst_case", restarts=32)),
+    ),
+    "sweep_rate": _Preset("sweep_rate", "block_sector", 100, _GAUSS),
+    "trajectory": _Preset("trajectory", "block_sector", 100, _GAUSS),
+    "oos_sensitivity": _Preset(
+        "monte_carlo", "block_sector", 100, _GAUSS, full=dict(trials=80),
+        spec=dict(methods=(
+            *_BLIND, MethodSpec("markowitz"), *_at("hrp-mu", 0.5, 1.0),
+            *_at("hrp-sigma-mu", 0.5, 1.0), *_at("crisp", 0.3, 0.5, 0.7, 1.0),
+        )),
+    ),
+    "oos_structural": _Preset(
+        "monte_carlo", "block_sector", 100, SignalSpec("sector_tilt"), t_values=(60, 120, 240),
+        full=dict(trials=80),
+        spec=dict(methods=(
+            *_BLIND, MethodSpec("markowitz"), *_at("hrp-mu", 1.0),
+            *_at("hrp-sigma-mu", 0.5, 1.0), *_at("crisp", 0.5, 0.7, 1.0),
+        )),
+    ),
+    "oos_minvar": _Preset(
+        "monte_carlo", "block_sector", 100, _ONES, t_values=(60, 120, 240, 500),
+        full=dict(trials=80),
+        spec=dict(methods=(
+            *_BLIND, *_at("cotton", 0.5, 0.7, 1.0), *_at("hrp-mu", 1.0),
+            *_at("hrp-sigma-mu", 1.0), *_at("crisp", 0.5, 0.7, 1.0), MethodSpec("markowitz"),
+        )),
+    ),
+    "sweep_regularization": _Preset(
+        "sweep_regularization", "block_sector", 100, _GAUSS, t_values=(60, 200),
+        full=dict(trials=200), spec=dict(mu_estimator="ic_noise", ic=0.05),
+    ),
+    "adaptive_calibration": _Preset(
+        "adaptive_calibration", "block_sector", 60, _GAUSS, trials=20,
+        full=dict(n=100, trials=100),
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, full: bool = False, seed: int = 42) -> ExperimentSpec:
     """Named experiment recipe at desk scale; ``full`` restores larger runs."""
-    base100 = RegimeSpec("block_sector", n=100, seed=seed)
-    base200 = RegimeSpec("block_sector", n=200, seed=seed)
-    ones = SignalSpec("ones")
-    gauss = SignalSpec("gaussian", seed=7)
-    tilt = SignalSpec("sector_tilt")
-
-    if name == "recovery":
-        return ExperimentSpec(name, base200, ones, kind="recovery", seed=seed)
-    if name == "minvar_direction":
-        return ExperimentSpec(name, base200, ones, kind="minvar_direction", seed=seed)
-    if name == "graduated":
-        return ExperimentSpec(name, base200, gauss, kind="graduated", seed=seed)
-    if name == "worst_case":
-        return ExperimentSpec(
-            name,
-            RegimeSpec("hedged_tight_blocks", n=100, seed=seed),
-            SignalSpec("worst_case", restarts=32 if full else 16),
-            kind="worst_case",
-            seed=seed,
-        )
-    if name == "sweep_rate":
-        return ExperimentSpec(name, base100, gauss, kind="sweep_rate", seed=seed)
-    if name == "trajectory":
-        return ExperimentSpec(name, base100, gauss, kind="trajectory", seed=seed)
-
-    if name == "oos_sensitivity":
-        methods = (
-            MethodSpec("one-over-n"),
-            MethodSpec("hrp"),
-            MethodSpec("markowitz"),
-            MethodSpec("hrp-mu", 0.5),
-            MethodSpec("hrp-mu", 1.0),
-            MethodSpec("hrp-sigma-mu", 0.5),
-            MethodSpec("hrp-sigma-mu", 1.0),
-            MethodSpec("crisp", 0.3),
-            MethodSpec("crisp", 0.5),
-            MethodSpec("crisp", 0.7),
-            MethodSpec("crisp", 1.0),
-        )
-        return ExperimentSpec(
-            name,
-            base100,
-            gauss,
-            methods=methods,
-            t_values=(120,),
-            trials=80 if full else 40,
-            seed=seed,
-        )
-    if name == "oos_structural":
-        methods = (
-            MethodSpec("one-over-n"),
-            MethodSpec("hrp"),
-            MethodSpec("markowitz"),
-            MethodSpec("hrp-mu", 1.0),
-            MethodSpec("hrp-sigma-mu", 0.5),
-            MethodSpec("hrp-sigma-mu", 1.0),
-            MethodSpec("crisp", 0.5),
-            MethodSpec("crisp", 0.7),
-            MethodSpec("crisp", 1.0),
-        )
-        return ExperimentSpec(
-            name,
-            base100,
-            tilt,
-            methods=methods,
-            t_values=(60, 120, 240),
-            trials=80 if full else 40,
-            seed=seed,
-        )
-    if name == "oos_minvar":
-        methods = (
-            MethodSpec("one-over-n"),
-            MethodSpec("hrp"),
-            MethodSpec("cotton", 0.5),
-            MethodSpec("cotton", 0.7),
-            MethodSpec("cotton", 1.0),
-            MethodSpec("hrp-mu", 1.0),
-            MethodSpec("hrp-sigma-mu", 1.0),
-            MethodSpec("crisp", 0.5),
-            MethodSpec("crisp", 0.7),
-            MethodSpec("crisp", 1.0),
-            MethodSpec("markowitz"),
-        )
-        return ExperimentSpec(
-            name,
-            base100,
-            ones,
-            methods=methods,
-            t_values=(60, 120, 240, 500),
-            trials=80 if full else 40,
-            seed=seed,
-        )
-    if name == "sweep_regularization":
-        return ExperimentSpec(
-            name,
-            base100,
-            gauss,
-            t_values=(60, 200),
-            trials=200 if full else 40,
-            mu_estimator="ic_noise",
-            ic=0.05,
-            kind="sweep_regularization",
-            seed=seed,
-        )
-    if name == "adaptive_calibration":
-        return ExperimentSpec(
-            name,
-            RegimeSpec("block_sector", n=100 if full else 60, seed=seed),
-            gauss,
-            trials=100 if full else 20,
-            kind="adaptive_calibration",
-            seed=seed,
-        )
-    raise ParameterError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
+    row = _PRESETS.get(name)
+    if row is None:
+        raise ParameterError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
+    if full:
+        row = row._replace(**row.full)
+    return ExperimentSpec(
+        name,
+        RegimeSpec(row.regime, n=row.n, seed=seed),
+        row.signal,
+        t_values=row.t_values,
+        trials=row.trials,
+        seed=seed,
+        kind=row.kind,
+        **row.spec,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,13 @@ class RegimeSpec:
     """Covariance-regime recipe; deterministic given the seed.
 
     ``sectors`` controls the block count for the block/hedged kinds, ``k``
-    the factor count, ``rho`` the equicorrelation level.
+    the factor count, ``rho`` the equicorrelation level. ``vol_range``
+    defaults to (0.05, 1.0) for ``wide_vol`` and to (0.15, 0.40) otherwise.
     """
 
     kind: str
     n: int = 100
-    vol_range: tuple[float, float] = (0.15, 0.40)
+    vol_range: Optional[tuple[float, float]] = None
     seed: int = 42
     sectors: int = 5
     k: int = 3
@@ -64,6 +65,9 @@ class RegimeSpec:
             raise ParameterError(f"unknown regime kind {self.kind!r}")
         if self.n < 2:
             raise ParameterError("regimes need at least two assets")
+        if self.vol_range is None:
+            wide = self.kind == "wide_vol"
+            object.__setattr__(self, "vol_range", (0.05, 1.0) if wide else (0.15, 0.40))
         lo, hi = self.vol_range
         if not 0.0 < lo <= hi:
             raise ParameterError("vol_range must be 0 < lo <= hi")

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crisp_alloc import (
     FactorModel,
@@ -54,6 +57,20 @@ class TestGenAllocateRoundTrip:
         assert code == 0
 
     @pytest.mark.parametrize(
+        "args, digest",
+        (
+            ("", "3cf4326139adcb094e5be375e03ce4e71853af57f9539ec3d701c4a096ee3025"),
+            ("--n 12 --seed 5", "4f1687fba6394c31a711ba58a51d11963290a22e2c26a1d947267829ccb74712"),
+        ),
+    )
+    def test_gen_wide_vol_bytes_are_pinned(self, args, digest, tmp_path, capsys):
+        cov = tmp_path / "wide.csv"
+        argv = ["gen", "--regime", "wide_vol", *args.split(), "--out", str(cov)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(cov.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "method", ("one-over-n", "markowitz", "crisp-stream", "crisp-projected")
     )
     def test_treeless_method_builds_no_tree(self, method, capsys, monkeypatch):
@@ -79,8 +96,8 @@ class TestStreamAllocate:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=7))
-        eigs, vecs = np.linalg.eigh(sigma.entries)
-        top = vecs[:, -k:] * np.sqrt(eigs[-k:])
+        eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(n - k, n - 1))
+        top = vecs * np.sqrt(eigs)
         idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
         fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
         rep = crisp_solve_stream(fm, Signal(np.ones(n)), 0.7, p_max=100, eps=1e-8)

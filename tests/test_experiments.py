@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +157,90 @@ class TestRunExperiment:
         assert hrp_cell.trials == 2 and math.isfinite(hrp_cell.mean_sharpe)
 
 
+def _expected_preset(name, full, seed):
+    """Every preset's spec written out field by field, as a pin on the table."""
+    block = lambda n: RegimeSpec("block_sector", n=n, seed=seed)  # noqa: E731
+    ones, gauss = SignalSpec("ones"), SignalSpec("gaussian", seed=7)
+    trials = 80 if full else 40
+    m = MethodSpec
+    specs = {
+        "recovery": ExperimentSpec(name, block(200), ones, kind="recovery", seed=seed),
+        "minvar_direction": ExperimentSpec(
+            name, block(200), ones, kind="minvar_direction", seed=seed
+        ),
+        "graduated": ExperimentSpec(name, block(200), gauss, kind="graduated", seed=seed),
+        "worst_case": ExperimentSpec(
+            name,
+            RegimeSpec("hedged_tight_blocks", n=100, seed=seed),
+            SignalSpec("worst_case", restarts=32 if full else 16),
+            kind="worst_case",
+            seed=seed,
+        ),
+        "sweep_rate": ExperimentSpec(name, block(100), gauss, kind="sweep_rate", seed=seed),
+        "trajectory": ExperimentSpec(name, block(100), gauss, kind="trajectory", seed=seed),
+        "oos_sensitivity": ExperimentSpec(
+            name, block(100), gauss, trials=trials, seed=seed,
+            methods=(
+                m("one-over-n"), m("hrp"), m("markowitz"), m("hrp-mu", 0.5), m("hrp-mu", 1.0),
+                m("hrp-sigma-mu", 0.5), m("hrp-sigma-mu", 1.0), m("crisp", 0.3),
+                m("crisp", 0.5), m("crisp", 0.7), m("crisp", 1.0),
+            ),
+        ),
+        "oos_structural": ExperimentSpec(
+            name, block(100), SignalSpec("sector_tilt"), t_values=(60, 120, 240),
+            trials=trials, seed=seed,
+            methods=(
+                m("one-over-n"), m("hrp"), m("markowitz"), m("hrp-mu", 1.0),
+                m("hrp-sigma-mu", 0.5), m("hrp-sigma-mu", 1.0), m("crisp", 0.5),
+                m("crisp", 0.7), m("crisp", 1.0),
+            ),
+        ),
+        "oos_minvar": ExperimentSpec(
+            name, block(100), ones, t_values=(60, 120, 240, 500), trials=trials, seed=seed,
+            methods=(
+                m("one-over-n"), m("hrp"), m("cotton", 0.5), m("cotton", 0.7),
+                m("cotton", 1.0), m("hrp-mu", 1.0), m("hrp-sigma-mu", 1.0), m("crisp", 0.5),
+                m("crisp", 0.7), m("crisp", 1.0), m("markowitz"),
+            ),
+        ),
+        "sweep_regularization": ExperimentSpec(
+            name, block(100), gauss, t_values=(60, 200), trials=200 if full else 40,
+            mu_estimator="ic_noise", ic=0.05, kind="sweep_regularization", seed=seed,
+        ),
+        "adaptive_calibration": ExperimentSpec(
+            name, block(100 if full else 60), gauss, trials=100 if full else 20,
+            kind="adaptive_calibration", seed=seed,
+        ),
+    }
+    return specs[name]
+
+
 class TestPresets:
+    @pytest.mark.parametrize("seed", (42, 7))
+    @pytest.mark.parametrize("full", (False, True))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_spec_is_pinned(self, name, full, seed):
+        want = _expected_preset(name, full, seed)
+        got = preset(name, full=full, seed=seed)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_preset_names_are_pinned(self):
+        assert PRESET_NAMES == (
+            "recovery", "minvar_direction", "graduated", "worst_case", "sweep_rate",
+            "trajectory", "oos_sensitivity", "oos_structural", "oos_minvar",
+            "sweep_regularization", "adaptive_calibration",
+        )
+
+    def test_readme_lists_every_preset(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("\nPresets: ", 1)[1].split(". ", 1)[0]
+        assert tuple(re.findall(r"`(\w+)`", listed)) == PRESET_NAMES
+
+    def test_unknown_kind(self):
+        with pytest.raises(ParameterError, match="unknown experiment kind 'nope'"):
+            run_experiment(_mini_spec(kind="nope"))
+
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ParameterError) as err:
             preset("nope")

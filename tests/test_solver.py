@@ -444,7 +444,7 @@ def _projection_case(case, seed):
 
 
 class TestProjection:
-    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize(
         "case", ("mixed_sign_rows", "finite_upper", "rows_no_budget", "budget_only")
     )

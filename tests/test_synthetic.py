@@ -85,6 +85,24 @@ class TestRegimes:
         vols = np.sqrt(np.diag(cov.entries))
         assert vols.min() >= 0.05 and vols.max() <= 1.0
 
+    def test_wide_vol_is_not_block_sector(self):
+        wide = gen_regime(RegimeSpec("wide_vol", n=50, seed=3)).entries
+        block = gen_regime(RegimeSpec("block_sector", n=50, seed=3)).entries
+        assert not np.array_equal(wide, block)
+        vols = np.sqrt(np.diag(wide))
+        assert vols.min() < 0.15 and vols.max() > 0.40
+        assert vols.min() >= 0.05 and vols.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "kind", ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks")
+    )
+    def test_default_vol_range_is_pinned(self, kind):
+        assert repr(RegimeSpec(kind)) == (
+            f"RegimeSpec(kind='{kind}', n=100, vol_range=(0.15, 0.4), seed=42, sectors=5, "
+            "k=3, rho=0.6, rho_within=0.6, rho_cross=0.15)"
+        )
+        assert RegimeSpec("wide_vol", vol_range=(0.2, 0.3)).vol_range == (0.2, 0.3)
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             RegimeSpec("garch", n=10)
