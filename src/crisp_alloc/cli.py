@@ -47,6 +47,8 @@ from .solver import (
     crisp_solve_stream,
 )
 from .synthetic import (
+    _REGIMES,
+    _SIGNALS,
     RegimeSpec,
     SignalSpec,
     gen_regime,
@@ -84,7 +86,7 @@ def _read_matrix(path: str) -> np.ndarray:
                     ) from exc
                 if len(rows[-1]) != len(rows[0]):
                     raise CliError(f"{path}:{lineno}: ragged row width")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CliError(f"{path}: empty file")
@@ -100,76 +102,58 @@ def _is_float(s: str) -> bool:
 
 
 def _write_matrix(path: str, m: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] == 1 and m.shape[1] > 1:
-        m = m.T
-    lines = [",".join(f"{x:.17g}" for x in row) for row in m]
+    """Headerless CSV at full precision; a vector is written as a column."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(path, m, fmt="%.17g", delimiter=",")
 
 
-def _parse_kv_spec(text: str) -> tuple[str, dict]:
-    """'kind:key=val,key=val' -> (kind, params)."""
+# per spec kind: the spec class, the library's kind names, short aliases,
+# and the keys a spec string sets, key -> (field, type); other keys are ignored
+_SPECS = {
+    "regime": (
+        RegimeSpec,
+        _REGIMES,
+        {"block": "block_sector", "hedged": "hedged_tight_blocks"},
+        {"k": ("k", int), "rho": ("rho", float), "sectors": ("sectors", int)},
+    ),
+    "signal": (
+        SignalSpec,
+        _SIGNALS,
+        {"tilt": "sector_tilt", "worst": "worst_case"},
+        {"sigma": ("sigma_mu", float), "restarts": ("restarts", int)},
+    ),
+}
+
+
+def _parse_spec(what: str, text: str, **fields):
+    """'kind:key=val,key=val' -> the ``what`` ("regime" or "signal") spec."""
+    cls, kinds, aliases, keys = _SPECS[what]
     kind, _, rest = text.partition(":")
-    params: dict = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise CliError(f"bad spec item {item!r} (want key=value)")
-            params[key.strip()] = val.strip()
-    return kind.strip(), params
-
-
-def _regime_from_string(text: str, n: int, seed: int) -> RegimeSpec:
-    kind, params = _parse_kv_spec(text)
-    aliases = {
-        "block": "block_sector",
-        "block_sector": "block_sector",
-        "factor": "factor",
-        "equicorr": "equicorr",
-        "spiked": "spiked",
-        "hedged": "hedged_tight_blocks",
-        "hedged_tight_blocks": "hedged_tight_blocks",
-        "wide_vol": "wide_vol",
-    }
-    if kind not in aliases:
-        raise CliError(f"unknown regime {kind!r}; valid: {', '.join(sorted(set(aliases)))}")
-    kwargs = {"kind": aliases[kind], "n": n, "seed": seed}
-    if "k" in params:
-        kwargs["k"] = int(params["k"])
-    if "rho" in params:
-        kwargs["rho"] = float(params["rho"])
-    if "sectors" in params:
-        kwargs["sectors"] = int(params["sectors"])
-    return RegimeSpec(**kwargs)
-
-
-def _signal_from_string(text: str, seed: int) -> SignalSpec:
-    kind, params = _parse_kv_spec(text)
-    aliases = {
-        "ones": "ones",
-        "gaussian": "gaussian",
-        "tilt": "sector_tilt",
-        "sector_tilt": "sector_tilt",
-        "worst": "worst_case",
-        "worst_case": "worst_case",
-    }
-    if kind not in aliases:
-        raise CliError(f"unknown signal {kind!r}; valid: {', '.join(sorted(set(aliases)))}")
-    kwargs = {"kind": aliases[kind], "seed": seed}
-    if "sigma" in params:
-        kwargs["sigma_mu"] = float(params["sigma"])
-    if "restarts" in params:
-        kwargs["restarts"] = int(params["restarts"])
-    return SignalSpec(**kwargs)
+    kind = kind.strip()
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = item.partition("=")
+        if not val:
+            raise CliError(f"bad spec item {item!r} (want key=value)")
+        params[key.strip()] = val.strip()
+    names = dict(zip(kinds, kinds), **aliases)
+    if kind not in names:
+        raise CliError(f"unknown {what} {kind!r}; valid: {', '.join(sorted(names))}")
+    for key, val in params.items():
+        if key in keys:
+            field, typ = keys[key]
+            try:
+                fields[field] = typ(val)
+            except ValueError:
+                raise CliError(f"{what} {key}={val!r} is not a valid {typ.__name__}") from None
+    return cls(kind=names[kind], **fields)
 
 
 def _load_config(path: str) -> dict:
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -195,7 +179,7 @@ def _build_inputs(args):
         sigma = CovarianceMatrix(_read_matrix(args.cov))
         sectors = sector_labels(sigma.n, 5)
     elif args.regime:
-        spec = _regime_from_string(args.regime, args.n, args.seed)
+        spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
         sigma = gen_regime(spec)
         sectors = sector_labels(spec.n, spec.sectors)
     else:
@@ -205,7 +189,7 @@ def _build_inputs(args):
         if mu.n != sigma.n:
             raise CliError("signal length does not match covariance size")
     elif args.signal:
-        sig = _signal_from_string(args.signal, args.seed)
+        sig = _parse_spec("signal", args.signal, seed=args.seed)
         mu = gen_signal(sig, sigma.n, sectors=sectors, sigma=sigma)
     else:
         mu = Signal(np.ones(sigma.n))
@@ -305,14 +289,14 @@ def cmd_worst_mu(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = _regime_from_string(args.regime, args.n, args.seed)
+    spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
     sigma = gen_regime(spec)
     if not args.out:
         raise CliError("gen needs --out FILE")
     _write_matrix(args.out, sigma.entries)
     print(f"wrote {args.out} ({sigma.n} x {sigma.n})")
     if args.signal:
-        sig = _signal_from_string(args.signal, args.seed)
+        sig = _parse_spec("signal", args.signal, seed=args.seed)
         mu = gen_signal(sig, sigma.n, sectors=sector_labels(spec.n, spec.sectors), sigma=sigma)
         mu_path = args.mu_out or (str(Path(args.out).with_suffix("")) + "_mu.csv")
         _write_matrix(mu_path, mu.values)
@@ -333,8 +317,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--config", help="optional key = value config file")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", help="output path (or results root for experiments)")
-    common.add_argument("--format", choices=("csv", "tsv", "text"), default="csv")
-    common.add_argument("--jobs", type=int, default=1, help="experiment worker threads")
 
     parser = argparse.ArgumentParser(
         prog="crisp-alloc",
@@ -355,6 +337,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_exp.add_argument("preset", help="preset name; see --list via invalid name")
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--full", action="store_true", help="restore full-scale runs")
+    p_exp.add_argument("--format", choices=("csv", "tsv", "text"), default="csv")
+    p_exp.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_traj = sub.add_parser("trajectory", help="shrinkage-grid direction errors", parents=[common])
@@ -386,54 +370,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def _typed_defaults(p: argparse.ArgumentParser, cfg: dict) -> dict:
-    """Convert config-file strings through each option's declared type."""
-    out = {}
-    for action in p._actions:
-        if action.dest in cfg:
-            raw = cfg[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):
-                out[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                try:
-                    out[action.dest] = action.type(raw)
-                except ValueError as exc:
-                    raise CliError(f"config value for {action.dest}: {exc}") from exc
-            else:
-                out[action.dest] = raw
-    return out
-
-
-def _find_config(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    # config precedence: flags > config file > defaults
-    cfg_path = _find_config(argv)
-    if cfg_path:
+    args = parser.parse_args(argv)
+    if args.config:
+        # flags > config file > defaults: the config's strings become the
+        # subcommand's defaults, which argparse types as it types the flags
+        dests = {name: {a.dest for a in p._actions} for name, p in subparsers.items()}
         try:
-            cfg = _load_config(cfg_path)
-            known = set()
-            for p_sub in subparsers.values():
-                known |= {a.dest for a in p_sub._actions}
-            bad = set(cfg) - known
+            cfg = _load_config(args.config)
+            bad = set(cfg).difference(*dests.values())
             if bad:
                 raise CliError(f"unknown config keys: {', '.join(sorted(bad))}")
-            for p_sub in subparsers.values():
-                p_sub.set_defaults(**_typed_defaults(p_sub, cfg))
         except CliError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    try:
+        if "full" in cfg:  # a store_true default is not typed
+            cfg["full"] = cfg["full"].lower() in ("1", "true", "yes", "on")
+        subparsers[args.command].set_defaults(
+            **{k: v for k, v in cfg.items() if k in dests[args.command]}
+        )
         args = parser.parse_args(argv)
+    try:
         return args.func(args)
     except (CliError, AllocationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

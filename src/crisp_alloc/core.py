@@ -63,9 +63,6 @@ class CovarianceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
-
     def min_eigenvalue(self) -> float:
         return float(scipy.linalg.eigvalsh(self.entries)[0])
 

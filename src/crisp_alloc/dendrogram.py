@@ -12,7 +12,6 @@ quasi-diagonal leaf order; its leaf set and size are read off that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal, Optional
 
 import numpy as np
@@ -57,33 +56,19 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Binary cluster tree plus the quasi-diagonal leaf order."""
+    """Binary cluster tree plus the quasi-diagonal leaf order.
+
+    ``internal_nodes`` lists the merges in id order; a merge's id exceeds its
+    children's, so the sequence visits children before their parent.
+    """
 
     root: TreeNode
     leaf_order: tuple[int, ...]
+    internal_nodes: tuple[TreeNode, ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.leaf_order)
-
-    @cached_property
-    def post_order(self) -> tuple[TreeNode, ...]:
-        """Children-before-parent node sequence (iterative; chain-safe)."""
-        out: list[TreeNode] = []
-        stack: list[tuple[TreeNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded or node.is_leaf:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-        return tuple(out)
-
-    @cached_property
-    def internal_nodes(self) -> tuple[TreeNode, ...]:
-        return tuple(n for n in self.post_order if not n.is_leaf)
 
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:
@@ -203,7 +188,8 @@ def _assemble(n: int, children: dict[int, tuple[int, int]], heights: dict[int, f
             left=left,
             right=right,
         )
-    return Dendrogram(root=nodes[root_id], leaf_order=leaf_order)
+    internal = tuple(nodes[nid] for nid in range(n, root_id + 1))
+    return Dendrogram(root=nodes[root_id], leaf_order=leaf_order, internal_nodes=internal)
 
 
 def balanced_tree(n: int) -> Dendrogram:

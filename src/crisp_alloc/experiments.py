@@ -189,7 +189,6 @@ def allocate(
 class _Context:
     sigma_true: CovarianceMatrix
     mu_true: Signal
-    sectors: np.ndarray
     w_star: np.ndarray
     oracle_minvar_vol: float
     minvar_mode: bool
@@ -206,7 +205,6 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     return _Context(
         sigma_true=sigma_true,
         mu_true=mu_true,
-        sectors=sectors,
         w_star=w_star,
         oracle_minvar_vol=oracle_vol,
         minvar_mode=spec.signal.kind == "ones",

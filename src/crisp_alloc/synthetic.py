@@ -65,6 +65,8 @@ class RegimeSpec:
             raise ParameterError(f"unknown regime kind {self.kind!r}")
         if self.n < 2:
             raise ParameterError("regimes need at least two assets")
+        if self.sectors < 1 or self.k < 1:
+            raise ParameterError("sectors and k must be at least 1")
         if self.vol_range is None:
             wide = self.kind == "wide_vol"
             object.__setattr__(self, "vol_range", (0.05, 1.0) if wide else (0.15, 0.40))

@@ -252,8 +252,8 @@ class TestKappaProduct:
         sp = sigma.entries[np.ix_(order, order)]
 
         expect = 1.0
-        for node in tree.post_order:
-            if node.is_leaf or node.size == 2:
+        for node in tree.internal_nodes:
+            if node.size == 2:
                 continue
             for child in (node.left, node.right):
                 lo, hi = child.span
@@ -269,8 +269,8 @@ class TestKappaProduct:
         got = cotton_kappa_product(sigma, tree, 0.7)
         # with a diagonal covariance every augmented block is the principal block
         expect = 1.0
-        for node in tree.post_order:
-            if node.is_leaf or node.size == 2:
+        for node in tree.internal_nodes:
+            if node.size == 2:
                 continue
             for child in (node.left, node.right):
                 lo, hi = child.span

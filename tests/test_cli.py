@@ -14,6 +14,8 @@ from crisp_alloc import (
     gen_regime,
 )
 from crisp_alloc.cli import main
+from crisp_alloc.errors import ParameterError
+from crisp_alloc.synthetic import _REGIMES, _SIGNALS
 
 
 def run_cli(args, capsys):
@@ -171,10 +173,84 @@ class TestErrors:
         assert f"wrote {failed}" in err and "partial" not in err
         assert [p.name for p in (tmp_path / "recovery").iterdir()] == ["FAILED.txt"]
 
+    @pytest.mark.parametrize("spec", ("factor:k=x", "block:sectors=1.5", "equicorr:rho=high"))
+    def test_regime_value_that_does_not_convert(self, spec, tmp_path, capsys):
+        argv = ["gen", "--regime", spec, "--n", "6", "--out", str(tmp_path / "c.csv")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: regime ") and "is not a valid" in err
+
+    def test_signal_value_that_does_not_convert(self, tmp_path, capsys):
+        argv = ["gen", "--regime", "block", "--n", "6", "--signal", "gaussian:sigma=abc",
+                "--out", str(tmp_path / "c.csv")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == "error: signal sigma='abc' is not a valid float\n"
+
+    @pytest.mark.parametrize("spec", ("block:sectors=0", "hedged:sectors=-2", "factor:k=0"))
+    def test_regime_needs_a_sector_and_a_factor(self, spec, tmp_path, capsys):
+        argv = ["gen", "--regime", spec, "--n", "6", "--out", str(tmp_path / "c.csv")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == "error: sectors and k must be at least 1\n"
+
+    def test_undecodable_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff1.0,0.1\n0.1,1.0\n")
+        code, _, err = run_cli(["allocate", "--method", "hrp", "--cov", str(bad)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot read {bad}")
+
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(["allocate", "--method", "hrp"], capsys)
         assert code == 1
         assert "--cov" in err or "--regime" in err
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("kind", _REGIMES + ("block", "hedged"))
+    def test_every_regime_kind_and_alias(self, kind, tmp_path, capsys):
+        cov = tmp_path / "c.csv"
+        code, _, _ = run_cli(["gen", "--regime", kind, "--n", "6", "--out", str(cov)], capsys)
+        assert code == 0
+        assert len(cov.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("kind", _SIGNALS + ("tilt", "worst"))
+    def test_every_signal_kind_and_alias(self, kind, tmp_path, capsys):
+        cov = tmp_path / "c.csv"
+        argv = ["gen", "--regime", "block", "--n", "6", "--signal", kind, "--out", str(cov)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len((tmp_path / "c_mu.csv").read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "flag, valid",
+        (
+            ("--regime", "block, block_sector, equicorr, factor, hedged, "
+                         "hedged_tight_blocks, spiked, wide_vol"),
+            ("--signal", "gaussian, ones, sector_tilt, tilt, worst, worst_case"),
+        ),
+    )
+    def test_unknown_kind_lists_the_valid_names(self, flag, valid, tmp_path, capsys):
+        argv = ["gen", "--regime", "block", "--out", str(tmp_path / "c.csv"), flag, "bogus"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.endswith(f"'bogus'; valid: {valid}\n")
+
+
+class TestOptionsWhereRead:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["trajectory", "--example", "nonmonotone", "--format", "tsv"],
+            ["gen", "--regime", "block", "--out", "x.csv", "--jobs", "2"],
+        ),
+    )
+    def test_experiment_options_rejected_elsewhere(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:
@@ -194,6 +270,52 @@ class TestConfigPrecedence:
             capsys,
         )
         assert len(out_b.read_text().splitlines()) == 4  # flag wins
+
+    @pytest.mark.parametrize("text, full", (("true", True), ("false", False)))
+    def test_full_reaches_preset_as_a_bool(self, text, full, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def record(name, full=False, seed=42):
+            seen.append(full)
+            raise ParameterError("stop here")
+
+        monkeypatch.setattr(cli, "preset", record)
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"full = {text}\n")
+        code, _, _ = run_cli(["experiment", "recovery", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert seen == [full] and type(seen[0]) is bool
+
+    def test_config_types_experiment_options(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path / "res"))
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("format = tsv\njobs = 2\n")
+        code, _, _ = run_cli(["experiment", "sweep_rate", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert (tmp_path / "res" / "sweep_rate" / "sweep_rate.tsv").exists()
+        # keys only experiment reads are still known to the other subcommands
+        out = tmp_path / "c.csv"
+        code, _, _ = run_cli(["gen", "--regime", "block", "--config", str(cfg), "--out", str(out)],
+                             capsys)
+        assert code == 0 and out.exists()
+
+    def test_bad_config_value_exits_like_a_bad_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("n = six\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "argument --n: invalid int value: 'six'" in capsys.readouterr().err
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_bytes(b"\xffseed = 9\n")
+        code, _, err = run_cli(
+            ["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"cannot read config {cfg}")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "conf.ini"

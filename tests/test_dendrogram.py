@@ -142,7 +142,7 @@ class TestBuildTree:
                     c[i, j] = 0.7
         np.fill_diagonal(c, 1.0)
         tree = build_tree(CorrelationMatrix(c), "ward")
-        leaf_sets = {n.leaves for n in tree.post_order}
+        leaf_sets = {n.leaves for n in tree.internal_nodes}
         for b in blocks:
             assert tuple(sorted(b)) in leaf_sets
 
@@ -169,15 +169,18 @@ class TestBuildTree:
     def test_leaf_set_cache_audit(self):
         for seed in range(4):
             tree = build_tree(to_correlation(random_spd(15, seed)), "ward")
-            for node in tree.post_order:
-                if node.is_leaf:
-                    assert node.leaves == (node.leaf,)
-                else:
-                    assert node.leaves == tuple(
-                        sorted(node.left.leaves + node.right.leaves)
-                    )
-                lo, hi = node.span
-                assert tuple(sorted(tree.leaf_order[lo:hi])) == node.leaves
+            # merge order: every child precedes its parent
+            assert [node.id for node in tree.internal_nodes] == list(range(15, 29))
+            for parent in tree.internal_nodes:
+                for node in (parent, parent.left, parent.right):
+                    if node.is_leaf:
+                        assert node.leaves == (node.leaf,)
+                    else:
+                        assert node.leaves == tuple(
+                            sorted(node.left.leaves + node.right.leaves)
+                        )
+                    lo, hi = node.span
+                    assert tuple(sorted(tree.leaf_order[lo:hi])) == node.leaves
 
     def test_near_symmetric_correlation(self):
         # CorrelationMatrix accepts asymmetry up to 1e-12; the tree is that of

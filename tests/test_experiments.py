@@ -102,7 +102,6 @@ class TestScore:
         ctx = _Context(
             sigma_true=gen_regime(spec.regime),
             mu_true=Signal(np.ones(20)),
-            sectors=sector_labels(20, 4),
             w_star=np.ones(20),
             oracle_minvar_vol=0.01,
             minvar_mode=True,

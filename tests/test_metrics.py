@@ -138,7 +138,7 @@ class TestSharpe:
 def _minvar_score(w, sigma):
     """The harness's minimum-variance Sharpe of w: 1 / vol of w / sum(w)."""
     n = sigma.n
-    ctx = _Context(sigma, Signal(np.ones(n)), np.zeros(n, int), np.ones(n), 1.0, minvar_mode=True)
+    ctx = _Context(sigma, Signal(np.ones(n)), np.ones(n), 1.0, minvar_mode=True)
     return _score(ctx, WeightVector(np.asarray(w, dtype=float)))
 
 

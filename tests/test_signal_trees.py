@@ -248,9 +248,7 @@ class TestHrpSigmaMu:
             mu = Signal(rng.normal(0, 0.02, 12))
             trace = {}
             hrp_sigma_mu(sigma, mu, tree, 0.8, trace=trace)
-            for node in tree.post_order:
-                if node.is_leaf:
-                    continue
+            for node in tree.internal_nodes:
                 nb = trace[node.id]
                 assert abs(abs(nb.alpha_l) + abs(nb.alpha_r) - 1.0) <= 1e-12
 

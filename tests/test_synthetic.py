@@ -107,6 +107,14 @@ class TestRegimes:
         with pytest.raises(ParameterError):
             RegimeSpec("garch", n=10)
 
+    @pytest.mark.parametrize(
+        "kind, field", (("block_sector", "sectors"), ("hedged_tight_blocks", "sectors"), ("factor", "k"))
+    )
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_sectors_and_factors_at_least_one(self, kind, field, value):
+        with pytest.raises(ParameterError):
+            RegimeSpec(kind, n=10, **{field: value})
+
 
 class TestPsdFloor:
     def test_pd_input_unchanged(self):
