@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,36 +70,46 @@ class CliError(Exception):
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    rows.append(np.array([float(c) for c in cells]))
-                except ValueError as exc:
-                    bad = next(i for i, c in enumerate(cells) if not _is_float(c))
-                    raise CliError(
-                        f"{path}:{lineno}:{bad + 1}: not a number: {cells[bad]!r}"
-                    ) from exc
-                if len(rows[-1]) != len(rows[0]):
-                    raise CliError(f"{path}:{lineno}: ragged row width")
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+            lines = (line for line in fh if not line.isspace())
+            m = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    except ValueError as exc:
+        raise CliError(_locate_bad_cell(path) or f"{path}: {exc}") from exc
+    if not m.size:
         raise CliError(f"{path}: empty file")
-    return np.asarray(rows, dtype=float)
+    return m
 
 
-def _is_float(s: str) -> bool:
+def _locate_bad_cell(path: str):
+    """The first cell that is not a number, or row of another width, as
+    'path:line[:column]: ...'; None when there is none."""
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            for col, cell in enumerate(cells, start=1):
+                if not _is_number(cell):
+                    return f"{path}:{lineno}:{col}: not a number: {cell!r}"
+            width = width or len(cells)
+            if len(cells) != width:
+                return f"{path}:{lineno}: ragged row width"
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether loadtxt reads ``cell``: float() less its digit separators."""
     try:
-        float(s)
-        return True
+        float(cell)
     except ValueError:
         return False
+    return "_" not in cell
 
 
 def _write_matrix(path: str, m: np.ndarray) -> None:
@@ -108,7 +119,7 @@ def _write_matrix(path: str, m: np.ndarray) -> None:
 
 
 # per spec kind: the spec class, the library's kind names, short aliases,
-# and the keys a spec string sets, key -> (field, type); other keys are ignored
+# and the keys a spec string may set, key -> (field, type)
 _SPECS = {
     "regime": (
         RegimeSpec,
@@ -140,12 +151,13 @@ def _parse_spec(what: str, text: str, **fields):
     if kind not in names:
         raise CliError(f"unknown {what} {kind!r}; valid: {', '.join(sorted(names))}")
     for key, val in params.items():
-        if key in keys:
-            field, typ = keys[key]
-            try:
-                fields[field] = typ(val)
-            except ValueError:
-                raise CliError(f"{what} {key}={val!r} is not a valid {typ.__name__}") from None
+        if key not in keys:
+            raise CliError(f"unknown {what} key {key!r}; valid: {', '.join(sorted(keys))}")
+        field, typ = keys[key]
+        try:
+            fields[field] = typ(val)
+        except ValueError:
+            raise CliError(f"{what} {key}={val!r} is not a valid {typ.__name__}") from None
     return cls(kind=names[kind], **fields)
 
 
@@ -290,13 +302,13 @@ def cmd_worst_mu(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
+    sig = _parse_spec("signal", args.signal, seed=args.seed) if args.signal else None
     sigma = gen_regime(spec)
     if not args.out:
         raise CliError("gen needs --out FILE")
     _write_matrix(args.out, sigma.entries)
     print(f"wrote {args.out} ({sigma.n} x {sigma.n})")
-    if args.signal:
-        sig = _parse_spec("signal", args.signal, seed=args.seed)
+    if sig:
         mu = gen_signal(sig, sigma.n, sectors=sector_labels(spec.n, spec.sectors), sigma=sigma)
         mu_path = args.mu_out or (str(Path(args.out).with_suffix("")) + "_mu.csv")
         _write_matrix(mu_path, mu.values)
@@ -387,10 +399,16 @@ def main(argv=None) -> int:
             return 2
         if "full" in cfg:  # a store_true default is not typed
             cfg["full"] = cfg["full"].lower() in ("1", "true", "yes", "on")
-        subparsers[args.command].set_defaults(
-            **{k: v for k, v in cfg.items() if k in dests[args.command]}
-        )
+        sub = subparsers[args.command]
+        sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests[args.command]})
         args = parser.parse_args(argv)
+        # argparse types a string default but checks no choices on it
+        for action in sub._actions:
+            if action.choices is not None and action.dest in cfg:
+                try:
+                    sub._check_value(action, getattr(args, action.dest))
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
     try:
         return args.func(args)
     except (CliError, AllocationError) as exc:

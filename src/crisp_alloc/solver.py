@@ -9,7 +9,8 @@ w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
 P_gamma: a dense Sigma is one block, and a factor model streams blocks of
 sqrt(N K) assets formed from its loadings, coupled through B^T w, in O(N K)
 memory. A projected variant handles box, budget, and linear inequality
-constraints.
+constraints: the same kernel sweeps a dense Sigma in blocks of 64 assets,
+each a clamped triangular solve, against a dual-shifted signal.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .errors import (
 DEFAULT_GAMMA = 0.5
 DEFAULT_SWEEPS = 100
 DEFAULT_EPS = 1e-8
+# Diagonal block of a dense Sigma swept under a box: on an N = 1000 book 64
+# was as fast as 128 and faster than 32.
+_BOX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def _rel_change(w: np.ndarray, w_prev: np.ndarray) -> float:
 
 
 def _gauss_seidel(
-    m: np.ndarray, d: np.ndarray, block: Callable, size=None, b=None, gbl=None
+    m: np.ndarray, d: np.ndarray, block: Callable, size=None, couple=None, box=None
 ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g.
 
@@ -81,37 +85,81 @@ def _gauss_seidel(
     block's lower triangle is solved against m less the block's upper
     triangle times w, carried from the previous sweep, and less its coupling
     to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
-    for a C-ordered block, so LAPACK and BLAS read it in place. Outside the
-    diagonal blocks P_g[i, j] = gbl[i] . b[j], so the coupling is read through
-    K-vectors b^T w (there is none when b is None).
+    for a C-ordered block, so LAPACK and BLAS read it in place.
+    ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
+    block's rows outside the block (there are none when None); x is None,
+    the first term dropped, only for the residual, which a box does not yield.
+
+    With a ``box`` (lo, hi) every coordinate is clamped to it as it is
+    updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
+    1971): each block is a ``_clamped_solve``. m is then read afresh each
+    sweep, so a caller may shift it in place between sweeps.
 
     Yields (w, residual) pairs: first the diagonal solve (residual None), then
-    one pair per sweep with the residual P_g w+ - m = g U (w+ - w).
+    one pair per sweep with the residual P_g w+ - m = g U (w+ - w) (None
+    under a box, where a clamped coordinate does not solve its row).
     """
-    n, k = m.size, 0 if b is None else b.shape[1]
+    n = m.size
     starts = list(range(0, n, size or n))
     edges = list(zip(starts, starts[1:] + [n]))
 
     def upper(pt, x):  # g U x inside a block
         return dtrmv(pt, x, lower=1, trans=1, diag=1) - x
 
-    w = m / d
+    w = m / d if box is None else np.clip(m / d, *box)
     yield w, None
     g_uw = np.concatenate([upper(block(s, e), w[s:e]) for s, e in edges])
     while True:
         w_prev, w, new_g_uw = w, np.empty(n), np.empty(n)
         for s, e in edges:
             pt, rhs = block(s, e), m[s:e] - g_uw[s:e]
-            if k:  # the blocks solved this sweep, and the old values after
-                rhs -= gbl[s:e] @ (b[:s].T @ w[:s] + b[e:].T @ w_prev[e:])
-            w[s:e] = dtrtrs(pt, rhs, trans=1)[0]  # info is 0: the diagonal d is > 0
+            if couple:  # the blocks solved this sweep, and the old values after
+                rhs -= couple(s, e, w, w_prev)
+            if box is None:
+                w[s:e] = dtrtrs(pt, rhs, trans=1)[0]  # info is 0: the diagonal d is > 0
+            else:
+                w[s:e] = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
             new_g_uw[s:e] = upper(pt, w[s:e])
-        resid = new_g_uw - g_uw
-        if k:  # the later blocks' change reaches a block through b^T
+        resid = None if box is not None else new_g_uw - g_uw
+        if resid is not None and couple:  # the later blocks' change reaches a block
+            change = w - w_prev
             for s, e in edges[:-1]:
-                resid[s:e] += gbl[s:e] @ (b[e:].T @ (w[e:] - w_prev[e:]))
+                resid[s:e] += couple(s, e, None, change)
         yield w, resid
         g_uw = new_g_uw
+
+
+def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
+    """x_i = clip((rhs_i - sum_{j<i} P_ij x_j) / d_i, lo_i, hi_i) in turn over
+    one diagonal block, ``pt`` = P^T as in ``_gauss_seidel``.
+
+    Each coordinate ``prev`` left at a bound is held there and the block's
+    lower triangle solved for the rest; one matvec then gives every
+    coordinate's unclamped value u from the solved values before it. At the
+    first coordinate whose clamp disagrees (held with u inside the box, or
+    solved outside it), its value is pinned to clip(u), the coordinates up to
+    it are held at their values, and the block is solved again. In exact
+    arithmetic that is the rule above, and as the agreed prefix only grows a
+    block of c coordinates takes at most c solves. Pinning the value, not
+    flipping the coordinate's status, is what ends a rounding tie, where the
+    solve and u put it on different sides of a bound.
+    """
+    held = (prev == lo) | (prev == hi)
+    x, k = prev, 0
+    while k < x.size:
+        t = np.array(pt, order="F")
+        t[:, held] = 0.0  # a held row of P becomes the identity's
+        t[held, held] = 1.0
+        x = dtrtrs(t, np.where(held, x, rhs), trans=1)[0]
+        u = (rhs - (dtrmv(pt, x, lower=0, trans=1, diag=1) - x)) / d  # strict L x
+        clamped = np.clip(u, lo, hi)
+        bad = np.where(held, clamped != x, np.clip(x, lo, hi) != x)
+        bad = np.flatnonzero(bad[k:])
+        if not bad.size:
+            break
+        k += bad[0] + 1
+        x[k - 1], held[:k] = clamped[k - 1], True
+    return x
 
 
 def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering):
@@ -234,8 +282,12 @@ def crisp_solve_stream(
         np.fill_diagonal(p, d[s:e])
         return p.T
 
+    def couple(s, e, x, y):  # through the K-vectors B^T x and B^T y
+        z = b[e:].T @ y[e:]
+        return gbl[s:e] @ (z if x is None else b[:s].T @ x[:s] + z)
+
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
-    return _drive(_gauss_seidel(mu.values, d, block, size, b, gbl), g, p_max, eps)
+    return _drive(_gauss_seidel(mu.values, d, block, size, couple), g, p_max, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +468,24 @@ def crisp_projected(
     constraints: ConstraintSet = ConstraintSet(),
     eps: float = DEFAULT_EPS,
 ) -> SolveReport:
-    """Constrained sweep: box clamp per coordinate, end-of-sweep projection.
+    """Constrained sweep: box-clamped block sweep, end-of-sweep projection.
 
     Budget and linear-inequality multipliers are carried explicitly: each
-    sweep updates coordinates against the dual-shifted signal
-    mu - lambda * 1 - A^T nu and clamps to the box, then refreshes the duals
-    from the constraint residuals (diagonally scaled ascent) and projects the
-    iterate onto the whole constraint set (``_project``, an exact dual
-    Newton solve) so that the reported weights are feasible to rounding and
-    inside the box exactly. The last projection is projected once more, which
-    keeps the weights feasible when the dual ascent diverges. Without the
-    shift the sweep cannot see the budget's shadow price and stalls off the
-    constrained optimum. ``converged`` needs the stop rule and the last
-    projection's KKT certificate; it is False when that projection is
-    uncertified (its iteration cap), and the weights of an uncertified
-    projection are tagged ``raw``. With no constraints at all this is exactly
-    ``crisp_solve``.
+    sweep is the kernel's projected Gauss-Seidel on P_gamma, every coordinate
+    updated against the dual-shifted signal mu - lambda * 1 - A^T nu and
+    clamped to the box (blocks of 64 assets, each a clamped triangular solve
+    with the same iterate as clamping one coordinate at a time), then
+    refreshes the duals from the constraint residuals (diagonally scaled
+    ascent) and projects the iterate onto the whole constraint set
+    (``_project``, an exact dual Newton solve) so that the reported weights
+    are feasible to rounding and inside the box exactly. The last projection
+    is projected once more, which keeps the weights feasible when the dual
+    ascent diverges. Without the shift the sweep cannot see the budget's
+    shadow price and stalls off the constrained optimum. ``converged`` needs
+    the stop rule and the last projection's KKT certificate; it is False when
+    that projection is uncertified (its iteration cap), and the weights of an
+    uncertified projection are tagged ``raw``. With no constraints at all
+    this is exactly ``crisp_solve``.
     """
     if constraints.is_trivial:
         return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
@@ -446,14 +500,20 @@ def crisp_projected(
     if not _feasible(lo, hi, budget, a_mat, b_vec):
         raise InfeasibleConstraintsError("the constraint set has no feasible point")
 
-    s = sigma.entries
-    d = np.diag(s).copy()
+    p_g = _shrunk(sigma.entries, g)
+    d = np.diag(p_g).copy()
     m = mu.values
     inv_d = 1.0 / d
     lam = 0.0
     nu = np.zeros(len(rows))
 
-    w = np.clip(m / d, lo, hi)
+    def couple(s, e, x, y):
+        return p_g[s:e, :s] @ x[:s] + p_g[s:e, e:] @ y[e:]
+
+    block = functools.cache(lambda s, e: np.ascontiguousarray(p_g[s:e, s:e]).T)
+    m_eff = m.copy()
+    iterates = _gauss_seidel(m_eff, d, block, _BOX_BLOCK, couple, (lo, hi))
+    w, _ = next(iterates)
     y, projected = _project(w, lo, hi, budget, a_mat, b_vec)
 
     sweeps = 0
@@ -461,11 +521,9 @@ def crisp_projected(
     viol = np.inf
     for sweeps in range(1, p + 1):
         y_prev = y
-        m_eff = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
-        for i in range(n):
-            off = s[i] @ w - d[i] * w[i]
-            wi = (m_eff[i] - g * off) / d[i]
-            w[i] = min(max(wi, lo[i]), hi[i])
+        # in place: the kernel reads the shifted signal afresh each sweep
+        m_eff[:] = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
+        w, _ = next(iterates)
         free = (w > lo + 1e-14) & (w < hi - 1e-14)
         if budget is not None:
             h = max(float(inv_d[free].sum()), 1e-12)

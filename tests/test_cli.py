@@ -155,6 +155,29 @@ class TestErrors:
         assert code == 1
         assert "ragged" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            ("", "empty.csv: empty file"),
+            ("\n  \n", "empty.csv: empty file"),
+            ("1.0,0.1\n0.1,1_0\n", "empty.csv:2:2: not a number: '1_0'"),  # float() reads 10
+        ),
+        ids=("empty", "blank_lines", "digit_separator"),
+    )
+    def test_csv_without_a_matrix(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "empty.csv"
+        bad.write_text(text)
+        code, _, err = run_cli(["allocate", "--method", "hrp", "--cov", str(bad)], capsys)
+        assert code == 1
+        assert err == f"error: {tmp_path / message}\n"
+
+    def test_csv_values_read_exactly(self, tmp_path):
+        m = np.random.default_rng(0).standard_normal((5, 4)) * np.logspace(-200, 200, 4)
+        path = tmp_path / "m.csv"
+        cli._write_matrix(str(path), m)
+        path.write_text("  \n" + path.read_text().replace("\n", "\r\n\n ", 2))
+        assert np.array_equal(cli._read_matrix(str(path)), m)
+
     def test_unknown_preset_lists_options(self, capsys):
         code, _, err = run_cli(["experiment", "bogus"], capsys)
         assert code == 2
@@ -238,6 +261,23 @@ class TestSpecs:
         assert err.endswith(f"'bogus'; valid: {valid}\n")
 
 
+    @pytest.mark.parametrize(
+        "flag, spec, message",
+        (
+            ("--regime", "factor:kk=1", "unknown regime key 'kk'; valid: k, rho, sectors"),
+            ("--signal", "gaussian:sigma=0.1,seed=3",
+             "unknown signal key 'seed'; valid: restarts, sigma"),
+        ),
+    )
+    def test_unknown_key_lists_the_keys_read(self, flag, spec, message, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["gen", "--regime", "block", "--n", "6", "--out", str(out), flag, spec]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestOptionsWhereRead:
     @pytest.mark.parametrize(
         "argv",
@@ -306,6 +346,20 @@ class TestConfigPrecedence:
             main(["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "argument --n: invalid int value: 'six'" in capsys.readouterr().err
+
+    def test_config_value_outside_the_choices(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path / "res"))
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "sweep_rate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --format: invalid choice: 'xml' (choose from 'csv', 'tsv', 'text')" in err
+        assert not (tmp_path / "res").exists()
+        # a flag still overrides the config
+        assert main(["experiment", "sweep_rate", "--config", str(cfg), "--format", "tsv"]) == 0
+        assert (tmp_path / "res" / "sweep_rate" / "sweep_rate.tsv").exists()
 
     def test_undecodable_config(self, tmp_path, capsys):
         cfg = tmp_path / "conf.ini"

@@ -584,6 +584,144 @@ class TestProjection:
         assert_kkt(x, y, lo, hi, 1.0, a, c, 1e-10 * max(1.0, scale))
 
 
+def reference_clamp_sweeps(sigma, gamma, lo, hi, signals):
+    """The per-coordinate clamp loop ``crisp_projected`` swept with before the
+    kernel's clamped block solve: each w_i in turn is updated from its row of
+    Sigma against the sweep's signal and clamped to [lo_i, hi_i]. Kept as the
+    oracle; starts from the clamped diagonal solve of the first of
+    ``signals`` and yields the iterate after a sweep against each later one."""
+    s = sigma.entries
+    d = np.diag(s).copy()
+    signals = iter(signals)
+    w = np.clip(next(signals) / d, lo, hi)
+    for m in signals:
+        for i in range(sigma.n):
+            off = s[i] @ w - d[i] * w[i]
+            wi = (m[i] - gamma * off) / d[i]
+            w[i] = min(max(wi, lo[i]), hi[i])
+        yield w.copy()
+
+
+def _kernel_iterates(monkeypatch, sigma, mu, gamma, p, cs):
+    """``crisp_projected``'s kernel iterates under its box, each with the
+    dual-shifted signal it was swept against (the first: the clamped
+    diagonal solve of mu)."""
+    real, seen = solver._gauss_seidel, []
+
+    def recording(m, *args):
+        for w, resid in real(m, *args):
+            seen.append((m.copy(), w.copy()))
+            yield w, resid
+
+    monkeypatch.setattr(solver, "_gauss_seidel", recording)
+    crisp_projected(sigma, mu, gamma, p=p, constraints=cs, eps=1e-300)
+    return seen
+
+
+def _caps(n, cap, sectors=5):
+    sect = sector_labels(n, sectors)
+    return [((sect == k).astype(float), cap) for k in range(sectors)]
+
+
+class TestClampedSweep:
+    @pytest.mark.parametrize(
+        "n, cs",
+        (
+            (150, long_only_budget(150, _caps(150, 0.3))),  # long-only, sector caps
+            (200, ConstraintSet(lower=np.full(200, -0.01), upper=np.full(200, 0.02), budget=1.0)),
+            (1, ConstraintSet(lower=np.zeros(1), upper=np.ones(1), budget=1.0)),  # N = 1
+            (40, long_only_budget(40, _caps(40, 0.25, 4))),  # N < c = 64: one block
+            (64, ConstraintSet(lower=np.zeros(64), upper=np.full(64, 0.03), budget=1.0)),
+            (130, ConstraintSet(lower=np.full(130, -np.inf), upper=np.full(130, 0.01))),
+        ),
+        ids=("long_only_caps", "finite_upper", "n1", "n40", "n64", "upper_only_n130"),
+    )
+    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    def test_same_iterates_as_the_clamp_loop(self, n, cs, gamma, monkeypatch):
+        sigma = random_spd(1, 1) if n == 1 else gen_regime(RegimeSpec("block_sector", n=n, seed=n))
+        lo, hi, _, _ = cs.resolved(n)
+        seen = _kernel_iterates(monkeypatch, sigma, _rand_mu(n, n), gamma, 60, cs)
+        signals, got = zip(*seen)
+        assert np.array_equal(got[0], np.clip(signals[0] / np.diag(sigma.entries), lo, hi))
+        ref = reference_clamp_sweeps(sigma, gamma, lo, hi, signals)
+        for sweep, (want, w) in enumerate(zip(ref, got[1:]), 1):
+            assert np.all((lo <= w) & (w <= hi))
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max(), sweep
+        assert any(np.any((w == lo) | (w == hi)) for w in got[1:])  # the box clamps
+        if np.isfinite(hi).all():
+            assert any(np.any(w == hi) for w in got[1:])  # and its upper bounds bind
+
+    @pytest.mark.parametrize("n", (150, 64, 7))
+    def test_wide_box_is_the_unclamped_solve(self, n):
+        # the kernel's blocks of 64 sum in another order than crisp_solve's one block
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, sectors=min(n, 5), seed=n))
+        mu = _rand_mu(n, n)
+        wide = ConstraintSet(lower=np.full(n, -1e3), upper=np.full(n, 1e3))
+        for gamma in (0.5, 1.0):
+            for p in (1, 5, 100):
+                got = crisp_projected(sigma, mu, gamma, p=p, constraints=wide, eps=1e-300)
+                want = crisp_solve(sigma, mu, gamma, p_max=p, eps=1e-300).weights.values
+                dev = np.abs(got.weights.values - want).max() / np.abs(want).max()
+                assert dev <= 1e-12, (gamma, p)
+
+    def test_same_iterates_while_the_duals_diverge(self, monkeypatch):
+        # the one-point set of test_diverging_duals_return_a_feasible_point
+        a = np.array([[-0.38, -0.38], [-0.37975, -0.37945], [-0.65, -1.91]])
+        x0 = np.array([11.0, 4.0]) / 15.0
+        cs = long_only_budget(2, list(zip(a, a @ x0)))
+        sigma = random_spd(2, 3)
+        seen = _kernel_iterates(monkeypatch, sigma, _rand_mu(2, 3), 0.5, 50, cs)
+        signals, got = zip(*seen)
+        assert np.abs(got[-1]).max() > 1e13
+        ref = reference_clamp_sweeps(sigma, 0.5, np.zeros(2), np.full(2, np.inf), signals)
+        for want, w in zip(ref, got[1:]):
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_a_block_takes_at_most_c_plus_one_solves(self, monkeypatch):
+        # mu = P_gamma w* for a w* with exact zeros: the sweep converges to w*,
+        # and each zero sits at w >= 0's bound in a rounding tie, its solved
+        # and recomputed values on either side of 0
+        n, gamma = 150, 0.5
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=8))
+        w_star = np.where(np.arange(n) % 3 == 0, 0.0, np.random.default_rng(8).uniform(1, 2, n))
+        mu = Signal(shrink(sigma, gamma).entries @ w_star)
+        cs = ConstraintSet(lower=np.zeros(n))
+        solves, real_solve, real_dtrtrs = [], solver._clamped_solve, solver.dtrtrs
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return real_dtrtrs(*args, **kwargs)
+
+        def per_block(*args):
+            solves.append(0)
+            return real_solve(*args)
+
+        monkeypatch.setattr(solver, "dtrtrs", counting)
+        monkeypatch.setattr(solver, "_clamped_solve", per_block)
+        seen = _kernel_iterates(monkeypatch, sigma, mu, gamma, 200, cs)
+        assert len(solves) == 200 * 3
+        assert 1 < max(solves) <= solver._BOX_BLOCK + 1  # ties were repaired
+        signals, got = zip(*seen)
+        ref = reference_clamp_sweeps(sigma, gamma, cs.resolved(n)[0], np.full(n, np.inf), signals)
+        for want, w in zip(ref, got[1:]):
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got[-1] - w_star).max() < 1e-12
+
+    def test_every_coordinate_leaving_its_bound(self, monkeypatch):
+        # all held at 0 from the previous sweep, all free now: c solves
+        c = solver._BOX_BLOCK
+        p_g = shrink(random_spd(c, 4), 0.5).entries
+        want = np.random.default_rng(4).uniform(1.0, 2.0, c)
+        rhs = np.tril(p_g) @ want
+        pt, lo, hi = p_g.T.copy(order="F"), np.zeros(c), np.full(c, np.inf)
+        calls = []
+        real = solver.dtrtrs
+        monkeypatch.setattr(solver, "dtrtrs", lambda *a, **k: calls.append(1) or real(*a, **k))
+        x = solver._clamped_solve(pt, rhs, np.diag(pt).copy(), lo, hi, np.zeros(c))
+        assert len(calls) == c
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestProjected:
     def test_no_constraints_identical(self):
         sigma = random_spd(12, 5)
@@ -638,8 +776,7 @@ class TestProjected:
         assert rep.converged and np.array_equal(rep.weights.values, np.ones(10))
 
     def _five_caps(self, n, cap):
-        sect = sector_labels(n, 5)
-        return long_only_budget(n, [((sect == k).astype(float), cap) for k in range(5)])
+        return long_only_budget(n, _caps(n, cap))
 
     def test_infeasible_caps_raise(self):
         # five 10 % caps hold at most half of the unit budget
