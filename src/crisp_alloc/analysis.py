@@ -62,11 +62,6 @@ class AdaptiveInputs:
         return self.kappa_c**2 * self.n / (self.t * self.ic**2)
 
 
-def _shrunk_factor(p: np.ndarray):
-    """Cholesky factor of the shrunk covariance ``p``, for ``scipy.linalg.cho_solve``."""
-    return scipy.linalg.cho_factor(p, lower=True, check_finite=False)
-
-
 def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float, factor) -> np.ndarray:
     """P_gamma^-1 mu from P_gamma's ``factor`` (not read at gamma = 0)."""
     if gamma == 0.0:
@@ -84,7 +79,7 @@ def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> 
     """
     g = check_gamma(gamma)
     w_star = markowitz_direct(sigma, mu).values
-    factor = _shrunk_factor(_shrunk(sigma.entries, g))
+    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
     w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
     correction = scipy.linalg.cho_solve(factor, e @ w_star, check_finite=False)
@@ -105,7 +100,7 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
     if g >= 1.0:
         raise ParameterError("the bound is defined for gamma in [0, 1)")
     w_star = markowitz_direct(sigma, mu).values
-    factor = _shrunk_factor(_shrunk(sigma.entries, g))
+    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
     w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
     e = sigma.entries - np.diag(np.diag(sigma.entries))
     p_inv_e = scipy.linalg.cho_solve(factor, e, check_finite=False)
@@ -149,7 +144,8 @@ def trajectory(
         g = check_gamma(gamma)
         # one P_gamma: the exact solve factors the array the sweep reads
         p_g = _shrunk(sigma.entries, g)
-        exact = _exact_shrunk_solve(sigma, mu, g, _shrunk_factor(p_g) if g else None)
+        factor = scipy.linalg.cho_factor(p_g, lower=True, check_finite=False) if g else None
+        exact = _exact_shrunk_solve(sigma, mu, g, factor)
         iterate, _ = next(islice(_gauss_seidel(mu.values, d, lambda s, e: p_g.T), p, None))
         out.append(
             TrajectoryPoint(

@@ -136,6 +136,8 @@ def _tree_pass(
     """
     g = check_gamma(gamma)
     sp = _permuted(sigma, tree)
+    if mu.shape != (tree.n,):
+        raise ParameterError("signal length does not match covariance size")
     order = np.asarray(tree.leaf_order, dtype=int)
     mperm = mu[order]
     pos = np.arange(tree.n)

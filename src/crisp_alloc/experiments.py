@@ -26,6 +26,7 @@ from .core import (
     CovarianceMatrix,
     Signal,
     WeightVector,
+    check_gamma,
     kappa,
     markowitz_direct,
     to_correlation,
@@ -89,6 +90,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.method not in METHOD_IDS:
             raise ParameterError(f"unknown method id {self.method!r}")
+        check_gamma(self.gamma)
+        if self.sweeps < 1:
+            raise ParameterError("sweeps must be at least 1")
 
     @property
     def key(self) -> tuple:

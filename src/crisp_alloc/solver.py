@@ -305,28 +305,25 @@ class ConstraintSet:
     linear_ineq: tuple = field(default_factory=tuple)
 
     def resolved(self, n: int):
+        """(lo, hi, budget, rows), rows the (a, b) pairs; bounds and caps may
+        be infinite, a budget or row entry may not, and nothing may be NaN."""
         lo = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, float)
         hi = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, float)
         if lo.shape != (n,) or hi.shape != (n,):
             raise ParameterError("bounds must be length-N vectors")
-        if np.any(lo > hi):
-            raise ParameterError("lower bounds must not exceed upper bounds")
+        if not np.all(lo <= hi):  # False for a NaN bound too
+            raise ParameterError("lower bounds must not exceed upper bounds, nor be NaN")
+        if self.budget is not None and not np.isfinite(self.budget):
+            raise ParameterError("the budget must be finite")
         rows = []
         for a, bb in self.linear_ineq:
-            a = np.asarray(a, float).reshape(-1)
+            a, bb = np.asarray(a, float).reshape(-1), float(bb)
             if a.shape != (n,):
                 raise ParameterError("inequality rows must be length-N vectors")
-            rows.append((a, float(bb)))
+            if not np.isfinite(a).all() or math.isnan(bb):
+                raise ParameterError("inequality rows must be finite and their caps not NaN")
+            rows.append((a, bb))
         return lo, hi, self.budget, rows
-
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            self.lower is None
-            and self.upper is None
-            and self.budget is None
-            and not self.linear_ineq
-        )
 
 
 def long_only_budget(n: int, caps: Optional[Sequence[tuple[np.ndarray, float]]] = None) -> ConstraintSet:
@@ -339,40 +336,58 @@ def long_only_budget(n: int, caps: Optional[Sequence[tuple[np.ndarray, float]]] 
     )
 
 
-def _project(y, lo, hi, budget, a_mat, c_vec, max_iter=100):
-    """Certified Euclidean projection onto {lo <= x <= hi, 1.x = budget, A x <= c}.
-
-    Semismooth Newton (Qi and Sun, Math. Programming 58, 1993) on the dual. With
-    E the budget row stacked over A and z = (lambda, nu) its multipliers, the
-    Lagrangian's minimiser over the box is x(z) = clip(y - E^T z, lo, hi); the
-    dual q(z) is concave with gradient E x(z) - (budget, c), and z solves the
-    natural residual F(z) = [budget - 1.x; min(nu, c - A x)] = 0. A Jacobian
-    row is a row of E_F E_F^T (F the free coordinates) where F reads the
-    constraint and a unit row where it reads nu; a ridge keeps it invertible
-    when a row has no free coordinate.
-
-    The step length (halved from 1, nu kept >= 0) must raise q by an Armijo
-    fraction, or certify. Backtracking on ||F||^2 instead can accept a far
-    point across a flat stretch of the dual where ||F|| merely happens to be
-    smaller, and stall there; q is concave along the step, so its acceptable
-    lengths form an interval from 0. The rise of q is summed from
-    per-coordinate differences, exact to rounding where q itself is not, and
-    the inputs are rescaled by a power of two so that those products neither
-    underflow nor overflow. When no length raises q, a projected gradient
-    step of length 1/L (L >= ||E||^2) does.
-
-    Returns x, inside the box exactly, and ``met``: whether nu >= 0 and each
-    |F_k| is within 8 eps N times the size of row k's terms, |d_k| +
-    |E_k| (|x| + (|y| + |E|^T |z|) on free coordinates), the last term being
-    what rounding in y - E^T z can leave. That certifies primal feasibility
-    and complementary slackness; x(z) is stationary by construction. False
-    when ``max_iter`` steps ran out.
-    """
-    if budget is None and not c_vec.size:
-        return np.clip(y, lo, hi), True
+def _row_system(constraints: ConstraintSet, n: int):
+    """lo, hi and the stacked rows (E, d, eq): E is the budget row of ones (eq
+    = 1, or no row, eq = 0) over the cap rows A, d = (budget, c). A cap of
+    +inf holds everywhere and is left out."""
+    lo, hi, budget, rows = constraints.resolved(n)
+    rows = [(a, b) for a, b in rows if b < np.inf]
     eq = int(budget is not None)
-    e = np.vstack([np.ones((eq, y.size)), a_mat])
-    d = np.r_[[budget] * eq, c_vec]
+    e = np.vstack([np.ones((eq, n))] + [a for a, _ in rows])
+    d = np.array([budget] * eq + [b for _, b in rows], dtype=float)
+    return lo, hi, e, d, eq
+
+
+def _row_miss(x, e, d, eq) -> np.ndarray:
+    """How far x misses each row: |E_k x - d_k| on the budget row and
+    (E_k x - d_k)^+ on the cap rows."""
+    resid = e @ x - d
+    return np.r_[np.abs(resid[:eq]), np.maximum(resid[eq:], 0.0)]
+
+
+def _project(y, lo, hi, e, d, eq, max_iter=100):
+    """Certified Euclidean projection onto {lo <= x <= hi, E x = d on the first
+    ``eq`` rows, E x <= d on the rest} (``_row_system``'s stacked rows).
+
+    Semismooth Newton (Qi and Sun, Math. Programming 58, 1993) on the dual.
+    With z the rows' multipliers (z_k >= 0 on an inequality row), the
+    Lagrangian's minimiser over the box is x(z) = clip(y - E^T z, lo, hi); the
+    dual q(z) is concave with gradient E x(z) - d, and z solves the natural
+    residual F(z) = 0, F_k = d_k - E_k x on an equality row and
+    min(z_k, d_k - E_k x) on an inequality row. A Jacobian row is a row of
+    E_F E_F^T (F the free coordinates) where F_k reads the row and a unit row
+    where it reads z_k; a ridge keeps it invertible when a row has no free
+    coordinate.
+
+    The step length (halved from 1, z kept >= 0 on the inequality rows) must
+    raise q by an Armijo fraction, or certify. Backtracking on ||F||^2
+    instead can accept a far point across a flat stretch of the dual where
+    ||F|| merely happens to be smaller, and stall there; q is concave along
+    the step, so its acceptable lengths form an interval from 0. The rise of
+    q is summed from per-coordinate differences, exact to rounding where q
+    itself is not, and the inputs are rescaled by a power of two so that
+    those products neither underflow nor overflow. When no length raises q,
+    a projected gradient step of length 1/L (L >= ||E||^2) does.
+
+    Returns x, inside the box exactly, and ``met``: whether z >= 0 on the
+    inequality rows and each |F_k| is within 8 eps N times the size of row
+    k's terms, |d_k| + |E_k| (|x| + (|y| + |E|^T |z|) on free coordinates),
+    the last term being what rounding in y - E^T z can leave. That certifies
+    primal feasibility and complementary slackness; x(z) is stationary by
+    construction. False when ``max_iter`` steps ran out.
+    """
+    if not d.size:
+        return np.clip(y, lo, hi), True
     finite = np.r_[y, d, lo[np.isfinite(lo)], hi[np.isfinite(hi)]]
     unit = np.ldexp(1.0, -np.frexp(np.abs(finite).max())[1])
     y, lo, hi, d = y * unit, lo * unit, hi * unit, d * unit
@@ -396,9 +411,6 @@ def _project(y, lo, hi, budget, a_mat, c_vec, max_iter=100):
         reads_row = np.r_[np.full(eq, True), f[eq:] < z[eq:]]
         jac = np.where(reads_row[:, None], ef @ ef.T + ridge * np.eye(d.size), np.eye(d.size))
         return np.linalg.solve(jac, -f)
-
-    def miss(grad):
-        return max(np.abs(grad[:eq]).max(initial=0.0), grad[eq:].max(initial=0.0))
 
     z = np.zeros(d.size)
     v, x, free, grad, f, met = dual(z)
@@ -427,37 +439,29 @@ def _project(y, lo, hi, budget, a_mat, c_vec, max_iter=100):
         # of the rows that bind, leaves only the rounding of E x
         z_t = z + newton(z, free, f)
         z_t[eq:] = np.maximum(z_t[eq:], 0.0)
-        _, x_t, _, grad_t, _, met_t = dual(z_t)
-        if met_t and miss(grad_t) < miss(grad):
+        _, x_t, _, _, _, met_t = dual(z_t)
+        if met_t and _row_miss(x_t, e, d, eq).max() < _row_miss(x, e, d, eq).max():
             x = x_t
     return x / unit, met
 
 
-def _violation(w, lo, hi, budget, a_mat, c_vec) -> float:
-    v = max(float(np.max(lo - w, initial=0.0)), float(np.max(w - hi, initial=0.0)))
-    if budget is not None:
-        v = max(v, abs(float(w.sum()) - budget))
-    return max(v, float(np.max(a_mat @ w - c_vec, initial=0.0)))
-
-
-def _feasible(lo, hi, budget, a_mat, c_vec) -> bool:
-    """Whether {lo <= x <= hi, 1.x = budget, A x <= c} is nonempty to rounding.
+def _feasible(lo, hi, e, d, eq) -> bool:
+    """Whether the box and the stacked rows (E, d, eq) of ``_project`` have a
+    common point, to rounding.
 
     Projects the origin, then that point again. The second projection's
     multipliers stay small on a nonempty set and grow without bound on an
     empty one, where only they let its certificate hold; so every row must
     hold to twice the certificate without them, 16 eps N (|d_k| + 2 |E_k||x|).
-    The box holds exactly, x being a clip.
+    The box holds exactly, x being a clip. A bound of lo = +inf or hi = -inf,
+    or a cap of -inf, has no finite point.
     """
-    x, _ = _project(np.zeros(lo.size), lo, hi, budget, a_mat, c_vec)
-    x, _ = _project(x, lo, hi, budget, a_mat, c_vec)
-    eq = int(budget is not None)
-    e = np.vstack([np.ones((eq, x.size)), a_mat])
-    d = np.r_[[budget] * eq, c_vec]
-    resid = e @ x - d
-    resid[eq:] = np.maximum(resid[eq:], 0.0)
+    if np.isposinf(lo).any() or np.isneginf(hi).any() or np.isneginf(d).any():
+        return False
+    x, _ = _project(np.zeros(lo.size), lo, hi, e, d, eq)
+    x, _ = _project(x, lo, hi, e, d, eq)
     size = np.abs(d) + 2.0 * np.abs(e) @ np.abs(x)
-    return bool(np.all(np.abs(resid) <= 16.0 * np.finfo(float).eps * x.size * size))
+    return bool(np.all(_row_miss(x, e, d, eq) <= 16.0 * np.finfo(float).eps * x.size * size))
 
 
 def crisp_projected(
@@ -470,78 +474,71 @@ def crisp_projected(
 ) -> SolveReport:
     """Constrained sweep: box-clamped block sweep, end-of-sweep projection.
 
-    Budget and linear-inequality multipliers are carried explicitly: each
-    sweep is the kernel's projected Gauss-Seidel on P_gamma, every coordinate
-    updated against the dual-shifted signal mu - lambda * 1 - A^T nu and
-    clamped to the box (blocks of 64 assets, each a clamped triangular solve
-    with the same iterate as clamping one coordinate at a time), then
-    refreshes the duals from the constraint residuals (diagonally scaled
-    ascent) and projects the iterate onto the whole constraint set
-    (``_project``, an exact dual Newton solve) so that the reported weights
-    are feasible to rounding and inside the box exactly. The last projection
-    is projected once more, which keeps the weights feasible when the dual
-    ascent diverges. Without the shift the sweep cannot see the budget's
-    shadow price and stalls off the constrained optimum. ``converged`` needs
-    the stop rule and the last projection's KKT certificate; it is False when
+    The budget row and the cap rows are one stacked system E x (=, <=) d
+    (``_row_system``) whose multipliers z are carried explicitly, in
+    ``_project``'s convention. Each sweep is the kernel's projected
+    Gauss-Seidel on P_gamma, every coordinate updated against the
+    dual-shifted signal mu - E^T z and clamped to the box (blocks of 64
+    assets, each a clamped triangular solve with the same iterate as clamping
+    one coordinate at a time). It then steps z by the row residuals E w - d,
+    each over its row's curvature on the free coordinates, sum E_ki^2 / P_ii
+    (diagonally scaled ascent), keeps the inequality multipliers >= 0, and
+    projects the iterate onto the whole constraint set (``_project``, an
+    exact dual Newton solve) so that the reported weights are feasible to
+    rounding and inside the box exactly. The last projection is projected
+    once more, which keeps the weights feasible when the dual ascent
+    diverges. Without the shift the sweep cannot see the budget's shadow
+    price and stalls off the constrained optimum. ``converged`` needs the
+    stop rule and the last projection's KKT certificate; it is False when
     that projection is uncertified (its iteration cap), and the weights of an
-    uncertified projection are tagged ``raw``. With no constraints at all
-    this is exactly ``crisp_solve``.
+    uncertified projection are tagged ``raw``. With no budget, no finite cap
+    and an infinite box this is exactly ``crisp_solve``.
     """
-    if constraints.is_trivial:
-        return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
     g = _check_solver_args(gamma, p, eps)
-    n = sigma.n
-    if mu.n != n:
+    if mu.n != sigma.n:
         raise ParameterError("signal length does not match covariance size")
-    lo, hi, budget, rows = constraints.resolved(n)
-    a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
-    b_vec = np.array([bb for _, bb in rows]) if rows else np.zeros(0)
-
-    if not _feasible(lo, hi, budget, a_mat, b_vec):
+    lo, hi, e, d, eq = _row_system(constraints, sigma.n)
+    if not d.size and np.isneginf(lo).all() and np.isposinf(hi).all():
+        return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
+    if not _feasible(lo, hi, e, d, eq):
         raise InfeasibleConstraintsError("the constraint set has no feasible point")
 
     p_g = _shrunk(sigma.entries, g)
-    d = np.diag(p_g).copy()
-    m = mu.values
-    inv_d = 1.0 / d
-    lam = 0.0
-    nu = np.zeros(len(rows))
+    diag = np.diag(p_g).copy()
+    m, e2, inv_d, z = mu.values, e * e, 1.0 / diag, np.zeros(d.size)
 
-    def couple(s, e, x, y):
-        return p_g[s:e, :s] @ x[:s] + p_g[s:e, e:] @ y[e:]
+    def couple(s, t, x, y):
+        return p_g[s:t, :s] @ x[:s] + p_g[s:t, t:] @ y[t:]
 
-    block = functools.cache(lambda s, e: np.ascontiguousarray(p_g[s:e, s:e]).T)
+    block = functools.cache(lambda s, t: np.ascontiguousarray(p_g[s:t, s:t]).T)
     m_eff = m.copy()
-    iterates = _gauss_seidel(m_eff, d, block, _BOX_BLOCK, couple, (lo, hi))
+    iterates = _gauss_seidel(m_eff, diag, block, _BOX_BLOCK, couple, (lo, hi))
     w, _ = next(iterates)
-    y, projected = _project(w, lo, hi, budget, a_mat, b_vec)
+    y, projected = _project(w, lo, hi, e, d, eq)
 
-    sweeps = 0
-    rel = np.inf
-    viol = np.inf
+    sweeps, rel, viol = 0, np.inf, np.inf
     for sweeps in range(1, p + 1):
         y_prev = y
         # in place: the kernel reads the shifted signal afresh each sweep
-        m_eff[:] = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
+        m_eff[:] = m - z @ e
         w, _ = next(iterates)
         free = (w > lo + 1e-14) & (w < hi - 1e-14)
-        if budget is not None:
-            h = max(float(inv_d[free].sum()), 1e-12)
-            lam += (float(w.sum()) - budget) / h
-        for k in range(len(rows)):
-            h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
-            nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
-        y, projected = _project(w, lo, hi, budget, a_mat, b_vec)
+        # numpy's pairwise row sums, as w.sum() is, not a BLAS product: a lone
+        # budget row then steps exactly as a scalar multiplier does
+        h = np.maximum((e2[:, free] * inv_d[free]).sum(axis=1), 1e-12)
+        z += ((e * w).sum(axis=1) - d) / h
+        z[eq:] = np.maximum(z[eq:], 0.0)
+        y, projected = _project(w, lo, hi, e, d, eq)
         rel = _rel_change(y, y_prev)
-        viol = _violation(w, lo, hi, budget, a_mat, b_vec)
+        viol = _row_miss(w, e, d, eq).max(initial=0.0)  # w is inside the box
         if rel <= eps and viol <= max(eps, 1e-9):
             break
     # a projection is idempotent, and projecting a feasible point needs only
     # small multipliers; projecting a diverged iterate (say 1e13) may not, and
     # its certificate, which scales with its input, then admits a violation
-    y, projected = _project(y, lo, hi, budget, a_mat, b_vec)
+    y, projected = _project(y, lo, hi, e, d, eq)
     converged = rel <= eps and viol <= max(eps, 1e-9) and projected
-    tag = "sum_one" if projected and budget is not None and abs(budget - 1.0) < 1e-15 else "raw"
+    tag = "sum_one" if projected and eq and abs(d[0] - 1.0) < 1e-15 else "raw"
     return SolveReport(WeightVector(y, tag), sweeps, rel, converged)
 
 

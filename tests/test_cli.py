@@ -141,6 +141,12 @@ class TestErrors:
         assert code == 1
         assert "--factors" in err
 
+    def test_gamma_outside_the_unit_interval(self, capsys):
+        args = ["allocate", "--method", "hrp", "--regime", "block", "--n", "10", "--gamma", "2"]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "gamma" in err
+
     def test_malformed_csv_line_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,0.1\n0.1,oops\n")

@@ -84,6 +84,16 @@ class TestRunTrial:
         with pytest.raises(ParameterError):
             MethodSpec("ledoit-wolf")
 
+    @pytest.mark.parametrize(
+        "kwargs", ({"gamma": 1.5}, {"gamma": -1.0}, {"gamma": math.nan}, {"sweeps": 0})
+    )
+    def test_gamma_and_sweeps_are_checked_up_front(self, kwargs):
+        # rather than in every trial, as a NaN record counted as instability
+        with pytest.raises(ParameterError):
+            MethodSpec("crisp", **kwargs)
+        with pytest.raises(ParameterError):
+            MethodSpec("hrp", **kwargs)
+
     def test_oracle_ceiling(self):
         # with true inputs, no method beats the direct solution's Sharpe
         sigma = gen_regime(RegimeSpec("block_sector", n=20, sectors=4, seed=5))

@@ -30,7 +30,7 @@ from crisp_alloc import (
     to_correlation,
 )
 from crisp_alloc import solver
-from crisp_alloc.solver import _feasible, _project, _violation
+from crisp_alloc.solver import _feasible, _project, _row_system
 from tests.conftest import random_spd
 
 
@@ -418,6 +418,20 @@ def assert_kkt(x, y, lo, hi, budget, a, c, tol):
         assert abs(x.sum() - budget) <= tol
 
 
+def _rows(n, budget, a=(), c=()):
+    """The stacked rows (E, d, eq) of ``_project`` for the budget and the
+    caps a x <= c."""
+    return _row_system(ConstraintSet(budget=budget, linear_ineq=tuple(zip(a, c))), n)[2:]
+
+
+def _violation(w, lo, hi, budget, a, c):
+    """Worst miss of w on the box, the budget and the caps a x <= c."""
+    v = max(float(np.max(lo - w, initial=0.0)), float(np.max(w - hi, initial=0.0)))
+    if budget is not None:
+        v = max(v, abs(float(w.sum()) - budget))
+    return max(v, float(np.max(a @ w - c, initial=0.0)))
+
+
 def _projection_case(case, seed):
     """A small feasible projection problem: y, lo, hi, budget, A, c."""
     rng = np.random.default_rng(seed)
@@ -450,7 +464,7 @@ class TestProjection:
     )
     def test_matches_slsqp(self, case, seed):
         y, lo, hi, budget, a, c, x0 = _projection_case(case, seed)
-        x, met = _project(y, lo, hi, budget, a, c)
+        x, met = _project(y, lo, hi, *_rows(y.size, budget, a, c))
         assert met
         assert _violation(x, lo, hi, budget, a, c) <= 1e-12
         cons = [{"type": "ineq", "fun": lambda v: c - a @ v, "jac": lambda v: -a}] if len(c) else []
@@ -479,7 +493,7 @@ class TestProjection:
                 base = np.where(np.isfinite(lo), lo, 0.0)
                 hi = np.where(rng.random(n) < 0.5, base + scale, np.inf)
                 budget = float(np.clip(rng.normal(0.0, 0.3, n) * scale, lo, hi).sum())
-                x, met = _project(y, lo, hi, budget, np.zeros((0, n)), np.zeros(0))
+                x, met = _project(y, lo, hi, *_rows(n, budget))
                 want = _project_box_budget(y, lo, hi, budget)
                 assert met
                 assert np.abs(x - want).max() <= 1e-12 * np.abs(y).max(), (n, scale)
@@ -491,7 +505,7 @@ class TestProjection:
         # ||F|| is smaller and stalls there, backtracking on the dual does not
         y = scale * np.array([-0.7, 3.2, 0.5, -2.7])
         lo, hi = scale * np.array([-0.2, 0.0, -0.1, -0.4]), scale * np.array([0.0, 0.4, 0.5, -0.1])
-        x, met = _project(y, lo, hi, -0.6 * scale, np.zeros((0, 4)), np.zeros(0))
+        x, met = _project(y, lo, hi, *_rows(4, -0.6 * scale))
         assert met
         assert np.abs(x - _project_box_budget(y, lo, hi, -0.6 * scale)).max() <= 1e-15 * scale
         assert np.allclose(x / scale, [-0.2, 0.1, -0.1, -0.4], rtol=0.0, atol=1e-15)
@@ -504,7 +518,7 @@ class TestProjection:
         lo, hi = scale * np.array([0.3, -np.inf, -np.inf]), scale * np.array([0.8, 0.4, np.inf])
         a = np.array([[-2.0, 2.0, 0.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0]])
         c = scale * np.array([-0.2, 1.0, 1.3])
-        x, met = _project(y, lo, hi, scale, a, c)
+        x, met = _project(y, lo, hi, *_rows(3, scale, a, c))
         assert met
         assert np.allclose(x / scale, [0.4, 0.3, 0.3], rtol=0.0, atol=1e-14)
         assert_kkt(x / scale, y / scale, lo / scale, hi / scale, 1.0, a, c / scale, 1e-12)
@@ -512,10 +526,10 @@ class TestProjection:
     def test_budget_at_a_corner_of_the_box(self):
         # the only feasible point is a corner; the breakpoint search returned
         # (1, 1), (1, 0) and raised on these
-        lo, hi, none = np.zeros(2), np.ones(2), (np.zeros((0, 2)), np.zeros(0))
+        lo, hi = np.zeros(2), np.ones(2)
         for y, budget, want in (((1.0, 2.0), 0.0, (0.0, 0.0)), ((5.0, -2.0), 0.0, (0.0, 0.0)),
                                 ((-3.0, 0.5), 2.0, (1.0, 1.0))):
-            x, met = _project(np.array(y), lo, hi, budget, *none)
+            x, met = _project(np.array(y), lo, hi, *_rows(2, budget))
             assert met and np.array_equal(x, want)
 
     def test_cancelling_multipliers_certify(self):
@@ -527,14 +541,14 @@ class TestProjection:
         hi = np.array([np.inf, -2.0182930959769015e-07])
         a = np.array([[-0.9278425039727966, 0.0], [-0.6926934127927644, -0.9807510034951831]])
         c = np.array([-2.1379878204800837e-07, 3.8329915790302045e-08])
-        x, met = _project(y, lo, hi, 2.859641581645487e-08, a, c)
+        x, met = _project(y, lo, hi, *_rows(2, 2.859641581645487e-08, a, c))
         assert met
         assert _violation(x, lo, hi, 2.859641581645487e-08, a, c) <= 1e-17  # 1e-10 of the weights
 
     def test_box_only_is_a_clip(self):
         y = np.array([-2.0, 0.5, 3.0])
         lo, hi = np.zeros(3), np.ones(3)
-        x, met = _project(y, lo, hi, None, np.zeros((0, 3)), np.zeros(0))
+        x, met = _project(y, lo, hi, *_rows(3, None))
         assert met and np.array_equal(x, np.clip(y, lo, hi))
 
     def test_dykstra_false_certificate(self):
@@ -545,7 +559,7 @@ class TestProjection:
         a, c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.array([0.6, 0.6])
         x_dykstra, met_dykstra = _project_general(y, lo, hi, 1.0, list(zip(a, c)), tol=1e-15)
         assert met_dykstra and (a @ x_dykstra - c).max() > 1e-8
-        x, met = _project(y, lo, hi, 1.0, a, c)
+        x, met = _project(y, lo, hi, *_rows(y.size, 1.0, a, c))
         assert met and _violation(x, lo, hi, 1.0, a, c) <= 1e-15
         assert np.allclose(x, [0.0, 0.4, 0.6], rtol=0.0, atol=1e-15)
         assert_kkt(x, y, lo, hi, 1.0, a, c, 1e-14)
@@ -560,7 +574,7 @@ class TestProjection:
         x_dykstra, met_dykstra = _project_general(
             y, lo, hi, 1.0, list(zip(a, c)), tol=1e-15, max_iter=200000
         )
-        x, met = _project(y, lo, hi, 1.0, a, c)
+        x, met = _project(y, lo, hi, *_rows(y.size, 1.0, a, c))
         assert met_dykstra and met
         assert (a @ x - c).max() > -1e-12  # a cap binds
         assert np.abs(x - x_dykstra).max() < 1e-12
@@ -577,7 +591,7 @@ class TestProjection:
         lo, hi = np.zeros(n), np.full(n, np.inf)
         rng = np.random.default_rng(11)
         y = scale * (rng.normal(0.5, 1.0, n) + 2.0 * (sect == 0) + 1.0 * (sect == 1))
-        x, met = _project(y, lo, hi, 1.0, a, c)
+        x, met = _project(y, lo, hi, *_rows(y.size, 1.0, a, c))
         assert met
         assert x.min() >= 0.0 and _violation(x, lo, hi, 1.0, a, c) <= 1e-12
         assert (a @ x - c).max() > -1e-12  # a cap binds
@@ -722,6 +736,139 @@ class TestClampedSweep:
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
+    """The dual ascent ``crisp_projected`` ran before its rows were one stacked
+    system: a budget multiplier lambda and one cap multiplier nu_k per row,
+    stepped row by row, the sweep reading mu - lambda 1 - A^T nu, and the box
+    half of the stop rule's violation checked too. Kept as the oracle; the
+    kernel and the projection are the package's. Returns the weights."""
+    n = sigma.n
+    lo, hi, budget, rows = cs.resolved(n)
+    a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
+    b_vec = np.array([bb for _, bb in rows]) if rows else np.zeros(0)
+    eq = int(budget is not None)
+    e, d_vec = np.vstack([np.ones((eq, n)), a_mat]), np.r_[[budget] * eq, b_vec]
+    p_g = solver._shrunk(sigma.entries, gamma)
+    d = np.diag(p_g).copy()
+    m, inv_d, lam, nu = mu.values, 1.0 / d, 0.0, np.zeros(len(rows))
+
+    def couple(s, t, x, y):
+        return p_g[s:t, :s] @ x[:s] + p_g[s:t, t:] @ y[t:]
+
+    m_eff = m.copy()
+    block = lambda s, t: np.ascontiguousarray(p_g[s:t, s:t]).T  # noqa: E731
+    iterates = solver._gauss_seidel(m_eff, d, block, solver._BOX_BLOCK, couple, (lo, hi))
+    w, _ = next(iterates)
+    y, _ = _project(w, lo, hi, e, d_vec, eq)
+    for _ in range(p):
+        y_prev = y
+        m_eff[:] = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
+        w, _ = next(iterates)
+        free = (w > lo + 1e-14) & (w < hi - 1e-14)
+        if budget is not None:
+            lam += (float(w.sum()) - budget) / max(float(inv_d[free].sum()), 1e-12)
+        for k in range(len(rows)):
+            h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
+            nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
+        y, _ = _project(w, lo, hi, e, d_vec, eq)
+        rel = solver._rel_change(y, y_prev)
+        if rel <= eps and _violation(w, lo, hi, budget, a_mat, b_vec) <= max(eps, 1e-9):
+            break
+    return _project(y, lo, hi, e, d_vec, eq)[0]
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize(
+        "n, cs, ones",
+        (
+            (60, ConstraintSet(lower=np.zeros(60), budget=1.0), False),  # budget only
+            (60, ConstraintSet(lower=np.full(60, -0.05), linear_ineq=tuple(_caps(60, 0.1, 4))), False),
+            (80, ConstraintSet(lower=np.zeros(80), upper=np.full(80, 0.03), budget=1.0), False),
+            (200, long_only_budget(200, _caps(200, 0.3)), True),  # a desk-like min-var book
+            (50, ConstraintSet(lower=np.full(50, -0.5), upper=np.full(50, 0.5)), False),
+        ),
+        ids=("budget_only", "caps_no_budget", "finite_upper", "desk_like_n200", "box_only"),
+    )
+    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    def test_same_weights_as_the_row_by_row_ascent(self, n, cs, ones, gamma):
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=n))
+        mu = Signal(np.ones(n)) if ones else _rand_mu(n, n)
+        got = crisp_projected(sigma, mu, gamma, p=300, constraints=cs).weights.values
+        want = reference_projected(sigma, mu, gamma, 300, cs)
+        if not cs.linear_ineq:  # without cap rows the ascent steps bit for bit as before
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if n == 80:
+            assert np.any(got == 0.03)  # the upper bounds bind
+
+    def test_resolved_is_the_four_tuple_the_benchmark_reads(self):
+        a = np.array([1.0, 0.0, 1.0])
+        cs = ConstraintSet(lower=np.zeros(3), budget=1, linear_ineq=((a, 0.6), ([0, 1, 0], 1)))
+        lo, hi, budget, rows = cs.resolved(3)
+        assert np.array_equal(lo, np.zeros(3)) and np.array_equal(hi, np.full(3, np.inf))
+        assert budget == 1 and isinstance(rows, list) and len(rows) == 2
+        assert all(isinstance(r, tuple) and len(r) == 2 for r in rows)
+        assert np.array_equal(rows[0][0], a) and rows[0][1] == 0.6
+        assert np.array_equal(rows[1][0], [0.0, 1.0, 0.0]) and type(rows[1][1]) is float
+        lo, hi, budget, rows = ConstraintSet().resolved(2)
+        assert np.isneginf(lo).all() and np.isposinf(hi).all() and budget is None and rows == []
+
+    def test_one_stacked_system(self):
+        cs = long_only_budget(4, [(np.array([1.0, 1.0, 0.0, 0.0]), 0.5)])
+        lo, hi, e, d, eq = _row_system(cs, 4)
+        assert eq == 1 and np.array_equal(e, [[1, 1, 1, 1], [1, 1, 0, 0]])
+        assert np.array_equal(d, [1.0, 0.5])
+        w = np.array([0.4, 0.3, 0.2, 0.0])
+        assert np.allclose(solver._row_miss(w, e, d, eq), [0.1, 0.2], rtol=0.0, atol=1e-15)
+        assert np.array_equal(solver._row_miss(np.full(4, 0.25), e, d, eq), [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"lower": np.r_[np.nan, np.zeros(3)]},
+            {"upper": np.r_[np.ones(3), np.nan]},
+            {"budget": np.nan},
+            {"budget": np.inf},
+            {"budget": -np.inf},
+            {"linear_ineq": ((np.ones(4), np.nan),)},
+            {"linear_ineq": ((np.r_[np.nan, np.ones(3)], 1.0),)},
+            {"linear_ineq": ((np.r_[np.inf, np.ones(3)], 1.0),)},
+        ),
+        ids=(
+            "nan_lower", "nan_upper", "nan_budget", "inf_budget", "neg_inf_budget",
+            "nan_cap", "nan_row_entry", "inf_row_entry",
+        ),
+    )
+    def test_non_finite_input_is_a_parameter_error(self, kwargs):
+        with pytest.raises(ParameterError):
+            crisp_projected(random_spd(4, 2), _rand_mu(4, 2), constraints=ConstraintSet(**kwargs))
+
+    def test_infinite_bounds_and_caps_stay_legal(self):
+        n = 30
+        sigma, mu = gen_regime(RegimeSpec("block_sector", n=n, seed=1)), _rand_mu(n, 1)
+        sect = sector_labels(n, 3)
+        loose = [((sect == 1).astype(float), np.inf)]
+        for caps in (loose, [((sect == 0).astype(float), 0.2)] + loose):
+            rep = crisp_projected(sigma, mu, 0.5, p=200, constraints=long_only_budget(n, caps))
+            want = crisp_projected(sigma, mu, 0.5, p=200, constraints=long_only_budget(n, caps[:-1]))
+            assert rep.converged and np.array_equal(rep.weights.values, want.weights.values)
+        for cs in (
+            ConstraintSet(linear_ineq=(((sect == 0).astype(float), -np.inf),)),
+            ConstraintSet(lower=np.r_[np.inf, np.zeros(n - 1)], budget=1.0),
+            ConstraintSet(upper=np.r_[-np.inf, np.ones(n - 1)]),
+        ):
+            with pytest.raises(InfeasibleConstraintsError):
+                crisp_projected(sigma, mu, 0.5, constraints=cs)
+
+    def test_an_infinite_box_is_crisp_solve(self):
+        sigma, mu = random_spd(12, 5), _rand_mu(12, 5)
+        box = ConstraintSet(lower=np.full(12, -np.inf), upper=np.full(12, np.inf))
+        r1 = crisp_projected(sigma, mu, 0.5, p=50, constraints=box)
+        r2 = crisp_solve(sigma, mu, 0.5, p_max=50)
+        assert np.array_equal(r1.weights.values, r2.weights.values)
+        assert (r1.sweeps_used, r1.converged) == (r2.sweeps_used, r2.converged)
+
+
 class TestProjected:
     def test_no_constraints_identical(self):
         sigma = random_spd(12, 5)
@@ -799,8 +946,8 @@ class TestProjected:
         # by 0.014 times
         a = np.array([[-0.38, -0.38], [-0.37975, -0.37945], [-0.65, -1.91]])
         x0 = np.array([11.0, 4.0]) / 15.0
-        assert _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0)
-        assert not _feasible(np.zeros(2), np.full(2, np.inf), 1.0, a, a @ x0 - 1e-9)
+        assert _feasible(np.zeros(2), np.full(2, np.inf), *_rows(2, 1.0, a, a @ x0))
+        assert not _feasible(np.zeros(2), np.full(2, np.inf), *_rows(2, 1.0, a, a @ x0 - 1e-9))
 
     def test_diverging_duals_return_a_feasible_point(self):
         # on the one-point set above the dual ascent diverges (the iterate
@@ -820,7 +967,7 @@ class TestProjected:
         # feasible sets whose re-projected origin misses a row by 1.13 and 1.21
         # times 8 eps N (|d_k| + |E_k||x|), within the probe's tolerance
         _, lo, hi, budget, a, c, _ = _projection_case("finite_upper", seed)
-        assert _feasible(lo, hi, budget, a, c)
+        assert _feasible(lo, hi, *_rows(lo.size, budget, a, c))
 
     def test_exactly_tight_caps_solve(self):
         # five 20 % caps: feasible only with every cap binding
@@ -839,9 +986,9 @@ class TestProjected:
         w = np.linspace(0.5, -0.3, n)
         lo, hi = np.zeros(n), np.full(n, np.inf)
         a, c = np.r_[np.ones(5), np.zeros(5)][None, :], np.array([0.3])
-        _, met = _project(w, lo, hi, 1.0, a, c, max_iter=1)
+        _, met = _project(w, lo, hi, *_rows(n, 1.0, a, c), max_iter=1)
         assert not met
-        x, met = _project(w, lo, hi, 1.0, a, c)
+        x, met = _project(w, lo, hi, *_rows(n, 1.0, a, c))
         assert met
         assert x[:5].sum() <= 0.3 + 1e-8 and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 from crisp_alloc import (
     CovarianceMatrix,
+    ParameterError,
     RegimeSpec,
     Signal,
     SignalSpec,
@@ -128,3 +129,14 @@ def test_any_covariance_scale(name):
     # both far out: the same rescaled matrix, so the same bits
     far = [run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, 0.5) for e in (600, 700)]
     assert np.array_equal(far[0].values, far[1].values)
+
+
+@pytest.mark.parametrize("name", sorted(set(TREE_PASSES) - {"hrp"}))
+@pytest.mark.parametrize("delta", (-2, 2))
+def test_signal_length_must_match(name, delta):
+    # a longer signal lost its tail entries, a shorter one raised IndexError
+    sigma = random_spd(10, 3)
+    tree = build_tree(to_correlation(sigma), "ward")
+    mu = Signal(np.random.default_rng(3).normal(0.0, 0.02, 10 + delta))
+    with pytest.raises(ParameterError, match="signal length does not match covariance size"):
+        TREE_PASSES[name](sigma, mu, tree, 0.5)
