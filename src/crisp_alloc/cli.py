@@ -31,7 +31,6 @@ from .errors import AllocationError, ParameterError
 from .experiments import (
     METHOD_IDS,
     METHODS,
-    PRESET_NAMES,
     MethodSpec,
     allocate,
     export,
@@ -219,21 +218,26 @@ def cmd_allocate(args) -> int:
         top = vecs * np.sqrt(eigs)
         idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
         fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
-        w = crisp_solve_stream(fm, mu, args.gamma, p_max=args.sweeps, eps=args.eps).weights
+        solved = crisp_solve_stream(fm, mu, args.gamma, p_max=args.sweeps, eps=args.eps)
     elif args.method == "crisp-projected":
         cs = ConstraintSet(lower=np.zeros(sigma.n), budget=1.0)
-        w = crisp_projected(sigma, mu, args.gamma, p=args.sweeps, constraints=cs, eps=args.eps).weights
+        solved = crisp_projected(sigma, mu, args.gamma, p=args.sweeps, constraints=cs, eps=args.eps)
     elif args.method == "crisp":
-        w = crisp_solve(
+        solved = crisp_solve(
             sigma, mu, args.gamma, p_max=args.sweeps, eps=args.eps, ordering=tree.leaf_order
-        ).weights
+        )
     else:
-        w = allocate(MethodSpec(args.method, args.gamma, args.sweeps), sigma, mu, tree)
+        solved = None
+    w = solved.weights if solved else allocate(
+        MethodSpec(args.method, args.gamma, args.sweeps), sigma, mu, tree
+    )
 
     w_star = markowitz_direct(sigma, mu)
     rep = direction_report(w.values, w_star.values)
     print(f"method: {args.method}  gamma: {args.gamma:g}  n: {sigma.n}")
     print("weights:", " ".join(f"{x:.6g}" for x in w.values))
+    if solved:
+        print(f"sweeps: {solved.sweeps_used}  converged: {solved.converged}")
     print(
         f"dir_error_vs_direct: {rep.dir_error:.6g}  signed_cos: {rep.signed_cosine:.6g}  "
         f"sign_match: {rep.sign_match_fraction:.6g}"
@@ -248,9 +252,8 @@ def cmd_allocate(args) -> int:
 def cmd_experiment(args) -> int:
     try:
         spec = preset(args.preset, full=args.full, seed=args.seed)
-    except ParameterError:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        print("valid presets: " + ", ".join(PRESET_NAMES), file=sys.stderr)
+    except ParameterError as exc:  # names the valid presets
+        print(exc, file=sys.stderr)
         return 2
     if args.trials is not None:  # runners that draw no trials ignore it
         spec = dataclasses.replace(spec, trials=args.trials)

@@ -87,8 +87,7 @@ def _gauss_seidel(
     to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
     for a C-ordered block, so LAPACK and BLAS read it in place.
     ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
-    block's rows outside the block (there are none when None); x is None,
-    the first term dropped, only for the residual, which a box does not yield.
+    block's rows outside the block (there are none when None).
 
     With a ``box`` (lo, hi) every coordinate is clamped to it as it is
     updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
@@ -96,8 +95,8 @@ def _gauss_seidel(
     sweep, so a caller may shift it in place between sweeps.
 
     Yields (w, residual) pairs: first the diagonal solve (residual None), then
-    one pair per sweep with the residual P_g w+ - m = g U (w+ - w) (None
-    under a box, where a clamped coordinate does not solve its row).
+    one pair per sweep with the residual P_g w+ - m = g U (w+ - w) on one
+    block without a box, where it is free, and None otherwise.
     """
     n = m.size
     starts = list(range(0, n, size or n))
@@ -120,12 +119,7 @@ def _gauss_seidel(
             else:
                 w[s:e] = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
             new_g_uw[s:e] = upper(pt, w[s:e])
-        resid = None if box is not None else new_g_uw - g_uw
-        if resid is not None and couple:  # the later blocks' change reaches a block
-            change = w - w_prev
-            for s, e in edges[:-1]:
-                resid[s:e] += couple(s, e, None, change)
-        yield w, resid
+        yield w, None if box is not None or couple else new_g_uw - g_uw
         g_uw = new_g_uw
 
 
@@ -283,8 +277,7 @@ def crisp_solve_stream(
         return p.T
 
     def couple(s, e, x, y):  # through the K-vectors B^T x and B^T y
-        z = b[e:].T @ y[e:]
-        return gbl[s:e] @ (z if x is None else b[:s].T @ x[:s] + z)
+        return gbl[s:e] @ (b[:s].T @ x[:s] + b[e:].T @ y[e:])
 
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
     return _drive(_gauss_seidel(mu.values, d, block, size, couple), g, p_max, eps)
@@ -472,7 +465,7 @@ def crisp_projected(
     constraints: ConstraintSet = ConstraintSet(),
     eps: float = DEFAULT_EPS,
 ) -> SolveReport:
-    """Constrained sweep: box-clamped block sweep, end-of-sweep projection.
+    """Box-clamped block sweeps, then one projection of the last iterate.
 
     The budget row and the cap rows are one stacked system E x (=, <=) d
     (``_row_system``) whose multipliers z are carried explicitly, in
@@ -482,17 +475,18 @@ def crisp_projected(
     assets, each a clamped triangular solve with the same iterate as clamping
     one coordinate at a time). It then steps z by the row residuals E w - d,
     each over its row's curvature on the free coordinates, sum E_ki^2 / P_ii
-    (diagonally scaled ascent), keeps the inequality multipliers >= 0, and
-    projects the iterate onto the whole constraint set (``_project``, an
-    exact dual Newton solve) so that the reported weights are feasible to
-    rounding and inside the box exactly. The last projection is projected
-    once more, which keeps the weights feasible when the dual ascent
-    diverges. Without the shift the sweep cannot see the budget's shadow
-    price and stalls off the constrained optimum. ``converged`` needs the
-    stop rule and the last projection's KKT certificate; it is False when
-    that projection is uncertified (its iteration cap), and the weights of an
-    uncertified projection are tagged ``raw``. With no budget, no finite cap
-    and an infinite box this is exactly ``crisp_solve``.
+    (diagonally scaled ascent), and keeps the inequality multipliers >= 0;
+    without the shift the sweep cannot see the budget's shadow price and
+    stalls off the constrained optimum. The stop rule reads the kernel
+    iterate w, its relative change (``final_rel_change``) and row miss. The
+    last w is projected onto the whole constraint set (``_project``, an exact
+    dual Newton solve) and the result once more, which keeps it feasible
+    when the ascent diverges: the weights are feasible to rounding and
+    inside the box exactly. ``converged`` needs the stop rule and the last
+    projection's KKT certificate; it is False when that projection is
+    uncertified (its iteration cap), and the weights of an uncertified
+    projection are tagged ``raw``. With no budget, no finite cap and an
+    infinite box this is exactly ``crisp_solve``.
     """
     g = _check_solver_args(gamma, p, eps)
     if mu.n != sigma.n:
@@ -514,11 +508,8 @@ def crisp_projected(
     m_eff = m.copy()
     iterates = _gauss_seidel(m_eff, diag, block, _BOX_BLOCK, couple, (lo, hi))
     w, _ = next(iterates)
-    y, projected = _project(w, lo, hi, e, d, eq)
-
-    sweeps, rel, viol = 0, np.inf, np.inf
     for sweeps in range(1, p + 1):
-        y_prev = y
+        w_prev = w
         # in place: the kernel reads the shifted signal afresh each sweep
         m_eff[:] = m - z @ e
         w, _ = next(iterates)
@@ -528,14 +519,14 @@ def crisp_projected(
         h = np.maximum((e2[:, free] * inv_d[free]).sum(axis=1), 1e-12)
         z += ((e * w).sum(axis=1) - d) / h
         z[eq:] = np.maximum(z[eq:], 0.0)
-        y, projected = _project(w, lo, hi, e, d, eq)
-        rel = _rel_change(y, y_prev)
+        rel = _rel_change(w, w_prev)
         viol = _row_miss(w, e, d, eq).max(initial=0.0)  # w is inside the box
         if rel <= eps and viol <= max(eps, 1e-9):
             break
     # a projection is idempotent, and projecting a feasible point needs only
     # small multipliers; projecting a diverged iterate (say 1e13) may not, and
     # its certificate, which scales with its input, then admits a violation
+    y, _ = _project(w, lo, hi, e, d, eq)
     y, projected = _project(y, lo, hi, e, d, eq)
     converged = rel <= eps and viol <= max(eps, 1e-9) and projected
     tag = "sum_one" if projected and eq and abs(d[0] - 1.0) < 1e-15 else "raw"

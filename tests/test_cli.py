@@ -58,6 +58,21 @@ class TestGenAllocateRoundTrip:
         )
         assert code == 0
 
+    def test_solvers_report_their_convergence(self, capsys):
+        # a line of its own after the weights line, which is parsed and stays as it was
+        base = ["allocate", "--regime", "block", "--n", "10", "--seed", "4"]
+        code, out, _ = run_cli(base + ["--method", "crisp-projected", "--sweeps", "1"], capsys)
+        lines = out.splitlines()
+        assert code == 0 and lines[1].startswith("weights:")
+        assert lines[2] == "sweeps: 1  converged: False"
+        for method in ("crisp", "crisp-stream", "crisp-projected"):
+            code, out, _ = run_cli(base + ["--method", method, "--sweeps", "5000"], capsys)
+            sweeps, converged = out.splitlines()[2].split("  ")
+            assert code == 0 and converged == "converged: True", method
+            assert 1 <= int(sweeps.removeprefix("sweeps: ")) < 5000
+        code, out, _ = run_cli(base + ["--method", "hrp"], capsys)
+        assert code == 0 and "converged" not in out
+
     @pytest.mark.parametrize(
         "args, digest",
         (
@@ -188,6 +203,7 @@ class TestErrors:
         code, _, err = run_cli(["experiment", "bogus"], capsys)
         assert code == 2
         assert "recovery" in err and "oos_minvar" in err
+        assert err.count("recovery") == 1  # one list of the valid names
 
     def test_failed_experiment_names_the_file_it_wrote(self, tmp_path, capsys, monkeypatch):
         def broken(spec, jobs=1):

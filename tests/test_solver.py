@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -262,23 +261,6 @@ class TestFactorStream:
                 break
         assert rep.converged
         assert rep.sweeps_used == sweeps
-
-    def test_kernel_residual_is_the_dense_one(self, monkeypatch):
-        # the blocks' residual P_gamma w - mu includes their coupling to the later blocks
-        fm = self._model(200, 3, 1, True)
-        mu = _rand_mu(200, 1)
-        p_g = shrink(fm.materialize(), 0.7).entries
-        devs = []
-
-        def recording(iterates, *args):
-            next(iterates)
-            for w, resid in islice(iterates, 20):
-                devs.append(np.abs(resid - (p_g @ w - mu.values)).max())
-
-        monkeypatch.setattr(solver, "_drive", recording)
-        crisp_solve_stream(fm, mu, 0.7)
-        assert len(devs) == 20
-        assert max(devs) < 1e-12 * np.abs(mu.values).max()
 
     def test_matches_dense_path(self):
         fm = self._model(50, 3, 11)
@@ -741,7 +723,8 @@ def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
     system: a budget multiplier lambda and one cap multiplier nu_k per row,
     stepped row by row, the sweep reading mu - lambda 1 - A^T nu, and the box
     half of the stop rule's violation checked too. Kept as the oracle; the
-    kernel and the projection are the package's. Returns the weights."""
+    kernel and the projection are the package's. The stop rule reads the
+    kernel iterate, and the last one is projected twice. Returns the weights."""
     n = sigma.n
     lo, hi, budget, rows = cs.resolved(n)
     a_mat = np.stack([a for a, _ in rows]) if rows else np.zeros((0, n))
@@ -759,9 +742,8 @@ def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
     block = lambda s, t: np.ascontiguousarray(p_g[s:t, s:t]).T  # noqa: E731
     iterates = solver._gauss_seidel(m_eff, d, block, solver._BOX_BLOCK, couple, (lo, hi))
     w, _ = next(iterates)
-    y, _ = _project(w, lo, hi, e, d_vec, eq)
     for _ in range(p):
-        y_prev = y
+        w_prev = w
         m_eff[:] = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
         w, _ = next(iterates)
         free = (w > lo + 1e-14) & (w < hi - 1e-14)
@@ -770,10 +752,10 @@ def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
         for k in range(len(rows)):
             h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
             nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
-        y, _ = _project(w, lo, hi, e, d_vec, eq)
-        rel = solver._rel_change(y, y_prev)
+        rel = solver._rel_change(w, w_prev)
         if rel <= eps and _violation(w, lo, hi, budget, a_mat, b_vec) <= max(eps, 1e-9):
             break
+    y, _ = _project(w, lo, hi, e, d_vec, eq)
     return _project(y, lo, hi, e, d_vec, eq)[0]
 
 
@@ -1007,6 +989,33 @@ class TestProjected:
         rep = crisp_projected(sigma, _rand_mu(20, 4), 0.5, p=500, constraints=cs)
         assert not rep.converged
         assert rep.weights.norm_tag == "raw"  # an uncertified projection's weights
+
+    @pytest.mark.parametrize("p", (1, 100))
+    def test_projects_four_times_whatever_the_sweep_count(self, p, monkeypatch):
+        # two projections in _feasible and two of the last iterate; none per
+        # sweep (eps 1e-300 runs every sweep, where a projection per sweep
+        # would make 104 calls at p = 100)
+        calls = []
+        monkeypatch.setattr(solver, "_project", lambda *a: calls.append(1) or _project(*a))
+        sigma = gen_regime(RegimeSpec("block_sector", n=200, seed=200))
+        cs = long_only_budget(200, _caps(200, 0.3))
+        rep = crisp_projected(sigma, Signal(np.ones(200)), 0.5, p=p, constraints=cs, eps=1e-300)
+        assert rep.sweeps_used == p and len(calls) == 4
+
+    def test_a_diverging_ascent_is_not_converged(self):
+        # at gamma = 1 a sweep leaves no coordinate strictly inside the box, the
+        # ascent's curvature floor 1e-12 makes the budget multiplier blow up and
+        # every sweep clamps to the opposite bound; the stop rule must not read
+        # that as convergence, and the twice-projected last iterate is feasible
+        n = 80
+        sigma, mu = gen_regime(RegimeSpec("block_sector", n=n, seed=n)), _rand_mu(n, n)
+        cs = ConstraintSet(lower=np.zeros(n), upper=np.full(n, 0.02), budget=1.0)
+        rep = crisp_projected(sigma, mu, 1.0, p=300, constraints=cs)
+        w = rep.weights.values
+        assert not rep.converged and rep.sweeps_used == 300
+        assert w.min() >= 0.0 and w.max() <= 0.02 and w.sum() == pytest.approx(1.0, abs=1e-12)
+        rep = crisp_projected(sigma, mu, 0.5, p=300, constraints=cs)
+        assert rep.converged and rep.sweeps_used == 16
 
     def test_bounds_validation(self):
         sigma = random_spd(3, 9)
