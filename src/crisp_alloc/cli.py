@@ -7,6 +7,7 @@ regime, with direction/Sharpe diagnostics against the direct solve),
 signal search), and ``gen`` (write a synthetic covariance/signal to CSV).
 
 Covariance files are headerless CSV, N rows by N columns; signals are N x 1.
+A path ending in ``.npy`` is read and written as a numpy array instead.
 Flags override an optional ``key = value`` config file, which overrides the
 built-in defaults. The CRISP_ALLOC_RESULTS_DIR environment variable overrides
 the results root.
@@ -69,6 +70,8 @@ class CliError(Exception):
 
 
 def _read_matrix(path: str) -> np.ndarray:
+    if path.endswith(".npy"):
+        return _read_npy(path)
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
@@ -81,6 +84,20 @@ def _read_matrix(path: str) -> np.ndarray:
     if not m.size:
         raise CliError(f"{path}: empty file")
     return m
+
+
+def _read_npy(path: str) -> np.ndarray:
+    """A real numeric array of at most two dimensions (a vector is a row)."""
+    try:
+        with open(path, "rb") as fh:  # np.load's reader for .npy, pickles refused
+            m = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    if m.dtype.kind not in "biuf" or m.ndim > 2:
+        raise CliError(f"{path}: not a real numeric array of at most two dimensions")
+    if not m.size:
+        raise CliError(f"{path}: empty array")
+    return np.atleast_2d(m.astype(float))
 
 
 def _locate_bad_cell(path: str):
@@ -112,9 +129,12 @@ def _is_number(cell: str) -> bool:
 
 
 def _write_matrix(path: str, m: np.ndarray) -> None:
-    """Headerless CSV at full precision; a vector is written as a column."""
+    """Headerless CSV at full precision, a vector as a column; ``.npy`` as is."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, m, fmt="%.17g", delimiter=",")
+    if path.endswith(".npy"):
+        np.save(path, m)
+    else:
+        np.savetxt(path, m, fmt="%.17g", delimiter=",")
 
 
 # per spec kind: the spec class, the library's kind names, short aliases,
@@ -320,8 +340,8 @@ def cmd_gen(args) -> int:
 
 
 def _add_common_io(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cov", help="covariance CSV (N x N, headerless)")
-    p.add_argument("--mu", help="signal CSV (N x 1)")
+    p.add_argument("--cov", help="covariance CSV (N x N, headerless) or .npy")
+    p.add_argument("--mu", help="signal CSV (N x 1) or .npy")
     p.add_argument("--regime", help="regime spec, e.g. block or factor:k=3")
     p.add_argument("--signal", help="signal spec, e.g. gaussian:sigma=0.02")
     p.add_argument("--n", type=int, default=100, help="assets for generated regimes")

@@ -1,12 +1,14 @@
 """Correlation-distance agglomerative clustering into a binary tree.
 
 The tree is the scaffold for every hierarchical allocator. Linkage operates
-on the correlation-distance matrix directly via the Lance-Williams update,
-finding each merge from per-row nearest-neighbour caches (Muellner's generic
-algorithm, arXiv:1109.2378; O(N^2) on typical inputs), with distance ties
-broken by the lowest (id, id) cluster pair so that the construction is
-deterministic across platforms. Each node stores its span in the
-quasi-diagonal leaf order; its leaf set and size are read off that span.
+on the correlation distances via the Lance-Williams update (Muellner,
+arXiv:1109.2378). When no two input distances are equal, the greedy merge
+sequence is unique and scipy's compiled ``linkage`` builds it. Otherwise a
+Python loop finds each merge from per-row nearest-neighbour caches (Muellner's
+generic algorithm; O(N^2) on typical inputs) and breaks distance ties by the
+lowest (id, id) cluster pair, so the construction is deterministic across
+platforms. Each node stores its span in the quasi-diagonal leaf order; its
+leaf set and size are read off that span.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .core import CorrelationMatrix
 from .errors import DegenerateUniverseError, ParameterError
@@ -84,6 +87,12 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
 
     Deterministic: ties are broken by the lexicographically smallest pair of
     cluster ids, and the left child of every merge is the smaller id.
+
+    If the N(N-1)/2 input distances are all distinct, scipy's compiled
+    ``linkage`` computes the merges; heights then carry its rounding, not the
+    loop's. Any tied (or NaN) distance runs the Python loop instead. Distinct
+    input distances make an exact tie among the Lance-Williams updates
+    unlikely, not impossible; such a tie is broken by scipy's rule.
     """
     if rule not in _RULES:
         raise ParameterError(f"unknown linkage rule {rule!r}")
@@ -91,10 +100,22 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
     if n < 2:
         raise DegenerateUniverseError("need at least two assets to build a tree")
 
+    work = corr_distance(corr)
+    cond = squareform(work, checks=False)
+    ranked = np.sort(cond)
+    if (ranked[1:] > ranked[:-1]).all():
+        # imported here: the module costs ~30 ms, which every import of the
+        # package would otherwise pay
+        from scipy.cluster.hierarchy import linkage
+
+        z = linkage(cond, rule)
+        pairs = np.sort(z[:, :2].astype(np.intp), axis=1).tolist()
+        merged = range(n, 2 * n - 1)
+        return _assemble(n, dict(zip(merged, map(tuple, pairs))), dict(zip(merged, z[:, 2].tolist())))
+
     # Ward's update runs on squared distances, the other rules on raw ones,
     # squared in place so one n x n array is alive. The diagonal and retired
     # slots hold inf, so no row needs a mask.
-    work = corr_distance(corr)
     if rule == "ward":
         np.square(work, out=work)
     np.fill_diagonal(work, np.inf)

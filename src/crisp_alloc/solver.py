@@ -68,8 +68,15 @@ def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
 
 
 def _rel_change(w: np.ndarray, w_prev: np.ndarray) -> float:
-    ref = float(np.linalg.norm(w_prev))
-    change = float(np.linalg.norm(w - w_prev))
+    """||w - w_prev|| / ||w_prev||, computed as ``np.linalg.norm`` does at
+    ordinary scale. When max|w_prev| lies outside [1e-100, 1e100] the squares
+    would under- or overflow, so both vectors are first divided by it."""
+    d = w - w_prev
+    s = float(np.abs(w_prev).max(initial=0.0))
+    if not 1e-100 <= s <= 1e100 and 0.0 < s < math.inf:
+        d, w_prev = d / s, w_prev / s
+    ref = math.sqrt(w_prev.dot(w_prev))
+    change = math.sqrt(d.dot(d))
     if ref == 0.0:
         return 0.0 if change == 0.0 else np.inf
     return change / ref

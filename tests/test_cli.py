@@ -104,6 +104,59 @@ class TestGenAllocateRoundTrip:
         assert got == want
 
 
+class TestNpyFiles:
+    def test_allocate_reads_and_writes_npy_like_csv(self, tmp_path, capsys):
+        cov = tmp_path / "c.csv"
+        gen = ["gen", "--regime", "factor:k=2", "--n", "10", "--out", str(cov), "--signal", "gaussian"]
+        assert run_cli(gen, capsys)[0] == 0
+        mu = tmp_path / "c_mu.csv"
+        np.save(tmp_path / "c.npy", np.loadtxt(cov, delimiter=","))
+        np.save(tmp_path / "mu.npy", np.loadtxt(mu, delimiter=","))  # a 1-D signal
+        runs = {}
+        for cov_in, mu_in, out in ((cov, mu, "w.csv"), ("c.npy", "mu.npy", "w.npy")):
+            args = ["allocate", "--method", "crisp", "--cov", str(tmp_path / cov_in),
+                    "--mu", str(tmp_path / mu_in), "--out", str(tmp_path / out)]
+            code, stdout, _ = run_cli(args, capsys)
+            assert code == 0
+            runs[out] = stdout.replace(out, "")
+        assert runs["w.csv"] == runs["w.npy"]
+        w = np.load(tmp_path / "w.npy", allow_pickle=False)
+        assert w.shape == (10,)
+        assert np.array_equal(w, np.loadtxt(tmp_path / "w.csv"))
+
+    def test_values_round_trip_exactly(self, tmp_path):
+        m = np.random.default_rng(0).standard_normal((5, 4)) * np.logspace(-300, 300, 4)
+        path = str(tmp_path / "sub" / "m.npy")
+        cli._write_matrix(path, m)
+        assert np.array_equal(cli._read_matrix(path), m)
+        cli._write_matrix(path, np.arange(3))  # a vector reads back as one row
+        assert np.array_equal(cli._read_matrix(path), [[0.0, 1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "write, message",
+        (
+            (lambda p: p.write_text("1.0,0.1\n0.1,1.0\n"), "magic string"),
+            (lambda p: p.write_bytes(b""), "cannot read"),
+            (lambda p: np.save(p, np.array([1.0, "a"], dtype=object)), "cannot read"),
+            (lambda p: np.save(p, np.array([["1", "0"], ["0", "1"]])), "not a real numeric"),
+            (lambda p: np.save(p, np.eye(2) + 0j), "not a real numeric"),
+            (lambda p: np.save(p, np.ones((2, 2, 2))), "at most two dimensions"),
+            (lambda p: np.save(p, np.zeros((0, 0))), "empty array"),
+            (lambda p: np.save(p, np.eye(3)) or p.write_bytes(p.read_bytes()[:-8]), "cannot read"),
+            (lambda p: np.savez(p.with_suffix(""), a=np.eye(2)) or p.with_suffix(".npz").rename(p),
+             "magic string"),
+        ),
+        ids=("csv_text", "empty_file", "object_dtype", "strings", "complex", "three_d", "no_entries",
+             "truncated", "npz"),
+    )
+    def test_bad_npy_is_an_error(self, write, message, tmp_path, capsys):
+        bad = tmp_path / "bad.npy"
+        write(bad)
+        code, _, err = run_cli(["allocate", "--method", "hrp", "--cov", str(bad)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
+
 class TestStreamAllocate:
     def test_prints_the_library_weights(self, capsys):
         # N = 200, K = 3: the stream sweeps 8 blocks of 25 assets

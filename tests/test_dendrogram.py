@@ -80,17 +80,45 @@ def reference_tree(corr, rule):
 
 
 def merges(tree):
-    """Children, heights and leaf order: everything the merge loop decides."""
-    nodes = {node.id: (node.left.id, node.right.id, node.height) for node in tree.internal_nodes}
+    """Children and leaf order: everything the merge loop decides."""
+    nodes = {node.id: (node.left.id, node.right.id) for node in tree.internal_nodes}
     return nodes, tree.leaf_order
+
+
+def heights(tree):
+    return np.array([node.height for node in tree.internal_nodes])
+
+
+def tie_free(corr):
+    """Whether the input distances are pairwise distinct, which sends
+    ``build_tree`` to scipy's linkage instead of the loop."""
+    cond = squareform(corr_distance(corr), checks=False)
+    return np.unique(cond).size == cond.size
+
+
+def assert_same_tree(tree, ref, corr):
+    """Merges and the tie rule exact. Heights exact where a distance ties
+    (the loop ran); within 8 eps of the largest height otherwise, where they
+    are scipy's arithmetic (worst case over this file's sampled inputs:
+    4 eps, 8.9e-16)."""
+    assert merges(tree) == merges(ref)
+    h, h_ref = heights(tree), heights(ref)
+    if tie_free(corr):
+        assert np.abs(h - h_ref).max() <= 8 * np.finfo(float).eps * h_ref.max()
+    else:
+        assert np.array_equal(h, h_ref)
+
+
+def sampled_corr(regime, n, t, seed):
+    sigma = gen_regime(RegimeSpec(regime, n=n, seed=seed))
+    return to_correlation(sample_cov(sample_returns(sigma, Signal(np.zeros(n)), t, seed)))
 
 
 def regime_corrs(regime, n, seed=0):
     """The population correlation of a regime (exact ties in the block kinds)
     and a sampled one (T = 2N + 5 draws, tie-free)."""
     sigma = gen_regime(RegimeSpec(regime, n=n, seed=seed))
-    returns = sample_returns(sigma, Signal(np.zeros(n)), 2 * n + 5, seed)
-    return to_correlation(sigma), to_correlation(sample_cov(returns))
+    return to_correlation(sigma), sampled_corr(regime, n, 2 * n + 5, seed)
 
 
 class TestCorrDistance:
@@ -191,7 +219,9 @@ class TestBuildTree:
         assert np.array_equal(d, d.T)
         for rule in RULES:
             tree = build_tree(CorrelationMatrix(a), rule)
-            assert merges(tree) == merges(build_tree(CorrelationMatrix(0.5 * (a + a.T)), rule))
+            sym = build_tree(CorrelationMatrix(0.5 * (a + a.T)), rule)
+            assert merges(tree) == merges(sym)
+            assert np.array_equal(heights(tree), heights(sym))
 
     def test_leaf_order_preserves_spectrum(self):
         sigma = random_spd(10, 5)
@@ -223,13 +253,55 @@ class TestAgainstReferenceLoop:
             if regime == "hedged_tight_blocks" and n < RegimeSpec(regime).sectors:
                 continue  # the regime needs one asset per sector
             for corr in regime_corrs(regime, n):
-                assert merges(build_tree(corr, rule)) == merges(reference_tree(corr, rule)), n
+                assert_same_tree(build_tree(corr, rule), reference_tree(corr, rule), corr)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_sampled_inputs_take_scipy_with_the_same_merges(self, rule, regime):
+        for seed, ratio in ((1, 0.6), (2, 2.0)):
+            for n in (2, 3, 50, 200):
+                if regime == "hedged_tight_blocks" and n < RegimeSpec(regime).sectors:
+                    continue
+                corr = sampled_corr(regime, n, max(2, round(ratio * n)), seed)
+                assert tie_free(corr), (seed, n)
+                assert_same_tree(build_tree(corr, rule), reference_tree(corr, rule), corr)
 
     @pytest.mark.slow
     def test_population_block_sector_n1000(self):
         # every within-sector and every cross-sector distance ties exactly
         corr, _ = regime_corrs("block_sector", 1000)
-        assert merges(build_tree(corr)) == merges(reference_tree(corr, "ward"))
+        assert not tie_free(corr)
+        assert_same_tree(build_tree(corr), reference_tree(corr, "ward"), corr)
+
+    @pytest.mark.slow
+    def test_sampled_factor_n1000(self):
+        corr = sampled_corr("factor", 1000, 2000, 3)
+        assert tie_free(corr)
+        assert_same_tree(build_tree(corr), reference_tree(corr, "ward"), corr)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_one_duplicated_distance_runs_the_loop(self, rule, monkeypatch):
+        corr = sampled_corr("spiked", 40, 80, 4)
+        c = corr.entries.copy()
+        c[3, 17] = c[17, 3] = c[5, 9]  # the only tie among the 780 distances
+        corr = CorrelationMatrix(c)
+        cond = squareform(corr_distance(corr), checks=False)
+        assert cond.size - np.unique(cond).size == 1
+
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("a tied input reached scipy's linkage")
+
+        monkeypatch.setattr(sch, "linkage", no_scipy)
+        tree, ref = build_tree(corr, rule), reference_tree(corr, rule)
+        assert merges(tree) == merges(ref)
+        assert np.array_equal(heights(tree), heights(ref))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_two_assets_have_one_condensed_distance(self, rule):
+        corr = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        tree = build_tree(corr, rule)
+        assert merges(tree) == merges(reference_tree(corr, rule)) == ({2: (0, 1)}, (0, 1))
+        assert tree.root.height == corr_distance(corr)[0, 1]
 
 
 class TestAgainstScipy:
@@ -246,6 +318,6 @@ class TestAgainstScipy:
                 theirs[members[-1]] = h
             tree = build_tree(corr, rule)
             ours = {frozenset(node.leaves): node.height for node in tree.internal_nodes}
-            assert ours.keys() == theirs.keys()
-            for key, h in theirs.items():
-                assert abs(ours[key] - h) <= 1e-12 * h
+            # a tie-free input takes scipy's linkage, heights to the bit
+            assert tie_free(corr)
+            assert ours == theirs

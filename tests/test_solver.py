@@ -297,6 +297,28 @@ class TestFactorStream:
         assert large < 5 * small
 
 
+class TestStopRuleScale:
+    """The stop rule is a ratio of norms, so scaling mu scales the weights and
+    leaves the sweep count and the verdict as they are, also at scales where
+    the squares of the entries under- or overflow."""
+
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    @pytest.mark.parametrize("method", ("dense", "stream"))
+    def test_same_stop_at_any_scale(self, method, scale):
+        mu = np.random.default_rng(0).standard_normal(100)
+        if method == "dense":
+            sigma = gen_regime(RegimeSpec("block_sector", n=100, seed=0))
+            solve = lambda m: crisp_solve(sigma, Signal(m), 0.5)  # noqa: E731
+        else:
+            fm = TestFactorStream()._model(100, 3, 7)
+            solve = lambda m: crisp_solve_stream(fm, Signal(m), 0.5)  # noqa: E731
+        base, scaled = solve(mu), solve(mu * scale)
+        assert base.converged and base.sweeps_used > 1
+        assert (scaled.sweeps_used, scaled.converged) == (base.sweeps_used, base.converged)
+        w, w0 = scaled.weights.values / scale, base.weights.values
+        assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
+
+
 def _project_box_budget(w, lo, hi, budget):
     """Exact projection onto {l <= x <= u, 1.x = budget}: the breakpoint search
     ``crisp_projected`` used before the dual Newton solve, kept as the oracle.
