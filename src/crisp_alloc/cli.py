@@ -324,16 +324,17 @@ def cmd_worst_mu(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if not args.out:
+        raise CliError("gen needs --out FILE")
     spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
     sig = _parse_spec("signal", args.signal, seed=args.seed) if args.signal else None
     sigma = gen_regime(spec)
-    if not args.out:
-        raise CliError("gen needs --out FILE")
     _write_matrix(args.out, sigma.entries)
     print(f"wrote {args.out} ({sigma.n} x {sigma.n})")
     if sig:
         mu = gen_signal(sig, sigma.n, sectors=sector_labels(spec.n, spec.sectors), sigma=sigma)
-        mu_path = args.mu_out or (str(Path(args.out).with_suffix("")) + "_mu.csv")
+        out = Path(args.out)
+        mu_path = args.mu_out or str(out.with_name(f"{out.stem}_mu{out.suffix}"))
         _write_matrix(mu_path, mu.values)
         print(f"wrote {mu_path} ({sigma.n} x 1)")
     return 0
@@ -392,7 +393,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gen.add_argument("--regime", required=True)
     p_gen.add_argument("--n", type=int, default=100)
     p_gen.add_argument("--signal", help="also write a signal")
-    p_gen.add_argument("--mu-out", help="signal output path")
+    p_gen.add_argument("--mu-out", help="signal path (default: --out with _mu before its suffix)")
     p_gen.set_defaults(func=cmd_gen)
 
     subparsers = {

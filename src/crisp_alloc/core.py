@@ -53,7 +53,7 @@ class CovarianceMatrix:
         if not np.all(np.isfinite(m)):
             raise InvalidCovarianceError("covariance has non-finite entries")
         scale = float(np.abs(m).max())
-        if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_RTOL * max(scale, 1.0)):
+        if not np.abs(m - m.T).max() <= _SYMMETRY_RTOL * max(scale, 1.0):
             raise InvalidCovarianceError("covariance is not symmetric to 1e-12 relative")
         if np.any(np.diag(m) <= 0.0):
             raise InvalidCovarianceError("covariance diagonal must be strictly positive")
@@ -85,10 +85,10 @@ class CorrelationMatrix:
             raise InvalidCovarianceError("correlation must be a nonempty square matrix")
         if not np.all(np.isfinite(m)):
             raise InvalidCovarianceError("correlation has non-finite entries")
-        if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_RTOL):
+        if not np.abs(m - m.T).max() <= _SYMMETRY_RTOL:
             raise InvalidCovarianceError("correlation is not symmetric to 1e-12")
-        off = m - np.diag(np.diag(m))
-        if np.abs(off).max(initial=0.0) > 1.0 + 1e-9:
+        np.fill_diagonal(m, 0.0)  # max |off-diagonal| from two reductions, no temporary
+        if max(m.max(), -m.min()) > 1.0 + 1e-9:
             raise InvalidCovarianceError("off-diagonal correlation outside [-1, 1]")
         np.clip(m, -1.0, 1.0, out=m)
         np.fill_diagonal(m, 1.0)

@@ -103,31 +103,46 @@ def _gauss_seidel(
 
     Yields (w, residual) pairs: first the diagonal solve (residual None), then
     one pair per sweep with the residual P_g w+ - m = g U (w+ - w) on one
-    block without a box, where it is free, and None otherwise.
+    block without a box, where it is free, and None otherwise. Every yielded
+    w and residual is a new array that the kernel never writes again, so a
+    caller may keep an iterate across later sweeps without copying it.
     """
     n = m.size
     starts = list(range(0, n, size or n))
-    edges = list(zip(starts, starts[1:] + [n]))
+    # views: a caller's in-place shift of m is read at the next sweep
+    parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
+    whole = len(parts) == 1 and not couple  # w is the block's solve itself
 
     def upper(pt, x):  # g U x inside a block
-        return dtrmv(pt, x, lower=1, trans=1, diag=1) - x
+        y = dtrmv(pt, x, lower=1, trans=1, diag=1)
+        y -= x
+        return y
 
     w = m / d if box is None else np.clip(m / d, *box)
     yield w, None
-    g_uw = np.concatenate([upper(block(s, e), w[s:e]) for s, e in edges])
+    # g U w on each block, carried from the previous sweep
+    g_uw = [upper(block(s, e), w[s:e]) for s, e, _ in parts]
     while True:
-        w_prev, w, new_g_uw = w, np.empty(n), np.empty(n)
-        for s, e in edges:
-            pt, rhs = block(s, e), m[s:e] - g_uw[s:e]
+        w_prev, resid = w, None
+        if not whole:
+            w = np.empty(n)
+        for k, (s, e, m_k) in enumerate(parts):
+            pt, rhs = block(s, e), m_k - g_uw[k]
             if couple:  # the blocks solved this sweep, and the old values after
                 rhs -= couple(s, e, w, w_prev)
-            if box is None:
-                w[s:e] = dtrtrs(pt, rhs, trans=1)[0]  # info is 0: the diagonal d is > 0
+            if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
+                x = dtrtrs(pt, rhs, trans=1, overwrite_b=1)[0]
             else:
-                w[s:e] = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
-            new_g_uw[s:e] = upper(pt, w[s:e])
-        yield w, None if box is not None or couple else new_g_uw - g_uw
-        g_uw = new_g_uw
+                x = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
+            if whole:
+                w = x
+            else:
+                w[s:e] = x
+            new = upper(pt, x)
+            if whole and box is None:
+                resid = new - g_uw[k]
+            g_uw[k] = new
+        yield w, resid
 
 
 def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
@@ -557,6 +572,6 @@ def sweeps_to_tolerance(
     g = _check_solver_args(gamma, cap, tol)
     iterates, _ = _dense_sweeps(sigma, mu, g, ordering)
     for sweeps, (_, resid) in enumerate(islice(iterates, 1, cap + 1), 1):
-        if float(np.linalg.norm(resid)) < tol:
+        if math.sqrt(resid.dot(resid)) < tol:  # np.linalg.norm's arithmetic
             return SweepDiagnostic(sweeps, True)
     return SweepDiagnostic(cap, False)

@@ -157,6 +157,18 @@ class TestNpyFiles:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("name, mu_name", (("x.npy", "x_mu.npy"), ("x.csv", "x_mu.csv"),
+                                               ("x.v2.npy", "x.v2_mu.npy")))
+    def test_gen_signal_keeps_the_out_suffix(self, name, mu_name, tmp_path, capsys):
+        cov = tmp_path / name
+        argv = ["gen", "--regime", "block", "--n", "6", "--out", str(cov), "--signal", "gaussian"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((name, mu_name))
+        assert f"wrote {tmp_path / mu_name} (6 x 1)" in out
+        assert cli._read_matrix(str(tmp_path / mu_name)).size == 6
+
+
 class TestStreamAllocate:
     def test_prints_the_library_weights(self, capsys):
         # N = 200, K = 3: the stream sweeps 8 blocks of 25 assets
@@ -291,6 +303,14 @@ class TestErrors:
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert err == "error: sectors and k must be at least 1\n"
+
+    def test_gen_without_out_fails_before_generating(self, monkeypatch, capsys):
+        def no_regime(spec):
+            raise AssertionError("the regime was generated")
+
+        monkeypatch.setattr(cli, "gen_regime", no_regime)
+        code, out, err = run_cli(["gen", "--regime", "block", "--n", "6"], capsys)
+        assert (code, out, err) == (1, "", "error: gen needs --out FILE\n")
 
     def test_undecodable_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

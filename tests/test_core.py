@@ -52,6 +52,35 @@ class TestConstructors:
         with pytest.raises(InvalidCovarianceError):
             CorrelationMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
 
+    @pytest.mark.parametrize("scale", (1.0, 4.0))
+    def test_asymmetry_at_the_tolerance(self, scale):
+        # the tolerance is 1e-12 times max(max |entry|, 1); a difference of
+        # exactly that is symmetric, the next float above it is not
+        atol = 1e-12 * scale
+        m = np.array([[scale, 0.0], [atol, scale]])
+        CovarianceMatrix(m)
+        m[1, 0] = np.nextafter(atol, 1.0)
+        with pytest.raises(InvalidCovarianceError):
+            CovarianceMatrix(m)
+
+    def test_correlation_asymmetry_at_the_tolerance(self):
+        m = np.array([[1.0, 0.0], [1e-12, 1.0]])
+        CorrelationMatrix(m)
+        m[1, 0] = np.nextafter(1e-12, 1.0)
+        with pytest.raises(InvalidCovarianceError):
+            CorrelationMatrix(m)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_offdiagonal_at_the_bound(self, sign):
+        # |c| up to 1 + 1e-9 is rounding and clipped to 1; above it is an error,
+        # whatever the diagonal holds before it is set to 1
+        edge = sign * (1.0 + 1e-9)
+        corr = CorrelationMatrix(np.array([[3.0, edge], [edge, 1.0]]))
+        assert np.array_equal(corr.entries, np.array([[1.0, sign], [sign, 1.0]]))
+        over = np.nextafter(edge, 2.0 * edge)
+        with pytest.raises(InvalidCovarianceError):
+            CorrelationMatrix(np.array([[1.0, over], [over, 1.0]]))
+
     def test_signal_rejects_nan(self):
         with pytest.raises(ParameterError):
             Signal([1.0, np.nan])

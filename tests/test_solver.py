@@ -1,7 +1,10 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 
 from crisp_alloc import (
@@ -61,6 +64,35 @@ def reference_sweep_count(sigma, mu, gamma, tol, cap=50000):
     for sweeps, (_, resid) in enumerate(reference_sweeps(sigma, mu, gamma), 1):
         if float(np.linalg.norm(resid)) < tol or sweeps == cap:
             return sweeps
+
+
+def triangular_sweeps(sigma, mu, gamma, ordering=None):
+    """The kernel's arithmetic on one dense block, one array at a time: the same
+    LAPACK solve and BLAS product on P_gamma^T in visiting order, with the
+    state g U w as one vector. Kept as the bit-level oracle; yields (iterate in
+    visiting order, residual) pairs as ``solver._gauss_seidel`` does."""
+    perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
+    s = sigma.entries[np.ix_(perm, perm)]
+    d = np.diag(s).copy()
+    p = s * gamma
+    np.fill_diagonal(p, d)
+    pt, m = p.T, mu.values[perm]
+    w = m / d
+    yield w, None
+    g_uw = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
+    while True:
+        w = dtrtrs(pt, m - g_uw, trans=1)[0]
+        new = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
+        yield w, new - g_uw
+        g_uw = new
+
+
+def triangular_sweep_count(sigma, mu, gamma, tol, cap=50000):
+    sweeps = islice(triangular_sweeps(sigma, mu, gamma), 1, cap + 1)
+    for count, (_, resid) in enumerate(sweeps, 1):
+        if float(np.linalg.norm(resid)) < tol:
+            return count
+    return cap
 
 
 class TestCrispSolve:
@@ -177,6 +209,7 @@ class TestAgainstScalarLoop:
                 diag = sweeps_to_tolerance(sigma, mu, gamma, 1e-10)
                 assert diag.converged
                 assert diag.sweeps == reference_sweep_count(sigma, mu, gamma, 1e-10), (gamma, k)
+                assert diag.sweeps == triangular_sweep_count(sigma, mu, gamma, 1e-10), (gamma, k)
 
     def test_one_working_matrix(self):
         # the permuted P_gamma is the only N x N array: no triangle copies
@@ -189,6 +222,82 @@ class TestAgainstScalarLoop:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
+
+
+class TestKernelBits:
+    """The dense kernel against ``triangular_sweeps``, which makes the same
+    LAPACK and BLAS calls: iterates, residuals and stops are equal bit for bit."""
+
+    @pytest.mark.parametrize("n", (1, 2, 40, 100))
+    def test_same_iterates_and_residuals(self, n):
+        if n == 1:  # no regime and no tree below two assets
+            sigma, leaf_order = random_spd(1, 1), (0,)
+        else:
+            sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=n, sectors=min(n, 5), seed=n))
+            leaf_order = build_tree(to_correlation(sigma), "ward").leaf_order
+        mu = _rand_mu(n, n)
+        for gamma in (0.5, 1.0):
+            for ordering in (None, leaf_order):
+                want = list(islice(triangular_sweeps(sigma, mu, gamma, ordering), 101))
+                got = list(islice(solver._dense_sweeps(sigma, mu, gamma, ordering)[0], 101))
+                back = np.argsort(np.arange(n) if ordering is None else ordering)
+                for p in (1, 2, 5, 100):
+                    case = (gamma, ordering is not None, p)
+                    assert np.array_equal(got[p][0], want[p][0]), case
+                    assert np.array_equal(got[p][1], want[p][1]), case
+                    rep = crisp_solve(sigma, mu, gamma, p_max=p, eps=1e-300, ordering=ordering)
+                    assert np.array_equal(rep.weights.values, want[p][0][back]), case
+
+    def test_first_2000_sweeps_of_the_capped_hedged_solve(self):
+        # gamma = 1, kappa ~ 1.6e5: still far from its fixed point at 50,000 sweeps
+        sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=40, seed=1))
+        mu = gen_signal(SignalSpec("gaussian", seed=2), 40)
+        pairs = zip(solver._dense_sweeps(sigma, mu, 1.0, None)[0], triangular_sweeps(sigma, mu, 1.0))
+        for sweep, ((w, resid), (w_ref, resid_ref)) in enumerate(islice(pairs, 2001)):
+            assert np.array_equal(w, w_ref), sweep
+            assert sweep == 0 or np.array_equal(resid, resid_ref), sweep
+
+
+class TestYieldedIterates:
+    """A yielded iterate or residual is never written again by the kernel: kept
+    across three or more later sweeps, it still holds what was yielded."""
+
+    @staticmethod
+    def _kept(monkeypatch, solve):
+        real, kept = solver._gauss_seidel, []
+
+        def keeping(*args):
+            for w, resid in real(*args):
+                kept.append((w, w.copy(), resid, None if resid is None else resid.copy()))
+                yield w, resid
+
+        monkeypatch.setattr(solver, "_gauss_seidel", keeping)
+        solve()
+        return kept
+
+    @pytest.mark.parametrize("path", ("dense", "stream", "box"))
+    def test_an_iterate_survives_three_more_sweeps(self, path, monkeypatch):
+        n, p = 150, 7
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=3))
+        mu = _rand_mu(n, 3)
+        solve = {
+            "dense": lambda: crisp_solve(sigma, mu, 1.0, p_max=p, eps=1e-300),
+            # blocks of 22 assets, coupled through B^T w
+            "stream": lambda: crisp_solve_stream(
+                FactorModel(np.random.default_rng(3).normal(size=(n, 3)), np.eye(3), np.ones(n)),
+                mu, 1.0, p_max=p, eps=1e-300,
+            ),
+            # three clamped blocks of at most 64 assets
+            "box": lambda: crisp_projected(
+                sigma, mu, 1.0, p=p, constraints=long_only_budget(n), eps=1e-300
+            ),
+        }[path]
+        kept = self._kept(monkeypatch, solve)
+        assert len(kept) == p + 1
+        for sweep, (w, w_then, resid, resid_then) in enumerate(kept[: -3]):
+            assert np.array_equal(w, w_then), sweep
+            assert resid is None or np.array_equal(resid, resid_then), sweep
+        assert (kept[-1][2] is None) == (path != "dense")
 
 
 def reference_stream_sweeps(fm, mu, gamma):
