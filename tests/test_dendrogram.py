@@ -76,7 +76,7 @@ def reference_tree(corr, rule):
         ids[si] = new_id
         sizes[si] = na + nb
         active[sj] = False
-    return _assemble(n, children, heights)
+    return _assemble(n, list(children.values()), list(heights.values()))
 
 
 def merges(tree):
@@ -112,6 +112,16 @@ def assert_same_tree(tree, ref, corr):
 def sampled_corr(regime, n, t, seed):
     sigma = gen_regime(RegimeSpec(regime, n=n, seed=seed))
     return to_correlation(sample_cov(sample_returns(sigma, Signal(np.zeros(n)), t, seed)))
+
+
+def duplicated_asset(corr):
+    """``corr`` with asset n // 2 replaced by a copy of asset 0: distance 0
+    between the two and every distance from either to a third asset tied."""
+    c = corr.entries.copy()
+    dup = corr.n // 2
+    c[dup, :], c[:, dup] = c[0, :], c[:, 0]
+    c[dup, dup] = 1.0
+    return CorrelationMatrix(c)
 
 
 def regime_corrs(regime, n, seed=0):
@@ -249,11 +259,17 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize("rule", RULES)
     def test_same_merges_ties_and_heights(self, rule, regime):
-        for n in (2, 3, 50, 200):
+        # N = 4, 5 and 17 retire the last live slot at some merges and move
+        # the last one into an inner slot at others
+        for n in (2, 3, 4, 5, 17, 50, 200):
             if regime == "hedged_tight_blocks" and n < RegimeSpec(regime).sectors:
                 continue  # the regime needs one asset per sector
             for corr in regime_corrs(regime, n):
                 assert_same_tree(build_tree(corr, rule), reference_tree(corr, rule), corr)
+        for n in (30, 120):
+            corr = duplicated_asset(sampled_corr(regime, n, 2 * n + 5, 0))
+            assert not tie_free(corr)
+            assert_same_tree(build_tree(corr, rule), reference_tree(corr, rule), corr)
 
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize("rule", RULES)

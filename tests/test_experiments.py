@@ -16,6 +16,7 @@ from crisp_alloc import (
     RegimeSpec,
     Signal,
     SignalSpec,
+    WeightVector,
     allocate,
     build_tree,
     export,
@@ -94,6 +95,25 @@ class TestRunTrial:
         with pytest.raises(ParameterError):
             MethodSpec("hrp", **kwargs)
 
+    @pytest.mark.parametrize("ic", (0.0, 1.5, -0.1))
+    def test_ic_outside_the_unit_interval_is_checked_up_front(self, ic):
+        # rather than in a trial: ic = 0 divided by zero there, ic = 1.5 took
+        # the root of a negative number and ic = -0.1 ran
+        with pytest.raises(ParameterError, match="ic must lie in"):
+            _mini_spec(mu_estimator="ic_noise", ic=ic)
+
+    def test_ic_of_one_is_a_noiseless_signal(self):
+        spec = _mini_spec(mu_estimator="ic_noise", ic=1.0)
+        oracle = replace(spec, mu_estimator="oracle")
+        key = spec.methods[1].key
+        assert run_trial(spec, 0).outcomes[key] == run_trial(oracle, 0).outcomes[key]
+
+    @pytest.mark.parametrize("t_values", ((-5,), (1,), (40, 0)))
+    def test_t_below_two_is_checked_up_front(self, t_values):
+        # the bound sample_returns holds every draw to
+        with pytest.raises(ParameterError, match="at least 2"):
+            _mini_spec(t_values=t_values)
+
     def test_oracle_ceiling(self):
         # with true inputs, no method beats the direct solution's Sharpe
         sigma = gen_regime(RegimeSpec("block_sector", n=20, sectors=4, seed=5))
@@ -119,6 +139,18 @@ class TestScore:
         crazy = allocate(MethodSpec("one-over-n"), ctx.sigma_true, ctx.mu_true, None)
         out = _score(ctx, crazy)
         assert out.unstable  # equal weight vol far exceeds 5x a tiny oracle vol
+
+    def test_zero_sum_weights_name_their_reason(self):
+        ctx = _Context(
+            sigma_true=gen_regime(RegimeSpec("block_sector", n=4, sectors=2, seed=0)),
+            mu_true=Signal(np.ones(4)),
+            w_star=np.ones(4),
+            oracle_minvar_vol=0.01,
+            minvar_mode=False,
+        )
+        out = _score(ctx, WeightVector(np.zeros(4), "raw"))
+        assert out.unstable and math.isnan(out.sharpe) and out.oos_vol == math.inf
+        assert out.reason == "DegenerateInputError"
 
 
 class TestRunExperiment:
