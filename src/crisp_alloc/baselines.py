@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .core import CovarianceMatrix, Signal, WeightVector, check_gamma, markowitz_direct
+from .core import CovarianceMatrix, Signal, WeightVector, _tagged, check_gamma, markowitz_direct
 from .dendrogram import Dendrogram
 from .errors import (
     ConditioningError,
@@ -101,12 +101,6 @@ def _unpermute(w_perm: np.ndarray, tree: Dendrogram) -> np.ndarray:
     return w
 
 
-def _sum_one_or_raw(values: np.ndarray) -> WeightVector:
-    """Tag sum_one when the algebraic sum survived fp cancellation."""
-    tag = "sum_one" if abs(values.sum() - 1.0) <= 1e-10 else "raw"
-    return WeightVector(values, tag)
-
-
 def _tree_pass(
     sigma: CovarianceMatrix,
     mu: np.ndarray,
@@ -115,7 +109,7 @@ def _tree_pass(
     rep: str,
     norm: str,
     trace: dict | None = None,
-) -> np.ndarray:
+) -> WeightVector:
     """Post-order pass shared by the six tree allocators; returns leaf weights.
 
     ``rep`` is the child representative scored at each node: ``"flat"``
@@ -179,7 +173,7 @@ def _tree_pass(
             kl, kr, a[k] = 1.0, 1.0, al + ar
         q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
         s[k] = kl * s[i] + kr * s[j]
-    return _unpermute(w, tree)
+    return _tagged(_unpermute(w, tree), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -190,8 +184,7 @@ def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
     and the leaf weight is the product of the split factors on its path. This
     is the flat-representative pass at gamma = 0 on a unit signal.
     """
-    w = _tree_pass(sigma, np.ones(tree.n), tree, 0.0, "flat", "sum")
-    return WeightVector(w, "sum_one")
+    return _tree_pass(sigma, np.ones(tree.n), tree, 0.0, "flat", "sum")
 
 
 def equal_weight(n: int) -> WeightVector:
@@ -277,7 +270,7 @@ def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVec
     total = float(w_perm.sum())
     if total == 0.0:
         raise DegenerateInputError("Schur allocation sums to zero; cannot normalize")
-    return _sum_one_or_raw(_unpermute(w_perm / total, tree))
+    return _tagged(_unpermute(w_perm / total, tree), "sum_one")
 
 
 def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> float:
@@ -323,7 +316,7 @@ def a2_flat_ivp_tree(
     zero and the budgets become noise-driven. Kept as a reproducible
     diagnostic; matches ``hrp`` at gamma = 0 with a flat unit signal.
     """
-    return _sum_one_or_raw(_tree_pass(sigma, mu.values, tree, gamma, "flat", "sum"))
+    return _tree_pass(sigma, mu.values, tree, gamma, "flat", "sum")
 
 
 def a1_sum_norm_mvo(
@@ -342,5 +335,4 @@ def a1_sum_norm_mvo(
     repairs. ``trace``, when given, collects node id -> NodeRecord, whose
     ``flipped`` marks a negative denominator for parity analysis.
     """
-    w = _tree_pass(sigma, mu.values, tree, gamma, "stacked", "sum", trace)
-    return _sum_one_or_raw(w)
+    return _tree_pass(sigma, mu.values, tree, gamma, "stacked", "sum", trace)

@@ -204,8 +204,8 @@ def _results_root(args) -> Path:
     return Path(args.out) if args.out else Path("results")
 
 
-def _build_inputs(args):
-    """(sigma, mu, sectors) from CSV paths or a generated regime."""
+def _build_cov(args):
+    """(sigma, sectors) from a CSV path or a generated regime."""
     if args.cov:
         sigma = CovarianceMatrix(_read_matrix(args.cov))
         sectors = sector_labels(sigma.n, 5)
@@ -215,6 +215,12 @@ def _build_inputs(args):
         sectors = sector_labels(spec.n, spec.sectors)
     else:
         raise CliError("need --cov FILE or --regime SPEC")
+    return sigma, sectors
+
+
+def _build_inputs(args):
+    """(sigma, mu, sectors): ``_build_cov`` and a signal from a CSV path or a spec."""
+    sigma, sectors = _build_cov(args)
     if args.mu:
         mu = Signal(_read_matrix(args.mu).reshape(-1))
         if mu.n != sigma.n:
@@ -313,7 +319,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_worst_mu(args) -> int:
-    sigma, _, _ = _build_inputs(args)
+    sigma, _ = _build_cov(args)
     mu, val = worst_case_mu(sigma, restarts=args.restarts, seed=args.seed)
     print(f"dir_diag: {val:.6g}")
     print("mu:", " ".join(f"{x:.6g}" for x in mu.values))
@@ -340,19 +346,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _add_common_io(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cov", help="covariance CSV (N x N, headerless) or .npy")
-    p.add_argument("--mu", help="signal CSV (N x 1) or .npy")
-    p.add_argument("--regime", help="regime spec, e.g. block or factor:k=3")
-    p.add_argument("--signal", help="signal spec, e.g. gaussian:sigma=0.02")
-    p.add_argument("--n", type=int, default=100, help="assets for generated regimes")
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="optional key = value config file")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", help="output path (or results root for experiments)")
+    cov_io = argparse.ArgumentParser(add_help=False, parents=[common])
+    cov_io.add_argument("--cov", help="covariance CSV (N x N, headerless) or .npy")
+    cov_io.add_argument("--regime", help="regime spec, e.g. block or factor:k=3")
+    cov_io.add_argument("--n", type=int, default=100, help="assets for generated regimes")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[cov_io])
+    inputs.add_argument("--mu", help="signal CSV (N x 1) or .npy")
+    inputs.add_argument("--signal", help="signal spec, e.g. gaussian:sigma=0.02")
 
     parser = argparse.ArgumentParser(
         prog="crisp-alloc",
@@ -360,8 +365,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_alloc = sub.add_parser("allocate", help="run one allocation", parents=[common])
-    _add_common_io(p_alloc)
+    p_alloc = sub.add_parser("allocate", help="run one allocation", parents=[inputs])
     p_alloc.add_argument("--method", choices=_CLI_METHODS, required=True)
     p_alloc.add_argument("--gamma", type=float, default=0.5)
     p_alloc.add_argument("--sweeps", type=int, default=100)
@@ -377,15 +381,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_exp.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_traj = sub.add_parser("trajectory", help="shrinkage-grid direction errors", parents=[common])
-    _add_common_io(p_traj)
+    p_traj = sub.add_parser("trajectory", help="shrinkage-grid direction errors", parents=[inputs])
     p_traj.add_argument("--example", choices=("nonmonotone",), help="built-in instance")
     p_traj.add_argument("--sweeps", type=int, default=200)
     p_traj.add_argument("--grid", type=int, default=21)
     p_traj.set_defaults(func=cmd_trajectory)
 
-    p_worst = sub.add_parser("worst-mu", help="adversarial signal search", parents=[common])
-    _add_common_io(p_worst)
+    p_worst = sub.add_parser("worst-mu", help="adversarial signal search", parents=[cov_io])
     p_worst.add_argument("--restarts", type=int, default=32)
     p_worst.set_defaults(func=cmd_worst_mu)
 

@@ -34,6 +34,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _symmetric(m, name: str) -> np.ndarray:
+    """The matrix rule: a float copy of ``m`` if it is a nonempty square, finite
+    matrix, symmetric to 1e-12 times max(max |m|, 1); else InvalidCovarianceError."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise InvalidCovarianceError(f"{name} must be a nonempty square matrix")
+    if not np.all(np.isfinite(m)):
+        raise InvalidCovarianceError(f"{name} has non-finite entries")
+    # max |m| and max |m - m^T| from two reductions each, no absolute copy
+    bound = _SYMMETRY_RTOL * max(m.max(), -m.min(), 1.0)
+    gap = m - m.T
+    if not max(gap.max(), -gap.min()) <= bound:
+        raise InvalidCovarianceError(f"{name} is not symmetric to 1e-12 relative")
+    return m
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetric covariance matrix with strictly positive diagonal.
@@ -47,14 +63,7 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InvalidCovarianceError("covariance must be a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidCovarianceError("covariance has non-finite entries")
-        scale = float(np.abs(m).max())
-        if not np.abs(m - m.T).max() <= _SYMMETRY_RTOL * max(scale, 1.0):
-            raise InvalidCovarianceError("covariance is not symmetric to 1e-12 relative")
+        m = _symmetric(self.entries, "covariance")
         if np.any(np.diag(m) <= 0.0):
             raise InvalidCovarianceError("covariance diagonal must be strictly positive")
         object.__setattr__(self, "entries", _freeze(m))
@@ -80,13 +89,7 @@ class CorrelationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InvalidCovarianceError("correlation must be a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidCovarianceError("correlation has non-finite entries")
-        if not np.abs(m - m.T).max() <= _SYMMETRY_RTOL:
-            raise InvalidCovarianceError("correlation is not symmetric to 1e-12")
+        m = _symmetric(self.entries, "correlation")
         np.fill_diagonal(m, 0.0)  # max |off-diagonal| from two reductions, no temporary
         if max(m.max(), -m.min()) > 1.0 + 1e-9:
             raise InvalidCovarianceError("off-diagonal correlation outside [-1, 1]")
@@ -136,12 +139,10 @@ class WeightVector:
         v = np.array(self.values, dtype=float).reshape(-1)
         if v.size == 0 or not np.all(np.isfinite(v)):
             raise InvalidCovarianceError("weights must be a nonempty finite vector")
-        if self.norm_tag == "sum_one" and abs(v.sum() - 1.0) > _NORM_TOL:
-            raise ParameterError("sum_one weights must sum to 1 within 1e-10")
-        if self.norm_tag == "l1_one" and abs(np.abs(v).sum() - 1.0) > _NORM_TOL:
-            raise ParameterError("l1_one weights must have unit absolute sum within 1e-10")
         if self.norm_tag not in ("raw", "sum_one", "l1_one"):
             raise ParameterError(f"unknown norm tag {self.norm_tag!r}")
+        if self.norm_tag != "raw" and not _meets(v, self.norm_tag):
+            raise ParameterError(f"{self.norm_tag} weights are more than 1e-10 off their unit sum")
         object.__setattr__(self, "values", _freeze(v))
 
     @property
@@ -155,13 +156,23 @@ class WeightVector:
         return WeightVector(self.values / s, "sum_one")
 
 
+def _meets(v: np.ndarray, tag: NormTag) -> bool:
+    total = v.sum() if tag == "sum_one" else np.abs(v).sum()
+    return abs(total - 1.0) <= _NORM_TOL
+
+
+def _tagged(v: np.ndarray, tag: NormTag) -> WeightVector:
+    """The tag rule for a tree pass's output: ``tag`` if v meets it, else raw."""
+    return WeightVector(v, tag if _meets(v, tag) else "raw")
+
+
 MatrixLike = Union[CovarianceMatrix, CorrelationMatrix, np.ndarray]
 
 
 def _as_array(m: MatrixLike) -> np.ndarray:
     if isinstance(m, (CovarianceMatrix, CorrelationMatrix)):
         return m.entries
-    return np.asarray(m, dtype=float)
+    return _symmetric(m, "matrix")
 
 
 def check_gamma(gamma: float) -> float:

@@ -17,8 +17,6 @@ wrappers over the post-order kernel ``baselines._tree_pass``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .baselines import ClusterStats, _tree_pass, raw_budgets
 from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
 from .dendrogram import Dendrogram
@@ -52,11 +50,7 @@ def hrp_mu(
     unit gross leverage. ``trace``, when given, collects node id ->
     NodeRecord for inspection.
     """
-    out = _tree_pass(sigma, mu.values, tree, gamma, "signed", "sum", trace)
-    # budgets are non-negative for any signal with a nonvanishing branch, so the
-    # leaf magnitudes sum to one; fall back to an untagged vector otherwise
-    tag = "l1_one" if abs(np.abs(out).sum() - 1.0) <= 1e-10 else "raw"
-    return WeightVector(out, tag)
+    return _tree_pass(sigma, mu.values, tree, gamma, "signed", "sum", trace)
 
 
 def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
@@ -66,7 +60,7 @@ def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
     inverse-variance statistics; no cross term enters. Coincides with hrp_mu
     at gamma = 0 and with plain HRP on a flat unit signal.
     """
-    return WeightVector(_tree_pass(sigma, mu.values, tree, 0.0, "signed", "sum"), "l1_one")
+    return _tree_pass(sigma, mu.values, tree, 0.0, "signed", "sum")
 
 
 def hrp_sigma_mu(
@@ -84,5 +78,4 @@ def hrp_sigma_mu(
     output. Exact for diagonal covariances at any gamma and any tree.
     ``trace`` collects node id -> NodeRecord.
     """
-    out = _tree_pass(sigma, mu.values, tree, gamma, "stacked", "l1", trace)
-    return WeightVector(out, "l1_one")
+    return _tree_pass(sigma, mu.values, tree, gamma, "stacked", "l1", trace)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dtrtrs
 
-from .core import CovarianceMatrix, Signal, WeightVector, _shrunk, check_gamma
+from .core import CovarianceMatrix, Signal, WeightVector, _shrunk, _symmetric, check_gamma
 from .errors import (
     InfeasibleConstraintsError,
     InvalidCovarianceError,
@@ -245,8 +245,10 @@ class FactorModel:
         k = b.shape[1]
         if lam.shape != (k, k):
             raise ParameterError("factor_cov must be K x K")
-        if k and not np.allclose(lam, lam.T, atol=1e-12):
-            raise ParameterError("factor_cov must be symmetric")
+        if k:  # K = 0 is a diagonal Sigma, with an empty factor_cov
+            lam = _symmetric(lam, "factor_cov")
+        if not (np.isfinite(b).all() and np.isfinite(dv).all()):
+            raise InvalidCovarianceError("loadings and idio_var must be finite")
         if np.any(self.implied_diagonal(b, lam, dv) <= 0.0):
             raise InvalidCovarianceError("implied variances must be strictly positive")
         object.__setattr__(self, "loadings", b)

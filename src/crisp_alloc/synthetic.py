@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.optimize
 
-from .core import CorrelationMatrix, CovarianceMatrix, Signal, to_correlation
+from .core import CorrelationMatrix, CovarianceMatrix, Signal, _symmetric, to_correlation
 from .errors import GenerationError, ParameterError
 from .metrics import dir_error
 
@@ -121,9 +120,7 @@ def psd_floor(sym: np.ndarray, floor: float = DEFAULT_FLOOR) -> CorrelationMatri
 
     Leaves an already positive-definite correlation essentially unchanged.
     """
-    m = np.asarray(sym, dtype=float)
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise ParameterError("psd_floor expects a symmetric matrix")
+    m = _symmetric(sym, "psd_floor input")
     eigs, vecs = np.linalg.eigh(m)
     eigs = np.maximum(eigs, floor)
     rebuilt = (vecs * eigs) @ vecs.T
@@ -249,6 +246,8 @@ def worst_case_mu(
     scale-invariant). Returns the best signal found and its dir_diag value;
     never worse than the best random starting point.
     """
+    import scipy.optimize  # here, its only user: every package import would pay it
+
     if restarts < 1:
         raise ParameterError("needs at least one restart")
     rng = _rng(seed)

@@ -387,6 +387,13 @@ class TestOptionsWhereRead:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ("--mu", "--signal"))
+    def test_worst_mu_reads_only_the_covariance(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["worst-mu", "--regime", "hedged", "--n", "20", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_config_sets_defaults_flags_override(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from crisp_alloc import (
     ConditioningError,
     CorrelationMatrix,
     CovarianceMatrix,
+    FactorModel,
     InvalidCovarianceError,
     ParameterError,
     Signal,
@@ -12,10 +13,23 @@ from crisp_alloc import (
     kappa,
     kappa_eff,
     markowitz_direct,
+    psd_floor,
     shrink,
     to_correlation,
 )
+from crisp_alloc.core import _tagged
 from tests.conftest import random_spd
+
+
+def _check_asymmetry_bound(accept, scale):
+    # the tolerance is 1e-12 times max(max |entry|, 1); a difference of
+    # exactly that is symmetric, the next float above it is not
+    atol = 1e-12 * scale
+    m = np.array([[scale, 0.0], [atol, scale]])
+    accept(m)
+    m[1, 0] = np.nextafter(atol, 1.0)
+    with pytest.raises(InvalidCovarianceError):
+        accept(m)
 
 
 class TestConstructors:
@@ -54,14 +68,18 @@ class TestConstructors:
 
     @pytest.mark.parametrize("scale", (1.0, 4.0))
     def test_asymmetry_at_the_tolerance(self, scale):
-        # the tolerance is 1e-12 times max(max |entry|, 1); a difference of
-        # exactly that is symmetric, the next float above it is not
-        atol = 1e-12 * scale
-        m = np.array([[scale, 0.0], [atol, scale]])
-        CovarianceMatrix(m)
-        m[1, 0] = np.nextafter(atol, 1.0)
-        with pytest.raises(InvalidCovarianceError):
-            CovarianceMatrix(m)
+        _check_asymmetry_bound(CovarianceMatrix, scale)
+
+    @pytest.mark.parametrize(
+        "accept",
+        (lambda m: FactorModel(np.eye(2), m, np.ones(2)), psd_floor, kappa),
+        ids=("factor_cov", "psd_floor", "kappa"),
+    )
+    @pytest.mark.parametrize("scale", (1.0, 4.0))
+    def test_every_matrix_reader_at_the_tolerance(self, scale, accept):
+        # one rule: a factor covariance, a matrix to floor and one whose
+        # condition number is asked hold the covariance's bound
+        _check_asymmetry_bound(accept, scale)
 
     def test_correlation_asymmetry_at_the_tolerance(self):
         m = np.array([[1.0, 0.0], [1e-12, 1.0]])
@@ -92,6 +110,12 @@ class TestConstructors:
             WeightVector([0.5, 0.6], "sum_one")
         with pytest.raises(ParameterError):
             WeightVector([0.5, 0.6], "l1_one")
+
+    def test_tree_pass_tag_rule(self):
+        # a tree pass's output keeps its tag within 1e-10 and is raw past it
+        for tag, v in (("sum_one", np.array([1.5, -0.5])), ("l1_one", np.array([0.5, -0.5]))):
+            assert _tagged(v * (1.0 + 1e-11), tag).norm_tag == tag
+            assert _tagged(v * (1.0 + 2e-10), tag).norm_tag == "raw"
 
 
 class TestToCorrelation:

@@ -27,8 +27,12 @@ from crisp_alloc import (
     preset,
     run_experiment,
     run_trial,
+    sample_cov,
+    sample_mean,
+    sample_returns,
     sector_labels,
     sharpe,
+    signed_cosine,
     to_correlation,
 )
 from crisp_alloc import experiments
@@ -159,6 +163,25 @@ class TestRunExperiment:
         r1 = run_experiment(spec, jobs=1)
         r2 = run_experiment(spec, jobs=4)
         assert r1.cells == r2.cells
+
+    def test_sample_mean_estimator(self):
+        # the trial's signal is the sample mean of its own draws
+        methods = (MethodSpec("markowitz"), MethodSpec("hrp-mu"), MethodSpec("crisp", 0.5, 50))
+        spec = _mini_spec(mu_estimator="sample_mean", methods=methods, trials=3)
+        records = run_experiment(spec, jobs=1).records
+        assert run_experiment(spec, jobs=2).records == records
+        rec = records[2]
+        assert run_trial(spec, rec.trial_index, rec.t) == rec
+        sigma_true = gen_regime(spec.regime)
+        mu_true = gen_signal(spec.signal, spec.regime.n)
+        seed = np.random.SeedSequence([spec.seed, rec.t, rec.trial_index])
+        returns = sample_returns(sigma_true, mu_true, rec.t, seed)
+        w = markowitz_direct(sample_cov(returns, ridge=spec.ridge), sample_mean(returns)).values
+        got = rec.outcomes[methods[0].key]
+        assert got.sharpe == sharpe(w, sigma_true, mu_true)
+        assert got.signed_cos == signed_cosine(w, markowitz_direct(sigma_true, mu_true).values)
+        oracle = run_trial(replace(spec, mu_estimator="oracle"), rec.trial_index, rec.t)
+        assert oracle.outcomes[methods[0].key].sharpe != got.sharpe
 
     def test_cells_ordering(self):
         spec = _mini_spec(t_values=(40, 60))

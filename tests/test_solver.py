@@ -12,6 +12,7 @@ from crisp_alloc import (
     CovarianceMatrix,
     FactorModel,
     InfeasibleConstraintsError,
+    InvalidCovarianceError,
     ParameterError,
     RegimeSpec,
     Signal,
@@ -329,6 +330,25 @@ class TestFactorStream:
             lam = 0.01 * (a @ a.T / k + 0.5 * np.eye(k))
         dv = rng.uniform(0.01, 0.09, n)
         return FactorModel(b, lam, dv)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        (
+            # the stream reads Lambda as given, materialize its symmetric part
+            ("factor_cov", np.array([[1.0, 0.5], [0.5 + 3e-6, 1.0]])),
+            ("loadings", np.array([[0.1, np.nan]] + [[0.1, 0.2]] * 4)),
+            ("idio_var", np.array([0.1, np.inf, 0.1, 0.1, 0.1])),  # its asset got weight 0
+        ),
+    )
+    def test_rejects_what_a_covariance_would(self, field, bad):
+        parts = {
+            "loadings": np.full((5, 2), 0.1),
+            "factor_cov": np.diag([0.03, 0.02]),
+            "idio_var": np.full(5, 0.1),
+            field: bad,
+        }
+        with pytest.raises(InvalidCovarianceError):
+            FactorModel(**parts)
 
     def test_pure_idiosyncratic(self):
         fm = FactorModel(np.zeros((5, 0)), np.zeros((0, 0)), np.array([0.1] * 5))

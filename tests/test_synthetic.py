@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crisp_alloc
 from crisp_alloc import (
     CovarianceMatrix,
     GenerationError,
+    InvalidCovarianceError,
     ParameterError,
     RegimeSpec,
     SignalSpec,
@@ -123,6 +130,12 @@ class TestPsdFloor:
         out = psd_floor(c, 1e-4)
         assert np.allclose(out.entries, c, atol=1e-12)
 
+    def test_rejects_an_asymmetric_input(self):
+        # eigh reads one triangle: 1e-7 of asymmetry came back as 0.5000001 both sides
+        c = np.array([[1.0, 0.5], [0.5 + 1e-7, 1.0]])
+        with pytest.raises(InvalidCovarianceError):
+            psd_floor(c)
+
     def test_rank_deficient_floored(self):
         c = np.ones((6, 6))  # equicorrelation rho = 1: rank one
         out = psd_floor(c, 1e-4)
@@ -212,6 +225,15 @@ class TestWorstCase:
         sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=60, seed=42))
         mu, val = worst_case_mu(sigma, restarts=8, seed=0)
         assert val >= 0.95
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        # worst_case_mu, its only user, imports it when called
+        code = "import sys, crisp_alloc; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(crisp_alloc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 def _unit_signal(x):
