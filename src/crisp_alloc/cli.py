@@ -41,11 +41,14 @@ from .experiments import (
 )
 from .metrics import direction_report, sharpe
 from .solver import (
-    ConstraintSet,
+    DEFAULT_EPS,
+    DEFAULT_GAMMA,
+    DEFAULT_SWEEPS,
     FactorModel,
     crisp_projected,
     crisp_solve,
     crisp_solve_stream,
+    long_only_budget,
 )
 from .synthetic import (
     _REGIMES,
@@ -246,7 +249,7 @@ def cmd_allocate(args) -> int:
         fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
         solved = crisp_solve_stream(fm, mu, args.gamma, p_max=args.sweeps, eps=args.eps)
     elif args.method == "crisp-projected":
-        cs = ConstraintSet(lower=np.zeros(sigma.n), budget=1.0)
+        cs = long_only_budget(sigma.n)
         solved = crisp_projected(sigma, mu, args.gamma, p=args.sweeps, constraints=cs, eps=args.eps)
     elif args.method == "crisp":
         solved = crisp_solve(
@@ -367,9 +370,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_alloc = sub.add_parser("allocate", help="run one allocation", parents=[inputs])
     p_alloc.add_argument("--method", choices=_CLI_METHODS, required=True)
-    p_alloc.add_argument("--gamma", type=float, default=0.5)
-    p_alloc.add_argument("--sweeps", type=int, default=100)
-    p_alloc.add_argument("--eps", type=float, default=1e-8)
+    p_alloc.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p_alloc.add_argument("--sweeps", type=int, default=DEFAULT_SWEEPS)
+    p_alloc.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_alloc.add_argument("--factors", type=int, default=3, help="factor count for crisp-stream")
     p_alloc.set_defaults(func=cmd_allocate)
 

@@ -35,8 +35,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(m, name: str) -> np.ndarray:
-    """The matrix rule: a float copy of ``m`` if it is a nonempty square, finite
-    matrix, symmetric to 1e-12 times max(max |m|, 1); else InvalidCovarianceError."""
+    """The matrix rule: a nonempty square, finite matrix, symmetric to 1e-12 times
+    max(max |m|, 1), as the float copy (m + m^T) / 2; else InvalidCovarianceError."""
     m = np.array(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidCovarianceError(f"{name} must be a nonempty square matrix")
@@ -45,19 +45,21 @@ def _symmetric(m, name: str) -> np.ndarray:
     # max |m| and max |m - m^T| from two reductions each, no absolute copy
     bound = _SYMMETRY_RTOL * max(m.max(), -m.min(), 1.0)
     gap = m - m.T
-    if not max(gap.max(), -gap.min()) <= bound:
+    worst = max(gap.max(), -gap.min())
+    if not worst <= bound:
         raise InvalidCovarianceError(f"{name} is not symmetric to 1e-12 relative")
-    return m
+    # both triangles must hold the same bits: the sweep reads both, a Cholesky one
+    return m if worst == 0.0 else np.multiply(np.add(m, m.T, out=gap), 0.5, out=gap)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetric covariance matrix with strictly positive diagonal.
 
-    The constructor checks symmetry (1e-12 relative) and the diagonal only;
-    the eigenvalue check is deferred to :meth:`validate` so that experiment
-    loops building thousands of matrices do not pay an eigendecomposition
-    per construction.
+    The constructor checks symmetry (1e-12 relative, stored as the average of
+    the two triangles) and the diagonal only; the eigenvalue check is deferred
+    to :meth:`validate` so that experiment loops building thousands of
+    matrices do not pay an eigendecomposition per construction.
     """
 
     entries: np.ndarray

@@ -75,9 +75,8 @@ class Dendrogram:
 
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:
-    """d_ij = sqrt((1 - C_ij) / 2) on the symmetric part of C; zero diagonal, in [0, 1]."""
-    c = corr.entries  # CorrelationMatrix allows 1e-12 of asymmetry
-    d = np.sqrt(0.5 * (1.0 - 0.5 * (c + c.T)))
+    """d_ij = sqrt((1 - C_ij) / 2), symmetric like C; zero diagonal, in [0, 1]."""
+    d = np.sqrt(0.5 * (1.0 - corr.entries))
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import baselines, signal_trees
-from .analysis import kappa_eff, trajectory
+from .analysis import AdaptiveInputs, kappa_eff, trajectory
 from .core import (
     CovarianceMatrix,
     Signal,
@@ -34,7 +34,7 @@ from .core import (
 from .dendrogram import Dendrogram, build_tree
 from .errors import AllocationError, ParameterError
 from .metrics import dir_diag, dir_error, gross_leverage, sharpe, signed_cosine
-from .solver import crisp_solve, sweeps_to_tolerance
+from .solver import DEFAULT_GAMMA, DEFAULT_SWEEPS, crisp_solve, sweeps_to_tolerance
 from .synthetic import (
     DEFAULT_RIDGE,
     RegimeSpec,
@@ -84,8 +84,8 @@ class MethodSpec:
     """One allocator configuration: method id plus gamma / sweep budget."""
 
     method: str
-    gamma: float = 0.5
-    sweeps: int = 100
+    gamma: float = DEFAULT_GAMMA
+    sweeps: int = DEFAULT_SWEEPS
 
     def __post_init__(self):
         if self.method not in METHOD_IDS:
@@ -506,7 +506,7 @@ def _run_adaptive_calibration(spec: ExperimentSpec, jobs: int) -> ExperimentResu
                 best_gamma = max(sharpes, key=sharpes.get)
                 peak = sharpes[best_gamma]
                 plateau = np.mean([1.0 if sharpes[g] >= 0.98 * peak else 0.0 for g in sharpes])
-                nsr = kappa_c**2 * n / (t * ic**2)
+                nsr = AdaptiveInputs(kappa_c, ic, n, t, 0.0).nsr
                 rows.append(
                     (regime_label, t, ic, nsr, best_gamma, float(plateau), sharpes[0.5])
                 )

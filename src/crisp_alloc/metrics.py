@@ -77,11 +77,8 @@ def sign_match_fraction(w: VectorLike, w_star: VectorLike) -> float:
 
 
 def direction_report(w: VectorLike, w_star: VectorLike) -> DirectionReport:
-    c = signed_cosine(w, w_star)
     return DirectionReport(
-        dir_error=max(0.0, 1.0 - c * c),
-        signed_cosine=c,
-        sign_match_fraction=sign_match_fraction(w, w_star),
+        dir_error(w, w_star), signed_cosine(w, w_star), sign_match_fraction(w, w_star)
     )
 
 

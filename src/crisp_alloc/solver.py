@@ -271,8 +271,8 @@ class FactorModel:
         return self.implied_diagonal(self.loadings, self.factor_cov, self.idio_var)
 
     def materialize(self) -> CovarianceMatrix:
-        full = self.loadings @ self.factor_cov @ self.loadings.T + np.diag(self.idio_var)
-        return CovarianceMatrix(0.5 * (full + full.T))
+        b = self.loadings
+        return CovarianceMatrix(b @ self.factor_cov @ b.T + np.diag(self.idio_var))
 
 
 def crisp_solve_stream(

@@ -111,8 +111,7 @@ def _block_corr(n: int, sectors: int, rho_w: float, rho_c: float) -> np.ndarray:
 
 
 def _corr_to_cov(corr: np.ndarray, vols: np.ndarray) -> CovarianceMatrix:
-    cov = corr * np.outer(vols, vols)
-    return CovarianceMatrix(0.5 * (cov + cov.T))
+    return CovarianceMatrix(corr * np.outer(vols, vols))
 
 
 def psd_floor(sym: np.ndarray, floor: float = DEFAULT_FLOOR) -> CorrelationMatrix:
@@ -153,7 +152,7 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
         fac_var = (b**2).sum(axis=1) / spec.k * share
         idio = fac_var * (1.0 - share) / share
         raw = (share / spec.k) * (b @ b.T) + np.diag(idio)
-        corr = to_correlation(CovarianceMatrix(0.5 * (raw + raw.T)))
+        corr = to_correlation(CovarianceMatrix(raw))
         return _corr_to_cov(corr.entries, _vols(spec, rng))
 
     if spec.kind == "spiked":
@@ -298,8 +297,7 @@ def sample_cov(samples: np.ndarray, ridge: float = DEFAULT_RIDGE) -> CovarianceM
         raise ParameterError("samples must be a T x N array with T >= 2")
     if ridge < 0.0:
         raise ParameterError("ridge must be nonnegative")
-    cov = np.cov(x, rowvar=False, ddof=1) + ridge * np.eye(x.shape[1])
-    return CovarianceMatrix(0.5 * (cov + cov.T))
+    return CovarianceMatrix(np.cov(x, rowvar=False, ddof=1) + ridge * np.eye(x.shape[1]))
 
 
 def sample_mean(samples: np.ndarray) -> Signal:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ from crisp_alloc import (
     FactorModel,
     RegimeSpec,
     Signal,
+    SignalSpec,
     SingularCovarianceError,
     cli,
     crisp_solve_stream,
+    export,
     gen_regime,
+    gen_signal,
+    preset,
+    run_experiment,
+    trajectory,
+    worst_case_mu,
 )
+from crisp_alloc.analysis import default_gamma_grid
 from crisp_alloc.cli import main
 from crisp_alloc.errors import ParameterError
 from crisp_alloc.synthetic import _REGIMES, _SIGNALS
@@ -200,6 +209,14 @@ class TestDeterminism:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_experiment_trials_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path))
+        code, _, _ = run_cli(["experiment", "oos_sensitivity", "--trials", "2"], capsys)
+        assert code == 0
+        spec = replace(preset("oos_sensitivity"), trials=2)
+        want = export(run_experiment(spec).tables[0])
+        assert (tmp_path / "oos_sensitivity" / "cells.csv").read_bytes() == want
 
     def test_experiment_output_bytes_identical(self, tmp_path, capsys, monkeypatch):
         blobs = []
@@ -501,6 +518,38 @@ class TestTrajectoryAndWorstMu:
         exact = [float(r[1]) for r in rows]
         assert exact[-1] < 1e-10
         assert max(exact) > exact[0]
+
+    def test_trajectory_from_files_matches_the_library(self, tmp_path, capsys):
+        sigma = gen_regime(RegimeSpec("block_sector", n=12, seed=5))
+        mu = gen_signal(SignalSpec("gaussian", seed=5), 12)
+        cov, mu_path, out = tmp_path / "cov.csv", tmp_path / "mu.csv", tmp_path / "traj.csv"
+        np.savetxt(cov, sigma.entries, fmt="%.17g", delimiter=",")
+        np.savetxt(mu_path, mu.values, fmt="%.17g", delimiter=",")
+        code, printed, _ = run_cli(
+            ["trajectory", "--cov", str(cov), "--mu", str(mu_path), "--grid", "5",
+             "--sweeps", "30", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        points = trajectory(sigma, mu, default_gamma_grid(5), p=30)
+        rows = [(p.gamma, p.dir_exact, p.dir_finite_sweep, p.dir_slack) for p in points]
+        lines = printed.splitlines()
+        assert lines[1:-1] == [f"{g:.3f} {a:.6g} {b:.6g} {c:.6g}" for g, a, b, c in rows]
+        assert lines[-1] == f"wrote {out}"
+        assert np.array_equal(np.loadtxt(out, delimiter=","), np.array(rows))
+
+    def test_worst_mu_out(self, tmp_path, capsys):
+        out = tmp_path / "mu.csv"
+        code, printed, _ = run_cli(
+            ["worst-mu", "--regime", "hedged", "--n", "20", "--restarts", "4",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=20, seed=42))
+        mu, _ = worst_case_mu(sigma, restarts=4, seed=42)
+        assert printed.splitlines()[-1] == f"wrote {out}"
+        assert np.array_equal(np.loadtxt(out, delimiter=","), mu.values)
 
     def test_worst_mu(self, capsys):
         code, out, _ = run_cli(

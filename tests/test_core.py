@@ -81,6 +81,27 @@ class TestConstructors:
         # condition number is asked hold the covariance's bound
         _check_asymmetry_bound(accept, scale)
 
+    @pytest.mark.parametrize(
+        "stored",
+        (
+            lambda m: CovarianceMatrix(m).entries,
+            lambda m: CorrelationMatrix(m).entries,
+            lambda m: FactorModel(np.eye(3), m, np.ones(3)).factor_cov,
+        ),
+        ids=("covariance", "correlation", "factor_cov"),
+    )
+    def test_stored_exactly_symmetric(self, stored):
+        # within the bound the two triangles are averaged, so every reader
+        # of either triangle sees the same matrix; a symmetric input is kept
+        sym = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.1], [0.2, -0.1, 1.0]])
+        assert np.array_equal(stored(sym), sym)
+        m = sym.copy()
+        m[0, 1] += 9e-13
+        m[1, 2] -= 7e-13
+        got = stored(m)
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(got, 0.5 * (m + m.T))
+
     def test_correlation_asymmetry_at_the_tolerance(self):
         m = np.array([[1.0, 0.0], [1e-12, 1.0]])
         CorrelationMatrix(m)

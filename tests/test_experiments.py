@@ -404,6 +404,13 @@ class TestExport:
         assert b"\t" in export(t, "tsv")
         assert export(t, "text").decode().splitlines()[0].startswith("a")
 
+    def test_nan_cell(self):
+        # a failed or undefined cell is written as nan in every format
+        t = ExperimentTable("x", ("a", "b"), (("x", float("nan")), ("y", 1.5)))
+        assert export(t, "csv") == b"a,b\nx,nan\ny,1.5\n"
+        assert export(t, "tsv") == b"a\tb\nx\tnan\ny\t1.5\n"
+        assert export(t, "text") == b"a  b  \nx  nan\ny  1.5\n"
+
     def test_six_significant_digits(self):
         t = ExperimentTable("x", ("a",), ((0.123456789,),))
         assert export(t, "csv") == b"a\n0.123457\n"

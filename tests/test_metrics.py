@@ -74,6 +74,14 @@ class TestDirError:
         assert dir_error(sa * a, sb * b) == pytest.approx(d, abs=1e-9)
         assert dir_error(b, a) == pytest.approx(d, abs=1e-12)
 
+    def test_report_reads_dir_error(self):
+        # near-parallel pairs, where 1 - cos^2 and dir_error round apart
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = rng.standard_normal(20)
+            b = a + 1e-4 * rng.standard_normal(20)
+            assert direction_report(a, b).dir_error == dir_error(a, b)
+
     @settings(deadline=None, max_examples=100)
     @given(_vec, _vec)
     @example(*_ZEROED_BY_TILING)

@@ -121,6 +121,21 @@ class TestCrispSolve:
             assert rep.converged
             assert dir_error(rep.weights.values, target) < 1e-8
 
+    @pytest.mark.slow
+    def test_agrees_with_direct_solve_on_a_near_symmetric_input(self):
+        # kappa = 4.4e5 and the upper triangle off by up to 9e-13 relative:
+        # the sweep reads both triangles and the Cholesky solve the lower one,
+        # so they agree to rounding only if the two triangles are one matrix
+        entries = gen_regime(RegimeSpec("hedged_tight_blocks", n=100, seed=3)).entries.copy()
+        upper = np.triu_indices(100, 1)
+        entries[upper] *= 1.0 + np.random.default_rng(0).uniform(-9e-13, 9e-13, upper[0].size)
+        sigma = CovarianceMatrix(entries)
+        mu = _rand_mu(100, 1)
+        rep = crisp_solve(sigma, mu, 1.0, p_max=300000, eps=1e-15)
+        target = markowitz_direct(sigma, mu).values
+        assert rep.converged
+        assert np.abs(rep.weights.values - target).max() <= 1e-10 * np.abs(target).max()
+
     def test_unconditional_convergence(self):
         # residual driven below 1e-8 within a cap scaled by the conditioning
         for seed in range(100):

@@ -13,6 +13,7 @@ from crisp_alloc import (
     InvalidCovarianceError,
     ParameterError,
     RegimeSpec,
+    Signal,
     SignalSpec,
     dir_diag,
     gen_regime,
@@ -197,6 +198,12 @@ class TestSampling:
         se = np.sqrt((np.outer(np.diag(s), np.diag(s)) + s**2) / t)
         assert np.all(np.abs(hat - s) < 3.0 * se + 1e-12)
         assert np.allclose(sample_mean(x).values, mu.values, atol=4 * np.sqrt(np.diag(s).max() / t))
+
+    def test_non_positive_definite_covariance(self):
+        # symmetric with a positive diagonal, so constructible, but indefinite
+        sigma = CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(GenerationError):
+            sample_returns(sigma, Signal(np.zeros(2)), 10, seed=0)
 
     def test_t_too_small(self, base100):
         mu = gen_signal(SignalSpec("ones"), 100)
