@@ -39,7 +39,7 @@ from .core import (
     shrink,
     to_correlation,
 )
-from .dendrogram import Dendrogram, LinkageRule, TreeNode, balanced_tree, build_tree, corr_distance
+from .dendrogram import Dendrogram, LinkageRule, balanced_tree, build_tree, corr_distance
 from .errors import (
     AllocationError,
     ConditioningError,

@@ -88,16 +88,17 @@ class NodeRecord(ClusterStats):
         return self.raw_l + self.raw_r < 0.0
 
 
-def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> np.ndarray:
+def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma in the tree's leaf order, and that order as an index array."""
     if sigma.n != tree.n:
         raise ParameterError("tree and covariance cover different asset counts")
     order = np.asarray(tree.leaf_order, dtype=int)
-    return sigma.entries[np.ix_(order, order)]
+    return sigma.entries[np.ix_(order, order)], order
 
 
-def _unpermute(w_perm: np.ndarray, tree: Dendrogram) -> np.ndarray:
+def _unpermute(w_perm: np.ndarray, order: np.ndarray) -> np.ndarray:
     w = np.empty_like(w_perm)
-    w[np.asarray(tree.leaf_order, dtype=int)] = w_perm
+    w[order] = w_perm
     return w
 
 
@@ -129,10 +130,9 @@ def _tree_pass(
     the input's units.
     """
     g = check_gamma(gamma)
-    sp = _permuted(sigma, tree)
+    sp, order = _permuted(sigma, tree)
     if mu.shape != (tree.n,):
         raise ParameterError("signal length does not match covariance size")
-    order = np.asarray(tree.leaf_order, dtype=int)
     mperm = mu[order]
     pos = np.arange(tree.n)
     d = sp[pos, pos]
@@ -148,10 +148,10 @@ def _tree_pass(
     buf = np.empty((3, 2 * tree.n - 1))
     buf[:, order] = x * x * d, x * mperm, np.abs(x)
     q, s, a = buf.tolist()
-    for node in tree.internal_nodes:
-        i, j, k = node.left.id, node.right.id, node.id
-        l0, l1 = node.left.span
-        r0, r1 = node.right.span
+    spans = tree.spans
+    for k, (i, j) in enumerate(tree.pairs, tree.n):
+        l0, l1 = spans[i]
+        r0, r1 = spans[j]
         cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc
         al, ar = a[i], a[j]
         v_l, v_r = q[i] / (al * al), q[j] / (ar * ar)
@@ -173,7 +173,7 @@ def _tree_pass(
             kl, kr, a[k] = 1.0, 1.0, al + ar
         q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
         s[k] = kl * s[i] + kr * s[j]
-    return _tagged(_unpermute(w, tree), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
+    return _tagged(_unpermute(w, order), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -223,16 +223,17 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
     once, as the breakdown check and as the child's solver; a node of one or
     two leaves solves with the factor it was handed.
     """
-    root = tree.root
-    m = root.left.size if root.size > 2 else root.size
-    stack = [(root, sp, _chol(sp[:m, :m], 0, gamma), np.ones(tree.n), 0)]
+    n, pairs, spans = tree.n, tree.pairs, tree.spans
+    m = spans[pairs[-1][0]][1] if n > 2 else n  # the root's left block
+    stack = [(2 * n - 2, sp, _chol(sp[:m, :m], 0, gamma), np.ones(n), 0)]
     while stack:
         node, q, low, b, depth = stack.pop()
-        if node.size <= 2:
-            lo, hi = node.span
+        lo, hi = spans[node]
+        if hi - lo <= 2:
             w[lo:hi] = dpotrs(low, b, lower=1)[0]
             continue
-        k = node.left.size
+        left, right = pairs[node - n]
+        k = spans[left][1] - lo
         a, off, d, b_l, b_r = q[:k, :k], q[:k, k:], q[k:, k:], b[:k], b[k:]
         low_a, low_d = low[:k, :k], _chol(d, depth, gamma)
         if gamma == 0.0:
@@ -247,7 +248,7 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
                 (a_c, _chol(a_c, depth, gamma), b_l - gamma * (y_b.T @ y[:, -1])),
                 (d_c, _chol(d_c, depth, gamma), b_r - gamma * (x_b.T @ x[:, -1])),
             )
-        for child, (blk, low_c, rhs) in zip((node.left, node.right), kids):
+        for child, (blk, low_c, rhs) in zip((left, right), kids):
             yield blk
             stack.append((child, blk, low_c, rhs, depth + 1))
 
@@ -264,13 +265,14 @@ def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVec
     sample covariance with T <= N, say).
     """
     g = check_gamma(gamma)
+    sp, order = _permuted(sigma, tree)
     w_perm = np.empty(tree.n)
-    for _ in _schur_pass(_permuted(sigma, tree), tree, g, w_perm):
+    for _ in _schur_pass(sp, tree, g, w_perm):
         pass
     total = float(w_perm.sum())
     if total == 0.0:
         raise DegenerateInputError("Schur allocation sums to zero; cannot normalize")
-    return _tagged(_unpermute(w_perm / total, tree), "sum_one")
+    return _tagged(_unpermute(w_perm / total, order), "sum_one")
 
 
 def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> float:
@@ -286,7 +288,7 @@ def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float
     g = check_gamma(gamma)
     log_k = 0.0
     try:
-        for blk in _schur_pass(_permuted(sigma, tree), tree, g, np.empty(tree.n)):
+        for blk in _schur_pass(_permuted(sigma, tree)[0], tree, g, np.empty(tree.n)):
             eigs = scipy.linalg.eigvalsh(blk)
             if eigs[0] <= 0.0:
                 return np.inf

@@ -7,14 +7,15 @@ sequence is unique and scipy's compiled ``linkage`` builds it. Otherwise a
 Python loop takes each merge from one row minimum over the live block of the
 distance matrix (O(N^3) in all: a merge reads every live pair) and breaks
 distance ties by the lowest (id, id) cluster pair, so the construction is
-deterministic across platforms. Each node stores its span in the
-quasi-diagonal leaf order; its leaf set and size are read off that span.
+deterministic across platforms. The tree is stored as scipy's merge table:
+merge k (node id N + k) joins two ids at a height, and every node's leaf set
+is a span of the quasi-diagonal leaf order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import squareform
@@ -27,51 +28,42 @@ LinkageRule = Literal["ward", "single", "complete", "average"]
 _RULES = ("ward", "single", "complete", "average")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of the binary cluster tree.
+class Merge(NamedTuple):
+    """One merge as read outside the tree kernels: its sorted leaf set and height."""
 
-    ``span`` is the half-open range the node occupies in ``order``, the
-    dendrogram's quasi-diagonal leaf order (one tuple shared by every node).
-    """
-
-    id: int
-    span: tuple[int, int]
+    leaves: tuple[int, ...]
     height: float
-    order: tuple[int, ...] = field(repr=False)
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    leaf: Optional[int] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        """Sorted original asset indices beneath the node."""
-        return tuple(sorted(self.order[self.span[0] : self.span[1]]))
-
-    @property
-    def size(self) -> int:
-        return self.span[1] - self.span[0]
 
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Binary cluster tree plus the quasi-diagonal leaf order.
+    """Binary cluster tree in scipy's merge layout, plus its leaf order.
 
-    ``internal_nodes`` lists the merges in id order; a merge's id exceeds its
-    children's, so the sequence visits children before their parent.
+    Node ids 0..n-1 are the assets; merge k is node n + k, so a merge's id
+    exceeds its children's and the merges run children first. ``pairs[k]``
+    holds merge k's two child ids, the smaller (the left child) first, and
+    ``heights[k]`` its height. ``spans[i]`` is node i's half-open range in
+    ``leaf_order``, the quasi-diagonal order, for all 2n - 1 nodes; the root
+    is node 2n - 2 and spans the whole order.
     """
 
-    root: TreeNode
+    pairs: tuple[tuple[int, int], ...]
+    heights: tuple[float, ...]
+    spans: tuple[tuple[int, int], ...] = field(repr=False)
     leaf_order: tuple[int, ...]
-    internal_nodes: tuple[TreeNode, ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.leaf_order)
+
+    @property
+    def internal_nodes(self) -> tuple[Merge, ...]:
+        """Each merge's (leaves, height), in merge order; derived per call."""
+        order = self.leaf_order
+        return tuple(
+            Merge(tuple(sorted(order[lo:hi])), h)
+            for (lo, hi), h in zip(self.spans[self.n :], self.heights)
+        )
 
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:
@@ -173,6 +165,7 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
 def _assemble(n: int, pairs: list, heights: list) -> Dendrogram:
     """The tree of scipy's merge layout: merge i (id n + i) joins ``pairs[i]``,
     the smaller id first (the left child), at ``heights[i]``."""
+    pairs = tuple(map(tuple, pairs))
     # leaf order: iterative left-to-right traversal (smaller child id first)
     order: list[int] = []
     stack = [2 * n - 2]
@@ -184,24 +177,13 @@ def _assemble(n: int, pairs: list, heights: list) -> Dendrogram:
             a, b = pairs[nid - n]
             stack.append(b)
             stack.append(a)
-    leaf_order = tuple(order)
 
-    nodes: list = [None] * n  # indexed by id
+    spans: list = [None] * n  # indexed by id
     for p, leaf in enumerate(order):
-        nodes[leaf] = TreeNode(id=leaf, span=(p, p + 1), height=0.0, order=leaf_order, leaf=leaf)
-    for (a, b), height in zip(pairs, heights):
-        left, right = nodes[a], nodes[b]
-        nodes.append(
-            TreeNode(
-                id=len(nodes),
-                span=(left.span[0], right.span[1]),
-                height=height,
-                order=leaf_order,
-                left=left,
-                right=right,
-            )
-        )
-    return Dendrogram(root=nodes[-1], leaf_order=leaf_order, internal_nodes=tuple(nodes[n:]))
+        spans[leaf] = (p, p + 1)
+    for a, b in pairs:
+        spans.append((spans[a][0], spans[b][1]))
+    return Dendrogram(pairs, tuple(heights), tuple(spans), tuple(order))
 
 
 def balanced_tree(n: int) -> Dendrogram:

@@ -76,7 +76,7 @@ def test_criterion_01_worked_example_fixtures(four_asset):
     trace = {}
     w_mu = hrp_mu(sigma, mu, tree, 0.5, trace=trace)
     checks.append(np.allclose(w_mu.values, [0.292, -0.140, 0.130, -0.438], atol=1e-3))
-    st = trace[tree.root.id]
+    st = trace[2 * tree.n - 2]
     checks.append(abs(st.v_l - 0.00535) < 5e-4 and abs(st.v_r - 0.00648) < 5e-4)
     checks.append(abs(st.s_l - 0.0222) < 5e-4 and abs(st.s_r - 0.0360) < 5e-4)
 
@@ -339,7 +339,7 @@ def test_criterion_06_sign_flip_pathology_mc():
     trace = {}
     w_a1 = a1_sum_norm_mvo(sig2, mu2, tree2, 0.0, trace=trace).values
     w_l1 = hrp_sigma_mu(sig2, mu2, tree2, 0.0).values
-    anti_ok = trace[tree2.root.id].flipped and np.abs(w_a1 + w_l1).max() < 1e-10
+    anti_ok = trace[2 * tree2.n - 2].flipped and np.abs(w_a1 + w_l1).max() < 1e-10
 
     ok = band_ok and mu_ok and anti_ok
     _report(

@@ -55,14 +55,20 @@ def _oracle_kappa(m):
     return np.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
 
 
-def _oracle_recurse(q, b, node, depth, gamma, strict, kappas):
-    if node.is_leaf:
+def _size(tree, node):
+    lo, hi = tree.spans[node]
+    return hi - lo
+
+
+def _oracle_recurse(q, b, tree, node, depth, gamma, strict, kappas):
+    if node < tree.n:  # a leaf
         if q[0, 0] == 0.0:
             raise SchurBreakdownError(depth, gamma, "zero variance at leaf")
         return b[:1] / q[0, 0]
-    if node.size == 2:
+    if _size(tree, node) == 2:
         return _oracle_solve_2x2(q, b, depth, gamma, strict)
-    n_l = node.left.size
+    left, right = tree.pairs[node - tree.n]
+    n_l = _size(tree, left)
     a, d, off = q[:n_l, :n_l], q[n_l:, n_l:], q[:n_l, n_l:]
     b_l, b_r = b[:n_l], b[n_l:]
     if gamma == 0.0:
@@ -76,7 +82,7 @@ def _oracle_recurse(q, b, node, depth, gamma, strict, kappas):
                 raise SchurBreakdownError(depth, gamma, "singular child block") from exc
             if kappas is not None:
                 kappas.append(np.inf)
-            return np.zeros(node.size)
+            return np.zeros(_size(tree, node))
         a_c = a - gamma * off @ xd[:, :-1]
         b_a = b_l - gamma * off @ xd[:, -1]
         d_c = d - gamma * off.T @ xa[:, :-1]
@@ -92,8 +98,8 @@ def _oracle_recurse(q, b, node, depth, gamma, strict, kappas):
                 np.linalg.cholesky(blk)
             except np.linalg.LinAlgError as exc:
                 raise SchurBreakdownError(depth, gamma) from exc
-    w_l = _oracle_recurse(a_c, b_a, node.left, depth + 1, gamma, strict, kappas)
-    w_r = _oracle_recurse(d_c, b_d, node.right, depth + 1, gamma, strict, kappas)
+    w_l = _oracle_recurse(a_c, b_a, tree, left, depth + 1, gamma, strict, kappas)
+    w_r = _oracle_recurse(d_c, b_d, tree, right, depth + 1, gamma, strict, kappas)
     return np.concatenate([w_l, w_r])
 
 
@@ -104,7 +110,7 @@ def _oracle_sp(sigma, tree):
 
 def _oracle_cotton(sigma, tree, gamma):
     sp, order = _oracle_sp(sigma, tree)
-    w_perm = _oracle_recurse(sp, np.ones(tree.n), tree.root, 0, gamma, True, None)
+    w_perm = _oracle_recurse(sp, np.ones(tree.n), tree, 2 * tree.n - 2, 0, gamma, True, None)
     w = np.empty(tree.n)
     w[order] = w_perm / w_perm.sum()
     return w
@@ -112,7 +118,8 @@ def _oracle_cotton(sigma, tree, gamma):
 
 def _oracle_kappa_product(sigma, tree, gamma):
     kappas = []
-    _oracle_recurse(_oracle_sp(sigma, tree)[0], np.ones(tree.n), tree.root, 0, gamma, False, kappas)
+    sp = _oracle_sp(sigma, tree)[0]
+    _oracle_recurse(sp, np.ones(tree.n), tree, 2 * tree.n - 2, 0, gamma, False, kappas)
     return float(np.prod(kappas)) if kappas else 1.0
 
 
@@ -252,11 +259,11 @@ class TestKappaProduct:
         sp = sigma.entries[np.ix_(order, order)]
 
         expect = 1.0
-        for node in tree.internal_nodes:
-            if node.size == 2:
+        for k, pair in enumerate(tree.pairs, tree.n):
+            if _size(tree, k) == 2:
                 continue
-            for child in (node.left, node.right):
-                lo, hi = child.span
+            for child in pair:
+                lo, hi = tree.spans[child]
                 block = sp[lo:hi, lo:hi]
                 eigs = np.linalg.eigvalsh(block)
                 expect *= eigs[-1] / eigs[0]
@@ -269,11 +276,11 @@ class TestKappaProduct:
         got = cotton_kappa_product(sigma, tree, 0.7)
         # with a diagonal covariance every augmented block is the principal block
         expect = 1.0
-        for node in tree.internal_nodes:
-            if node.size == 2:
+        for k, pair in enumerate(tree.pairs, tree.n):
+            if _size(tree, k) == 2:
                 continue
-            for child in (node.left, node.right):
-                lo, hi = child.span
+            for child in pair:
+                lo, hi = tree.spans[child]
                 dd = d[np.array(tree.leaf_order[lo:hi])]
                 expect *= dd.max() / dd.min()
         assert got == pytest.approx(expect, rel=1e-10)
@@ -342,7 +349,7 @@ class TestA1SumNormMvo:
         tree = build_tree(to_correlation(sigma), "ward")
         trace = {}
         w_a1 = a1_sum_norm_mvo(sigma, mu, tree, 0.0, trace=trace)
-        assert trace[tree.root.id].flipped
+        assert trace[2 * tree.n - 2].flipped
         w_l1 = hrp_sigma_mu(sigma, mu, tree, 0.0)
         a = w_a1.values / np.abs(w_a1.values).sum()
         assert np.allclose(a, -w_l1.values, atol=1e-12)
@@ -368,7 +375,7 @@ class TestA1SumNormMvo:
         tree = build_tree(to_correlation(sigma), "ward")
         trace = {}
         w_a1 = a1_sum_norm_mvo(sigma, mu, tree, 0.0, trace=trace).values
-        assert trace[tree.root.id].flipped
+        assert trace[2 * tree.n - 2].flipped
         w_l1 = hrp_sigma_mu(sigma, mu, tree, 0.0).values
         assert np.abs(w_a1 + w_l1).max() < 1e-14
 

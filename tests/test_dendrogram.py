@@ -81,12 +81,17 @@ def reference_tree(corr, rule):
 
 def merges(tree):
     """Children and leaf order: everything the merge loop decides."""
-    nodes = {node.id: (node.left.id, node.right.id) for node in tree.internal_nodes}
-    return nodes, tree.leaf_order
+    return tree.pairs, tree.leaf_order
 
 
 def heights(tree):
-    return np.array([node.height for node in tree.internal_nodes])
+    return np.array(tree.heights)
+
+
+def leaves(tree, node):
+    """Sorted assets beneath a node id, read off its span."""
+    lo, hi = tree.spans[node]
+    return tuple(sorted(tree.leaf_order[lo:hi]))
 
 
 def tie_free(corr):
@@ -150,15 +155,16 @@ class TestBuildTree:
         sigma, _, _ = four_asset
         tree = build_tree(to_correlation(sigma), "ward")
         assert tree.leaf_order == (0, 1, 2, 3)
-        assert tree.root.left.leaves == (0, 1)
-        assert tree.root.right.leaves == (2, 3)
-        assert tree.root.left.height == pytest.approx(0.3162, abs=5e-4)
-        assert tree.root.right.height == pytest.approx(0.3162, abs=5e-4)
+        left, right = tree.pairs[-1]  # the root's children
+        assert leaves(tree, left) == (0, 1)
+        assert leaves(tree, right) == (2, 3)
+        assert tree.heights[left - tree.n] == pytest.approx(0.3162, abs=5e-4)
+        assert tree.heights[right - tree.n] == pytest.approx(0.3162, abs=5e-4)
 
     def test_two_assets(self):
         c = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
         tree = build_tree(c)
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        assert max(tree.pairs[-1]) < tree.n  # both root children are leaves
         assert tree.n == 2
 
     def test_degenerate_universe(self):
@@ -189,13 +195,8 @@ class TestBuildTree:
         corr = to_correlation(sigma)
         t1 = build_tree(corr, "average")
         t2 = build_tree(corr, "average")
-
-        def sig(node):
-            if node.is_leaf:
-                return (node.leaf,)
-            return (sig(node.left), sig(node.right), node.height)
-
-        assert sig(t1.root) == sig(t2.root)
+        assert t1.pairs == t2.pairs
+        assert t1.heights == t2.heights
         assert t1.leaf_order == t2.leaf_order
 
     @pytest.mark.parametrize("rule", ["ward", "single", "complete", "average"])
@@ -204,21 +205,23 @@ class TestBuildTree:
         tree = build_tree(to_correlation(sigma), rule)
         assert sorted(tree.leaf_order) == list(range(12))
 
-    def test_leaf_set_cache_audit(self):
+    def test_spans_nest_and_give_the_leaf_sets(self):
         for seed in range(4):
             tree = build_tree(to_correlation(random_spd(15, seed)), "ward")
-            # merge order: every child precedes its parent
-            assert [node.id for node in tree.internal_nodes] == list(range(15, 29))
-            for parent in tree.internal_nodes:
-                for node in (parent, parent.left, parent.right):
-                    if node.is_leaf:
-                        assert node.leaves == (node.leaf,)
-                    else:
-                        assert node.leaves == tuple(
-                            sorted(node.left.leaves + node.right.leaves)
-                        )
-                    lo, hi = node.span
-                    assert tuple(sorted(tree.leaf_order[lo:hi])) == node.leaves
+            assert len(tree.pairs) == len(tree.heights) == 14
+            assert len(tree.spans) == 29
+            assert tree.spans[28] == (0, 15)  # the root spans the whole order
+            for leaf in range(15):
+                lo, hi = tree.spans[leaf]
+                assert hi - lo == 1 and tree.leaf_order[lo] == leaf
+                assert leaves(tree, leaf) == (leaf,)
+            for k, (a, b) in enumerate(tree.pairs, 15):
+                # merge order: every child precedes its parent, smaller id left
+                assert a < b < k
+                assert tree.spans[a][1] == tree.spans[b][0]
+                assert tree.spans[k] == (tree.spans[a][0], tree.spans[b][1])
+                assert leaves(tree, k) == tuple(sorted(leaves(tree, a) + leaves(tree, b)))
+                assert tree.internal_nodes[k - 15] == (leaves(tree, k), tree.heights[k - 15])
 
     def test_near_symmetric_correlation(self):
         # CorrelationMatrix accepts asymmetry up to 1e-12; the tree is that of
@@ -247,8 +250,11 @@ class TestBalancedTree:
     def test_structure(self):
         tree = balanced_tree(8)
         assert tree.n == 8
-        assert tree.root.size == 8
-        assert tree.root.left.size == 4
+        assert tree.spans[14] == (0, 8)  # the root
+        lo, hi = tree.spans[tree.pairs[-1][0]]
+        assert hi - lo == 4
+        assert tree.pairs == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13))
+        assert tree.heights == (1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ParameterError):
@@ -316,8 +322,8 @@ class TestAgainstReferenceLoop:
     def test_two_assets_have_one_condensed_distance(self, rule):
         corr = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]))
         tree = build_tree(corr, rule)
-        assert merges(tree) == merges(reference_tree(corr, rule)) == ({2: (0, 1)}, (0, 1))
-        assert tree.root.height == corr_distance(corr)[0, 1]
+        assert merges(tree) == merges(reference_tree(corr, rule)) == (((0, 1),), (0, 1))
+        assert tree.heights[-1] == corr_distance(corr)[0, 1]
 
 
 class TestAgainstScipy:
@@ -337,3 +343,7 @@ class TestAgainstScipy:
             # a tie-free input takes scipy's linkage, heights to the bit
             assert tie_free(corr)
             assert ours == theirs
+            # and the stored layout is scipy's table row for row, ids sorted
+            assert np.array_equal(np.array(tree.pairs), np.sort(z[:, :2].astype(int), axis=1))
+            assert np.array_equal(np.array(tree.heights), z[:, 2])
+

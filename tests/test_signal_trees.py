@@ -103,7 +103,7 @@ class TestHrpMu:
         sigma, mu, tree = four_asset
         trace = {}
         hrp_mu(sigma, mu, tree, 0.5, trace=trace)
-        st = trace[tree.root.id]
+        st = trace[2 * tree.n - 2]
         assert st.v_l == pytest.approx(0.00535, abs=5e-4)
         assert st.v_r == pytest.approx(0.00648, abs=5e-4)
         assert st.s_l == pytest.approx(0.0222, abs=5e-4)
@@ -248,8 +248,8 @@ class TestHrpSigmaMu:
             mu = Signal(rng.normal(0, 0.02, 12))
             trace = {}
             hrp_sigma_mu(sigma, mu, tree, 0.8, trace=trace)
-            for node in tree.internal_nodes:
-                nb = trace[node.id]
+            for node in range(tree.n, 2 * tree.n - 1):
+                nb = trace[node]
                 assert abs(abs(nb.alpha_l) + abs(nb.alpha_r) - 1.0) <= 1e-12
 
     def test_generic_stability(self):
@@ -281,10 +281,11 @@ class TestHrpSigmaMu:
         counters = []
 
         def counting_permuted(sigma, tree):
-            m = _permuted(sigma, tree).view(_ReadCounter)
+            sp, order = _permuted(sigma, tree)
+            m = sp.view(_ReadCounter)
             m.reads = 0
             counters.append(m)
-            return m
+            return m, order
 
         reads = {}
         for n, (sigma, tree, mu) in doubling_inputs.items():

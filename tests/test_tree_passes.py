@@ -47,35 +47,45 @@ def oracle(sigma, mu, tree, gamma, rep, norm):
         z = raw[0] + raw[1] if norm == "sum" else abs(raw[0]) + abs(raw[1])
         return (0.5, 0.5) if z == 0.0 else (raw[0] / z, raw[1] / z)
 
+    def leaves(node):
+        lo, hi = tree.spans[node]
+        return list(tree.leaf_order[lo:hi])
+
+    def children(node):
+        return tree.pairs[node - n]
+
     def ivp(node):
         # inverse-variance portfolio on the node's leaves, signed if asked
         x = np.zeros(n)
-        idx = list(node.leaves)
+        idx = leaves(node)
         x[idx] = 1.0 / np.diag(s)[idx]
         x /= x.sum()
         return x * signs if rep == "signed" else x
 
     def stacked(node):
         # the node's own normalised local optimum, its children stacked
-        if node.is_leaf:
-            return np.eye(n)[node.leaf]
-        x_l, x_r = stacked(node.left), stacked(node.right)
+        if node < n:  # a leaf
+            return np.eye(n)[node]
+        left, right = children(node)
+        x_l, x_r = stacked(left), stacked(right)
         b_l, b_r = budgets(x_l, x_r)
         return b_l * x_l + b_r * x_r
 
     def products(node, budget, w):
         # leaf weight: product of the budgets on the root-to-leaf path
-        if node.is_leaf:
-            w[node.leaf] = budget
+        if node < n:  # a leaf
+            w[node] = budget
             return
-        b_l, b_r = budgets(ivp(node.left), ivp(node.right))
-        products(node.left, budget * b_l, w)
-        products(node.right, budget * b_r, w)
+        left, right = children(node)
+        b_l, b_r = budgets(ivp(left), ivp(right))
+        products(left, budget * b_l, w)
+        products(right, budget * b_r, w)
 
+    root = 2 * n - 2
     if rep == "stacked":
-        return stacked(tree.root)
+        return stacked(root)
     w = np.zeros(n)
-    products(tree.root, 1.0, w)
+    products(root, 1.0, w)
     return w * signs if rep == "signed" else w
 
 
