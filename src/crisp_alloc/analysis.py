@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceMatrix, Signal, _shrunk, check_gamma, markowitz_direct
+from .core import CovarianceMatrix, Signal, _count, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
 from .solver import _gauss_seidel
@@ -120,8 +120,7 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
 
 def default_gamma_grid(points: int = 21) -> np.ndarray:
     """Evenly spaced shrinkage grid including both endpoints."""
-    if points < 2:
-        raise ParameterError("grid needs at least the two endpoints")
+    _count(points, 2, "grid needs at least the two endpoints")
     return np.linspace(0.0, 1.0, points)
 
 
@@ -133,8 +132,7 @@ def trajectory(
 ) -> list[TrajectoryPoint]:
     """Exact and finite-sweep (``p`` Gauss-Seidel sweeps) direction errors
     along the shrinkage grid."""
-    if p < 1:
-        raise ParameterError("p must be at least 1")
+    _count(p, 1, "p must be at least 1")
     if gammas is None:
         gammas = default_gamma_grid()
     w_star = markowitz_direct(sigma, mu).values

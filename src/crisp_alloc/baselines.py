@@ -24,7 +24,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .core import CovarianceMatrix, Signal, WeightVector, _tagged, check_gamma, markowitz_direct
+from .core import (
+    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _tagged,
+    check_gamma, markowitz_direct,
+)
 from .dendrogram import Dendrogram
 from .errors import (
     ConditioningError,
@@ -43,8 +46,7 @@ class ClusterStats:
     """Scalar statistics of one internal node's two children.
 
     v_l, v_r are cluster variances (return^2), s_l, s_r aggregate signals
-    (return), c the cross-branch covariance scalar, and delta the Cramer
-    determinant v_l * v_r - (gamma * c)^2 of the node system.
+    (return), and c the cross-branch covariance scalar.
     """
 
     v_l: float
@@ -52,7 +54,6 @@ class ClusterStats:
     s_l: float
     s_r: float
     c: float
-    delta: float
 
 
 def raw_budgets(v_l: float, v_r: float, s_l: float, s_r: float, c: float, gamma: float):
@@ -73,10 +74,11 @@ def raw_budgets(v_l: float, v_r: float, s_l: float, s_r: float, c: float, gamma:
 class NodeRecord(ClusterStats):
     """One internal node as a tree pass saw it, recorded by ``trace=``.
 
-    Adds the raw Cramer budgets (raw_l, raw_r) and the normalised budgets
-    (alpha_l, alpha_r) the node handed its children to the ClusterStats.
+    Adds the node system's Cramer determinant delta = v_l v_r - (gamma c)^2, its
+    raw budgets (raw_l, raw_r) and the normalised ones (alpha_l, alpha_r).
     """
 
+    delta: float
     raw_l: float
     raw_r: float
     alpha_l: float
@@ -96,15 +98,9 @@ def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> tuple[np.ndarray, np
     return sigma.entries[np.ix_(order, order)], order
 
 
-def _unpermute(w_perm: np.ndarray, order: np.ndarray) -> np.ndarray:
-    w = np.empty_like(w_perm)
-    w[order] = w_perm
-    return w
-
-
 def _tree_pass(
     sigma: CovarianceMatrix,
-    mu: np.ndarray,
+    mu: Signal,
     tree: Dendrogram,
     gamma: float,
     rep: str,
@@ -131,9 +127,7 @@ def _tree_pass(
     """
     g = check_gamma(gamma)
     sp, order = _permuted(sigma, tree)
-    if mu.shape != (tree.n,):
-        raise ParameterError("signal length does not match covariance size")
-    mperm = mu[order]
+    mperm = _paired(sigma, mu)[order]
     pos = np.arange(tree.n)
     d = sp[pos, pos]
     # far-out scales get the exact power-of-two rescaling; the rest keep
@@ -173,7 +167,7 @@ def _tree_pass(
             kl, kr, a[k] = 1.0, 1.0, al + ar
         q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
         s[k] = kl * s[i] + kr * s[j]
-    return _tagged(_unpermute(w, order), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
+    return _tagged(_original_order(w, order), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -184,12 +178,11 @@ def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
     and the leaf weight is the product of the split factors on its path. This
     is the flat-representative pass at gamma = 0 on a unit signal.
     """
-    return _tree_pass(sigma, np.ones(tree.n), tree, 0.0, "flat", "sum")
+    return _tree_pass(sigma, Signal(np.ones(sigma.n)), tree, 0.0, "flat", "sum")
 
 
 def equal_weight(n: int) -> WeightVector:
-    if n < 1:
-        raise ParameterError("need at least one asset")
+    n = _count(n, 1, "need at least one asset")
     return WeightVector(np.full(n, 1.0 / n), "sum_one")
 
 
@@ -272,7 +265,7 @@ def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVec
     total = float(w_perm.sum())
     if total == 0.0:
         raise DegenerateInputError("Schur allocation sums to zero; cannot normalize")
-    return _tagged(_unpermute(w_perm / total, order), "sum_one")
+    return _tagged(_original_order(w_perm / total, order), "sum_one")
 
 
 def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> float:
@@ -318,7 +311,7 @@ def a2_flat_ivp_tree(
     zero and the budgets become noise-driven. Kept as a reproducible
     diagnostic; matches ``hrp`` at gamma = 0 with a flat unit signal.
     """
-    return _tree_pass(sigma, mu.values, tree, gamma, "flat", "sum")
+    return _tree_pass(sigma, mu, tree, gamma, "flat", "sum")
 
 
 def a1_sum_norm_mvo(
@@ -337,4 +330,4 @@ def a1_sum_norm_mvo(
     repairs. ``trace``, when given, collects node id -> NodeRecord, whose
     ``flipped`` marks a negative denominator for parity analysis.
     """
-    return _tree_pass(sigma, mu.values, tree, gamma, "stacked", "sum", trace)
+    return _tree_pass(sigma, mu, tree, gamma, "stacked", "sum", trace)

@@ -183,6 +183,27 @@ def check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
+def _count(value, least: int, message: str) -> int:
+    """The count rule: an int, not a bool, of at least ``least``; else ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(message)
+    return int(value)
+
+
+def _paired(sigma, mu: Signal) -> np.ndarray:
+    """The pairing rule: mu has the N of ``sigma`` (anything with ``.n``); gives mu's values."""
+    if mu.n != sigma.n:
+        raise ParameterError("signal length does not match covariance size")
+    return mu.values
+
+
+def _original_order(w: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """w, given in the visiting ``order`` (a permutation), back in asset order."""
+    out = np.empty_like(w)
+    out[order] = w
+    return out
+
+
 def to_correlation(sigma: CovarianceMatrix) -> CorrelationMatrix:
     """Rescale a covariance to its correlation matrix, unit diagonal exact."""
     d = np.diag(sigma.entries)
@@ -227,11 +248,10 @@ def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:
     Uses a symmetric (Cholesky) factorization; the output is a raw direction,
     defined up to positive scale.
     """
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
+    m = _paired(sigma, mu)
     try:
         c, low = scipy.linalg.cho_factor(sigma.entries, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve((c, low), mu.values, check_finite=False)
+        w = scipy.linalg.cho_solve((c, low), m, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
     return WeightVector(w, "raw")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from .core import CorrelationMatrix
 from .errors import DegenerateUniverseError, ParameterError
@@ -94,7 +93,8 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
         raise DegenerateUniverseError("need at least two assets to build a tree")
 
     work = corr_distance(corr)
-    cond = squareform(work, checks=False)
+    # squareform's row-major order without importing scipy.spatial
+    cond = np.concatenate([work[i, i + 1 :] for i in range(n - 1)])
     ranked = np.sort(cond)
     if (ranked[1:] > ranked[:-1]).all():
         # imported here: the module costs ~30 ms, which every import of the

@@ -16,8 +16,8 @@ class SingularCovarianceError(AllocationError):
 
 
 class ConditioningError(AllocationError):
-    """A spectral routine got a matrix that is not positive definite, or a
-    conditioning figure that overflows a float."""
+    """A spectral routine got a matrix that is not positive definite, a
+    conditioning figure overflowed a float, or a sweep count hit its cap."""
 
 
 class ParameterError(AllocationError):

@@ -22,19 +22,12 @@ import numpy as np
 
 from . import baselines, signal_trees
 from .analysis import AdaptiveInputs, kappa_eff, trajectory
-from .core import (
-    CovarianceMatrix,
-    Signal,
-    WeightVector,
-    check_gamma,
-    kappa,
-    markowitz_direct,
-    to_correlation,
-)
+from .core import CovarianceMatrix, Signal, WeightVector, _count, kappa, markowitz_direct, to_correlation
 from .dendrogram import Dendrogram, build_tree
-from .errors import AllocationError, ParameterError
+from .errors import AllocationError, ConditioningError, ParameterError
 from .metrics import dir_diag, dir_error, gross_leverage, sharpe, signed_cosine
-from .solver import DEFAULT_GAMMA, DEFAULT_SWEEPS, crisp_solve, sweeps_to_tolerance
+from .solver import DEFAULT_EPS, DEFAULT_GAMMA, DEFAULT_SWEEPS, _check_solver_args, crisp_solve
+from .solver import sweeps_to_tolerance  # called as this module's attribute, so a wrapper sees it
 from .synthetic import (
     DEFAULT_RIDGE,
     RegimeSpec,
@@ -90,9 +83,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.method not in METHOD_IDS:
             raise ParameterError(f"unknown method id {self.method!r}")
-        check_gamma(self.gamma)
-        if self.sweeps < 1:
-            raise ParameterError("sweeps must be at least 1")
+        _check_solver_args(self.gamma, self.sweeps, DEFAULT_EPS)
 
     @property
     def key(self) -> tuple:
@@ -116,14 +107,15 @@ class ExperimentSpec:
     ic: float = 0.05  # used only by the ic_noise estimator
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
+        _count(self.trials, 1, "trials must be at least 1")
         if self.mu_estimator not in ("oracle", "sample_mean", "ic_noise"):
             raise ParameterError(f"unknown mu estimator {self.mu_estimator!r}")
         if not 0.0 < self.ic <= 1.0:
             raise ParameterError("ic must lie in (0, 1]")
-        if any(t < 2 for t in self.t_values):
-            raise ParameterError("every T in t_values must be at least 2")
+        if not self.t_values:
+            raise ParameterError("t_values must hold at least one T")
+        for t in self.t_values:
+            _count(t, 2, "every T in t_values must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -461,7 +453,10 @@ def _run_sweep_rate(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
         counts = []
         for s in range(n_signals):
             mu = gen_signal(SignalSpec("gaussian", seed=100 + s), spec.regime.n)
-            counts.append(sweeps_to_tolerance(sigma, mu, g, 1e-10).sweeps)
+            run = sweeps_to_tolerance(sigma, mu, g, 1e-10)
+            if not run.converged:  # the cap is not a sweep count
+                raise ConditioningError(f"sweep cap hit at gamma={g:g}, signal seed {100 + s}")
+            counts.append(run.sweeps)
         rows.append((g, kappa_eff(corr_eigs, g), float(np.mean(counts))))
     cols = ("gamma", "kappa_eff", "mean_sweeps_to_1e-10")
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_rate", cols, tuple(rows)),))

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CovarianceMatrix, Signal, WeightVector, markowitz_direct
+from .core import CovarianceMatrix, Signal, WeightVector, _paired, markowitz_direct
 from .errors import DegenerateInputError
 
 VectorLike = Union[WeightVector, Signal, np.ndarray, list, tuple]
@@ -89,7 +89,7 @@ def dir_diag(sigma: CovarianceMatrix, mu: Signal) -> float:
     is essentially diagonal-solvable, near 1 means the off-diagonal carries
     most of the signal.
     """
-    a = mu.values / np.diag(sigma.entries)
+    a = _paired(sigma, mu) / np.diag(sigma.entries)
     b = markowitz_direct(sigma, mu).values
     return dir_error(a, b)
 
@@ -100,7 +100,7 @@ def sharpe(w: VectorLike, sigma: CovarianceMatrix, mu: Signal) -> float:
     var = float(v @ sigma.entries @ v)
     if var <= 0.0:
         raise DegenerateInputError("zero-risk portfolio has no Sharpe ratio")
-    return float(v @ mu.values) / np.sqrt(var)
+    return float(v @ _paired(sigma, mu)) / np.sqrt(var)
 
 
 def gross_leverage(w: VectorLike) -> float:

@@ -50,7 +50,7 @@ def hrp_mu(
     unit gross leverage. ``trace``, when given, collects node id ->
     NodeRecord for inspection.
     """
-    return _tree_pass(sigma, mu.values, tree, gamma, "signed", "sum", trace)
+    return _tree_pass(sigma, mu, tree, gamma, "signed", "sum", trace)
 
 
 def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
@@ -60,7 +60,7 @@ def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
     inverse-variance statistics; no cross term enters. Coincides with hrp_mu
     at gamma = 0 and with plain HRP on a flat unit signal.
     """
-    return _tree_pass(sigma, mu.values, tree, 0.0, "signed", "sum")
+    return _tree_pass(sigma, mu, tree, 0.0, "signed", "sum")
 
 
 def hrp_sigma_mu(
@@ -78,4 +78,4 @@ def hrp_sigma_mu(
     output. Exact for diagonal covariances at any gamma and any tree.
     ``trace`` collects node id -> NodeRecord.
     """
-    return _tree_pass(sigma, mu.values, tree, gamma, "stacked", "l1", trace)
+    return _tree_pass(sigma, mu, tree, gamma, "stacked", "l1", trace)

@@ -25,7 +25,10 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dtrtrs
 
-from .core import CovarianceMatrix, Signal, WeightVector, _shrunk, _symmetric, check_gamma
+from .core import (
+    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _shrunk, _symmetric,
+    check_gamma,
+)
 from .errors import (
     InfeasibleConstraintsError,
     InvalidCovarianceError,
@@ -60,8 +63,7 @@ class SweepDiagnostic(NamedTuple):
 
 def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
     g = check_gamma(gamma)
-    if p_max < 1:
-        raise ParameterError("the sweep cap must be at least 1")
+    _count(p_max, 1, "the sweep cap must be at least 1")
     if not eps > 0.0:
         raise ParameterError("the tolerance must be strictly positive")
     return g
@@ -181,12 +183,10 @@ def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
 def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering):
     """Kernel iterates on a dense Sigma in visiting order, and that order;
     P_g is one block, formed when the first sweep asks for it."""
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
-    m, d, perm = mu.values, np.diag(sigma.entries), None
+    m, d, perm = _paired(sigma, mu), np.diag(sigma.entries), None
     if ordering is not None:
-        perm = np.asarray(ordering, dtype=int)
-        if sorted(perm.tolist()) != list(range(sigma.n)):
+        perm = np.asarray(ordering)
+        if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(sigma.n)):
             raise ParameterError("ordering must be a permutation of 0..N-1")
         m, d = m[perm], d[perm]
     pt = functools.cache(lambda s, e: _shrunk(sigma.entries, g, perm).T)
@@ -203,7 +203,7 @@ def _drive(iterates, g: float, p_max: int, eps: float, perm=None) -> SolveReport
         if rel <= eps:
             break
     if perm is not None:
-        w = w[np.argsort(perm)]
+        w = _original_order(w, perm)
     return SolveReport(WeightVector(w, "raw"), sweeps, rel, rel <= eps)
 
 
@@ -290,8 +290,7 @@ def crisp_solve_stream(
     K-vector z = B^T w, so no N x N array is ever formed.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    if mu.n != fm.n:
-        raise ParameterError("signal length does not match factor model size")
+    m = _paired(fm, mu)
     b, d = fm.loadings, fm.diagonal()
     gbl = g * (b @ fm.factor_cov)
 
@@ -304,7 +303,7 @@ def crisp_solve_stream(
         return gbl[s:e] @ (b[:s].T @ x[:s] + b[e:].T @ y[e:])
 
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
-    return _drive(_gauss_seidel(mu.values, d, block, size, couple), g, p_max, eps)
+    return _drive(_gauss_seidel(m, d, block, size, couple), g, p_max, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +512,7 @@ def crisp_projected(
     infinite box this is exactly ``crisp_solve``.
     """
     g = _check_solver_args(gamma, p, eps)
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
+    m = _paired(sigma, mu)
     lo, hi, e, d, eq = _row_system(constraints, sigma.n)
     if not d.size and np.isneginf(lo).all() and np.isposinf(hi).all():
         return crisp_solve(sigma, mu, gamma, p_max=p, eps=eps)
@@ -523,7 +521,7 @@ def crisp_projected(
 
     p_g = _shrunk(sigma.entries, g)
     diag = np.diag(p_g).copy()
-    m, e2, inv_d, z = mu.values, e * e, 1.0 / diag, np.zeros(d.size)
+    e2, inv_d, z = e * e, 1.0 / diag, np.zeros(d.size)
 
     def couple(s, t, x, y):
         return p_g[s:t, :s] @ x[:s] + p_g[s:t, t:] @ y[t:]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CorrelationMatrix, CovarianceMatrix, Signal, _symmetric, to_correlation
+from .core import CorrelationMatrix, CovarianceMatrix, Signal, _count, _paired, _symmetric, to_correlation
 from .errors import GenerationError, ParameterError
 from .metrics import dir_error
 
@@ -62,10 +62,9 @@ class RegimeSpec:
     def __post_init__(self):
         if self.kind not in _REGIMES:
             raise ParameterError(f"unknown regime kind {self.kind!r}")
-        if self.n < 2:
-            raise ParameterError("regimes need at least two assets")
-        if self.sectors < 1 or self.k < 1:
-            raise ParameterError("sectors and k must be at least 1")
+        _count(self.n, 2, "regimes need at least two assets")
+        _count(self.sectors, 1, "sectors and k must be at least 1")
+        _count(self.k, 1, "sectors and k must be at least 1")
         if self.vol_range is None:
             wide = self.kind == "wide_vol"
             object.__setattr__(self, "vol_range", (0.05, 1.0) if wide else (0.15, 0.40))
@@ -247,8 +246,7 @@ def worst_case_mu(
     """
     import scipy.optimize  # here, its only user: every package import would pay it
 
-    if restarts < 1:
-        raise ParameterError("needs at least one restart")
+    _count(restarts, 1, "needs at least one restart")
     rng = _rng(seed)
     n = sigma.n
     sigma_inv = np.linalg.inv(sigma.entries)
@@ -277,17 +275,15 @@ def worst_case_mu(
 
 def sample_returns(sigma: CovarianceMatrix, mu: Signal, t: int, seed: SeedLike) -> np.ndarray:
     """T x N Gaussian draws from N(mu, Sigma); bit-identical per seed."""
-    if t < 2:
-        raise ParameterError("need at least two observations")
-    if mu.n != sigma.n:
-        raise ParameterError("signal length does not match covariance size")
+    _count(t, 2, "need at least two observations")
+    m = _paired(sigma, mu)
     rng = _rng(seed)
     try:
         chol = np.linalg.cholesky(sigma.entries)
     except np.linalg.LinAlgError as exc:
         raise GenerationError("sampling needs a positive definite covariance") from exc
     z = rng.standard_normal((t, sigma.n))
-    return mu.values + z @ chol.T
+    return m + z @ chol.T
 
 
 def sample_cov(samples: np.ndarray, ridge: float = DEFAULT_RIDGE) -> CovarianceMatrix:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from crisp_alloc import (
     AdaptiveInputs,
+    CovarianceMatrix,
     ParameterError,
     RegimeSpec,
     Signal,
@@ -257,3 +260,38 @@ class TestPreconditionedMonotonicity:
         eigs = to_correlation(sigma).eigenvalues
         vals = [kappa_eff(eigs, g) for g in np.linspace(0, 1, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_dir_bound_is_zero_when_the_off_diagonal_is():
+    # E = 0 makes P_gamma^-1 E w* the zero vector: no angle, no bound
+    sigma = CovarianceMatrix(np.diag([0.04, 0.09, 0.01]))
+    assert dir_bound_factors(sigma, Signal([0.01, -0.02, 0.03]), 0.5) == (0.0, 0.0)
+
+
+_SIGMA4, _MU4 = nonmonotone_instance()
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: AdaptiveInputs(1.0, 0.05, 0, 10, 0.0), ParameterError,
+                     "n and t must be positive", id="adaptive-n"),
+        pytest.param(lambda: AdaptiveInputs(1.0, 0.05, 10, 10, -1.0), ParameterError,
+                     "calibration constant must be nonnegative", id="adaptive-c"),
+        pytest.param(lambda: analysis.default_gamma_grid(1), ParameterError,
+                     "grid needs at least the two endpoints", id="grid-1"),
+        pytest.param(lambda: analysis.default_gamma_grid(2.5), ParameterError,
+                     "grid needs at least the two endpoints", id="grid-float"),
+        pytest.param(lambda: trajectory(_SIGMA4, _MU4, p=0), ParameterError,
+                     "p must be at least 1", id="sweeps-0"),
+        pytest.param(lambda: trajectory(_SIGMA4, _MU4, p=2.5), ParameterError,
+                     "p must be at least 1", id="sweeps-float"),
+        pytest.param(lambda: trajectory(_SIGMA4, _MU4, p=True), ParameterError,
+                     "p must be at least 1", id="sweeps-bool"),
+        pytest.param(lambda: kappa_eff([1.0, 0.0, 3.0], 0.5), ParameterError,
+                     "correlation eigenvalues must be strictly positive", id="eigenvalue"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 from crisp_alloc import (
     ConditioningError,
     CovarianceMatrix,
+    ParameterError,
     RegimeSpec,
     SchurBreakdownError,
     Signal,
@@ -305,6 +308,15 @@ class TestKappaProduct:
         with pytest.raises(ConditioningError, match="10\\^"):
             cotton_kappa_product(CovarianceMatrix(np.diag(d)), balanced_tree(8), 0.5)
 
+    def test_a_factored_block_without_a_positive_eigenvalue_is_a_breakdown(self):
+        # a rank-3 Gram block: dpotrf passes it on a last pivot that rounding
+        # leaves positive, eigvalsh finds its smallest eigenvalue <= 0
+        x = np.random.default_rng(1).standard_normal((2, 4, 3))[1]
+        m = np.eye(8)
+        m[:4, :4] = x @ x.T
+        sigma = CovarianceMatrix(0.5 * (m + m.T))
+        assert cotton_kappa_product(sigma, balanced_tree(8), 0.0) == np.inf
+
 
 class TestA2FlatIvpTree:
     def test_recovers_hrp_on_flat_signal(self, base100):
@@ -400,3 +412,24 @@ class TestA1SumNormMvo:
             target = markowitz_direct(sigma, mu).values
             signs.append(signed_cosine(a1_sum_norm_mvo(sigma, mu, tree, 1.0).values, target) < 0)
         assert 2 <= sum(signs) <= 8
+
+
+_SIGMA4 = CovarianceMatrix(np.diag([0.04, 0.09, 0.01, 0.16]))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: hrp(_SIGMA4, balanced_tree(2)), ParameterError,
+                     "tree and covariance cover different asset counts", id="tree-size"),
+        pytest.param(lambda: equal_weight(0), ParameterError, "need at least one asset",
+                     id="equal-weight-0"),
+        pytest.param(lambda: equal_weight(2.5), ParameterError, "need at least one asset",
+                     id="equal-weight-float"),
+        pytest.param(lambda: equal_weight(True), ParameterError, "need at least one asset",
+                     id="equal-weight-bool"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -509,6 +509,13 @@ class TestResultsDir:
         assert code == 0
         assert (root / "sweep_rate" / "sweep_rate.csv").exists()
 
+    def test_out_is_the_root_without_the_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CRISP_ALLOC_RESULTS_DIR", raising=False)
+        root = tmp_path / "res"
+        code, _, _ = run_cli(["experiment", "trajectory", "--out", str(root)], capsys)
+        assert code == 0
+        assert (root / "trajectory" / "trajectory.csv").exists()
+
 
 class TestTrajectoryAndWorstMu:
     def test_trajectory_example(self, capsys):
@@ -557,3 +564,31 @@ class TestTrajectoryAndWorstMu:
         )
         assert code == 0
         assert "dir_diag" in out
+
+
+# files written under tmp_path ("{tmp}" in an argument is that directory),
+# the arguments, the exit code and a fragment of stderr
+_REJECTED = [
+    pytest.param({}, ["gen", "--regime", "block:k", "--n", "6", "--out", "{tmp}/c.csv"], 1,
+                 "error: bad spec item 'k' (want key=value)", id="spec-item"),
+    pytest.param({"cfg": "# a comment\n\nseed 3\n"},
+                 ["gen", "--regime", "block", "--config", "{tmp}/cfg"], 2,
+                 "cfg:3: expected key = value", id="config-line"),
+    pytest.param({"c.csv": "1,0,0\n0,1,0\n0,0,1\n", "mu.csv": "1\n2\n"},
+                 ["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv", "--mu", "{tmp}/mu.csv"],
+                 1, "error: signal length does not match covariance size", id="pairing"),
+    # float() reads an Arabic-Indic digit, loadtxt does not: no cell is
+    # named, and loadtxt's own message is passed on
+    pytest.param({"c.csv": "1,0\n\n0,\u0661\n"},
+                 ["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv"], 1,
+                 "could not convert string", id="cell-loadtxt-alone-rejects"),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, fragment", _REJECTED)
+def test_rejected_input(files, argv, code, fragment, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    got, _, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert got == code
+    assert fragment in err

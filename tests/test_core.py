@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from crisp_alloc import (
     ConditioningError,
     CorrelationMatrix,
     CovarianceMatrix,
+    DegenerateInputError,
     FactorModel,
     InvalidCovarianceError,
     ParameterError,
@@ -17,7 +20,7 @@ from crisp_alloc import (
     shrink,
     to_correlation,
 )
-from crisp_alloc.core import _tagged
+from crisp_alloc.core import _count, _tagged
 from tests.conftest import random_spd
 
 
@@ -190,6 +193,10 @@ class TestKappa:
         eigs = np.sort(np.real(np.linalg.eigvals(d_inv_sigma)))
         assert eigs[-1] / eigs[0] == pytest.approx(kappa(to_correlation(sigma)), rel=1e-8)
 
+    def test_reads_a_typed_or_a_bare_matrix(self):
+        m = np.array([[2.0, 0.0], [0.0, 1.0]])
+        assert kappa(m) == kappa(CovarianceMatrix(m)) == 2.0
+
 
 class TestShrink:
     def test_gamma_zero_is_diagonal(self, four_asset):
@@ -303,3 +310,45 @@ class TestParallelDirection:
                     p = shrink(sigma, gamma)
                     w = np.linalg.solve(p.entries, mu.values)
                     assert dir_error(w, ray) < 1e-10
+
+
+class TestCountRule:
+    """One rule for every count the library takes: sweep caps, trials, T, N."""
+
+    @pytest.mark.parametrize(
+        "value", (0, 1.0, 2.5, True, np.bool_(True), np.float64(3.0), "3", None)
+    )
+    def test_count_rejects_non_integers_and_small_values(self, value):
+        with pytest.raises(ParameterError, match="^the message$"):
+            _count(value, 1, "the message")
+
+    @pytest.mark.parametrize("value", (1, 7, np.int64(7), np.uint8(7), np.int32(1)))
+    def test_count_accepts_integers_from_the_least(self, value):
+        out = _count(value, 1, "unused")
+        assert out == value and type(out) is int
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: CovarianceMatrix(np.ones(3)), InvalidCovarianceError,
+                     "covariance must be a nonempty square matrix", id="vector"),
+        pytest.param(lambda: CovarianceMatrix(np.zeros((0, 0))), InvalidCovarianceError,
+                     "covariance must be a nonempty square matrix", id="empty"),
+        pytest.param(lambda: CovarianceMatrix([[1.0, np.nan], [np.nan, 1.0]]),
+                     InvalidCovarianceError, "covariance has non-finite entries", id="nan"),
+        pytest.param(lambda: WeightVector([]), InvalidCovarianceError,
+                     "weights must be a nonempty finite vector", id="no-weights"),
+        pytest.param(lambda: WeightVector([1.0, np.nan]), InvalidCovarianceError,
+                     "weights must be a nonempty finite vector", id="nan-weight"),
+        pytest.param(lambda: WeightVector([1.0], "l2_one"), ParameterError,
+                     "unknown norm tag 'l2_one'", id="norm-tag"),
+        pytest.param(lambda: WeightVector([0.5, 0.6], "sum_one"), ParameterError,
+                     "sum_one weights are more than 1e-10 off their unit sum", id="sum-one"),
+        pytest.param(lambda: WeightVector([1.0, -1.0]).sum_normalized(), DegenerateInputError,
+                     "cannot sum-normalize weights with zero sum", id="zero-sum"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

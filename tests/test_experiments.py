@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crisp_alloc import (
+    ConditioningError,
     ExperimentSpec,
     ExperimentTable,
     MethodSpec,
@@ -16,6 +17,7 @@ from crisp_alloc import (
     RegimeSpec,
     Signal,
     SignalSpec,
+    SweepDiagnostic,
     WeightVector,
     allocate,
     build_tree,
@@ -418,3 +420,43 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(ParameterError):
             export(ExperimentTable("x", ("a",), ()), "yaml")
+
+
+def test_sweep_rate_names_a_capped_solve(monkeypatch):
+    # a solve stopped at the cap would enter the mean as the cap itself
+    calls = []
+
+    def capped(sigma, mu, gamma, tol):
+        calls.append(gamma)
+        return SweepDiagnostic(50000, False)
+
+    monkeypatch.setattr(experiments, "sweeps_to_tolerance", capped)
+    with pytest.raises(ConditioningError, match="sweep cap hit at gamma=0, signal seed 100"):
+        run_experiment(preset("sweep_rate"))
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: _mini_spec(mu_estimator="median"), ParameterError,
+                     "unknown mu estimator 'median'", id="mu-estimator"),
+        pytest.param(lambda: _mini_spec(ic=0.0), ParameterError, "ic must lie in (0, 1]",
+                     id="ic"),
+        pytest.param(lambda: _mini_spec(t_values=()), ParameterError,
+                     "t_values must hold at least one T", id="no-t"),
+        pytest.param(lambda: _mini_spec(t_values=(40.5,)), ParameterError,
+                     "every T in t_values must be at least 2", id="t-float"),
+        pytest.param(lambda: _mini_spec(trials=2.5), ParameterError,
+                     "trials must be at least 1", id="trials-float"),
+        pytest.param(lambda: _mini_spec(trials=True), ParameterError,
+                     "trials must be at least 1", id="trials-bool"),
+        pytest.param(lambda: MethodSpec("crisp", 0.5, 0), ParameterError,
+                     "the sweep cap must be at least 1", id="sweeps-0"),
+        pytest.param(lambda: MethodSpec("crisp", 0.5, 2.5), ParameterError,
+                     "the sweep cap must be at least 1", id="sweeps-float"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from crisp_alloc import (
     CovarianceMatrix,
     DegenerateInputError,
+    ParameterError,
     Signal,
     WeightVector,
     dir_diag,
@@ -177,3 +180,24 @@ class TestGrossLeverage:
         sigma, mu, _ = four_asset
         w = markowitz_direct(sigma, mu).sum_normalized()
         assert gross_leverage(w) == pytest.approx(5.04, abs=0.02)
+
+
+_SIGMA2 = CovarianceMatrix(np.array([[0.04, 0.01], [0.01, 0.09]]))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: sharpe([0.0, 0.0], _SIGMA2, Signal([0.01, 0.02])),
+                     DegenerateInputError, "zero-risk portfolio has no Sharpe ratio",
+                     id="zero-risk"),
+        pytest.param(lambda: sharpe([1.0, 2.0], _SIGMA2, Signal([0.01, 0.02, 0.03])),
+                     ParameterError, "signal length does not match covariance size",
+                     id="sharpe-pairing"),
+        pytest.param(lambda: dir_diag(_SIGMA2, Signal([0.01, 0.02, 0.03])), ParameterError,
+                     "signal length does not match covariance size", id="pairing"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

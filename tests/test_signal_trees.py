@@ -4,6 +4,7 @@ import pytest
 from crisp_alloc import (
     ClusterStats,
     CovarianceMatrix,
+    ParameterError,
     RegimeSpec,
     Signal,
     SignalSpec,
@@ -65,24 +66,28 @@ def doubling_inputs():
 class TestSolve2x2:
     def test_four_asset_left_child(self):
         # leaf-pair system of the first sector at gamma = 0.5
-        stats = ClusterStats(v_l=0.04, v_r=0.0625, s_l=0.03, s_r=-0.01, c=0.04, delta=0.0)
+        stats = ClusterStats(v_l=0.04, v_r=0.0625, s_l=0.03, s_r=-0.01, c=0.04)
         a_l, a_r = solve_2x2(stats, 0.5)
         assert 0.04 * 0.0625 - 0.02**2 == pytest.approx(0.002100, abs=1e-9)
         assert a_l == pytest.approx(0.9881, abs=5e-4)
         assert a_r == pytest.approx(-0.4762, abs=5e-4)
 
     def test_four_asset_right_child(self):
-        stats = ClusterStats(v_l=0.09, v_r=0.0225, s_l=0.02, s_r=-0.04, c=0.036, delta=0.0)
+        stats = ClusterStats(v_l=0.09, v_r=0.0225, s_l=0.02, s_r=-0.04, c=0.036)
         a_l, a_r = solve_2x2(stats, 0.5)
         assert 0.09 * 0.0225 - 0.018**2 == pytest.approx(0.001701, abs=1e-9)
         assert a_l == pytest.approx(0.6878, abs=5e-4)
         assert a_r == pytest.approx(-2.3280, abs=5e-4)
 
     def test_gamma_zero_decouples(self):
-        stats = ClusterStats(v_l=0.2, v_r=0.5, s_l=0.1, s_r=-0.3, c=0.9, delta=0.0)
+        stats = ClusterStats(v_l=0.2, v_r=0.5, s_l=0.1, s_r=-0.3, c=0.9)
         a_l, a_r = solve_2x2(stats, 0.0)
         assert a_l == pytest.approx(0.1 / 0.2, rel=1e-12)
         assert a_r == pytest.approx(-0.3 / 0.5, rel=1e-12)
+
+    def test_non_positive_variance_raises(self):
+        with pytest.raises(ParameterError, match="cluster variances must be strictly positive"):
+            solve_2x2(ClusterStats(v_l=0.0, v_r=1.0, s_l=0.1, s_r=0.1, c=0.0), 0.5)
 
     def test_degenerate_determinant_falls_back(self):
         v = 1.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import islice
 
@@ -1225,3 +1226,60 @@ class TestSweepsToTolerance:
         sigma = random_spd(4, 1)
         with pytest.raises(ParameterError):
             sweeps_to_tolerance(sigma, _rand_mu(4, 1), 0.5, 1e-10, cap=0)
+
+
+_SIGMA4, _MU4, _MU3 = random_spd(4, 0), _rand_mu(4, 0), _rand_mu(3, 0)
+_FM2 = FactorModel(np.ones((2, 1)), np.eye(1), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: FactorModel(np.ones((3, 1)), np.eye(1), np.ones(2)), ParameterError,
+                     "loadings rows must match idio_var length", id="factor-rows"),
+        pytest.param(lambda: FactorModel(np.ones((2, 2)), np.eye(1), np.ones(2)), ParameterError,
+                     "factor_cov must be K x K", id="factor-cov-shape"),
+        pytest.param(lambda: FactorModel(np.ones((2, 1)), np.eye(1), [-2.0, 1.0]),
+                     InvalidCovarianceError, "implied variances must be strictly positive",
+                     id="factor-variance"),
+        pytest.param(lambda: crisp_solve_stream(_FM2, _MU3), ParameterError,
+                     "signal length does not match covariance size", id="stream-pairing"),
+        pytest.param(lambda: crisp_projected(_SIGMA4, _MU3), ParameterError,
+                     "signal length does not match covariance size", id="projected-pairing"),
+        pytest.param(lambda: crisp_projected(_SIGMA4, _MU4, constraints=ConstraintSet(
+                         lower=np.zeros(3))), ParameterError,
+                     "bounds must be length-N vectors", id="bound-length"),
+        pytest.param(lambda: crisp_projected(_SIGMA4, _MU4, constraints=ConstraintSet(
+                         linear_ineq=((np.ones(3), 1.0),))), ParameterError,
+                     "inequality rows must be length-N vectors", id="row-length"),
+        pytest.param(lambda: crisp_solve(_SIGMA4, _MU4, ordering=[0.5, 1.7, 2.2, 3.9]),
+                     ParameterError, "ordering must be a permutation of 0..N-1",
+                     id="float-ordering"),
+        pytest.param(lambda: crisp_solve(_SIGMA4, _MU4, ordering=np.array([0.0, 1.0, 2.0, 3.0])),
+                     ParameterError, "ordering must be a permutation of 0..N-1",
+                     id="integral-float-ordering"),
+        pytest.param(lambda: crisp_solve(random_spd(2, 0), _rand_mu(2, 0), ordering=[True, False]),
+                     ParameterError, "ordering must be a permutation of 0..N-1",
+                     id="bool-ordering"),
+        pytest.param(lambda: crisp_solve(_SIGMA4, _MU4, p_max=True), ParameterError,
+                     "the sweep cap must be at least 1", id="cap-bool"),
+        pytest.param(lambda: crisp_solve(_SIGMA4, _MU4, p_max=2.5), ParameterError,
+                     "the sweep cap must be at least 1", id="cap-float"),
+        pytest.param(lambda: crisp_solve_stream(_FM2, _rand_mu(2, 0), p_max=2.5), ParameterError,
+                     "the sweep cap must be at least 1", id="stream-cap-float"),
+        pytest.param(lambda: crisp_projected(_SIGMA4, _MU4, p=2.5), ParameterError,
+                     "the sweep cap must be at least 1", id="projected-cap-float"),
+        pytest.param(lambda: sweeps_to_tolerance(_SIGMA4, _MU4, 0.5, 1e-10, cap=2.5),
+                     ParameterError, "the sweep cap must be at least 1", id="residual-cap-float"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_an_integer_ordering_of_any_width_is_read():
+    want = crisp_solve(_SIGMA4, _MU4, ordering=[3, 1, 0, 2]).weights.values
+    for dtype in (np.int32, np.uint8, np.int64):
+        got = crisp_solve(_SIGMA4, _MU4, ordering=np.array([3, 1, 0, 2], dtype=dtype))
+        assert np.array_equal(got.weights.values, want)

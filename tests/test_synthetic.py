@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,16 +235,63 @@ class TestWorstCase:
         assert val >= 0.95
 
     def test_package_import_leaves_scipy_optimize_out(self):
-        # worst_case_mu, its only user, imports it when called
-        code = "import sys, crisp_alloc; print('scipy.optimize' in sys.modules)"
+        # worst_case_mu imports scipy.optimize when called, and build_tree's
+        # first tie-free tree scipy.cluster (which imports scipy.spatial)
+        code = (
+            "import sys, crisp_alloc; "
+            "print([m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.cluster') "
+            "if m in sys.modules])"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(crisp_alloc.__file__).parents[1]))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout == "False\n"
+        assert out.stdout == "[]\n"
 
 
 def _unit_signal(x):
     from crisp_alloc import Signal
 
     return Signal(x / np.linalg.norm(x))
+
+
+_SIGMA4 = CovarianceMatrix(np.diag([0.04, 0.09, 0.01, 0.16]))
+_MU4 = Signal([0.01, -0.02, 0.03, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: RegimeSpec("block_sector", n=1), ParameterError,
+                     "regimes need at least two assets", id="n-1"),
+        pytest.param(lambda: RegimeSpec("block_sector", n=10.5), ParameterError,
+                     "regimes need at least two assets", id="n-float"),
+        pytest.param(lambda: RegimeSpec("block_sector", sectors=2.5), ParameterError,
+                     "sectors and k must be at least 1", id="sectors-float"),
+        pytest.param(lambda: RegimeSpec("factor", k=True), ParameterError,
+                     "sectors and k must be at least 1", id="k-bool"),
+        pytest.param(lambda: RegimeSpec("block_sector", vol_range=(0.3, 0.1)), ParameterError,
+                     "vol_range must be 0 < lo <= hi", id="vol-range"),
+        pytest.param(lambda: SignalSpec("uniform"), ParameterError,
+                     "unknown signal kind 'uniform'", id="signal-kind"),
+        pytest.param(lambda: gen_signal(SignalSpec("worst_case"), 4), ParameterError,
+                     "worst_case needs the covariance", id="worst-case-without-sigma"),
+        pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=0), ParameterError,
+                     "needs at least one restart", id="restarts-0"),
+        pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=2.5), ParameterError,
+                     "needs at least one restart", id="restarts-float"),
+        pytest.param(lambda: sample_returns(_SIGMA4, _MU4, 2.5, 0), ParameterError,
+                     "need at least two observations", id="t-float"),
+        pytest.param(lambda: sample_returns(_SIGMA4, Signal([0.01, 0.02]), 10, 0), ParameterError,
+                     "signal length does not match covariance size", id="pairing"),
+        pytest.param(lambda: sample_cov(np.ones(5)), ParameterError,
+                     "samples must be a T x N array with T >= 2", id="cov-vector"),
+        pytest.param(lambda: sample_cov(np.eye(3), ridge=-1e-4), ParameterError,
+                     "ridge must be nonnegative", id="ridge"),
+        pytest.param(lambda: sample_mean(np.ones(5)), ParameterError,
+                     "samples must be a T x N array", id="mean-vector"),
+    ],
+)
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
