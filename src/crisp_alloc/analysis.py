@@ -10,7 +10,7 @@ along gamma, and the KL information cost of shrinking correlations away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +18,7 @@ import scipy.linalg
 from .core import CovarianceMatrix, Signal, _count, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
-from .solver import _gauss_seidel
+from .solver import _band, _gauss_seidel
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class AdaptiveInputs:
             raise ParameterError("kappa_c must be at least 1")
         if not 0.0 < self.ic <= 1.0:
             raise ParameterError("ic must lie in (0, 1]")
-        if self.n < 1 or self.t < 1:
-            raise ParameterError("n and t must be positive")
+        for count in (self.n, self.t):
+            _count(count, 1, "n and t must be positive whole numbers")
         if self.c < 0.0:
             raise ParameterError("calibration constant must be nonnegative")
 
@@ -140,11 +140,13 @@ def trajectory(
     out = []
     for gamma in np.asarray(gammas, dtype=float):
         g = check_gamma(gamma)
-        # one P_gamma: the exact solve factors the array the sweep reads
-        p_g = _shrunk(sigma.entries, g)
-        factor = scipy.linalg.cho_factor(p_g, lower=True, check_finite=False) if g else None
+        factor = (
+            scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
+            if g else None
+        )
         exact = _exact_shrunk_solve(sigma, mu, g, factor)
-        iterate, _ = next(islice(_gauss_seidel(mu.values, d, lambda s, e: p_g.T), p, None))
+        sweeps = _gauss_seidel(mu.values, d, lambda s, e: _band(sigma.entries, g))
+        iterate = next(islice(chain.from_iterable(sweeps), p, None))  # the p-th row
         out.append(
             TrajectoryPoint(
                 gamma=g,

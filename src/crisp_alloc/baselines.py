@@ -25,7 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .core import (
-    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _tagged,
+    CovarianceMatrix, Signal, WeightVector, _count, _gathered, _original_order, _paired, _tagged,
     check_gamma, markowitz_direct,
 )
 from .dendrogram import Dendrogram
@@ -95,7 +95,7 @@ def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> tuple[np.ndarray, np
     if sigma.n != tree.n:
         raise ParameterError("tree and covariance cover different asset counts")
     order = np.asarray(tree.leaf_order, dtype=int)
-    return sigma.entries[np.ix_(order, order)], order
+    return _gathered(sigma.entries, order), order
 
 
 def _tree_pass(

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .analysis import default_gamma_grid, trajectory
-from .core import CovarianceMatrix, Signal, markowitz_direct, to_correlation
+from .core import CovarianceMatrix, Signal, _count, markowitz_direct, to_correlation
 from .dendrogram import build_tree
 from .errors import AllocationError, ParameterError
 from .experiments import (
@@ -279,6 +279,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _count(args.jobs, 1, "--jobs must be at least 1")  # before any file is written
     try:
         spec = preset(args.preset, full=args.full, seed=args.seed)
     except ParameterError as exc:  # names the valid presets

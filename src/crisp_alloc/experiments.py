@@ -293,7 +293,9 @@ _CELL_COLUMNS = tuple(f.name for f in fields(CellResult) if f.name != "sweeps")
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
-    """Execute the experiment with the runner its ``kind`` names."""
+    """Execute the experiment with the runner its ``kind`` names, on ``jobs``
+    worker threads."""
+    _count(jobs, 1, "jobs must be a whole number of at least 1")
     runner = _RUNNERS.get(spec.kind)
     if runner is None:
         raise ParameterError(f"unknown experiment kind {spec.kind!r}")

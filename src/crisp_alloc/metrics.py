@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CovarianceMatrix, Signal, WeightVector, _paired, markowitz_direct
+from .core import CovarianceMatrix, Signal, WeightVector, _paired, _same_length, markowitz_direct
 from .errors import DegenerateInputError
 
 VectorLike = Union[WeightVector, Signal, np.ndarray, list, tuple]
@@ -43,6 +43,12 @@ def _nonzero(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _pair(w: VectorLike, w_star: VectorLike) -> tuple[np.ndarray, np.ndarray]:
+    """w and w_star as nonzero vectors of one length."""
+    a, b = _nonzero(_vec(w), "w"), _nonzero(_vec(w_star), "w_star")
+    return _same_length(a, b, "w and w_star"), b
+
+
 @dataclass(frozen=True)
 class DirectionReport:
     """Direction error plus its sign-sensitive companions for one pair."""
@@ -54,23 +60,20 @@ class DirectionReport:
 
 def dir_error(w: VectorLike, w_star: VectorLike) -> float:
     """1 - (w . w*)^2 / (|w|^2 |w*|^2), the squared sine of the line angle."""
-    a = _pow2_scaled(_nonzero(_vec(w), "w"))
-    b = _pow2_scaled(_nonzero(_vec(w_star), "w_star"))
+    a, b = map(_pow2_scaled, _pair(w, w_star))
     num = float(a @ b) ** 2
     den = float(a @ a) * float(b @ b)
     return max(0.0, 1.0 - num / den)
 
 
 def signed_cosine(w: VectorLike, w_star: VectorLike) -> float:
-    a = _pow2_scaled(_nonzero(_vec(w), "w"))
-    b = _pow2_scaled(_nonzero(_vec(w_star), "w_star"))
+    a, b = map(_pow2_scaled, _pair(w, w_star))
     return float(a @ b) / np.sqrt(float(a @ a) * float(b @ b))
 
 
 def sign_match_fraction(w: VectorLike, w_star: VectorLike) -> float:
     """Fraction of coordinates whose signs agree, with sign(0) := +1."""
-    a = _nonzero(_vec(w), "w")
-    b = _nonzero(_vec(w_star), "w_star")
+    a, b = _pair(w, w_star)
     sa = np.where(a >= 0.0, 1.0, -1.0)
     sb = np.where(b >= 0.0, 1.0, -1.0)
     return float(np.mean(sa == sb))
@@ -96,7 +99,7 @@ def dir_diag(sigma: CovarianceMatrix, mu: Signal) -> float:
 
 def sharpe(w: VectorLike, sigma: CovarianceMatrix, mu: Signal) -> float:
     """w.mu / sqrt(w.Sigma.w); invariant under positive rescaling of w."""
-    v = _pow2_scaled(_vec(w))
+    v = _pow2_scaled(_same_length(_vec(w), sigma.entries, "weights and covariance"))
     var = float(v @ sigma.entries @ v)
     if var <= 0.0:
         raise DegenerateInputError("zero-risk portfolio has no Sharpe ratio")

@@ -3,14 +3,18 @@
 P_gamma = (1 - gamma) * diag(Sigma) + gamma * Sigma = D + gamma (L + U) keeps
 every variance and attenuates only the off-diagonal. One sweep is the
 triangular splitting (D + gamma L) w+ = mu - gamma U w, with the residual
-P_gamma w+ - mu = gamma U (w+ - w) for free; started from the diagonal solve
+P_gamma w+ - mu = gamma U (w+ - w); started from the diagonal solve
 w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
-[0, 1] at O(N^2) per sweep. One kernel runs it over the diagonal blocks of
-P_gamma: a dense Sigma is one block, and a factor model streams blocks of
-sqrt(N K) assets formed from its loadings, coupled through B^T w, in O(N K)
-memory. A projected variant handles box, budget, and linear inequality
-constraints: the same kernel sweeps a dense Sigma in blocks of 64 assets,
-each a clamped triangular solve, against a dual-shifted signal.
+[0, 1] at O(N^2) per sweep. On a dense Sigma, K sweeps stacked are one lower
+triangular system of bandwidth N - 1, diagonal blocks D + gamma L and
+subdiagonal blocks gamma U, which one BLAS band solve (``dtbsv``)
+takes at once: K = max(1, 1 MiB // (8 N^2)), so the band stays within a
+1 MiB budget, and the stop rules read each block of K iterates at once. A
+factor model streams diagonal blocks of sqrt(N K) assets formed from its
+loadings, coupled through B^T w, in O(N K) memory, one sweep at a time. A
+projected variant handles box, budget, and linear inequality constraints:
+the same kernel sweeps a dense Sigma in blocks of 64 assets, each a clamped
+triangular solve, against a dual-shifted signal.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dtbmv, dtbsv, dtrmv
 from scipy.linalg.lapack import dtrtrs
 
 from .core import (
@@ -42,6 +46,13 @@ DEFAULT_EPS = 1e-8
 # Diagonal block of a dense Sigma swept under a box: on an N = 1000 book 64
 # was as fast as 128 and faster than 32.
 _BOX_BLOCK = 64
+# Bytes of the band of a dense Sigma: K = max(1, _BAND_BYTES // (8 N^2))
+# sweeps per band solve. On a 2-vCPU Xeon with 1 BLAS thread, microseconds
+# per sweep over K = 1, 2, 4, ... were least at K = 128 for N = 30 (0.42,
+# against 4.7 at K = 1), K = 64 for N = 40 (0.64), K = 8-16 for N = 100
+# (3.3) and K = 4 for N = 200 (10.3): a band of 0.6-1.3 MiB each time, and
+# twice that was slower at every N (BENCH_23.json).
+_BAND_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,82 +80,132 @@ def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
     return g
 
 
-def _rel_change(w: np.ndarray, w_prev: np.ndarray) -> float:
-    """||w - w_prev|| / ||w_prev||, computed as ``np.linalg.norm`` does at
-    ordinary scale. When max|w_prev| lies outside [1e-100, 1e100] the squares
-    would under- or overflow, so both vectors are first divided by it."""
-    d = w - w_prev
-    s = float(np.abs(w_prev).max(initial=0.0))
-    if not 1e-100 <= s <= 1e100 and 0.0 < s < math.inf:
-        d, w_prev = d / s, w_prev / s
-    ref = math.sqrt(w_prev.dot(w_prev))
-    change = math.sqrt(d.dot(d))
-    if ref == 0.0:
-        return 0.0 if change == 0.0 else np.inf
-    return change / ref
+def _dots(a: np.ndarray) -> np.ndarray:
+    """a_k . a_k for every row: one matmul whose vector products are BLAS
+    ``ddot`` calls, so each row's bits are ``a_k.dot(a_k)``'s."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def _rel_changes(w: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """||w_k - w_{k-1}|| / ||w_{k-1}|| for each row w_k of a block, w_{-1} =
+    ``last``, computed as ``np.linalg.norm`` does at ordinary scale. Where
+    max|w_{k-1}| lies outside [1e-100, 1e100] the squares would under- or
+    overflow, so both vectors are first divided by it."""
+    prev = last[None] if len(w) == 1 else np.concatenate([last[None], w[:-1]])
+    d = w - prev
+    with np.errstate(over="ignore"):  # an overflow fails the range check below
+        ref2, change2 = _dots(prev), _dots(d)
+    # every max|w_{k-1}| lies in [1e-100, 1e100] when every ||w_{k-1}||^2
+    # lies in [N 1e-200, 1e200], here with a factor 2 of room for rounding
+    squares = ref2.tolist()
+    if not (2e-200 * w.shape[1] <= min(squares) and max(squares) <= 0.5e200):
+        s = np.abs(prev).max(axis=1, keepdims=True)
+        # x / 1.0 is x: rows at ordinary scale keep their bits
+        s = np.where((0.0 < s) & (s < math.inf) & ((s < 1e-100) | (s > 1e100)), s, 1.0)
+        ref2, change2 = _dots(prev / s), _dots(d / s)
+        if not ref2.all():  # a zero reference: no change is 0, any change is infinite
+            out = np.where(change2 == 0.0, 0.0, math.inf)
+            return np.divide(np.sqrt(change2), np.sqrt(ref2), out=out, where=ref2 != 0.0)
+    return np.sqrt(change2) / np.sqrt(ref2)
+
+
+def _band(s: np.ndarray, g: float, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """The band of K stacked sweeps of P_g on the entries ``s``, rows and
+    columns in ``order`` (as they are when None).
+
+    Sweeps k = 1..K are the lower triangular system whose diagonal blocks are
+    D + g L and whose subdiagonal blocks are g U, of bandwidth N - 1. In
+    LAPACK's lower band storage its column j of block k is column j of P_g
+    rolled up by j, the same for every k: the band is K copies of one N x N
+    block, N x KN and Fortran-ordered so that BLAS reads it in place. K =
+    max(1, _BAND_BYTES // (8 N^2)). Each chunk of rows is gathered with the
+    columns it wraps round to and rolled through a sliding window, so no
+    N x N index array or second N x N array is made. Off-diagonal entries
+    are g s_ij and the diagonal is copied exactly, as ``_shrunk`` forms them.
+    """
+    n = s.shape[0]
+    order = np.arange(n) if order is None else order
+    k = max(1, _BAND_BYTES // (8 * n * n))
+    twice = np.concatenate([order, order])
+    blocks = np.empty((k, n, n))  # blocks[0][j] is the block's column j
+    rows = max(1, _BAND_BYTES // (16 * n))  # a chunk's gather stays in the budget
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        t = np.take(np.take(s, order[a:b], axis=0), twice[a : b + n - 1], axis=1)
+        np.multiply(np.diagonal(sliding_window_view(t, n, axis=1)).T, g, out=blocks[0, a:b])
+    blocks[0, :, 0] = s.diagonal()[order]
+    blocks[1:] = blocks[0]
+    return blocks.reshape(k * n, n).T
 
 
 def _gauss_seidel(
     m: np.ndarray, d: np.ndarray, block: Callable, size=None, couple=None, box=None
-) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g.
+) -> Iterator[np.ndarray]:
+    """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g, in blocks.
 
-    A sweep is the triangular splitting (D + g L) w+ = m - g U w, taken one
-    diagonal block of ``size`` coordinates (all N when None) at a time: each
-    block's lower triangle is solved against m less the block's upper
-    triangle times w, carried from the previous sweep, and less its coupling
-    to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
-    for a C-ordered block, so LAPACK and BLAS read it in place.
-    ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
-    block's rows outside the block (there are none when None).
+    A sweep is the triangular splitting (D + g L) w+ = m - g U w. Without a
+    ``size`` the system is dense and ``block(0, N)`` gives its band
+    (``_band``): one ``dtbsv`` takes the band's K sweeps at once, the first
+    against m less g U w of the last iterate (``dtbmv`` on the band's first
+    N columns, transposed, unit diagonal, less w) and the rest coupled inside
+    the band. With a ``size`` each sweep is taken one diagonal block of that
+    many coordinates at a time: each block's lower triangle is solved against
+    m less the block's upper triangle times w, carried from the previous
+    sweep, and less its coupling to the rest of w. ``block(s, e)`` then gives
+    P_g[s:e, s:e]^T, Fortran-ordered for a C-ordered block, so LAPACK and
+    BLAS read it in place. ``couple(s, e, x, y)`` gives
+    P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the block's rows outside the
+    block (there are none when None).
 
     With a ``box`` (lo, hi) every coordinate is clamped to it as it is
     updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
     1971): each block is a ``_clamped_solve``. m is then read afresh each
     sweep, so a caller may shift it in place between sweeps.
 
-    Yields (w, residual) pairs: first the diagonal solve (residual None), then
-    one pair per sweep with the residual P_g w+ - m = g U (w+ - w) on one
-    block without a box, where it is free, and None otherwise. Every yielded
-    w and residual is a new array that the kernel never writes again, so a
-    caller may keep an iterate across later sweeps without copying it.
+    Yields arrays whose rows are consecutive iterates: first the diagonal
+    solve, one row, then K rows per band solve, or one per sweep with a
+    ``size``. Every yielded array is new and the kernel never writes it
+    again, so a caller may keep a block across later ones without copying it.
     """
     n = m.size
-    starts = list(range(0, n, size or n))
-    # views: a caller's in-place shift of m is read at the next sweep
-    parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
-    whole = len(parts) == 1 and not couple  # w is the block's solve itself
-
-    def upper(pt, x):  # g U x inside a block
-        y = dtrmv(pt, x, lower=1, trans=1, diag=1)
-        y -= x
-        return y
-
-    w = m / d if box is None else np.clip(m / d, *box)
-    yield w, None
-    # g U w on each block, carried from the previous sweep
-    g_uw = [upper(block(s, e), w[s:e]) for s, e, _ in parts]
+    w = (m / d if box is None else np.clip(m / d, *box))[None]
+    yield w
+    if size is None:  # the band is formed when the first sweep asks for it
+        band = block(0, n)
+        head, k = band[:, :n], band.shape[1] // n
+        rhs = np.tile(m, k)
+    else:
+        starts = list(range(0, n, size))
+        # views: a caller's in-place shift of m is read at the next sweep
+        parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
+        # g U w on each block, carried from the previous sweep
+        g_uw = [_upper(block(s, e), w[0, s:e]) for s, e, _ in parts]
     while True:
-        w_prev, resid = w, None
-        if not whole:
-            w = np.empty(n)
-        for k, (s, e, m_k) in enumerate(parts):
-            pt, rhs = block(s, e), m_k - g_uw[k]
-            if couple:  # the blocks solved this sweep, and the old values after
-                rhs -= couple(s, e, w, w_prev)
-            if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
-                x = dtrtrs(pt, rhs, trans=1, overwrite_b=1)[0]
-            else:
-                x = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
-            if whole:
-                w = x
-            else:
-                w[s:e] = x
-            new = upper(pt, x)
-            if whole and box is None:
-                resid = new - g_uw[k]
-            g_uw[k] = new
-        yield w, resid
+        w_prev = w[-1]
+        if size is None:
+            x = rhs.copy()
+            x[:n] -= dtbmv(n - 1, head, w_prev, lower=1, trans=1, diag=1) - w_prev
+            w = dtbsv(n - 1, band, x, lower=1, overwrite_x=1).reshape(k, n)
+        else:
+            w = np.empty((1, n))
+            for i, (s, e, m_i) in enumerate(parts):
+                pt, rhs_i = block(s, e), m_i - g_uw[i]
+                if couple:  # the blocks solved this sweep, and the old values after
+                    rhs_i -= couple(s, e, w[0], w_prev)
+                if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
+                    x = dtrtrs(pt, rhs_i, trans=1, overwrite_b=1)[0]
+                else:
+                    x = _clamped_solve(pt, rhs_i, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
+                w[0, s:e] = x
+                g_uw[i] = _upper(pt, x)
+        yield w
+
+
+def _upper(pt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g U x inside one diagonal block, ``pt`` = P^T as in ``_gauss_seidel``."""
+    y = dtrmv(pt, x, lower=1, trans=1, diag=1)
+    y -= x
+    return y
 
 
 def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
@@ -182,24 +243,27 @@ def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
 
 def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering):
     """Kernel iterates on a dense Sigma in visiting order, and that order;
-    P_g is one block, formed when the first sweep asks for it."""
+    the band of P_g is formed when the first sweep asks for it."""
     m, d, perm = _paired(sigma, mu), np.diag(sigma.entries), None
     if ordering is not None:
         perm = np.asarray(ordering)
         if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(sigma.n)):
             raise ParameterError("ordering must be a permutation of 0..N-1")
         m, d = m[perm], d[perm]
-    pt = functools.cache(lambda s, e: _shrunk(sigma.entries, g, perm).T)
-    return _gauss_seidel(m, d, pt), perm
+    return _gauss_seidel(m, d, lambda s, e: _band(sigma.entries, g, perm)), perm
 
 
 def _drive(iterates, g: float, p_max: int, eps: float, perm=None) -> SolveReport:
-    """The stop rule over kernel ``iterates``, weights back in original order."""
-    w, _ = next(iterates)
-    sweeps, rel = 0, 0.0
+    """The stop rule over kernel ``iterates``, weights back in original order:
+    the first sweep whose relative change is at most eps, or sweep p_max.
+    Each block is read at once; its sweeps after the stop are dropped."""
+    w, sweeps, rel = next(iterates)[0], 0, 0.0
     # gamma below eps stops at the diagonal solve, converged
-    for sweeps, (w_next, _) in enumerate(islice(iterates, p_max if g >= eps else 0), 1):
-        rel, w = _rel_change(w_next, w), w_next
+    while g >= eps and sweeps < p_max:
+        block = next(iterates)[: p_max - sweeps]
+        rels = _rel_changes(block, w).tolist()
+        k = next((i for i, r in enumerate(rels, 1) if r <= eps), len(rels))
+        sweeps, rel, w = sweeps + k, rels[k - 1], block[k - 1]
         if rel <= eps:
             break
     if perm is not None:
@@ -529,19 +593,19 @@ def crisp_projected(
     block = functools.cache(lambda s, t: np.ascontiguousarray(p_g[s:t, s:t]).T)
     m_eff = m.copy()
     iterates = _gauss_seidel(m_eff, diag, block, _BOX_BLOCK, couple, (lo, hi))
-    w, _ = next(iterates)
+    (w,) = next(iterates)
     for sweeps in range(1, p + 1):
         w_prev = w
         # in place: the kernel reads the shifted signal afresh each sweep
         m_eff[:] = m - z @ e
-        w, _ = next(iterates)
+        (w,) = next(iterates)
         free = (w > lo + 1e-14) & (w < hi - 1e-14)
         # numpy's pairwise row sums, as w.sum() is, not a BLAS product: a lone
         # budget row then steps exactly as a scalar multiplier does
         h = np.maximum((e2[:, free] * inv_d[free]).sum(axis=1), 1e-12)
         z += ((e * w).sum(axis=1) - d) / h
         z[eq:] = np.maximum(z[eq:], 0.0)
-        rel = _rel_change(w, w_prev)
+        rel = float(_rel_changes(w[None], w_prev)[0])
         viol = _row_miss(w, e, d, eq).max(initial=0.0)  # w is inside the box
         if rel <= eps and viol <= max(eps, 1e-9):
             break
@@ -567,11 +631,20 @@ def sweeps_to_tolerance(
 
     Residual-based, unlike the solver's relative-change rule; the first sweep
     is always performed and counted. Returns a non-convergence report (not an
-    exception) when the cap is exceeded.
+    exception) when the cap is exceeded. The residual of sweep k is
+    gamma U (w_k - w_{k-1}), one product for each block of the kernel's
+    iterates, and its norm ``np.linalg.norm``'s arithmetic.
     """
     g = _check_solver_args(gamma, cap, tol)
-    iterates, _ = _dense_sweeps(sigma, mu, g, ordering)
-    for sweeps, (_, resid) in enumerate(islice(iterates, 1, cap + 1), 1):
-        if math.sqrt(resid.dot(resid)) < tol:  # np.linalg.norm's arithmetic
+    iterates, perm = _dense_sweeps(sigma, mu, g, ordering)
+    g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
+    w, sweeps = next(iterates)[0], 0
+    while sweeps < cap:
+        block = next(iterates)[: cap - sweeps]
+        resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
+        norms = np.sqrt(_dots(resid)).tolist()
+        k = next((i for i, r in enumerate(norms, 1) if r < tol), len(norms))
+        sweeps, w = sweeps + k, block[-1]
+        if norms[k - 1] < tol:
             return SweepDiagnostic(sweeps, True)
     return SweepDiagnostic(cap, False)

@@ -123,12 +123,14 @@ class TestOneFactorization:
 
     def test_trajectory_factors_p_gamma_once_per_point(self, factored, monkeypatch):
         # Sigma's factorization plus one of P_gamma per gamma > 0 (P_0 is the
-        # diagonal), and the sweep reads the very array that was factored
+        # diagonal), and the sweep reads a band whose first block is that
+        # P_gamma, column j rolled up by j
         swept = []
         real = analysis._gauss_seidel
 
         def recording(m, d, block, *args):
-            swept.append(block(0, m.size).T)
+            band = block(0, m.size)[:, : m.size]
+            swept.append(np.stack([np.roll(col, j) for j, col in enumerate(band.T)], 1))
             return real(m, d, block, *args)
 
         monkeypatch.setattr(analysis, "_gauss_seidel", recording)
@@ -140,7 +142,6 @@ class TestOneFactorization:
         for g, a in zip(gammas[1:], factored[1:]):
             assert np.array_equal(a, shrink(sigma, g).entries)
         assert all(np.array_equal(a, shrink(sigma, g).entries) for g, a in zip(gammas, swept))
-        assert all(np.shares_memory(a, b) for a, b in zip(swept[1:], factored[1:]))
 
 
 class TestTrajectory:
@@ -276,6 +277,12 @@ _SIGMA4, _MU4 = nonmonotone_instance()
     [
         pytest.param(lambda: AdaptiveInputs(1.0, 0.05, 0, 10, 0.0), ParameterError,
                      "n and t must be positive", id="adaptive-n"),
+        *(
+            pytest.param(lambda n=n, t=t: AdaptiveInputs(1.0, 0.05, n, t, 0.0), ParameterError,
+                         "n and t must be positive whole numbers", id=f"adaptive-n{n}-t{t}")
+            for n, t in ((-3, 10), (2.5, 10), (True, 10), (10, 0), (10, -3), (10, 2.5), (10, True),
+                         (10.5, True))
+        ),
         pytest.param(lambda: AdaptiveInputs(1.0, 0.05, 10, 10, -1.0), ParameterError,
                      "calibration constant must be nonnegative", id="adaptive-c"),
         pytest.param(lambda: analysis.default_gamma_grid(1), ParameterError,

@@ -582,6 +582,10 @@ _REJECTED = [
     pytest.param({"c.csv": "1,0\n\n0,\u0661\n"},
                  ["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv"], 1,
                  "could not convert string", id="cell-loadtxt-alone-rejects"),
+    pytest.param({}, ["experiment", "recovery", "--jobs", "0", "--out", "{tmp}/r"], 1,
+                 "error: --jobs must be at least 1", id="jobs-0"),
+    pytest.param({}, ["experiment", "recovery", "--jobs", "-3", "--out", "{tmp}/r"], 1,
+                 "error: --jobs must be at least 1", id="jobs-negative"),
 ]
 
 
@@ -592,3 +596,10 @@ def test_rejected_input(files, argv, code, fragment, tmp_path, capsys):
     got, _, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert got == code
     assert fragment in err
+
+
+def test_a_rejected_job_count_writes_nothing(tmp_path, capsys):
+    argv = ["experiment", "recovery", "--jobs", "0", "--out", str(tmp_path / "r")]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert not (tmp_path / "r").exists()

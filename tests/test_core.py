@@ -20,7 +20,7 @@ from crisp_alloc import (
     shrink,
     to_correlation,
 )
-from crisp_alloc.core import _count, _tagged
+from crisp_alloc.core import _count, _gathered, _shrunk, _tagged
 from tests.conftest import random_spd
 
 
@@ -352,3 +352,29 @@ class TestCountRule:
 def test_rejected_input(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+class TestGathered:
+    """The two-``np.take`` permutation gather is the ``np.ix_`` gather it
+    replaced, bit for bit, in ``_shrunk`` and in the tree passes' ``_permuted``."""
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 100, 301))
+    def test_same_array_as_the_ix_gather(self, n):
+        rng = np.random.default_rng(n)
+        s = random_spd(n, n).entries
+        for _ in range(5):
+            order = rng.permutation(n)
+            got = _gathered(s, order)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, s[np.ix_(order, order)])
+            want = s[np.ix_(order, order)] * 0.3
+            np.fill_diagonal(want, np.diag(s)[order])
+            assert np.array_equal(_shrunk(s, 0.3, order), want)
+
+    def test_permuted_is_the_leaf_order_gather(self):
+        from crisp_alloc import baselines, build_tree, to_correlation
+
+        sigma = random_spd(40, 2)
+        tree = build_tree(to_correlation(sigma), "ward")
+        sp, order = baselines._permuted(sigma, tree)
+        assert np.array_equal(sp, sigma.entries[np.ix_(order, order)])

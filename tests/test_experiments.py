@@ -455,6 +455,12 @@ def test_sweep_rate_names_a_capped_solve(monkeypatch):
                      "the sweep cap must be at least 1", id="sweeps-0"),
         pytest.param(lambda: MethodSpec("crisp", 0.5, 2.5), ParameterError,
                      "the sweep cap must be at least 1", id="sweeps-float"),
+        *(
+            pytest.param(lambda jobs=jobs: run_experiment(_mini_spec(trials=1), jobs=jobs),
+                         ParameterError, "jobs must be a whole number of at least 1",
+                         id=f"jobs-{jobs}")
+            for jobs in (0, -3, 2.5, True)
+        ),
     ],
 )
 def test_rejected_input(call, error, fragment):

@@ -196,6 +196,17 @@ _SIGMA2 = CovarianceMatrix(np.array([[0.04, 0.01], [0.01, 0.09]]))
                      id="sharpe-pairing"),
         pytest.param(lambda: dir_diag(_SIGMA2, Signal([0.01, 0.02, 0.03])), ParameterError,
                      "signal length does not match covariance size", id="pairing"),
+        pytest.param(lambda: sharpe([1.0, 2.0, 3.0], _SIGMA2, Signal([0.01, 0.02])),
+                     ParameterError, "weights and covariance have different lengths (3 and 2)",
+                     id="sharpe-weights"),
+        pytest.param(lambda: dir_error([1.0, 2.0, 3.0], [1.0, 2.0]), ParameterError,
+                     "w and w_star have different lengths (3 and 2)", id="dir-error-lengths"),
+        pytest.param(lambda: signed_cosine([1.0, 2.0], [1.0, 2.0, 3.0]), ParameterError,
+                     "w and w_star have different lengths (2 and 3)", id="cosine-lengths"),
+        pytest.param(lambda: sign_match_fraction([1.0], [1.0, 2.0]), ParameterError,
+                     "w and w_star have different lengths (1 and 2)", id="sign-match-lengths"),
+        pytest.param(lambda: direction_report([1.0, 2.0], [1.0]), ParameterError,
+                     "w and w_star have different lengths (2 and 1)", id="report-lengths"),
     ],
 )
 def test_rejected_input(call, error, fragment):

@@ -1,10 +1,11 @@
+import math
 import re
 import tracemalloc
 from itertools import islice
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dtrmv
+from scipy.linalg.blas import dtbmv, dtbsv, dtrmv
 from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 
@@ -95,6 +96,65 @@ def triangular_sweep_count(sigma, mu, gamma, tol, cap=50000):
         if float(np.linalg.norm(resid)) < tol:
             return count
     return cap
+
+
+def _sweeps_per_band(n):
+    return max(1, solver._BAND_BYTES // (8 * n * n))
+
+
+def band_sweeps(sigma, mu, gamma, ordering=None):
+    """The kernel's arithmetic on a dense Sigma, one block of K sweeps at a
+    time: the band is K copies of P_gamma's columns, column j rolled up by j
+    (built here with np.roll), one dtbmv forms g U w of a block's last
+    iterate and one dtbsv takes the next K sweeps. Kept as the bit-level
+    oracle; yields blocks of iterates in visiting order as
+    ``solver._gauss_seidel`` does, the first the diagonal solve."""
+    n = sigma.n
+    perm = np.arange(n) if ordering is None else np.asarray(ordering)
+    s = sigma.entries[np.ix_(perm, perm)]
+    d = np.diag(s).copy()
+    p = s * gamma
+    np.fill_diagonal(p, d)
+    k = _sweeps_per_band(n)
+    band = np.asfortranarray(np.tile(np.stack([np.roll(p[:, j], -j) for j in range(n)], 1), k))
+    m = mu.values[perm]
+    w = m / d
+    yield w[None]
+    while True:
+        rhs = np.tile(m, k)
+        rhs[:n] -= dtbmv(n - 1, band[:, :n], w, lower=1, trans=1, diag=1) - w
+        block = dtbsv(n - 1, band, rhs, lower=1).reshape(k, n)
+        yield block
+        w = block[-1]
+
+
+def band_residual_norms(sigma, mu, gamma, sweeps, ordering=None):
+    """||g U (w_k - w_{k-1})|| for sweeps k = 1..``sweeps`` of ``band_sweeps``,
+    one product per block as ``sweeps_to_tolerance`` forms them."""
+    perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
+    g_l = np.tril(shrink(sigma, gamma).entries[np.ix_(perm, perm)], -1)
+    blocks = band_sweeps(sigma, mu, gamma, ordering)
+    (w,), norms = next(blocks), []
+    while len(norms) < sweeps:
+        block = next(blocks)
+        resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
+        norms += [math.sqrt(r.dot(r)) for r in resid]
+        w = block[-1]
+    return norms[:sweeps]
+
+
+def reference_rel_change(w, w_prev):
+    """The per-sweep relative change the block reduction replaced: ||w -
+    w_prev|| / ||w_prev||, both first divided by max|w_prev| when that lies
+    outside [1e-100, 1e100]. Kept as the oracle."""
+    d = w - w_prev
+    s = float(np.abs(w_prev).max())
+    if not 1e-100 <= s <= 1e100 and 0.0 < s < math.inf:
+        d, w_prev = d / s, w_prev / s
+    ref, change = math.sqrt(w_prev.dot(w_prev)), math.sqrt(d.dot(d))
+    if ref == 0.0:
+        return 0.0 if change == 0.0 else math.inf
+    return change / ref
 
 
 class TestCrispSolve:
@@ -242,59 +302,65 @@ class TestAgainstScalarLoop:
 
 
 class TestKernelBits:
-    """The dense kernel against ``triangular_sweeps``, which makes the same
-    LAPACK and BLAS calls: iterates, residuals and stops are equal bit for bit."""
+    """The dense kernel against ``band_sweeps``, which makes the same BLAS
+    calls: every block of iterates is equal bit for bit, and so is the
+    weight vector ``crisp_solve`` returns after p sweeps."""
 
     @pytest.mark.parametrize("n", (1, 2, 40, 100))
-    def test_same_iterates_and_residuals(self, n):
+    def test_same_iterates(self, n):
         if n == 1:  # no regime and no tree below two assets
             sigma, leaf_order = random_spd(1, 1), (0,)
         else:
             sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=n, sectors=min(n, 5), seed=n))
             leaf_order = build_tree(to_correlation(sigma), "ward").leaf_order
         mu = _rand_mu(n, n)
+        blocks = 1 + 101 // _sweeps_per_band(n) + 1
         for gamma in (0.5, 1.0):
             for ordering in (None, leaf_order):
-                want = list(islice(triangular_sweeps(sigma, mu, gamma, ordering), 101))
-                got = list(islice(solver._dense_sweeps(sigma, mu, gamma, ordering)[0], 101))
+                want = list(islice(band_sweeps(sigma, mu, gamma, ordering), blocks))
+                got = list(islice(solver._dense_sweeps(sigma, mu, gamma, ordering)[0], blocks))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (gamma, ordering)
+                rows = np.concatenate(want)
                 back = np.argsort(np.arange(n) if ordering is None else ordering)
                 for p in (1, 2, 5, 100):
-                    case = (gamma, ordering is not None, p)
-                    assert np.array_equal(got[p][0], want[p][0]), case
-                    assert np.array_equal(got[p][1], want[p][1]), case
                     rep = crisp_solve(sigma, mu, gamma, p_max=p, eps=1e-300, ordering=ordering)
-                    assert np.array_equal(rep.weights.values, want[p][0][back]), case
+                    assert np.array_equal(rep.weights.values, rows[p][back]), (gamma, p)
 
     def test_first_2000_sweeps_of_the_capped_hedged_solve(self):
         # gamma = 1, kappa ~ 1.6e5: still far from its fixed point at 50,000 sweeps
         sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=40, seed=1))
         mu = gen_signal(SignalSpec("gaussian", seed=2), 40)
-        pairs = zip(solver._dense_sweeps(sigma, mu, 1.0, None)[0], triangular_sweeps(sigma, mu, 1.0))
-        for sweep, ((w, resid), (w_ref, resid_ref)) in enumerate(islice(pairs, 2001)):
-            assert np.array_equal(w, w_ref), sweep
-            assert sweep == 0 or np.array_equal(resid, resid_ref), sweep
+        pairs = zip(solver._dense_sweeps(sigma, mu, 1.0, None)[0], band_sweeps(sigma, mu, 1.0))
+        rows = 0
+        for block, want in pairs:
+            assert np.array_equal(block, want), rows
+            rows += len(block)
+            if rows > 2000:
+                break
 
 
 class TestYieldedIterates:
-    """A yielded iterate or residual is never written again by the kernel: kept
-    across three or more later sweeps, it still holds what was yielded."""
+    """A yielded block of iterates is never written again by the kernel: kept
+    across the later blocks, it still holds what was yielded."""
 
     @staticmethod
     def _kept(monkeypatch, solve):
         real, kept = solver._gauss_seidel, []
 
         def keeping(*args):
-            for w, resid in real(*args):
-                kept.append((w, w.copy(), resid, None if resid is None else resid.copy()))
-                yield w, resid
+            for block in real(*args):
+                kept.append((block, block.copy()))
+                yield block
 
         monkeypatch.setattr(solver, "_gauss_seidel", keeping)
         solve()
         return kept
 
     @pytest.mark.parametrize("path", ("dense", "stream", "box"))
-    def test_an_iterate_survives_three_more_sweeps(self, path, monkeypatch):
-        n, p = 150, 7
+    def test_a_block_survives_the_later_ones(self, path, monkeypatch):
+        n = 150
+        # dense: three bands of K = 5 sweeps, the last cut short by p
+        p = 3 * _sweeps_per_band(n) - 1 if path == "dense" else 7
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=3))
         mu = _rand_mu(n, 3)
         solve = {
@@ -310,11 +376,84 @@ class TestYieldedIterates:
             ),
         }[path]
         kept = self._kept(monkeypatch, solve)
-        assert len(kept) == p + 1
-        for sweep, (w, w_then, resid, resid_then) in enumerate(kept[: -3]):
-            assert np.array_equal(w, w_then), sweep
-            assert resid is None or np.array_equal(resid, resid_then), sweep
-        assert (kept[-1][2] is None) == (path != "dense")
+        assert len(kept) == (4 if path == "dense" else p + 1)
+        rows = _sweeps_per_band(n) if path == "dense" else 1
+        assert [len(block) for block, _ in kept[1:]] == [rows] * (len(kept) - 1)
+        for i, (block, then) in enumerate(kept):
+            assert np.array_equal(block, then), i
+
+
+class TestBlockBoundaries:
+    """The stop rules read a block of K sweeps at once and drop the sweeps
+    after the stop; what they return is what the per-sweep rule returns."""
+
+    @staticmethod
+    def _case(n):
+        if n == 1:
+            return random_spd(1, 1), _rand_mu(1, 1)
+        sigma = gen_regime(RegimeSpec("equicorr", n=n, rho=0.6, seed=n))
+        return sigma, _rand_mu(n, n)
+
+    @pytest.mark.parametrize("n", (1, 2, 30, 100))
+    def test_the_pth_iterate_and_the_stop_there(self, n):
+        sigma, mu = self._case(n)
+        k, gamma = _sweeps_per_band(n), 0.5
+        ps = sorted({1, k - 1, k, k + 1, 2 * k + 3} - {0})
+        blocks = 2 + (ps[-1] + k + 1) // k
+        rows = np.concatenate(list(islice(band_sweeps(sigma, mu, gamma), blocks)))
+        norms = band_residual_norms(sigma, mu, gamma, ps[-1])
+        # at N = 1 the first sweep is the solution, and a change of 0 stops
+        same = (q for q, (a, b) in enumerate(zip(rows, rows[1:]), 1) if np.array_equal(a, b))
+        exact = next(same, None)
+        for p in ps:
+            for p_max in (p, p + k + 1):
+                rep = crisp_solve(sigma, mu, gamma, p_max=p_max, eps=1e-300)
+                assert rep.sweeps_used == min(p_max, exact or p_max)
+                assert np.array_equal(rep.weights.values, rows[rep.sweeps_used]), (p, p_max)
+            # a tolerance just above sweep p's residual stops at the first
+            # sweep below it, and crisp_solve for that count is that iterate
+            if norms[p - 1] == 0.0:
+                continue  # N = 1 solves exactly at the first sweep
+            tol = norms[p - 1] * (1.0 + 1e-9)
+            stop = next(q for q, r in enumerate(norms, 1) if r < tol)
+            diag = sweeps_to_tolerance(sigma, mu, gamma, tol)
+            assert diag == (stop, True), p
+            w = crisp_solve(sigma, mu, gamma, p_max=stop, eps=1e-300).weights.values
+            assert np.array_equal(w, rows[stop])
+
+    @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+    @pytest.mark.parametrize("n", (2, 30, 100))
+    def test_the_stop_sweep_and_its_change_are_the_per_sweep_rules(self, n, scale):
+        sigma, mu = self._case(n)
+        mu = Signal(mu.values * scale)
+        # up to ~7,000 sweeps (N = 100, eps = 1e-12)
+        blocks = 2 + 8000 // _sweeps_per_band(n)
+        rows = np.concatenate(list(islice(band_sweeps(sigma, mu, 0.9), blocks)))
+        rels = [reference_rel_change(w, w_prev) for w_prev, w in zip(rows, rows[1:])]
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            stop = next(q for q, r in enumerate(rels, 1) if r <= eps)
+            rep = crisp_solve(sigma, mu, 0.9, p_max=8000, eps=eps)
+            assert (rep.sweeps_used, rep.converged) == (stop, True), eps
+            assert rep.final_rel_change == rels[stop - 1]
+            assert np.array_equal(rep.weights.values, rows[stop])
+
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    def test_the_block_reduction_is_the_per_sweep_rule_bit_for_bit(self, scale):
+        rng = np.random.default_rng(5)
+        last = rng.normal(size=50) * scale
+        block = last + rng.normal(size=(9, 50)) * scale * np.logspace(-1, -15, 9)[:, None]
+        block[4] = block[3]  # no change
+        # and a block whose rows alternate between a rescaled and an ordinary
+        # scale, so that rows with and without rescaling meet in one reduction
+        far, near = (1e-150, 1e-90) if scale < 1.0 else (1e150, 1e90)
+        mixed = rng.normal(size=(8, 50)) * np.where(np.arange(8) % 2, near, far)[:, None]
+        for rows in (block, mixed):
+            got = solver._rel_changes(rows, last)
+            prev = np.vstack([last, rows])
+            want = [reference_rel_change(w, w_prev) for w_prev, w in zip(prev, rows)]
+            assert got.tolist() == want
+        assert solver._rel_changes(np.ones((1, 3)), np.zeros(3)).tolist() == [math.inf]
+        assert solver._rel_changes(np.zeros((1, 3)), np.zeros(3)).tolist() == [0.0]
 
 
 def reference_stream_sweeps(fm, mu, gamma):
@@ -772,9 +911,9 @@ def _kernel_iterates(monkeypatch, sigma, mu, gamma, p, cs):
     real, seen = solver._gauss_seidel, []
 
     def recording(m, *args):
-        for w, resid in real(m, *args):
+        for (w,) in real(m, *args):
             seen.append((m.copy(), w.copy()))
-            yield w, resid
+            yield w[None]
 
     monkeypatch.setattr(solver, "_gauss_seidel", recording)
     crisp_projected(sigma, mu, gamma, p=p, constraints=cs, eps=1e-300)
@@ -908,18 +1047,18 @@ def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
     m_eff = m.copy()
     block = lambda s, t: np.ascontiguousarray(p_g[s:t, s:t]).T  # noqa: E731
     iterates = solver._gauss_seidel(m_eff, d, block, solver._BOX_BLOCK, couple, (lo, hi))
-    w, _ = next(iterates)
+    (w,) = next(iterates)
     for _ in range(p):
         w_prev = w
         m_eff[:] = m - lam - (a_mat.T @ nu if len(rows) else 0.0)
-        w, _ = next(iterates)
+        (w,) = next(iterates)
         free = (w > lo + 1e-14) & (w < hi - 1e-14)
         if budget is not None:
             lam += (float(w.sum()) - budget) / max(float(inv_d[free].sum()), 1e-12)
         for k in range(len(rows)):
             h_k = max(float((a_mat[k] ** 2 * inv_d)[free].sum()), 1e-12)
             nu[k] = max(0.0, nu[k] + (float(a_mat[k] @ w) - b_vec[k]) / h_k)
-        rel = solver._rel_change(w, w_prev)
+        rel = reference_rel_change(w, w_prev)
         if rel <= eps and _violation(w, lo, hi, budget, a_mat, b_vec) <= max(eps, 1e-9):
             break
     y, _ = _project(w, lo, hi, e, d_vec, eq)
