@@ -18,7 +18,7 @@ import scipy.linalg
 from .core import CovarianceMatrix, Signal, _count, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
-from .solver import _band, _gauss_seidel
+from .solver import _band, _band_sweeps
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,14 @@ def trajectory(
     out = []
     for gamma in np.asarray(gammas, dtype=float):
         g = check_gamma(gamma)
+        # P_gamma lives only while it is factored: the factor and the band
+        # are the N x N arrays a point holds
         factor = (
             scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
             if g else None
         )
         exact = _exact_shrunk_solve(sigma, mu, g, factor)
-        sweeps = _gauss_seidel(mu.values, d, lambda s, e: _band(sigma.entries, g))
+        sweeps = _band_sweeps(mu.values, d, lambda: _band(sigma.entries, g, None, p))
         iterate = next(islice(chain.from_iterable(sweeps), p, None))  # the p-th row
         out.append(
             TrajectoryPoint(

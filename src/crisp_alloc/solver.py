@@ -7,14 +7,16 @@ P_gamma w+ - mu = gamma U (w+ - w); started from the diagonal solve
 w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
 [0, 1] at O(N^2) per sweep. On a dense Sigma, K sweeps stacked are one lower
 triangular system of bandwidth N - 1, diagonal blocks D + gamma L and
-subdiagonal blocks gamma U, which one BLAS band solve (``dtbsv``)
-takes at once: K = max(1, 1 MiB // (8 N^2)), so the band stays within a
-1 MiB budget, and the stop rules read each block of K iterates at once. A
-factor model streams diagonal blocks of sqrt(N K) assets formed from its
-loadings, coupled through B^T w, in O(N K) memory, one sweep at a time. A
-projected variant handles box, budget, and linear inequality constraints:
-the same kernel sweeps a dense Sigma in blocks of 64 assets, each a clamped
-triangular solve, against a dual-shifted signal.
+subdiagonal blocks gamma U, which one BLAS band solve (``dtbsv``) takes at
+once (``_band_sweeps``): K = min(128, max(1, 1 MiB // (8 N^2))), so the band
+stays within a 1 MiB budget, and never more than the sweeps the caller can
+use; the stop rules read each block of K iterates at once. The blocked
+kernel (``_gauss_seidel``) takes one sweep at a time, a diagonal block of
+coordinates at a time: a factor model streams blocks of sqrt(N K) assets
+formed from its loadings, coupled through B^T w, in O(N K) memory, and a
+projected variant for box, budget, and linear inequality constraints sweeps
+a dense Sigma in blocks of 64 assets, each a clamped triangular solve,
+against a dual-shifted signal.
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ DEFAULT_EPS = 1e-8
 # Diagonal block of a dense Sigma swept under a box: on an N = 1000 book 64
 # was as fast as 128 and faster than 32.
 _BOX_BLOCK = 64
-# Bytes of the band of a dense Sigma: K = max(1, _BAND_BYTES // (8 N^2))
-# sweeps per band solve. On a 2-vCPU Xeon with 1 BLAS thread, microseconds
-# per sweep over K = 1, 2, 4, ... were least at K = 128 for N = 30 (0.42,
-# against 4.7 at K = 1), K = 64 for N = 40 (0.64), K = 8-16 for N = 100
-# (3.3) and K = 4 for N = 200 (10.3): a band of 0.6-1.3 MiB each time, and
-# twice that was slower at every N (BENCH_23.json).
+# Bytes of the band of a dense Sigma, and its most sweeps: K = min(_BAND_SWEEPS,
+# max(1, _BAND_BYTES // (8 N^2))) sweeps per band solve, and no more than the
+# caller can use. On a 2-vCPU Xeon with 1 BLAS thread, microseconds per sweep
+# over K = 1, 2, 4, ... were least at K = 128 for N = 30 (0.42, against 4.7
+# at K = 1), K = 64 for N = 40 (0.64), K = 8-16 for N = 100 (3.3) and K = 4
+# for N = 200 (10.3): a band of 0.6-1.3 MiB each time, and twice that, or
+# more than 128 sweeps, was slower at every N (BENCH_23.json).
 _BAND_BYTES = 1 << 20
+_BAND_SWEEPS = 128
 
 
 @dataclass(frozen=True)
@@ -109,23 +113,24 @@ def _rel_changes(w: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.sqrt(change2) / np.sqrt(ref2)
 
 
-def _band(s: np.ndarray, g: float, order: Optional[np.ndarray] = None) -> np.ndarray:
+def _band(s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int) -> np.ndarray:
     """The band of K stacked sweeps of P_g on the entries ``s``, rows and
-    columns in ``order`` (as they are when None).
+    columns in ``order`` (as they are when None), K at most ``sweeps``.
 
     Sweeps k = 1..K are the lower triangular system whose diagonal blocks are
     D + g L and whose subdiagonal blocks are g U, of bandwidth N - 1. In
     LAPACK's lower band storage its column j of block k is column j of P_g
     rolled up by j, the same for every k: the band is K copies of one N x N
     block, N x KN and Fortran-ordered so that BLAS reads it in place. K =
-    max(1, _BAND_BYTES // (8 N^2)). Each chunk of rows is gathered with the
-    columns it wraps round to and rolled through a sliding window, so no
-    N x N index array or second N x N array is made. Off-diagonal entries
-    are g s_ij and the diagonal is copied exactly, as ``_shrunk`` forms them.
+    min(sweeps, _BAND_SWEEPS, max(1, _BAND_BYTES // (8 N^2))). Each chunk of
+    rows is gathered with the columns it wraps round to and rolled through a
+    sliding window, so no N x N index array or second N x N array is made.
+    Off-diagonal entries are g s_ij and the diagonal is copied exactly, as
+    ``_shrunk`` forms them.
     """
     n = s.shape[0]
     order = np.arange(n) if order is None else order
-    k = max(1, _BAND_BYTES // (8 * n * n))
+    k = min(sweeps, _BAND_SWEEPS, max(1, _BAND_BYTES // (8 * n * n)))
     twice = np.concatenate([order, order])
     blocks = np.empty((k, n, n))  # blocks[0][j] is the block's column j
     rows = max(1, _BAND_BYTES // (16 * n))  # a chunk's gather stays in the budget
@@ -138,66 +143,77 @@ def _band(s: np.ndarray, g: float, order: Optional[np.ndarray] = None) -> np.nda
     return blocks.reshape(k * n, n).T
 
 
-def _gauss_seidel(
-    m: np.ndarray, d: np.ndarray, block: Callable, size=None, couple=None, box=None
-) -> Iterator[np.ndarray]:
-    """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g, in blocks.
+def _band_sweeps(m: np.ndarray, d: np.ndarray, band: Callable) -> Iterator[np.ndarray]:
+    """Gauss-Seidel iterates on P_g w = m for a dense P_g, d its diagonal, in
+    blocks of K sweeps.
 
-    A sweep is the triangular splitting (D + g L) w+ = m - g U w. Without a
-    ``size`` the system is dense and ``block(0, N)`` gives its band
-    (``_band``): one ``dtbsv`` takes the band's K sweeps at once, the first
-    against m less g U w of the last iterate (``dtbmv`` on the band's first
-    N columns, transposed, unit diagonal, less w) and the rest coupled inside
-    the band. With a ``size`` each sweep is taken one diagonal block of that
-    many coordinates at a time: each block's lower triangle is solved against
-    m less the block's upper triangle times w, carried from the previous
-    sweep, and less its coupling to the rest of w. ``block(s, e)`` then gives
-    P_g[s:e, s:e]^T, Fortran-ordered for a C-ordered block, so LAPACK and
-    BLAS read it in place. ``couple(s, e, x, y)`` gives
-    P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the block's rows outside the
-    block (there are none when None).
+    ``band()`` gives the band of K stacked sweeps (``_band``); it is formed
+    when the first sweep asks for it. One ``dtbsv`` takes the band's K sweeps
+    at once, the first against m less g U w of the last iterate (``dtbmv`` on
+    the band's first N columns, transposed, unit diagonal, less w) and the
+    rest coupled inside the band.
+
+    Yields arrays whose rows are consecutive iterates: first the diagonal
+    solve, one row, then K rows per band solve. Every yielded array is new
+    and never written again, so a caller may keep a block across later ones
+    without copying it.
+    """
+    n = m.size
+    w = (m / d)[None]
+    yield w
+    b = band()
+    head, k = b[:, :n], b.shape[1] // n
+    rhs = np.tile(m, k)
+    while True:
+        x = rhs.copy()
+        x[:n] -= dtbmv(n - 1, head, w[-1], lower=1, trans=1, diag=1) - w[-1]
+        w = dtbsv(n - 1, b, x, lower=1, overwrite_x=1).reshape(k, n)
+        yield w
+
+
+def _gauss_seidel(
+    m: np.ndarray, d: np.ndarray, block: Callable, size: int, couple=None, box=None
+) -> Iterator[np.ndarray]:
+    """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g, one diagonal
+    block of ``size`` coordinates at a time.
+
+    A sweep is the triangular splitting (D + g L) w+ = m - g U w: each
+    block's lower triangle is solved against m less the block's upper
+    triangle times w, carried from the previous sweep, and less its coupling
+    to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
+    for a C-ordered block, so LAPACK and BLAS read it in place.
+    ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
+    block's rows outside the block (there are none when None).
 
     With a ``box`` (lo, hi) every coordinate is clamped to it as it is
     updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
     1971): each block is a ``_clamped_solve``. m is then read afresh each
     sweep, so a caller may shift it in place between sweeps.
 
-    Yields arrays whose rows are consecutive iterates: first the diagonal
-    solve, one row, then K rows per band solve, or one per sweep with a
-    ``size``. Every yielded array is new and the kernel never writes it
-    again, so a caller may keep a block across later ones without copying it.
+    Yields one-row arrays, the diagonal solve and then each sweep's iterate,
+    in ``_band_sweeps``' form. Every yielded array is new and never written
+    again.
     """
     n = m.size
     w = (m / d if box is None else np.clip(m / d, *box))[None]
     yield w
-    if size is None:  # the band is formed when the first sweep asks for it
-        band = block(0, n)
-        head, k = band[:, :n], band.shape[1] // n
-        rhs = np.tile(m, k)
-    else:
-        starts = list(range(0, n, size))
-        # views: a caller's in-place shift of m is read at the next sweep
-        parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
-        # g U w on each block, carried from the previous sweep
-        g_uw = [_upper(block(s, e), w[0, s:e]) for s, e, _ in parts]
+    starts = list(range(0, n, size))
+    # views: a caller's in-place shift of m is read at the next sweep
+    parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
+    # g U w on each block, carried from the previous sweep
+    g_uw = [_upper(block(s, e), w[0, s:e]) for s, e, _ in parts]
     while True:
-        w_prev = w[-1]
-        if size is None:
-            x = rhs.copy()
-            x[:n] -= dtbmv(n - 1, head, w_prev, lower=1, trans=1, diag=1) - w_prev
-            w = dtbsv(n - 1, band, x, lower=1, overwrite_x=1).reshape(k, n)
-        else:
-            w = np.empty((1, n))
-            for i, (s, e, m_i) in enumerate(parts):
-                pt, rhs_i = block(s, e), m_i - g_uw[i]
-                if couple:  # the blocks solved this sweep, and the old values after
-                    rhs_i -= couple(s, e, w[0], w_prev)
-                if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
-                    x = dtrtrs(pt, rhs_i, trans=1, overwrite_b=1)[0]
-                else:
-                    x = _clamped_solve(pt, rhs_i, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
-                w[0, s:e] = x
-                g_uw[i] = _upper(pt, x)
+        w_prev, w = w[0], np.empty((1, n))
+        for i, (s, e, m_i) in enumerate(parts):
+            pt, rhs = block(s, e), m_i - g_uw[i]
+            if couple:  # the blocks solved this sweep, and the old values after
+                rhs -= couple(s, e, w[0], w_prev)
+            if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
+                x = dtrtrs(pt, rhs, trans=1, overwrite_b=1)[0]
+            else:
+                x = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
+            w[0, s:e] = x
+            g_uw[i] = _upper(pt, x)
         yield w
 
 
@@ -241,16 +257,16 @@ def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
     return x
 
 
-def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering):
-    """Kernel iterates on a dense Sigma in visiting order, and that order;
-    the band of P_g is formed when the first sweep asks for it."""
+def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering, sweeps: int):
+    """Band iterates on a dense Sigma in visiting order, in blocks of at most
+    ``sweeps`` (those the caller can use), and that order."""
     m, d, perm = _paired(sigma, mu), np.diag(sigma.entries), None
     if ordering is not None:
         perm = np.asarray(ordering)
         if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(sigma.n)):
             raise ParameterError("ordering must be a permutation of 0..N-1")
         m, d = m[perm], d[perm]
-    return _gauss_seidel(m, d, lambda s, e: _band(sigma.entries, g, perm)), perm
+    return _band_sweeps(m, d, lambda: _band(sigma.entries, g, perm, sweeps)), perm
 
 
 def _drive(iterates, g: float, p_max: int, eps: float, perm=None) -> SolveReport:
@@ -288,7 +304,7 @@ def crisp_solve(
     ||w - w_prev||_2 <= eps * ||w_prev||_2.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    iterates, perm = _dense_sweeps(sigma, mu, g, ordering)
+    iterates, perm = _dense_sweeps(sigma, mu, g, ordering, p_max)
     return _drive(iterates, g, p_max, eps, perm)
 
 
@@ -636,7 +652,7 @@ def sweeps_to_tolerance(
     iterates, and its norm ``np.linalg.norm``'s arithmetic.
     """
     g = _check_solver_args(gamma, cap, tol)
-    iterates, perm = _dense_sweeps(sigma, mu, g, ordering)
+    iterates, perm = _dense_sweeps(sigma, mu, g, ordering, cap)
     g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
     w, sweeps = next(iterates)[0], 0
     while sweeps < cap:

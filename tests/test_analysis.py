@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,14 +127,15 @@ class TestOneFactorization:
         # diagonal), and the sweep reads a band whose first block is that
         # P_gamma, column j rolled up by j
         swept = []
-        real = analysis._gauss_seidel
+        real = analysis._band_sweeps
 
-        def recording(m, d, block, *args):
-            band = block(0, m.size)[:, : m.size]
-            swept.append(np.stack([np.roll(col, j) for j, col in enumerate(band.T)], 1))
-            return real(m, d, block, *args)
+        def recording(m, d, band):
+            b = band()
+            head = b[:, : m.size]
+            swept.append(np.stack([np.roll(col, j) for j, col in enumerate(head.T)], 1))
+            return real(m, d, lambda: b)
 
-        monkeypatch.setattr(analysis, "_gauss_seidel", recording)
+        monkeypatch.setattr(analysis, "_band_sweeps", recording)
         sigma, mu = random_spd(30, 6), _rand_mu(30, 6)
         gammas = np.array([0.0, 0.25, 0.5, 1.0])
         trajectory(sigma, mu, gammas, p=3)
@@ -142,6 +144,18 @@ class TestOneFactorization:
         for g, a in zip(gammas[1:], factored[1:]):
             assert np.array_equal(a, shrink(sigma, g).entries)
         assert all(np.array_equal(a, shrink(sigma, g).entries) for g, a in zip(gammas, swept))
+
+    def test_a_trajectory_point_holds_two_working_matrices(self):
+        # P_gamma's factor and the band the sweep reads (one sweep a band at
+        # this N) are the only N x N arrays: P_gamma is not formed twice over
+        n = 1000
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
+        mu = _rand_mu(n, 5)
+        tracemalloc.start()
+        trajectory(sigma, mu, np.array([0.5]), p=3)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
 
 
 class TestTrajectory:

@@ -33,8 +33,9 @@ from crisp_alloc import (
     shrink,
     sweeps_to_tolerance,
     to_correlation,
+    trajectory,
 )
-from crisp_alloc import solver
+from crisp_alloc import analysis, solver
 from crisp_alloc.solver import _feasible, _project, _row_system
 from tests.conftest import random_spd
 
@@ -72,8 +73,8 @@ def reference_sweep_count(sigma, mu, gamma, tol, cap=50000):
 def triangular_sweeps(sigma, mu, gamma, ordering=None):
     """The kernel's arithmetic on one dense block, one array at a time: the same
     LAPACK solve and BLAS product on P_gamma^T in visiting order, with the
-    state g U w as one vector. Kept as the bit-level oracle; yields (iterate in
-    visiting order, residual) pairs as ``solver._gauss_seidel`` does."""
+    state g U w as one vector. Kept as the bit-level oracle of the sweep
+    counts; yields (iterate in visiting order, residual) pairs."""
     perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
     s = sigma.entries[np.ix_(perm, perm)]
     d = np.diag(s).copy()
@@ -99,7 +100,7 @@ def triangular_sweep_count(sigma, mu, gamma, tol, cap=50000):
 
 
 def _sweeps_per_band(n):
-    return max(1, solver._BAND_BYTES // (8 * n * n))
+    return min(solver._BAND_SWEEPS, max(1, solver._BAND_BYTES // (8 * n * n)))
 
 
 def band_sweeps(sigma, mu, gamma, ordering=None):
@@ -108,7 +109,7 @@ def band_sweeps(sigma, mu, gamma, ordering=None):
     (built here with np.roll), one dtbmv forms g U w of a block's last
     iterate and one dtbsv takes the next K sweeps. Kept as the bit-level
     oracle; yields blocks of iterates in visiting order as
-    ``solver._gauss_seidel`` does, the first the diagonal solve."""
+    ``solver._band_sweeps`` does, the first the diagonal solve."""
     n = sigma.n
     perm = np.arange(n) if ordering is None else np.asarray(ordering)
     s = sigma.entries[np.ix_(perm, perm)]
@@ -318,7 +319,8 @@ class TestKernelBits:
         for gamma in (0.5, 1.0):
             for ordering in (None, leaf_order):
                 want = list(islice(band_sweeps(sigma, mu, gamma, ordering), blocks))
-                got = list(islice(solver._dense_sweeps(sigma, mu, gamma, ordering)[0], blocks))
+                got = solver._dense_sweeps(sigma, mu, gamma, ordering, 50000)[0]
+                got = list(islice(got, blocks))
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (gamma, ordering)
                 rows = np.concatenate(want)
                 back = np.argsort(np.arange(n) if ordering is None else ordering)
@@ -330,7 +332,8 @@ class TestKernelBits:
         # gamma = 1, kappa ~ 1.6e5: still far from its fixed point at 50,000 sweeps
         sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=40, seed=1))
         mu = gen_signal(SignalSpec("gaussian", seed=2), 40)
-        pairs = zip(solver._dense_sweeps(sigma, mu, 1.0, None)[0], band_sweeps(sigma, mu, 1.0))
+        got = solver._dense_sweeps(sigma, mu, 1.0, None, 50000)[0]
+        pairs = zip(got, band_sweeps(sigma, mu, 1.0))
         rows = 0
         for block, want in pairs:
             assert np.array_equal(block, want), rows
@@ -339,20 +342,54 @@ class TestKernelBits:
                 break
 
 
+class TestBandWidth:
+    """K, the sweeps one band solve takes, is the budget's and at most 128,
+    and never more than the caller can use: a solve capped at a few sweeps
+    at a small N computes only those."""
+
+    @staticmethod
+    def _widths(monkeypatch, module, call):
+        real, widths = module._band, []
+
+        def recording(s, g, order, sweeps):
+            band = real(s, g, order, sweeps)
+            widths.append(band.shape[1] // band.shape[0])
+            return band
+
+        monkeypatch.setattr(module, "_band", recording)
+        call()
+        return widths
+
+    @pytest.mark.parametrize(
+        "n, cap, k", ((1, 1, 1), (2, 3, 3), (2, 100, 100), (2, 129, 128), (5, 7, 7),
+                      (30, 129, 128), (40, 82, 81), (100, 5, 5), (100, 14, 13), (400, 2, 1)),
+    )
+    def test_the_sweeps_a_band_takes(self, n, cap, k, monkeypatch):
+        sigma = random_spd(n, n)
+        mu = _rand_mu(n, n)
+        calls = (
+            (solver, lambda: crisp_solve(sigma, mu, 0.5, p_max=cap, eps=1e-300)),
+            (solver, lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=cap)),
+            (analysis, lambda: trajectory(sigma, mu, np.array([0.5]), p=cap)),
+        )
+        for module, call in calls:
+            assert self._widths(monkeypatch, module, call) == [k]
+
+
 class TestYieldedIterates:
     """A yielded block of iterates is never written again by the kernel: kept
     across the later blocks, it still holds what was yielded."""
 
     @staticmethod
-    def _kept(monkeypatch, solve):
-        real, kept = solver._gauss_seidel, []
+    def _kept(monkeypatch, kernel, solve):
+        real, kept = getattr(solver, kernel), []
 
         def keeping(*args):
             for block in real(*args):
                 kept.append((block, block.copy()))
                 yield block
 
-        monkeypatch.setattr(solver, "_gauss_seidel", keeping)
+        monkeypatch.setattr(solver, kernel, keeping)
         solve()
         return kept
 
@@ -375,7 +412,8 @@ class TestYieldedIterates:
                 sigma, mu, 1.0, p=p, constraints=long_only_budget(n), eps=1e-300
             ),
         }[path]
-        kept = self._kept(monkeypatch, solve)
+        kernel = "_band_sweeps" if path == "dense" else "_gauss_seidel"
+        kept = self._kept(monkeypatch, kernel, solve)
         assert len(kept) == (4 if path == "dense" else p + 1)
         rows = _sweeps_per_band(n) if path == "dense" else 1
         assert [len(block) for block, _ in kept[1:]] == [rows] * (len(kept) - 1)
