@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .core import (
@@ -114,7 +115,10 @@ def _tree_pass(
     sign(0) := +1), or ``"stacked"`` (the children's own normalised local
     optima). ``norm`` divides each raw Cramer pair by ``"sum"`` a_l + a_r or
     ``"l1"`` |a_l| + |a_r| (equal split when that is zero). A leaf weight is
-    its starting sign times the product of the budgets on its path.
+    its starting sign times the product of the budgets on its path: the fixed
+    representatives record each node's budgets and multiply them out in one
+    top-down scalar pass, root first; ``stacked`` scales the children's
+    leaf slices at every node, since its representative is the output.
 
     Each node id carries Q = x'Sigma x and S = x'mu of its representative x,
     unnormalised (x_i = +-1/sigma_ii for the fixed ones, the output itself
@@ -127,8 +131,8 @@ def _tree_pass(
     """
     g = check_gamma(gamma)
     sp, order = _permuted(sigma, tree)
-    mperm = _paired(sigma, mu)[order]
-    pos = np.arange(tree.n)
+    n, m = tree.n, _paired(sigma, mu)
+    pos = np.arange(n)
     d = sp[pos, pos]
     # far-out scales get the exact power-of-two rescaling; the rest keep
     # their units bit for bit ((gamma c)**2 in the 2x2 solve is libm pow,
@@ -137,13 +141,15 @@ def _tree_pass(
     sc = 2.0**-e if abs(e) > 256 else 1.0
     d = d * sc
     stacked = rep == "stacked"
-    w = np.where(mperm >= 0.0, 1.0, -1.0) if rep == "signed" else np.ones(tree.n)
+    sign = np.where(m >= 0.0, 1.0, -1.0) if rep == "signed" else np.ones(n)
+    w = sign[order]
     x = w if stacked else w / d
-    buf = np.empty((3, 2 * tree.n - 1))
-    buf[:, order] = x * x * d, x * mperm, np.abs(x)
+    buf = np.empty((3, 2 * n - 1))
+    buf[:, order] = x * x * d, x * m[order], np.abs(x)
     q, s, a = buf.tolist()
-    spans = tree.spans
-    for k, (i, j) in enumerate(tree.pairs, tree.n):
+    path = [1.0] * (2 * n - 1)  # budget per node id; the root's is 1
+    spans, pairs = tree.spans, tree.pairs
+    for k, (i, j) in enumerate(pairs, n):
         l0, l1 = spans[i]
         r0, r1 = spans[j]
         cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc
@@ -159,15 +165,23 @@ def _tree_pass(
                 v_l * u, v_r * u, s_l, s_r, c * u, delta * u * u,
                 raw_l * sc, raw_r * sc, b_l, b_r,
             )
-        w[l0:l1] *= b_l
-        w[r0:r1] *= b_r
         if stacked:  # the representative is the rescaled output itself
+            w[l0:l1] *= b_l
+            w[r0:r1] *= b_r
             kl, kr, a[k] = b_l, b_r, 1.0
         else:
+            path[i], path[j] = b_l, b_r
             kl, kr, a[k] = 1.0, 1.0, al + ar
         q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
         s[k] = kl * s[i] + kr * s[j]
-    return _tagged(_original_order(w, order), "l1_one" if rep == "signed" or norm == "l1" else "sum_one")
+    tag = "l1_one" if rep == "signed" or norm == "l1" else "sum_one"
+    if stacked:
+        return _tagged(_original_order(w, order), tag)
+    for k in range(2 * n - 2, n - 1, -1):  # parents first: path products
+        i, j = pairs[k - n]
+        path[i] *= path[k]
+        path[j] *= path[k]
+    return _tagged(np.array(path[:n]) * sign, tag)
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -208,13 +222,17 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
     """Top-down Schur pass: fills w (leaf order, unnormalised) and yields each
     augmented child block it forms.
 
-    A node holds Q = [[A, B], [B^T, D]] and its parent's lower factor L_Q,
-    whose leading block is L_A (the root factors A); L_D is its one new
-    factor. With X = L_A^-1 [B | b_l] and Y = L_D^-1 [B^T | b_r] the children
-    get A - gamma Y_B^T Y_B and D - gamma X_B^T X_B, with right-hand sides
-    b_l - gamma Y_B^T y and b_r - gamma X_B^T x. Each child block is factored
-    once, as the breakdown check and as the child's solver; a node of one or
-    two leaves solves with the factor it was handed.
+    Only lower triangles are read (of sp, of every block, of every factor),
+    and a child block holds only its lower triangle. A node holds
+    Q = [[A, B], [B^T, D]] and the lower factor of Q its parent made, whose
+    leading block is L_A and whose panel below L_A is X_B^T, X_B = L_A^-1 B;
+    only the root, whose factor covers just A, solves for X_B. L_D is the
+    node's one new factor and Y = L_D^-1 [B^T | b_r] its one matrix solve.
+    The children get A - gamma Y_B^T Y_B and D - gamma X_B^T X_B (``dsyrk``,
+    into the lower triangle) with right-hand sides b_l - gamma Y_B^T y and
+    b_r - gamma X_B^T x, x = L_A^-1 b_l. Each child block is factored once,
+    as the breakdown check and as the child's factor; a node of one or two
+    leaves solves with the factor it was handed.
     """
     n, pairs, spans = tree.n, tree.pairs, tree.spans
     m = spans[pairs[-1][0]][1] if n > 2 else n  # the root's left block
@@ -227,19 +245,24 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
             continue
         left, right = pairs[node - n]
         k = spans[left][1] - lo
-        a, off, d, b_l, b_r = q[:k, :k], q[:k, k:], q[k:, k:], b[:k], b[k:]
+        a, d, b_l, b_r = q[:k, :k], q[k:, k:], b[:k], b[k:]
         low_a, low_d = low[:k, :k], _chol(d, depth, gamma)
         if gamma == 0.0:
             kids = ((a, low_a, b_l), (d, low_d, b_r))
         else:
-            x = dtrtrs(low_a, np.column_stack([off, b_l]), lower=1)[0]
-            y = dtrtrs(low_d, np.column_stack([off.T, b_r]), lower=1)[0]
-            x_b, y_b = x[:, :-1], y[:, :-1]
-            a_c = a - gamma * (y_b.T @ y_b)
-            d_c = d - gamma * (x_b.T @ x_b)
+            if depth:  # X_B^T is the panel of the factor the parent made
+                x_bt, x = low[k:, :k], dtrtrs(low_a, b_l, lower=1)[0]
+            else:
+                x = dtrtrs(low_a, np.column_stack([q[k:, :k].T, b_l]), lower=1)[0]
+                x_bt, x = x[:, :-1].T, x[:, -1]
+            y = np.empty((hi - lo - k, k + 1), order="F")
+            y[:, :k], y[:, k] = q[k:, :k], b_r
+            y = dtrtrs(low_d, y, lower=1, overwrite_b=1)[0]
+            a_c = dsyrk(-gamma, y[:, :k], 1.0, a, trans=1, lower=1)
+            d_c = dsyrk(-gamma, x_bt, 1.0, d, lower=1)
             kids = (
-                (a_c, _chol(a_c, depth, gamma), b_l - gamma * (y_b.T @ y[:, -1])),
-                (d_c, _chol(d_c, depth, gamma), b_r - gamma * (x_b.T @ x[:, -1])),
+                (a_c, _chol(a_c, depth, gamma), b_l - gamma * (y[:, k] @ y[:, :k])),
+                (d_c, _chol(d_c, depth, gamma), b_r - gamma * (x_bt @ x)),
             )
         for child, (blk, low_c, rhs) in zip((left, right), kids):
             yield blk
@@ -272,7 +295,8 @@ def cotton_kappa_product(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float
     """Product of condition numbers of every augmented child block.
 
     Diagnostic only: bounds the error amplification the nested block solves
-    can accumulate. Returns inf when a block breaks down (its factorization
+    can accumulate. A block holds only its lower triangle, which is all that
+    ``eigvalsh`` reads. Returns inf when a block breaks down (its factorization
     fails or its smallest eigenvalue is not positive), and raises
     ConditioningError when every block is positive definite but the product
     overflows a float. At gamma = 0 this is the product of the

@@ -8,6 +8,7 @@ import pytest
 
 from crisp_alloc import (
     CovarianceMatrix,
+    Dendrogram,
     RegimeSpec,
     Signal,
     a1_sum_norm_mvo,
@@ -20,6 +21,7 @@ from crisp_alloc import (
     hsp,
     to_correlation,
 )
+from crisp_alloc.dendrogram import _assemble
 
 # every tree pass as (sigma, mu, tree, gamma) -> WeightVector; hrp ignores mu
 # and gamma, hsp ignores gamma
@@ -73,6 +75,13 @@ def random_spd(n: int, seed: int, kappa_max: float = 25.0) -> CovarianceMatrix:
     d = np.sqrt(np.diag(m))
     m = m / np.outer(d, d) * np.outer(vols, vols)
     return CovarianceMatrix(0.5 * (m + m.T))
+
+
+def chain_tree(n: int) -> Dendrogram:
+    """The deepest tree on n >= 2 assets: each merge adds one leaf, on the
+    left, to the cluster so far, so the depth is n - 1."""
+    pairs = [(0, 1)] + [(i + 1, n + i - 1) for i in range(1, n - 1)]
+    return _assemble(n, pairs, [float(h) for h in range(1, n)])
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from crisp_alloc import (
     ConditioningError,
@@ -32,7 +33,9 @@ from crisp_alloc import (
     signed_cosine,
     to_correlation,
 )
-from tests.conftest import random_spd
+from crisp_alloc import baselines
+from crisp_alloc.baselines import _permuted, _schur_pass
+from tests.conftest import chain_tree, random_spd
 
 
 # The recursive Schur allocator that ``cotton`` replaced, kept as its oracle:
@@ -220,13 +223,16 @@ class TestCotton:
             assert cotton_kappa_product(sigma, tree, gamma) == np.inf
 
     def test_matches_the_recursive_oracle(self):
+        # N = 2 is a root of two leaves; the chain is the deepest merge table
         cases = []
-        for n in (3, 10, 33):
+        for n in (2, 3, 10, 33):
             for seed in range(20):
                 s = random_spd(n, seed)
                 cases.append((s, build_tree(to_correlation(s), "ward")))
         for seed in range(5):
             cases.append((random_spd(16, seed), balanced_tree(16)))
+            for n in (3, 10, 33):
+                cases.append((random_spd(n, seed), chain_tree(n)))
         sigma = gen_regime(RegimeSpec("block_sector", n=100, seed=42))
         for t in (60, 120):
             rets = sample_returns(sigma, Signal(np.zeros(100)), t, seed=(7, t))
@@ -239,6 +245,46 @@ class TestCotton:
                 k_got = cotton_kappa_product(s, tree, gamma)
                 k_want = _oracle_kappa_product(s, tree, gamma)
                 assert np.isfinite(k_want) and k_got == pytest.approx(k_want, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", (0.0, 0.5, 1.0))
+    def test_reads_lower_triangles_only(self, gamma):
+        # NaN above the diagonal of the leaf-ordered Sigma changes no weight
+        # and no lower triangle of any block the pass yields
+        ward = random_spd(33, 1)
+        for sigma, tree in (
+            (ward, build_tree(to_correlation(ward), "ward")),
+            (random_spd(16, 2), balanced_tree(16)),
+            (random_spd(12, 3), chain_tree(12)),
+        ):
+            sp = _permuted(sigma, tree)[0]
+            holed = sp.copy()
+            holed[np.triu_indices(tree.n, 1)] = np.nan
+            runs = []
+            for m in (sp, holed):
+                w = np.empty(tree.n)
+                runs.append((w, [np.tril(blk) for blk in _schur_pass(m, tree, gamma, w)]))
+            (w_full, full), (w_holed, holed_blocks) = runs
+            assert np.array_equal(w_holed, w_full)
+            assert len(holed_blocks) == len(full) == 2 * sum(hi - lo > 2 for lo, hi in tree.spans)
+            assert all(np.array_equal(h, f) for h, f in zip(holed_blocks, full))
+
+    def test_one_matrix_solve_per_node_below_the_root(self, base100, monkeypatch):
+        # X_B is read off the node's factor, so below the root a node of more
+        # than two leaves solves one matrix (L_D^-1 [B^T | b_r]) and one vector
+        tree = build_tree(to_correlation(base100), "ward")
+        calls = []
+
+        def counting_dtrtrs(a, b, **kw):
+            calls.append(np.ndim(b) == 2 and np.shape(b)[1] > 1)
+            return dtrtrs(a, b, **kw)
+
+        monkeypatch.setattr(baselines, "dtrtrs", counting_dtrtrs)
+        cotton(base100, tree, 0.5)
+        big = sum(hi - lo > 2 for lo, hi in tree.spans[tree.n :])
+        # the root's factor covers only its left block: it solves X too
+        assert calls[:2] == [True, True]
+        assert sum(calls) == big + 1
+        assert len(calls) - sum(calls) == big - 1
 
     def test_exact_under_power_of_two_scaling(self):
         # an even power of two passes exactly through every product, quotient

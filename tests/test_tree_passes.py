@@ -23,7 +23,7 @@ from crisp_alloc import (
     to_correlation,
 )
 from crisp_alloc.baselines import raw_budgets
-from tests.conftest import TREE_PASSES, random_spd
+from tests.conftest import TREE_PASSES, chain_tree, random_spd
 
 # pass -> (representative, normalisation, gamma fixed by the pass or None)
 _SETUP = {
@@ -90,15 +90,18 @@ def oracle(sigma, mu, tree, gamma, rep, norm):
 
 
 def _cases(regime):
+    # N = 2 is a root of two leaves; the chain, each merge adding one leaf,
+    # is the deepest merge table (up to N = 20: at 100 it doubles the time)
     for seed in range(4):
-        for n in (3, 20, 100):
+        for n in (2, 3, 20, 100):
             pop = gen_regime(RegimeSpec(regime, n=n, seed=seed, sectors=min(5, n)))
             returns = sample_returns(pop, Signal(np.ones(n)), 2 * n + 5, seed)
             for sigma in (pop, sample_cov(returns)):
-                tree = build_tree(to_correlation(sigma), "ward")
+                ward = build_tree(to_correlation(sigma), "ward")
                 gauss = gen_signal(SignalSpec("gaussian", seed=seed), n)
-                for mu in (Signal(np.ones(n)), gauss):
-                    yield sigma, mu, tree
+                for tree in (ward, chain_tree(n)) if 2 < n < 100 else (ward,):
+                    for mu in (Signal(np.ones(n)), gauss):
+                        yield sigma, mu, tree
 
 
 @pytest.mark.parametrize("regime", _REGIMES)
