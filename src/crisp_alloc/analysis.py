@@ -10,7 +10,6 @@ along gamma, and the KL information cost of shrinking correlations away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +17,7 @@ import scipy.linalg
 from .core import CovarianceMatrix, Signal, _count, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
-from .solver import _band, _band_sweeps
+from .solver import _dense_sweeps, _drive
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,14 @@ def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float, facto
     return scipy.linalg.cho_solve(factor, mu.values, check_finite=False)
 
 
+def _identity_terms(sigma: CovarianceMatrix, mu: Signal, g: float):
+    """w*, P_g's factor (made once for all its solves), w(g) and E = Sigma - D."""
+    w_star = markowitz_direct(sigma, mu).values
+    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
+    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
+    return w_star, factor, w_hat, sigma.entries - np.diag(np.diag(sigma.entries))
+
+
 def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> float:
     """Residual of the exact error identity; ~0 for every instance and gamma.
 
@@ -78,10 +85,7 @@ def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> 
     once for both of its solves.
     """
     g = check_gamma(gamma)
-    w_star = markowitz_direct(sigma, mu).values
-    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
-    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
-    e = sigma.entries - np.diag(np.diag(sigma.entries))
+    w_star, factor, w_hat, e = _identity_terms(sigma, mu, g)
     correction = scipy.linalg.cho_solve(factor, e @ w_star, check_finite=False)
     resid = (w_star - w_hat) + (1.0 - g) * correction
     return float(np.linalg.norm(resid) / np.linalg.norm(w_star))
@@ -99,10 +103,7 @@ def dir_bound_factors(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> tupl
     g = check_gamma(gamma)
     if g >= 1.0:
         raise ParameterError("the bound is defined for gamma in [0, 1)")
-    w_star = markowitz_direct(sigma, mu).values
-    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
-    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
-    e = sigma.entries - np.diag(np.diag(sigma.entries))
+    w_star, factor, w_hat, e = _identity_terms(sigma, mu, g)
     p_inv_e = scipy.linalg.cho_solve(factor, e, check_finite=False)
     op_norm = float(np.linalg.norm(p_inv_e, ord=2))
     u = p_inv_e @ w_star
@@ -136,7 +137,6 @@ def trajectory(
     if gammas is None:
         gammas = default_gamma_grid()
     w_star = markowitz_direct(sigma, mu).values
-    d = np.diag(sigma.entries)
     out = []
     for gamma in np.asarray(gammas, dtype=float):
         g = check_gamma(gamma)
@@ -147,8 +147,7 @@ def trajectory(
             if g else None
         )
         exact = _exact_shrunk_solve(sigma, mu, g, factor)
-        sweeps = _band_sweeps(mu.values, d, lambda: _band(sigma.entries, g, None, p))
-        iterate = next(islice(chain.from_iterable(sweeps), p, None))  # the p-th row
+        iterate = _drive(_dense_sweeps(sigma, mu, g, None, p)[0], p).weights.values
         out.append(
             TrajectoryPoint(
                 gamma=g,

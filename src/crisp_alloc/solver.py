@@ -10,13 +10,13 @@ triangular system of bandwidth N - 1, diagonal blocks D + gamma L and
 subdiagonal blocks gamma U, which one BLAS band solve (``dtbsv``) takes at
 once (``_band_sweeps``): K = min(128, max(1, 1 MiB // (8 N^2))), so the band
 stays within a 1 MiB budget, and never more than the sweeps the caller can
-use; the stop rules read each block of K iterates at once. The blocked
-kernel (``_gauss_seidel``) takes one sweep at a time, a diagonal block of
-coordinates at a time: a factor model streams blocks of sqrt(N K) assets
-formed from its loadings, coupled through B^T w, in O(N K) memory, and a
-projected variant for box, budget, and linear inequality constraints sweeps
-a dense Sigma in blocks of 64 assets, each a clamped triangular solve,
-against a dual-shifted signal.
+use. The blocked kernel (``_gauss_seidel``) takes one sweep at a time, a
+diagonal block of coordinates at a time: a factor model streams blocks of
+sqrt(N K) assets formed from its loadings, coupled through B^T w, in O(N K)
+memory, and a projected variant for box, budget, and linear inequality
+constraints sweeps a dense Sigma in blocks of 64 assets, each a clamped
+triangular solve, against a dual-shifted signal. One reader (``_drive``)
+takes either kernel's blocks, each at once, to a sweep cap or a stop rule.
 """
 
 from __future__ import annotations
@@ -86,7 +86,10 @@ def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
 
 def _dots(a: np.ndarray) -> np.ndarray:
     """a_k . a_k for every row: one matmul whose vector products are BLAS
-    ``ddot`` calls, so each row's bits are ``a_k.dot(a_k)``'s."""
+    ``ddot`` calls, so each row's bits are ``a_k.dot(a_k)``'s; one row (K = 1,
+    N >= 363) is that ``ddot`` alone, without the batched call's set-up."""
+    if len(a) == 1:
+        return (a[0] @ a[0])[None]
     return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
@@ -172,7 +175,7 @@ def _band_sweeps(m: np.ndarray, d: np.ndarray, band: Callable) -> Iterator[np.nd
 
 
 def _gauss_seidel(
-    m: np.ndarray, d: np.ndarray, block: Callable, size: int, couple=None, box=None
+    m: np.ndarray, d: np.ndarray, block: Callable, size: int, couple: Callable, box=None
 ) -> Iterator[np.ndarray]:
     """Gauss-Seidel iterates on P_g w = m, d the diagonal of P_g, one diagonal
     block of ``size`` coordinates at a time.
@@ -183,7 +186,7 @@ def _gauss_seidel(
     to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
     for a C-ordered block, so LAPACK and BLAS read it in place.
     ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
-    block's rows outside the block (there are none when None).
+    block's rows outside the block.
 
     With a ``box`` (lo, hi) every coordinate is clamped to it as it is
     updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
@@ -206,8 +209,7 @@ def _gauss_seidel(
         w_prev, w = w[0], np.empty((1, n))
         for i, (s, e, m_i) in enumerate(parts):
             pt, rhs = block(s, e), m_i - g_uw[i]
-            if couple:  # the blocks solved this sweep, and the old values after
-                rhs -= couple(s, e, w[0], w_prev)
+            rhs -= couple(s, e, w[0], w_prev)  # the blocks solved this sweep, the old values after
             if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
                 x = dtrtrs(pt, rhs, trans=1, overwrite_b=1)[0]
             else:
@@ -269,22 +271,23 @@ def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering, sweep
     return _band_sweeps(m, d, lambda: _band(sigma.entries, g, perm, sweeps)), perm
 
 
-def _drive(iterates, g: float, p_max: int, eps: float, perm=None) -> SolveReport:
-    """The stop rule over kernel ``iterates``, weights back in original order:
-    the first sweep whose relative change is at most eps, or sweep p_max.
-    Each block is read at once; its sweeps after the stop are dropped."""
-    w, sweeps, rel = next(iterates)[0], 0, 0.0
-    # gamma below eps stops at the diagonal solve, converged
-    while g >= eps and sweeps < p_max:
-        block = next(iterates)[: p_max - sweeps]
-        rels = _rel_changes(block, w).tolist()
-        k = next((i for i, r in enumerate(rels, 1) if r <= eps), len(rels))
-        sweeps, rel, w = sweeps + k, rels[k - 1], block[k - 1]
-        if rel <= eps:
+def _drive(iterates, cap: int, measure=None, bound: float = 0.0, perm=None) -> SolveReport:
+    """The one reader of kernel ``iterates``: the first sweep whose ``measure``
+    (of a block and the iterate before it, one value a row; NaN when None) is
+    at most ``bound``, or sweep ``cap``. A block is measured at once and its
+    rows after the stop dropped; the last value is ``final_rel_change`` (0.0
+    at cap 0, the diagonal solve), and the weights are in original order."""
+    w, sweeps, last = next(iterates)[0], 0, 0.0
+    while sweeps < cap:
+        block = next(iterates)[: cap - sweeps]
+        values = [math.nan] * len(block) if measure is None else measure(block, w).tolist()
+        k = next((i for i, v in enumerate(values, 1) if v <= bound), len(values))
+        sweeps, last, w = sweeps + k, values[k - 1], block[k - 1]
+        if last <= bound:
             break
     if perm is not None:
         w = _original_order(w, perm)
-    return SolveReport(WeightVector(w, "raw"), sweeps, rel, rel <= eps)
+    return SolveReport(WeightVector(w, "raw"), sweeps, last, last <= bound)
 
 
 def crisp_solve(
@@ -305,7 +308,7 @@ def crisp_solve(
     """
     g = _check_solver_args(gamma, p_max, eps)
     iterates, perm = _dense_sweeps(sigma, mu, g, ordering, p_max)
-    return _drive(iterates, g, p_max, eps, perm)
+    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps, perm)
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,8 @@ def crisp_solve_stream(
         return gbl[s:e] @ (b[:s].T @ x[:s] + b[e:].T @ y[e:])
 
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
-    return _drive(_gauss_seidel(m, d, block, size, couple), g, p_max, eps)
+    iterates = _gauss_seidel(m, d, block, size, couple)
+    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -647,20 +651,16 @@ def sweeps_to_tolerance(
 
     Residual-based, unlike the solver's relative-change rule; the first sweep
     is always performed and counted. Returns a non-convergence report (not an
-    exception) when the cap is exceeded. The residual of sweep k is
-    gamma U (w_k - w_{k-1}), one product for each block of the kernel's
-    iterates, and its norm ``np.linalg.norm``'s arithmetic.
+    exception) when the cap is exceeded. ``_drive`` measures sweep k by the
+    norm of its residual gamma U (w_k - w_{k-1}), one product a block, in
+    ``np.linalg.norm``'s arithmetic, bounded by the double below tol: "< tol".
     """
     g = _check_solver_args(gamma, cap, tol)
     iterates, perm = _dense_sweeps(sigma, mu, g, ordering, cap)
     g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
-    w, sweeps = next(iterates)[0], 0
-    while sweeps < cap:
-        block = next(iterates)[: cap - sweeps]
-        resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
-        norms = np.sqrt(_dots(resid)).tolist()
-        k = next((i for i, r in enumerate(norms, 1) if r < tol), len(norms))
-        sweeps, w = sweeps + k, block[-1]
-        if norms[k - 1] < tol:
-            return SweepDiagnostic(sweeps, True)
-    return SweepDiagnostic(cap, False)
+
+    def norms(block, w):
+        return np.sqrt(_dots(np.diff(block, axis=0, prepend=w[None]) @ g_l))
+
+    rep = _drive(iterates, cap, norms, math.nextafter(tol, 0.0))
+    return SweepDiagnostic(rep.sweeps_used, rep.converged)

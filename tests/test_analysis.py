@@ -29,7 +29,7 @@ from crisp_alloc import (
     to_correlation,
     trajectory,
 )
-from crisp_alloc import analysis
+from crisp_alloc import analysis, solver
 from tests.conftest import random_spd
 
 
@@ -127,7 +127,7 @@ class TestOneFactorization:
         # diagonal), and the sweep reads a band whose first block is that
         # P_gamma, column j rolled up by j
         swept = []
-        real = analysis._band_sweeps
+        real = solver._band_sweeps
 
         def recording(m, d, band):
             b = band()
@@ -135,7 +135,7 @@ class TestOneFactorization:
             swept.append(np.stack([np.roll(col, j) for j, col in enumerate(head.T)], 1))
             return real(m, d, lambda: b)
 
-        monkeypatch.setattr(analysis, "_band_sweeps", recording)
+        monkeypatch.setattr(solver, "_band_sweeps", recording)
         sigma, mu = random_spd(30, 6), _rand_mu(30, 6)
         gammas = np.array([0.0, 0.25, 0.5, 1.0])
         trajectory(sigma, mu, gammas, p=3)

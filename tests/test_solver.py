@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from crisp_alloc import (
     to_correlation,
     trajectory,
 )
-from crisp_alloc import analysis, solver
+from crisp_alloc import solver
 from crisp_alloc.solver import _feasible, _project, _row_system
 from tests.conftest import random_spd
 
@@ -348,15 +348,15 @@ class TestBandWidth:
     at a small N computes only those."""
 
     @staticmethod
-    def _widths(monkeypatch, module, call):
-        real, widths = module._band, []
+    def _widths(monkeypatch, call):
+        real, widths = solver._band, []
 
         def recording(s, g, order, sweeps):
             band = real(s, g, order, sweeps)
             widths.append(band.shape[1] // band.shape[0])
             return band
 
-        monkeypatch.setattr(module, "_band", recording)
+        monkeypatch.setattr(solver, "_band", recording)
         call()
         return widths
 
@@ -368,12 +368,12 @@ class TestBandWidth:
         sigma = random_spd(n, n)
         mu = _rand_mu(n, n)
         calls = (
-            (solver, lambda: crisp_solve(sigma, mu, 0.5, p_max=cap, eps=1e-300)),
-            (solver, lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=cap)),
-            (analysis, lambda: trajectory(sigma, mu, np.array([0.5]), p=cap)),
+            lambda: crisp_solve(sigma, mu, 0.5, p_max=cap, eps=1e-300),
+            lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=cap),
+            lambda: trajectory(sigma, mu, np.array([0.5]), p=cap),
         )
-        for module, call in calls:
-            assert self._widths(monkeypatch, module, call) == [k]
+        for call in calls:
+            assert self._widths(monkeypatch, call) == [k]
 
 
 class TestYieldedIterates:
@@ -492,6 +492,111 @@ class TestBlockBoundaries:
             assert got.tolist() == want
         assert solver._rel_changes(np.ones((1, 3)), np.zeros(3)).tolist() == [math.inf]
         assert solver._rel_changes(np.zeros((1, 3)), np.zeros(3)).tolist() == [0.0]
+
+
+def _batched_dots(a):
+    """Every row's a_k . a_k as one batched matmul, for one row too."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def block_drive(iterates, g, p_max, eps, perm=None):
+    """The relative-change stop rule as a block loop of its own, with the
+    gamma-below-eps shortcut in the loop: (weights, sweeps, final change,
+    converged). The reference for ``_drive`` measured by ``_rel_changes``."""
+    w, sweeps, rel = next(iterates)[0], 0, 0.0
+    while g >= eps and sweeps < p_max:
+        block = next(iterates)[: p_max - sweeps]
+        rels = solver._rel_changes(block, w).tolist()
+        k = next((i for i, r in enumerate(rels, 1) if r <= eps), len(rels))
+        sweeps, rel, w = sweeps + k, rels[k - 1], block[k - 1]
+        if rel <= eps:
+            break
+    if perm is not None:
+        w = w[np.argsort(perm)]
+    return w, sweeps, rel, rel <= eps
+
+
+def block_sweeps_to_tolerance(sigma, mu, g, tol, cap, ordering):
+    """The residual stop "< tol" as a block loop of its own: (sweeps,
+    converged). The reference for ``sweeps_to_tolerance``."""
+    iterates, perm = solver._dense_sweeps(sigma, mu, g, ordering, cap)
+    p = shrink(sigma, g).entries
+    g_l = np.tril(p if perm is None else p[np.ix_(perm, perm)], -1)
+    w, sweeps = next(iterates)[0], 0
+    while sweeps < cap:
+        block = next(iterates)[: cap - sweeps]
+        resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
+        norms = np.sqrt(_batched_dots(resid)).tolist()
+        k = next((i for i, r in enumerate(norms, 1) if r < tol), len(norms))
+        sweeps, w = sweeps + k, block[-1]
+        if norms[k - 1] < tol:
+            return (sweeps, True)
+    return (cap, False)
+
+
+class TestOneReader:
+    """``_drive`` is the one reader of the kernels' blocks: what it returns
+    for ``crisp_solve``, ``sweeps_to_tolerance`` and ``trajectory`` is, bit
+    for bit, what each one's own block loop returned (the relative-change
+    loop, the residual loop and an ``islice`` over the rows), with every
+    ``ddot`` the batched matmul's."""
+
+    @pytest.mark.parametrize("n", (5, 30, 100))
+    @pytest.mark.parametrize("kind", ("equicorr", "block_sector", "hedged_tight_blocks", "spiked"))
+    def test_the_reader_is_each_loop_bit_for_bit(self, kind, n, monkeypatch):
+        sigma = gen_regime(RegimeSpec(kind, n=n, seed=n))
+        mu = _rand_mu(n, n)
+        w_star = markowitz_direct(sigma, mu).values
+        k = _sweeps_per_band(n)
+        seen = set()
+        # gamma = eps is the smallest that sweeps
+        for gamma in (0.0, 1e-9, solver.DEFAULT_EPS, 0.5, 1.0):
+            for cap in sorted({1, k - 1, k, k + 1, 100} - {0}):
+                for ordering in (None, np.random.default_rng(n).permutation(n)):
+                    rep = crisp_solve(sigma, mu, gamma, p_max=cap, ordering=ordering)
+                    diags = [sweeps_to_tolerance(sigma, mu, gamma, t, cap, ordering)
+                             for t in (1e-6, 1e-10)]
+                    with monkeypatch.context() as m:
+                        m.setattr(solver, "_dots", _batched_dots)
+                        iterates, perm = solver._dense_sweeps(sigma, mu, gamma, ordering, cap)
+                        want = block_drive(iterates, gamma, cap, solver.DEFAULT_EPS, perm)
+                        want_diags = [block_sweeps_to_tolerance(sigma, mu, gamma, t, cap, ordering)
+                                      for t in (1e-6, 1e-10)]
+                    got = (rep.weights.values, rep.sweeps_used, rep.final_rel_change, rep.converged)
+                    assert got[0].tobytes() == want[0].tobytes(), (gamma, cap)
+                    assert got[1:] == want[1:], (gamma, cap)
+                    assert [tuple(d) for d in diags] == want_diags, (gamma, cap)
+                    seen |= {("solve", rep.converged)} | {("tol", d.converged) for d in diags}
+                    if gamma == 0.0:
+                        assert diags == [(1, True)] * 2
+                    # a measure that is NaN on every row never stops
+                    iterates, perm = solver._dense_sweeps(sigma, mu, gamma, ordering, cap)
+                    never = solver._drive(iterates, cap, lambda b, w: np.full(len(b), np.nan),
+                                          solver.DEFAULT_EPS, perm)
+                    rows = np.concatenate(list(islice(band_sweeps(sigma, mu, gamma, ordering),
+                                                      2 + cap // k)))
+                    back = np.argsort(np.arange(n) if ordering is None else ordering)
+                    assert never.weights.values.tobytes() == rows[cap][back].tobytes()
+                    assert (never.sweeps_used, never.converged) == (cap, False)
+                    assert math.isnan(never.final_rel_change)
+                # trajectory's p-th row, read with islice over the rows
+                sweeps = solver._dense_sweeps(sigma, mu, gamma, None, cap)[0]
+                row = next(islice(chain.from_iterable(sweeps), cap, None))
+                read = solver._drive(solver._dense_sweeps(sigma, mu, gamma, None, cap)[0], cap)
+                assert read.weights.values.tobytes() == row.tobytes()
+                assert (read.sweeps_used, read.converged) == (cap, False)
+                (point,) = trajectory(sigma, mu, np.array([gamma]), p=cap)
+                assert point.dir_finite_sweep == dir_error(row, w_star)
+        # each stop rule both stopped early and hit its cap somewhere
+        assert seen == {("solve", True), ("solve", False), ("tol", True), ("tol", False)}
+
+    def test_one_row_is_the_batched_ddot(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-200, 1e-100, 1.0, 1e100, 1e200):
+            for n in (1, 5, 400, 1000):
+                a = rng.normal(size=(1, n)) * scale
+                with np.errstate(over="ignore", under="ignore"):  # 1e200 squared is inf
+                    assert solver._dots(a).tolist() == _batched_dots(a).tolist()
 
 
 def reference_stream_sweeps(fm, mu, gamma):
