@@ -86,10 +86,7 @@ def _check_solver_args(gamma: float, p_max: int, eps: float) -> float:
 
 def _dots(a: np.ndarray) -> np.ndarray:
     """a_k . a_k for every row: one matmul whose vector products are BLAS
-    ``ddot`` calls, so each row's bits are ``a_k.dot(a_k)``'s; one row (K = 1,
-    N >= 363) is that ``ddot`` alone, without the batched call's set-up."""
-    if len(a) == 1:
-        return (a[0] @ a[0])[None]
+    ``ddot`` calls, so each row's bits are ``a_k.dot(a_k)``'s."""
     return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
@@ -290,6 +287,11 @@ def _drive(iterates, cap: int, measure=None, bound: float = 0.0, perm=None) -> S
     return SolveReport(WeightVector(w, "raw"), sweeps, last, last <= bound)
 
 
+def _drive_rel(iterates, perm, g: float, p_max: int, eps: float) -> SolveReport:
+    """``_drive`` to ``crisp_solve``'s stop rule; gamma below eps is cap 0, the diagonal solve."""
+    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps, perm)
+
+
 def crisp_solve(
     sigma: CovarianceMatrix,
     mu: Signal,
@@ -307,8 +309,7 @@ def crisp_solve(
     ||w - w_prev||_2 <= eps * ||w_prev||_2.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    iterates, perm = _dense_sweeps(sigma, mu, g, ordering, p_max)
-    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps, perm)
+    return _drive_rel(*_dense_sweeps(sigma, mu, g, ordering, p_max), g, p_max, eps)
 
 
 @dataclass(frozen=True)
@@ -386,8 +387,7 @@ def crisp_solve_stream(
         return gbl[s:e] @ (b[:s].T @ x[:s] + b[e:].T @ y[e:])
 
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
-    iterates = _gauss_seidel(m, d, block, size, couple)
-    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps)
+    return _drive_rel(_gauss_seidel(m, d, block, size, couple), None, g, p_max, eps)
 
 
 # ---------------------------------------------------------------------------

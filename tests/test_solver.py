@@ -494,11 +494,6 @@ class TestBlockBoundaries:
         assert solver._rel_changes(np.zeros((1, 3)), np.zeros(3)).tolist() == [0.0]
 
 
-def _batched_dots(a):
-    """Every row's a_k . a_k as one batched matmul, for one row too."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
-
-
 def block_drive(iterates, g, p_max, eps, perm=None):
     """The relative-change stop rule as a block loop of its own, with the
     gamma-below-eps shortcut in the loop: (weights, sweeps, final change,
@@ -526,7 +521,7 @@ def block_sweeps_to_tolerance(sigma, mu, g, tol, cap, ordering):
     while sweeps < cap:
         block = next(iterates)[: cap - sweeps]
         resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
-        norms = np.sqrt(_batched_dots(resid)).tolist()
+        norms = np.sqrt(solver._dots(resid)).tolist()
         k = next((i for i, r in enumerate(norms, 1) if r < tol), len(norms))
         sweeps, w = sweeps + k, block[-1]
         if norms[k - 1] < tol:
@@ -538,12 +533,11 @@ class TestOneReader:
     """``_drive`` is the one reader of the kernels' blocks: what it returns
     for ``crisp_solve``, ``sweeps_to_tolerance`` and ``trajectory`` is, bit
     for bit, what each one's own block loop returned (the relative-change
-    loop, the residual loop and an ``islice`` over the rows), with every
-    ``ddot`` the batched matmul's."""
+    loop, the residual loop and an ``islice`` over the rows)."""
 
     @pytest.mark.parametrize("n", (5, 30, 100))
     @pytest.mark.parametrize("kind", ("equicorr", "block_sector", "hedged_tight_blocks", "spiked"))
-    def test_the_reader_is_each_loop_bit_for_bit(self, kind, n, monkeypatch):
+    def test_the_reader_is_each_loop_bit_for_bit(self, kind, n):
         sigma = gen_regime(RegimeSpec(kind, n=n, seed=n))
         mu = _rand_mu(n, n)
         w_star = markowitz_direct(sigma, mu).values
@@ -556,12 +550,10 @@ class TestOneReader:
                     rep = crisp_solve(sigma, mu, gamma, p_max=cap, ordering=ordering)
                     diags = [sweeps_to_tolerance(sigma, mu, gamma, t, cap, ordering)
                              for t in (1e-6, 1e-10)]
-                    with monkeypatch.context() as m:
-                        m.setattr(solver, "_dots", _batched_dots)
-                        iterates, perm = solver._dense_sweeps(sigma, mu, gamma, ordering, cap)
-                        want = block_drive(iterates, gamma, cap, solver.DEFAULT_EPS, perm)
-                        want_diags = [block_sweeps_to_tolerance(sigma, mu, gamma, t, cap, ordering)
-                                      for t in (1e-6, 1e-10)]
+                    iterates, perm = solver._dense_sweeps(sigma, mu, gamma, ordering, cap)
+                    want = block_drive(iterates, gamma, cap, solver.DEFAULT_EPS, perm)
+                    want_diags = [block_sweeps_to_tolerance(sigma, mu, gamma, t, cap, ordering)
+                                  for t in (1e-6, 1e-10)]
                     got = (rep.weights.values, rep.sweeps_used, rep.final_rel_change, rep.converged)
                     assert got[0].tobytes() == want[0].tobytes(), (gamma, cap)
                     assert got[1:] == want[1:], (gamma, cap)
@@ -589,14 +581,6 @@ class TestOneReader:
                 assert point.dir_finite_sweep == dir_error(row, w_star)
         # each stop rule both stopped early and hit its cap somewhere
         assert seen == {("solve", True), ("solve", False), ("tol", True), ("tol", False)}
-
-    def test_one_row_is_the_batched_ddot(self):
-        rng = np.random.default_rng(7)
-        for scale in (1e-200, 1e-100, 1.0, 1e100, 1e200):
-            for n in (1, 5, 400, 1000):
-                a = rng.normal(size=(1, n)) * scale
-                with np.errstate(over="ignore", under="ignore"):  # 1e200 squared is inf
-                    assert solver._dots(a).tolist() == _batched_dots(a).tolist()
 
 
 def reference_stream_sweeps(fm, mu, gamma):
