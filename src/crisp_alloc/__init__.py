@@ -57,6 +57,7 @@ from .experiments import (
     ExperimentResult,
     ExperimentSpec,
     ExperimentTable,
+    Inputs,
     MethodSpec,
     TrialRecord,
     allocate,

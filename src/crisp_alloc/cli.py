@@ -23,15 +23,14 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import default_gamma_grid, trajectory
-from .core import CovarianceMatrix, Signal, _count, markowitz_direct, to_correlation
-from .dendrogram import build_tree
+from .core import CovarianceMatrix, Signal, _count, markowitz_direct
 from .errors import AllocationError, ParameterError
 from .experiments import (
+    DEFAULT_FACTORS,
     METHOD_IDS,
-    METHODS,
+    Inputs,
     MethodSpec,
     allocate,
     export,
@@ -40,16 +39,7 @@ from .experiments import (
     run_experiment,
 )
 from .metrics import direction_report, sharpe
-from .solver import (
-    DEFAULT_EPS,
-    DEFAULT_GAMMA,
-    DEFAULT_SWEEPS,
-    FactorModel,
-    crisp_projected,
-    crisp_solve,
-    crisp_solve_stream,
-    long_only_budget,
-)
+from .solver import DEFAULT_EPS, DEFAULT_GAMMA, DEFAULT_SWEEPS
 from .synthetic import (
     _REGIMES,
     _SIGNALS,
@@ -60,12 +50,6 @@ from .synthetic import (
     sector_labels,
     worst_case_mu,
 )
-
-# CLI-only methods read --eps (and --factors), which MethodSpec does not
-# carry; neither reads a tree
-_CLI_ONLY_METHODS = ("crisp-stream", "crisp-projected")
-_CLI_METHODS = METHOD_IDS + _CLI_ONLY_METHODS
-_TREELESS_METHODS = _CLI_ONLY_METHODS + tuple(k for k, (_, tree) in METHODS.items() if not tree)
 
 
 class CliError(Exception):
@@ -222,7 +206,7 @@ def _build_cov(args):
 
 
 def _build_inputs(args):
-    """(sigma, mu, sectors): ``_build_cov`` and a signal from a CSV path or a spec."""
+    """(sigma, mu): ``_build_cov`` and a signal from a CSV path or a spec."""
     sigma, sectors = _build_cov(args)
     if args.mu:
         mu = Signal(_read_matrix(args.mu).reshape(-1))
@@ -233,33 +217,13 @@ def _build_inputs(args):
         mu = gen_signal(sig, sigma.n, sectors=sectors, sigma=sigma)
     else:
         mu = Signal(np.ones(sigma.n))
-    return sigma, mu, sectors
+    return sigma, mu
 
 
 def cmd_allocate(args) -> int:
-    sigma, mu, sectors = _build_inputs(args)
-    tree = None if args.method in _TREELESS_METHODS else build_tree(to_correlation(sigma), "ward")
-    if args.method == "crisp-stream":
-        k = args.factors
-        if not 1 <= k <= sigma.n:
-            raise CliError(f"--factors must be between 1 and N = {sigma.n}, got {k}")
-        eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(sigma.n - k, sigma.n - 1))
-        top = vecs * np.sqrt(eigs)
-        idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
-        fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
-        solved = crisp_solve_stream(fm, mu, args.gamma, p_max=args.sweeps, eps=args.eps)
-    elif args.method == "crisp-projected":
-        cs = long_only_budget(sigma.n)
-        solved = crisp_projected(sigma, mu, args.gamma, p=args.sweeps, constraints=cs, eps=args.eps)
-    elif args.method == "crisp":
-        solved = crisp_solve(
-            sigma, mu, args.gamma, p_max=args.sweeps, eps=args.eps, ordering=tree.leaf_order
-        )
-    else:
-        solved = None
-    w = solved.weights if solved else allocate(
-        MethodSpec(args.method, args.gamma, args.sweeps), sigma, mu, tree
-    )
+    m = MethodSpec(args.method, args.gamma, args.sweeps, args.eps, args.factors)
+    sigma, mu = _build_inputs(args)
+    w, solved = allocate(m, Inputs(sigma, mu))
 
     w_star = markowitz_direct(sigma, mu)
     rep = direction_report(w.values, w_star.values)
@@ -280,6 +244,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_experiment(args) -> int:
     _count(args.jobs, 1, "--jobs must be at least 1")  # before any file is written
+    _count(args.seed, 0, "--seed must be at least 0")  # exit 1, not the unknown-preset exit 2
     try:
         spec = preset(args.preset, full=args.full, seed=args.seed)
     except ParameterError as exc:  # names the valid presets
@@ -310,7 +275,7 @@ def cmd_trajectory(args) -> int:
     if args.example == "nonmonotone":
         sigma, mu = nonmonotone_instance()
     else:
-        sigma, mu, _ = _build_inputs(args)
+        sigma, mu = _build_inputs(args)
     points = trajectory(sigma, mu, default_gamma_grid(args.grid), p=args.sweeps)
     print("gamma dir_exact dir_finite_sweep dir_slack")
     for p in points:
@@ -370,11 +335,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_alloc = sub.add_parser("allocate", help="run one allocation", parents=[inputs])
-    p_alloc.add_argument("--method", choices=_CLI_METHODS, required=True)
+    p_alloc.add_argument("--method", choices=METHOD_IDS, required=True)
     p_alloc.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p_alloc.add_argument("--sweeps", type=int, default=DEFAULT_SWEEPS)
     p_alloc.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p_alloc.add_argument("--factors", type=int, default=3, help="factor count for crisp-stream")
+    p_alloc.add_argument(
+        "--factors", type=int, default=DEFAULT_FACTORS, help="factor count for crisp-stream"
+    )
     p_alloc.set_defaults(func=cmd_allocate)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment preset", parents=[common])

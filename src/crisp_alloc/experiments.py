@@ -1,8 +1,9 @@
 """Walk-forward Monte Carlo harness and the preset experiment battery.
 
 One trial draws T observations from the true (mu, Sigma), forms the ridged
-sample covariance, rebuilds the cluster tree from its correlation, allocates
-every configured method, and scores the weights under the true moments.
+sample covariance, allocates every configured method through the one method
+table ``METHODS`` (the cluster tree of the estimate's correlation is built on
+the first method that reads it), and scores the weights under the true moments.
 Aggregation is a deterministic reduction keyed by trial index, so running
 trials across worker threads cannot change any number. Each experiment kind,
 the Monte Carlo one included, is one runner in ``_RUNNERS``, and each preset
@@ -16,9 +17,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.linalg
 
 from . import baselines, signal_trees
 from .analysis import AdaptiveInputs, kappa_eff, trajectory
@@ -26,7 +29,8 @@ from .core import CovarianceMatrix, Signal, WeightVector, _count, kappa, markowi
 from .dendrogram import Dendrogram, build_tree
 from .errors import AllocationError, ConditioningError, ParameterError
 from .metrics import dir_diag, dir_error, gross_leverage, sharpe, signed_cosine
-from .solver import DEFAULT_EPS, DEFAULT_GAMMA, DEFAULT_SWEEPS, _check_solver_args, crisp_solve
+from .solver import DEFAULT_EPS, DEFAULT_GAMMA, DEFAULT_SWEEPS, FactorModel, SolveReport, _check_solver_args
+from .solver import crisp_projected, crisp_solve, crisp_solve_stream, long_only_budget
 from .solver import sweeps_to_tolerance  # called as this module's attribute, so a wrapper sees it
 from .synthetic import (
     DEFAULT_RIDGE,
@@ -42,52 +46,76 @@ from .synthetic import (
 )
 
 
-def _crisp(m: MethodSpec, sigma: CovarianceMatrix, mu: Signal, tree: Optional[Dendrogram]):
-    ordering = tree.leaf_order if tree is not None else None
-    return crisp_solve(sigma, mu, m.gamma, p_max=m.sweeps, ordering=ordering).weights
+@dataclass(frozen=True)
+class Inputs:
+    """One estimated (Sigma, mu). ``tree`` is the Ward tree of Sigma's
+    correlation, built on first read and at most once."""
+
+    sigma: CovarianceMatrix
+    mu: Signal
+
+    @cached_property
+    def tree(self) -> Dendrogram:
+        return build_tree(to_correlation(self.sigma), "ward")
 
 
-# The method table: id -> (allocator(m, sigma, mu, tree), whether it reads the
-# tree). Kernels are looked up at call time, so a wrapper installed on a
-# kernel's module attribute sees every call.
-METHODS: dict[str, tuple[Callable[..., WeightVector], bool]] = {
-    "one-over-n": (lambda m, sigma, mu, tree: baselines.equal_weight(sigma.n), False),
-    "hrp": (lambda m, sigma, mu, tree: baselines.hrp(sigma, tree), True),
-    "cotton": (lambda m, sigma, mu, tree: baselines.cotton(sigma, tree, m.gamma), True),
-    "hrp-mu": (lambda m, sigma, mu, tree: signal_trees.hrp_mu(sigma, mu, tree, m.gamma), True),
-    "hsp": (lambda m, sigma, mu, tree: signal_trees.hsp(sigma, mu, tree), True),
-    "hrp-sigma-mu": (
-        lambda m, sigma, mu, tree: signal_trees.hrp_sigma_mu(sigma, mu, tree, m.gamma),
-        True,
+def _pca_factors(sigma: CovarianceMatrix, k: int) -> FactorModel:
+    """Sigma's top ``k`` principal components as a k-factor model."""
+    message = f"--factors must be between 1 and N = {sigma.n}, got {k}"
+    if _count(k, 1, message) > sigma.n:
+        raise ParameterError(message)
+    eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(sigma.n - k, sigma.n - 1))
+    top = vecs * np.sqrt(eigs)
+    idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
+    return FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
+
+
+# The method table: id -> allocator(m, x) of a MethodSpec and the Inputs; a
+# solver row returns its SolveReport. Kernels are looked up at call time, so a
+# wrapper installed on a kernel's module attribute sees every call, and a row
+# that never reads x.tree builds no tree.
+METHODS: dict[str, Callable[[MethodSpec, Inputs], Union[WeightVector, SolveReport]]] = {
+    "one-over-n": lambda m, x: baselines.equal_weight(x.sigma.n),
+    "hrp": lambda m, x: baselines.hrp(x.sigma, x.tree),
+    "cotton": lambda m, x: baselines.cotton(x.sigma, x.tree, m.gamma),
+    "hrp-mu": lambda m, x: signal_trees.hrp_mu(x.sigma, x.mu, x.tree, m.gamma),
+    "hsp": lambda m, x: signal_trees.hsp(x.sigma, x.mu, x.tree),
+    "hrp-sigma-mu": lambda m, x: signal_trees.hrp_sigma_mu(x.sigma, x.mu, x.tree, m.gamma),
+    "crisp": lambda m, x: crisp_solve(x.sigma, x.mu, m.gamma, m.sweeps, m.eps, x.tree.leaf_order),
+    "markowitz": lambda m, x: markowitz_direct(x.sigma, x.mu),
+    "a1": lambda m, x: baselines.a1_sum_norm_mvo(x.sigma, x.mu, x.tree, m.gamma),
+    "a2": lambda m, x: baselines.a2_flat_ivp_tree(x.sigma, x.mu, x.tree, m.gamma),
+    "crisp-stream": lambda m, x: crisp_solve_stream(
+        _pca_factors(x.sigma, m.factors), x.mu, m.gamma, m.sweeps, m.eps
     ),
-    "crisp": (_crisp, True),
-    "markowitz": (lambda m, sigma, mu, tree: markowitz_direct(sigma, mu), False),
-    "a1": (lambda m, sigma, mu, tree: baselines.a1_sum_norm_mvo(sigma, mu, tree, m.gamma), True),
-    "a2": (lambda m, sigma, mu, tree: baselines.a2_flat_ivp_tree(sigma, mu, tree, m.gamma), True),
+    "crisp-projected": lambda m, x: crisp_projected(
+        x.sigma, x.mu, m.gamma, m.sweeps, long_only_budget(x.sigma.n), m.eps
+    ),
 }
 METHOD_IDS = tuple(METHODS)
+DEFAULT_FACTORS = 3
 
 # volatility blowup relative to the oracle minimum-variance level that flags
 # a trial as unstable (the dagger convention of the result tables)
 INSTABILITY_VOL_MULTIPLE = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class MethodSpec:
-    """One allocator configuration: method id plus gamma / sweep budget."""
+    """One allocator configuration: method id, gamma, sweep budget, the
+    solvers' stop tolerance and crisp-stream's factor count. It keys its
+    outcomes in a TrialRecord."""
 
     method: str
     gamma: float = DEFAULT_GAMMA
     sweeps: int = DEFAULT_SWEEPS
+    eps: float = DEFAULT_EPS
+    factors: int = DEFAULT_FACTORS
 
     def __post_init__(self):
-        if self.method not in METHOD_IDS:
+        if self.method not in METHODS:
             raise ParameterError(f"unknown method id {self.method!r}")
-        _check_solver_args(self.gamma, self.sweeps, DEFAULT_EPS)
-
-    @property
-    def key(self) -> tuple:
-        return (self.method, self.gamma, self.sweeps)
+        _check_solver_args(self.gamma, self.sweeps, self.eps)
 
 
 @dataclass(frozen=True)
@@ -108,6 +136,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _count(self.trials, 1, "trials must be at least 1")
+        _count(self.seed, 0, "seed must be at least 0")
         if self.mu_estimator not in ("oracle", "sample_mean", "ic_noise"):
             raise ParameterError(f"unknown mu estimator {self.mu_estimator!r}")
         if not 0.0 < self.ic <= 1.0:
@@ -135,7 +164,7 @@ class TrialOutcome:
 class TrialRecord:
     t: int
     trial_index: int
-    outcomes: dict
+    outcomes: dict[MethodSpec, TrialOutcome]
 
 
 @dataclass(frozen=True)
@@ -175,14 +204,11 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def allocate(
-    m: MethodSpec,
-    sigma: CovarianceMatrix,
-    mu: Signal,
-    tree: Optional[Dendrogram],
-) -> WeightVector:
-    """Run one configured allocator on an estimated (Sigma, mu, tree)."""
-    return METHODS[m.method][0](m, sigma, mu, tree)
+def allocate(m: MethodSpec, x: Inputs) -> tuple[WeightVector, Optional[SolveReport]]:
+    """Run one configured allocator on an estimated (Sigma, mu): its weights,
+    and the SolveReport of a solver method (None for the others)."""
+    out = METHODS[m.method](m, x)
+    return (out.weights, out) if isinstance(out, SolveReport) else (out, None)
 
 
 @dataclass(frozen=True)
@@ -233,7 +259,6 @@ def _score(ctx: _Context, w: WeightVector) -> TrialOutcome:
 def _run_trial(ctx: _Context, spec: ExperimentSpec, t: int, trial_index: int) -> TrialRecord:
     seed = np.random.SeedSequence([spec.seed, t, trial_index])
     returns = sample_returns(ctx.sigma_true, ctx.mu_true, t, seed)
-    sigma_hat = sample_cov(returns, ridge=spec.ridge)
     if spec.mu_estimator == "oracle":
         mu_hat = ctx.mu_true
     elif spec.mu_estimator == "sample_mean":
@@ -243,30 +268,30 @@ def _run_trial(ctx: _Context, spec: ExperimentSpec, t: int, trial_index: int) ->
         scale = float(np.std(ctx.mu_true.values))
         noise_sd = scale * math.sqrt((1.0 - spec.ic**2) / spec.ic**2)
         mu_hat = Signal(ctx.mu_true.values + noise_sd * rng.standard_normal(ctx.mu_true.n))
-    tree = build_tree(to_correlation(sigma_hat), "ward")
+    x = Inputs(sample_cov(returns, ridge=spec.ridge), mu_hat)
 
     outcomes = {}
     for m in spec.methods:
         try:
-            w = allocate(m, sigma_hat, mu_hat, tree)
-            outcomes[m.key] = _score(ctx, w)
+            outcomes[m] = _score(ctx, allocate(m, x)[0])
         except AllocationError as exc:
             reason = type(exc).__name__
-            outcomes[m.key] = TrialOutcome(math.nan, math.nan, math.nan, math.inf, True, reason)
+            outcomes[m] = TrialOutcome(math.nan, math.nan, math.nan, math.inf, True, reason)
     return TrialRecord(t=t, trial_index=trial_index, outcomes=outcomes)
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int, t: Optional[int] = None) -> TrialRecord:
     """One full trial, reproducible from (spec.seed, t, trial_index) alone."""
-    ctx = _make_context(spec)
-    return _run_trial(ctx, spec, t if t is not None else spec.t_values[0], trial_index)
+    trial_index = _count(trial_index, 0, "trial_index must be at least 0")
+    t = spec.t_values[0] if t is None else _count(t, 2, "t must be at least 2")
+    return _run_trial(_make_context(spec), spec, t, trial_index)
 
 
 def _aggregate(spec: ExperimentSpec, records: list[TrialRecord]) -> list[CellResult]:
     cells: list[CellResult] = []
-    for m in sorted(spec.methods, key=lambda s: s.key):
+    for m in sorted(spec.methods):
         for t in sorted(set(spec.t_values)):
-            outs = [r.outcomes[m.key] for r in records if r.t == t]
+            outs = [r.outcomes[m] for r in records if r.t == t]
             good = [o for o in outs if not math.isnan(o.sharpe)]
             shs = np.array([o.sharpe for o in good])
             coss = np.array([o.signed_cos for o in good])

@@ -35,9 +35,15 @@ _SIGNALS = ("ones", "gaussian", "sector_tilt", "worst_case")
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    """A SeedSequence's generator; an int seed, or each entry of a sequence
+    seed, must be a count of at least 0."""
+    if not isinstance(seed, np.random.SeedSequence):
+        message = f"seeds must be whole numbers of at least 0, got {seed!r}"
+        if isinstance(seed, Sequence):
+            seed = np.random.SeedSequence([_count(s, 0, message) for s in seed])
+        else:
+            seed = np.random.SeedSequence(_count(seed, 0, message))
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)

@@ -374,7 +374,7 @@ def test_criterion_07_oos_tournament():
     res = run_experiment(spec, jobs=2)
 
     def series(mid, gamma=0.5):
-        key = next(m.key for m in spec.methods if m.method == mid and m.gamma == gamma)
+        key = next(m for m in spec.methods if m.method == mid and m.gamma == gamma)
         return np.array([r.outcomes[key].sharpe for r in res.records])
 
     crisp_min = np.minimum(series("crisp", 0.5), series("crisp", 0.7))

@@ -7,23 +7,28 @@ import scipy.linalg
 
 from crisp_alloc import (
     FactorModel,
+    MethodSpec,
     RegimeSpec,
     Signal,
     SignalSpec,
     SingularCovarianceError,
+    allocate,
     cli,
     crisp_solve_stream,
+    experiments,
     export,
     gen_regime,
     gen_signal,
     preset,
     run_experiment,
+    sector_labels,
     trajectory,
     worst_case_mu,
 )
 from crisp_alloc.analysis import default_gamma_grid
 from crisp_alloc.cli import main
 from crisp_alloc.errors import ParameterError
+from crisp_alloc.experiments import METHOD_IDS, Inputs
 from crisp_alloc.synthetic import _REGIMES, _SIGNALS
 
 
@@ -107,7 +112,7 @@ class TestGenAllocateRoundTrip:
         def no_tree(*_):
             raise RuntimeError("build_tree called")
 
-        monkeypatch.setattr(cli, "build_tree", no_tree)
+        monkeypatch.setattr(experiments, "build_tree", no_tree)
         code, got, _ = run_cli(args, capsys)
         assert code == 0
         assert got == want
@@ -566,6 +571,8 @@ class TestTrajectoryAndWorstMu:
         assert "dir_diag" in out
 
 
+_NEGATIVE_SEED = "error: seeds must be whole numbers of at least 0, got -1"
+
 # files written under tmp_path ("{tmp}" in an argument is that directory),
 # the arguments, the exit code and a fragment of stderr
 _REJECTED = [
@@ -586,6 +593,20 @@ _REJECTED = [
                  "error: --jobs must be at least 1", id="jobs-0"),
     pytest.param({}, ["experiment", "recovery", "--jobs", "-3", "--out", "{tmp}/r"], 1,
                  "error: --jobs must be at least 1", id="jobs-negative"),
+    # MethodSpec checks --eps for every method, not only the solvers that read it
+    pytest.param({}, ["allocate", "--method", "hrp", "--regime", "block", "--n", "10", "--eps", "0"],
+                 1, "error: the tolerance must be strictly positive", id="eps-0"),
+    # a negative seed is a typed error in every subcommand that draws, not numpy's ValueError
+    *(
+        pytest.param({}, [*argv, "--seed", "-1"], 1, fragment, id=f"seed-{argv[0]}")
+        for argv, fragment in (
+            (["allocate", "--method", "hrp", "--regime", "block", "--n", "10"], _NEGATIVE_SEED),
+            (["experiment", "oos_sensitivity", "--out", "{tmp}/r"], "error: --seed must be at least 0"),
+            (["trajectory", "--regime", "block", "--n", "10"], _NEGATIVE_SEED),
+            (["worst-mu", "--regime", "hedged", "--n", "10"], _NEGATIVE_SEED),
+            (["gen", "--regime", "block", "--n", "6", "--out", "{tmp}/c.csv"], _NEGATIVE_SEED),
+        )
+    ),
 ]
 
 
@@ -596,6 +617,24 @@ def test_rejected_input(files, argv, code, fragment, tmp_path, capsys):
     got, _, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert got == code
     assert fragment in err
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_allocate_prints_the_method_table_row(method, capsys):
+    argv = ["allocate", "--method", method, "--regime", "block", "--n", "12", "--seed", "4",
+            "--signal", "gaussian", "--gamma", "0.7", "--sweeps", "40", "--eps", "1e-10"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    sigma = gen_regime(RegimeSpec("block_sector", n=12, seed=4))
+    mu = gen_signal(SignalSpec("gaussian", seed=4), 12, sectors=sector_labels(12, 5), sigma=sigma)
+    w, report = allocate(MethodSpec(method, 0.7, 40, 1e-10), Inputs(sigma, mu))
+    lines = out.splitlines()
+    assert lines[1] == "weights: " + " ".join(f"{x:.6g}" for x in w.values)
+    sweeps = [line for line in lines if line.startswith("sweeps:")]
+    if report is None:
+        assert sweeps == []
+    else:
+        assert sweeps == [f"sweeps: {report.sweeps_used}  converged: {report.converged}"]
 
 
 def test_a_rejected_job_count_writes_nothing(tmp_path, capsys):

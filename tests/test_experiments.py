@@ -35,10 +35,9 @@ from crisp_alloc import (
     sector_labels,
     sharpe,
     signed_cosine,
-    to_correlation,
 )
 from crisp_alloc import experiments
-from crisp_alloc.experiments import METHOD_IDS, PRESET_NAMES, _Context, _score
+from crisp_alloc.experiments import METHOD_IDS, PRESET_NAMES, Inputs, _Context, _score
 
 
 def _mini_spec(**kw):
@@ -66,33 +65,58 @@ class TestRunTrial:
         spec = _mini_spec()
         a = run_trial(spec, 0)
         b = run_trial(spec, 1)
-        key = spec.methods[1].key
+        key = spec.methods[1]
         assert a.outcomes[key].sharpe != b.outcomes[key].sharpe
 
     def test_signal_blind_methods_ignore_mu(self):
         sigma = gen_regime(RegimeSpec("block_sector", n=16, sectors=4, seed=0))
-        tree = build_tree(to_correlation(sigma), "ward")
         mu1 = gen_signal(SignalSpec("gaussian", seed=1), 16)
         mu2 = gen_signal(SignalSpec("gaussian", seed=2), 16)
         for mid in ("one-over-n", "hrp"):
-            w1 = allocate(MethodSpec(mid), sigma, mu1, tree).values
-            w2 = allocate(MethodSpec(mid), sigma, mu2, tree).values
+            w1 = allocate(MethodSpec(mid), Inputs(sigma, mu1))[0].values
+            w2 = allocate(MethodSpec(mid), Inputs(sigma, mu2))[0].values
             assert np.array_equal(w1, w2)
 
     @pytest.mark.parametrize("method", METHOD_IDS)
     def test_every_method_in_the_table_allocates(self, method):
         sigma = gen_regime(RegimeSpec("block_sector", n=12, sectors=3, seed=1))
         mu = gen_signal(SignalSpec("gaussian", seed=1), 12)
-        tree = build_tree(to_correlation(sigma), "ward")
-        w = allocate(MethodSpec(method, 0.5, 20), sigma, mu, tree)
+        w, report = allocate(MethodSpec(method, 0.5, 20), Inputs(sigma, mu))
         assert w.n == 12 and np.all(np.isfinite(w.values))
+        assert report is None or report.weights is w
+
+    @pytest.mark.parametrize(
+        "methods, builds",
+        (
+            (("markowitz", "one-over-n", "crisp-stream"), 0),
+            (("hrp", "cotton", "crisp"), 1),
+        ),
+    )
+    def test_a_trial_builds_the_tree_only_when_a_method_reads_it(self, methods, builds, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_tree(*args)
+
+        monkeypatch.setattr(experiments, "build_tree", counting)
+        spec = _mini_spec(methods=tuple(MethodSpec(m) for m in methods))
+        for i in range(3):
+            calls.clear()
+            rec = run_trial(spec, i)
+            assert len(calls) == builds
+            assert all(math.isfinite(o.sharpe) for o in rec.outcomes.values())
 
     def test_unknown_method_id(self):
         with pytest.raises(ParameterError):
             MethodSpec("ledoit-wolf")
 
     @pytest.mark.parametrize(
-        "kwargs", ({"gamma": 1.5}, {"gamma": -1.0}, {"gamma": math.nan}, {"sweeps": 0})
+        "kwargs",
+        (
+            {"gamma": 1.5}, {"gamma": -1.0}, {"gamma": math.nan}, {"sweeps": 0},
+            {"eps": 0.0}, {"eps": math.nan}, {"eps": -1e-8},
+        ),
     )
     def test_gamma_and_sweeps_are_checked_up_front(self, kwargs):
         # rather than in every trial, as a NaN record counted as instability
@@ -111,7 +135,7 @@ class TestRunTrial:
     def test_ic_of_one_is_a_noiseless_signal(self):
         spec = _mini_spec(mu_estimator="ic_noise", ic=1.0)
         oracle = replace(spec, mu_estimator="oracle")
-        key = spec.methods[1].key
+        key = spec.methods[1]
         assert run_trial(spec, 0).outcomes[key] == run_trial(oracle, 0).outcomes[key]
 
     @pytest.mark.parametrize("t_values", ((-5,), (1,), (40, 0)))
@@ -125,10 +149,9 @@ class TestRunTrial:
         sigma = gen_regime(RegimeSpec("block_sector", n=20, sectors=4, seed=5))
         sect = sector_labels(20, 4)
         mu = gen_signal(SignalSpec("gaussian", seed=5), 20)
-        tree = build_tree(to_correlation(sigma), "ward")
         ceiling = sharpe(markowitz_direct(sigma, mu).values, sigma, mu)
         for m in ("hrp-mu", "hrp-sigma-mu", "crisp", "markowitz", "hsp"):
-            w = allocate(MethodSpec(m, 0.7), sigma, mu, tree)
+            w, _ = allocate(MethodSpec(m, 0.7), Inputs(sigma, mu))
             assert sharpe(w.values, sigma, mu) <= ceiling + 1e-10
 
 
@@ -142,7 +165,7 @@ class TestScore:
             oracle_minvar_vol=0.01,
             minvar_mode=True,
         )
-        crazy = allocate(MethodSpec("one-over-n"), ctx.sigma_true, ctx.mu_true, None)
+        crazy, _ = allocate(MethodSpec("one-over-n"), Inputs(ctx.sigma_true, ctx.mu_true))
         out = _score(ctx, crazy)
         assert out.unstable  # equal weight vol far exceeds 5x a tiny oracle vol
 
@@ -179,11 +202,11 @@ class TestRunExperiment:
         seed = np.random.SeedSequence([spec.seed, rec.t, rec.trial_index])
         returns = sample_returns(sigma_true, mu_true, rec.t, seed)
         w = markowitz_direct(sample_cov(returns, ridge=spec.ridge), sample_mean(returns)).values
-        got = rec.outcomes[methods[0].key]
+        got = rec.outcomes[methods[0]]
         assert got.sharpe == sharpe(w, sigma_true, mu_true)
         assert got.signed_cos == signed_cosine(w, markowitz_direct(sigma_true, mu_true).values)
         oracle = run_trial(replace(spec, mu_estimator="oracle"), rec.trial_index, rec.t)
-        assert oracle.outcomes[methods[0].key].sharpe != got.sharpe
+        assert oracle.outcomes[methods[0]].sharpe != got.sharpe
 
     def test_cells_ordering(self):
         spec = _mini_spec(t_values=(40, 60))
@@ -197,7 +220,7 @@ class TestRunExperiment:
         m = MethodSpec("cotton", 0.5)
         spec = replace(preset("oos_minvar"), ridge=0.0, t_values=(60,), trials=4, methods=(m,))
         res = run_experiment(spec)
-        outs = [r.outcomes[m.key] for r in res.records]
+        outs = [r.outcomes[m] for r in res.records]
         broken = [o for o in outs if o.reason == "SchurBreakdownError"]
         assert broken and all(o.unstable for o in broken)
         cell = res.cells[0]
@@ -214,10 +237,10 @@ class TestRunExperiment:
         )
         res = run_experiment(spec)
         for rec in res.records:
-            failed = rec.outcomes[MethodSpec("markowitz").key]
+            failed = rec.outcomes[MethodSpec("markowitz")]
             assert failed.unstable and math.isnan(failed.sharpe)
             assert failed.reason == "SingularCovarianceError"
-            kept = rec.outcomes[MethodSpec("hrp").key]
+            kept = rec.outcomes[MethodSpec("hrp")]
             assert math.isfinite(kept.sharpe) and kept.reason == ""
         hrp_cell = next(c for c in res.cells if c.method == "hrp")
         assert hrp_cell.trials == 2 and math.isfinite(hrp_cell.mean_sharpe)
@@ -455,6 +478,22 @@ def test_sweep_rate_names_a_capped_solve(monkeypatch):
                      "the sweep cap must be at least 1", id="sweeps-0"),
         pytest.param(lambda: MethodSpec("crisp", 0.5, 2.5), ParameterError,
                      "the sweep cap must be at least 1", id="sweeps-float"),
+        pytest.param(lambda: allocate(MethodSpec("crisp-stream", factors=2.5),
+                                      Inputs(gen_regime(RegimeSpec("block_sector", n=12)), Signal(np.ones(12)))),
+                     ParameterError, "--factors must be between 1 and N = 12, got 2.5", id="factors-float"),
+        pytest.param(lambda: _mini_spec(seed=-1), ParameterError, "seed must be at least 0",
+                     id="spec-seed-negative"),
+        *(
+            pytest.param(lambda i=i, t=t: run_trial(_mini_spec(trials=1), i, t), ParameterError, fragment,
+                         id=label)
+            for label, i, t, fragment in (
+                ("trial-negative", -1, None, "trial_index must be at least 0"),
+                ("trial-float", 1.0, None, "trial_index must be at least 0"),
+                ("trial-bool", True, None, "trial_index must be at least 0"),
+                ("t-float", 0, 7.5, "t must be at least 2"),
+                ("t-1", 0, 1, "t must be at least 2"),
+            )
+        ),
         *(
             pytest.param(lambda jobs=jobs: run_experiment(_mini_spec(trials=1), jobs=jobs),
                          ParameterError, "jobs must be a whole number of at least 1",

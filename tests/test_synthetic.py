@@ -206,6 +206,12 @@ class TestSampling:
         with pytest.raises(GenerationError):
             sample_returns(sigma, Signal(np.zeros(2)), 10, seed=0)
 
+    def test_a_seed_sequence_passes_through(self):
+        seed = np.random.SeedSequence([7, 8])
+        a = sample_returns(_SIGMA4, _MU4, 10, seed)
+        assert np.array_equal(a, sample_returns(_SIGMA4, _MU4, 10, [7, 8]))
+        assert np.array_equal(a, sample_returns(_SIGMA4, _MU4, 10, (np.int64(7), 8)))
+
     def test_t_too_small(self, base100):
         mu = gen_signal(SignalSpec("ones"), 100)
         with pytest.raises(ParameterError):
@@ -290,6 +296,17 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
                      "ridge must be nonnegative", id="ridge"),
         pytest.param(lambda: sample_mean(np.ones(5)), ParameterError,
                      "samples must be a T x N array", id="mean-vector"),
+        # seeds take the count rule: an int, or each entry of a sequence, at least 0
+        *(
+            pytest.param(call, ParameterError, f"seeds must be whole numbers of at least 0, got {bad!r}",
+                         id=label)
+            for label, bad, call in (
+                ("seed-negative", -1, lambda: gen_regime(RegimeSpec("block_sector", n=4, seed=-1))),
+                ("seed-float", 1.0, lambda: gen_signal(SignalSpec("gaussian", seed=1.0), 4)),
+                ("seed-bool", True, lambda: worst_case_mu(_SIGMA4, restarts=1, seed=True)),
+                ("seed-sequence", [3, -2], lambda: sample_returns(_SIGMA4, _MU4, 10, [3, -2])),
+            )
+        ),
     ],
 )
 def test_rejected_input(call, error, fragment):
