@@ -12,7 +12,7 @@ All six tree passes (these three and ``signal_trees``' ``hrp_mu``, ``hsp`` and
 ``_tree_pass``, set up by the child representative and the budget
 normalisation. A node's budget never depends on its parent's, so one
 children-first pass serves every member of the family, and each leaf pair of
-the covariance is read once, at its lowest common ancestor.
+the covariance enters one cross term, at its lowest common ancestor.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from .core import (
     check_gamma, markowitz_direct,
 )
 from .dendrogram import Dendrogram
-from .errors import (
-    ConditioningError,
-    DegenerateInputError,
-    ParameterError,
-    SchurBreakdownError,
-)
+from .errors import ConditioningError, DegenerateInputError, ParameterError, SchurBreakdownError
 
 # |delta| below this multiple of v_l * v_r counts as a degenerate determinant
 # and triggers the decoupled diagonal fallback in every tree pass.
@@ -115,10 +110,10 @@ def _tree_pass(
     sign(0) := +1), or ``"stacked"`` (the children's own normalised local
     optima). ``norm`` divides each raw Cramer pair by ``"sum"`` a_l + a_r or
     ``"l1"`` |a_l| + |a_r| (equal split when that is zero). A leaf weight is
-    its starting sign times the product of the budgets on its path: the fixed
-    representatives record each node's budgets and multiply them out in one
-    top-down scalar pass, root first; ``stacked`` scales the children's
-    leaf slices at every node, since its representative is the output.
+    its starting sign times the product of the budgets on its path. The fixed
+    representatives take all cross terms from one reduction over the tree's
+    ``row_segments`` and multiply budgets out top-down; ``stacked``, whose
+    representative is the output, forms and scales them node by node.
 
     Each node id carries Q = x'Sigma x and S = x'mu of its representative x,
     unnormalised (x_i = +-1/sigma_ii for the fixed ones, the output itself
@@ -132,8 +127,7 @@ def _tree_pass(
     g = check_gamma(gamma)
     sp, order = _permuted(sigma, tree)
     n, m = tree.n, _paired(sigma, mu)
-    pos = np.arange(n)
-    d = sp[pos, pos]
+    d = np.diag(sigma.entries)[order]
     # far-out scales get the exact power-of-two rescaling; the rest keep
     # their units bit for bit ((gamma c)**2 in the 2x2 solve is libm pow,
     # which need not commute with rescaling to the last bit)
@@ -149,10 +143,15 @@ def _tree_pass(
     q, s, a = buf.tolist()
     path = [1.0] * (2 * n - 1)  # budget per node id; the root's is 1
     spans, pairs = tree.spans, tree.pairs
+    if not stacked:  # sp[i, j] x_j in place, summed per row segment, times x_i
+        starts, merges = tree.row_segments
+        sp *= x
+        cross_sums = np.add.reduceat(sp.ravel(), starts) * x[starts // n]
+        crosses = (np.bincount(merges, cross_sums, n) * sc).tolist()
     for k, (i, j) in enumerate(pairs, n):
-        l0, l1 = spans[i]
-        r0, r1 = spans[j]
-        cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc
+        if stacked:
+            (l0, l1), (r0, r1) = spans[i], spans[j]
+        cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc if stacked else crosses[k - n]
         al, ar = a[i], a[j]
         v_l, v_r = q[i] / (al * al), q[j] / (ar * ar)
         s_l, s_r, c = s[i] / al, s[j] / ar, cross / (al * ar)
@@ -162,8 +161,7 @@ def _tree_pass(
         if trace is not None:
             u = 1.0 / sc
             trace[k] = NodeRecord(
-                v_l * u, v_r * u, s_l, s_r, c * u, delta * u * u,
-                raw_l * sc, raw_r * sc, b_l, b_r,
+                v_l * u, v_r * u, s_l, s_r, c * u, delta * u * u, raw_l * sc, raw_r * sc, b_l, b_r
             )
         if stacked:  # the representative is the rescaled output itself
             w[l0:l1] *= b_l
@@ -212,7 +210,7 @@ def direct_minvar(sigma: CovarianceMatrix) -> WeightVector:
 
 def _chol(m: np.ndarray, depth: int, gamma: float) -> np.ndarray:
     """Lower Cholesky factor of m; a failure is a Schur breakdown at depth."""
-    low, info = dpotrf(m, lower=1, clean=0)
+    low, info = dpotrf(m, 1, 0)  # f2py (a, lower, clean): positions parse faster than keywords
     if info:
         raise SchurBreakdownError(depth, gamma)
     return low
@@ -237,11 +235,12 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
     n, pairs, spans = tree.n, tree.pairs, tree.spans
     m = spans[pairs[-1][0]][1] if n > 2 else n  # the root's left block
     stack = [(2 * n - 2, sp, _chol(sp[:m, :m], 0, gamma), np.ones(n), 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, q, low, b, depth = stack.pop()
+        node, q, low, b, depth = pop()
         lo, hi = spans[node]
         if hi - lo <= 2:
-            w[lo:hi] = dpotrs(low, b, lower=1)[0]
+            w[lo:hi] = dpotrs(low, b, 1)[0]  # (c, b, lower)
             continue
         left, right = pairs[node - n]
         k = spans[left][1] - lo
@@ -251,22 +250,23 @@ def _schur_pass(sp: np.ndarray, tree: Dendrogram, gamma: float, w: np.ndarray):
             kids = ((a, low_a, b_l), (d, low_d, b_r))
         else:
             if depth:  # X_B^T is the panel of the factor the parent made
-                x_bt, x = low[k:, :k], dtrtrs(low_a, b_l, lower=1)[0]
+                x_bt, x = low[k:, :k], dtrtrs(low_a, b_l, 1)[0]
             else:
-                x = dtrtrs(low_a, np.column_stack([q[k:, :k].T, b_l]), lower=1)[0]
+                x = dtrtrs(low_a, np.column_stack([q[k:, :k].T, b_l]), 1)[0]
                 x_bt, x = x[:, :-1].T, x[:, -1]
             y = np.empty((hi - lo - k, k + 1), order="F")
             y[:, :k], y[:, k] = q[k:, :k], b_r
-            y = dtrtrs(low_d, y, lower=1, overwrite_b=1)[0]
-            a_c = dsyrk(-gamma, y[:, :k], 1.0, a, trans=1, lower=1)
-            d_c = dsyrk(-gamma, x_bt, 1.0, d, lower=1)
+            # f2py (a, b, lower, trans, unitdiag, lda, overwrite_b), as in every dtrtrs call
+            y = dtrtrs(low_d, y, 1, 0, 0, low_d.shape[0], 1)[0]
+            a_c = dsyrk(-gamma, y[:, :k], 1.0, a, 1, 1)  # (alpha, a, beta, c, trans, lower)
+            d_c = dsyrk(-gamma, x_bt, 1.0, d, 0, 1)
             kids = (
                 (a_c, _chol(a_c, depth, gamma), b_l - gamma * (y[:, k] @ y[:, :k])),
                 (d_c, _chol(d_c, depth, gamma), b_r - gamma * (x_bt @ x)),
             )
         for child, (blk, low_c, rhs) in zip((left, right), kids):
             yield blk
-            stack.append((child, blk, low_c, rhs, depth + 1))
+            push((child, blk, low_c, rhs, depth + 1))
 
 
 def cotton(sigma: CovarianceMatrix, tree: Dendrogram, gamma: float) -> WeightVector:

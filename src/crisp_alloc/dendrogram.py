@@ -15,6 +15,7 @@ is a span of the quasi-diagonal leaf order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -63,6 +64,18 @@ class Dendrogram:
             Merge(tuple(sorted(order[lo:hi])), h)
             for (lo, hi), h in zip(self.spans[self.n :], self.heights)
         )
+
+    @cached_property
+    def row_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, merges): row-major segments of the leaf-ordered matrix. Merge k gives each
+        row of its left span its right span's columns; n - 1, no merge, gives row i columns 0..i."""
+        n = self.n
+        l0, l1 = np.array(self.spans)[np.array(self.pairs)[:, 0]].T
+        lo, size, col = np.append(l0, 0), np.append(l1 - l0, n), np.append(l1, 0)
+        merges = np.repeat(np.arange(n), size)
+        starts = (np.arange(merges.size) - (np.cumsum(size) - size - lo)[merges]) * n + col[merges]
+        by_start = np.argsort(starts)
+        return starts[by_start], merges[by_start]
 
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:

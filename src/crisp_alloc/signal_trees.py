@@ -17,6 +17,8 @@ wrappers over the post-order kernel ``baselines._tree_pass``.
 
 from __future__ import annotations
 
+import math
+
 from .baselines import ClusterStats, _tree_pass, raw_budgets
 from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
 from .dendrogram import Dendrogram
@@ -30,8 +32,8 @@ def solve_2x2(stats: ClusterStats, gamma: float) -> tuple[float, float]:
     delta = v_l v_r - (g c)^2.
     """
     g = check_gamma(gamma)
-    if stats.v_l <= 0.0 or stats.v_r <= 0.0:
-        raise ParameterError("cluster variances must be strictly positive")
+    if not (min(stats.v_l, stats.v_r) > 0.0 and all(map(math.isfinite, vars(stats).values()))):
+        raise ParameterError("cluster variances must be strictly positive and all statistics finite")
     a_l, a_r, _ = raw_budgets(stats.v_l, stats.v_r, stats.s_l, stats.s_r, stats.c, g)
     return a_l, a_r
 

@@ -274,9 +274,9 @@ class TestCotton:
         tree = build_tree(to_correlation(base100), "ward")
         calls = []
 
-        def counting_dtrtrs(a, b, **kw):
+        def counting_dtrtrs(a, b, *flags, **kw):
             calls.append(np.ndim(b) == 2 and np.shape(b)[1] > 1)
-            return dtrtrs(a, b, **kw)
+            return dtrtrs(a, b, *flags, **kw)
 
         monkeypatch.setattr(baselines, "dtrtrs", counting_dtrtrs)
         cotton(base100, tree, 0.5)

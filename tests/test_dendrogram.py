@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
 from crisp_alloc import (
@@ -18,7 +20,7 @@ from crisp_alloc import (
     to_correlation,
 )
 from crisp_alloc.dendrogram import _assemble
-from tests.conftest import random_spd
+from tests.conftest import chain_tree, random_spd
 
 RULES = ("ward", "single", "complete", "average")
 REGIMES = ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks", "wide_vol")
@@ -347,3 +349,57 @@ class TestAgainstScipy:
             assert np.array_equal(np.array(tree.pairs), np.sort(z[:, :2].astype(int), axis=1))
             assert np.array_equal(np.array(tree.heights), z[:, 2])
 
+
+@st.composite
+def merge_tables(draw):
+    """A tree over 2..64 leaves: random merges through ``_assemble``, or a
+    balanced or chain tree."""
+    kind = draw(st.sampled_from(("random", "balanced", "chain")))
+    if kind == "balanced":
+        return balanced_tree(2 ** draw(st.integers(1, 6)))
+    n = draw(st.integers(2, 64))
+    if kind == "chain":
+        return chain_tree(n)
+    live, pairs = list(range(n)), []
+    for k in range(n - 1):
+        a = live.pop(draw(st.integers(0, len(live) - 1)))
+        b = live.pop(draw(st.integers(0, len(live) - 1)))
+        pairs.append(sorted((a, b)))
+        live.append(n + k)
+    return _assemble(n, pairs, [float(h) for h in range(1, n)])
+
+
+class TestRowSegments:
+    @settings(deadline=None, max_examples=60)
+    @given(merge_tables())
+    def test_segments_tile_each_row_by_lowest_common_ancestor(self, tree):
+        n, order = tree.n, tree.leaf_order
+        parent = {c: n + k for k, pair in enumerate(tree.pairs) for c in pair}
+
+        def ancestors(u):
+            while u in parent:
+                u = parent[u]
+                yield u
+
+        def lca(u, v):
+            up = set(ancestors(v))
+            return next(a for a in ancestors(u) if a in up)
+
+        starts, merges = tree.row_segments
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+        ends = np.append(starts[1:], n * n)
+        hits = np.zeros((n, n), dtype=int)
+        extra = []
+        for lo, hi, k in zip(starts, ends, merges):
+            p = lo // n
+            assert (hi - 1) // n == p, "a segment stays inside its row"
+            cols = range(lo - p * n, hi - p * n)
+            if k == n - 1:
+                extra.append((p, cols))
+                continue
+            for q in cols:
+                assert q > p
+                assert lca(order[p], order[q]) == n + k
+                hits[p, q] += 1
+        assert np.array_equal(hits, np.triu(np.ones((n, n), dtype=int), 1))
+        assert extra == [(p, range(p + 1)) for p in range(n)]

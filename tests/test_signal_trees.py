@@ -44,6 +44,10 @@ class _ReadCounter(np.ndarray):
         return tuple(x.view(np.ndarray) if x is self else x for x in args)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # an in-place ufunc (out=self) writes through a plain view, or it
+        # would dispatch back here
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) if o is self else o for o in kwargs["out"])
         return getattr(ufunc, method)(*self._whole(inputs), **kwargs)
 
     def __array_function__(self, func, types, args, kwargs):
@@ -88,6 +92,15 @@ class TestSolve2x2:
     def test_non_positive_variance_raises(self):
         with pytest.raises(ParameterError, match="cluster variances must be strictly positive"):
             solve_2x2(ClusterStats(v_l=0.0, v_r=1.0, s_l=0.1, s_r=0.1, c=0.0), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v_l", "v_r", "s_l", "s_r", "c"])
+    def test_non_finite_statistic_raises(self, name, bad):
+        # NaN compares False with everything, so a v <= 0 check alone let
+        # these through to (nan, nan) or (0.0, nan) budgets
+        fields = {"v_l": 1.0, "v_r": 1.0, "s_l": 0.1, "s_r": 0.1, "c": 0.1, name: bad}
+        with pytest.raises(ParameterError, match="all statistics finite"):
+            solve_2x2(ClusterStats(**fields), 0.5)
 
     def test_degenerate_determinant_falls_back(self):
         v = 1.0

@@ -18,6 +18,7 @@ from crisp_alloc import (
     build_tree,
     gen_regime,
     gen_signal,
+    hrp_mu,
     sample_cov,
     sample_returns,
     to_correlation,
@@ -153,3 +154,26 @@ def test_signal_length_must_match(name, delta):
     mu = Signal(np.random.default_rng(3).normal(0.0, 0.02, 10 + delta))
     with pytest.raises(ParameterError, match="signal length does not match covariance size"):
         TREE_PASSES[name](sigma, mu, tree, 0.5)
+
+
+@pytest.mark.parametrize("n", (2, 3, 20, 100))
+def test_hrp_mu_cross_terms_from_slices(n):
+    # every traced c is x_L' Sigma_LR x_R / (a_l a_r) of the signed
+    # inverse-variance representatives, summed here block by block; relative
+    # to the same sum of absolute values, the scale of its rounding
+    sigma = random_spd(n, n)
+    mu = np.random.default_rng(n).normal(0.0, 0.02, n)
+    for tree in (build_tree(to_correlation(sigma), "ward"), chain_tree(n)):
+        order = list(tree.leaf_order)
+        sp = sigma.entries[np.ix_(order, order)]
+        x = np.where(mu[order] >= 0.0, 1.0, -1.0) / np.diag(sp)
+        trace = {}
+        hrp_mu(sigma, Signal(mu), tree, 0.5, trace=trace)
+        assert sorted(trace) == list(range(n, 2 * n - 1))
+        for k, (i, j) in enumerate(tree.pairs, n):
+            (l0, l1), (r0, r1) = tree.spans[i], tree.spans[j]
+            block, x_l, x_r = sp[l0:l1, r0:r1], x[l0:l1], x[r0:r1]
+            scale = np.abs(x_l).sum() * np.abs(x_r).sum()
+            want = x_l @ block @ x_r / scale
+            bound = np.abs(x_l) @ np.abs(block) @ np.abs(x_r) / scale
+            assert abs(trace[k].c - want) <= 1e-13 * bound, f"node {k}"
