@@ -7,7 +7,11 @@ the first method that reads it), and scores the weights under the true moments.
 Aggregation is a deterministic reduction keyed by trial index, so running
 trials across worker threads cannot change any number. Each experiment kind,
 the Monte Carlo one included, is one runner in ``_RUNNERS``, and each preset
-one row of ``_PRESETS``; all share the same table/export machinery.
+one row of ``_PRESETS``; all share the same table/export machinery. The Monte
+Carlo context and the ``recovery``, ``minvar_direction`` and ``graduated``
+tables draw their true (Sigma, mu) with one recipe, ``_population``, and those
+tables allocate every column through ``METHODS`` too, so each column is the
+allocator its method id names.
 """
 
 from __future__ import annotations
@@ -220,19 +224,23 @@ class _Context:
     minvar_mode: bool
 
 
+def _population(regime: RegimeSpec, signal: SignalSpec) -> Inputs:
+    """The true (Sigma, mu) of a regime and a signal recipe, the signal drawn
+    on the regime's sector map."""
+    sigma = gen_regime(regime)
+    sectors = sector_labels(regime.n, regime.sectors)
+    return Inputs(sigma, gen_signal(signal, regime.n, sectors=sectors, sigma=sigma))
+
+
 def _make_context(spec: ExperimentSpec) -> _Context:
-    sigma_true = gen_regime(spec.regime)
-    sectors = sector_labels(spec.regime.n, spec.regime.sectors)
-    mu_true = gen_signal(spec.signal, spec.regime.n, sectors=sectors, sigma=sigma_true)
-    w_star = markowitz_direct(sigma_true, mu_true).values
-    w_mv = baselines.direct_minvar(sigma_true).values
+    x = _population(spec.regime, spec.signal)
+    w_mv = baselines.direct_minvar(x.sigma).values
     w_mv = w_mv / w_mv.sum()
-    oracle_vol = float(np.sqrt(w_mv @ sigma_true.entries @ w_mv))
     return _Context(
-        sigma_true=sigma_true,
-        mu_true=mu_true,
-        w_star=w_star,
-        oracle_minvar_vol=oracle_vol,
+        sigma_true=x.sigma,
+        mu_true=x.mu,
+        w_star=markowitz_direct(x.sigma, x.mu).values,
+        oracle_minvar_vol=float(np.sqrt(w_mv @ x.sigma.entries @ w_mv)),
         minvar_mode=spec.signal.kind == "ones",
     )
 
@@ -373,21 +381,18 @@ def nonmonotone_instance() -> tuple[CovarianceMatrix, Signal]:
 
 
 def _run_recovery(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
-    sigma = gen_regime(spec.regime)
-    ones = Signal(np.ones(spec.regime.n))
-    tree = build_tree(to_correlation(sigma), "ward")
-    w_hrp = baselines.hrp(sigma, tree).sum_normalized().values
-
-    comparisons = [
-        ("cotton g=0", baselines.cotton(sigma, tree, 0.0)),
-        ("flat-ivp-tree g=0 mu=1", baselines.a2_flat_ivp_tree(sigma, ones, tree, 0.0)),
-        ("sum-norm-mvo g=0 mu=1", baselines.a1_sum_norm_mvo(sigma, ones, tree, 0.0)),
-        ("hrp-mu g=0 mu=1", signal_trees.hrp_mu(sigma, ones, tree, 0.0)),
-        ("hrp-sigma-mu g=0 mu=1", signal_trees.hrp_sigma_mu(sigma, ones, tree, 0.0)),
-    ]
+    x = _population(spec.regime, _ONES)
+    w_hrp = allocate(MethodSpec("hrp"), x)[0].sum_normalized().values
+    comparisons = (
+        ("cotton g=0", "cotton"),
+        ("flat-ivp-tree g=0 mu=1", "a2"),
+        ("sum-norm-mvo g=0 mu=1", "a1"),
+        ("hrp-mu g=0 mu=1", "hrp-mu"),
+        ("hrp-sigma-mu g=0 mu=1", "hrp-sigma-mu"),
+    )
     rows = []
-    for label, w in comparisons:
-        v = w.sum_normalized().values
+    for label, method in comparisons:
+        v = allocate(MethodSpec(method, 0.0), x)[0].sum_normalized().values
         rel = float(np.linalg.norm(v - w_hrp) / np.linalg.norm(w_hrp))
         cos = signed_cosine(v, w_hrp)
         verdict = "match" if rel < 1e-12 else ("approx" if cos > 0.98 else "differ")
@@ -397,25 +402,16 @@ def _run_recovery(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
 
 
 def _run_minvar_direction(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
-    sigma = gen_regime(spec.regime)
-    ones = Signal(np.ones(spec.regime.n))
-    tree = build_tree(to_correlation(sigma), "ward")
-    target = markowitz_direct(sigma, ones).values
-    gammas = (0.0, 0.3, 0.5, 0.7, 1.0)
-    rows = []
-    for g in gammas:
-        entries = {
-            "cotton": baselines.cotton(sigma, tree, g).values,
-            "crisp_p200": crisp_solve(
-                sigma, ones, g, p_max=200, eps=1e-300, ordering=tree.leaf_order
-            ).weights.values,
-            "flat_ivp_tree": baselines.a2_flat_ivp_tree(sigma, ones, tree, g).values,
-            "hrp_mu": signal_trees.hrp_mu(sigma, ones, tree, g).values,
-            "sum_norm_mvo": baselines.a1_sum_norm_mvo(sigma, ones, tree, g).values,
-        }
-        rows.append((g, *(dir_error(v, target) for v in entries.values())))
+    x = _population(spec.regime, _ONES)
+    target = markowitz_direct(x.sigma, x.mu).values
+    methods = ("cotton", "crisp", "a2", "hrp-mu", "a1")
+    # eps = 1e-300: crisp stops at 200 sweeps or where its iterate stops changing
+    rows = tuple(
+        (g, *(dir_error(allocate(MethodSpec(m, g, 200, 1e-300), x)[0].values, target) for m in methods))
+        for g in (0.0, 0.3, 0.5, 0.7, 1.0)
+    )
     cols = ("gamma", "cotton", "crisp_p200", "flat_ivp_tree", "hrp_mu", "sum_norm_mvo")
-    return ExperimentResult(spec=spec, tables=(ExperimentTable("minvar_direction", cols, tuple(rows)),))
+    return ExperimentResult(spec=spec, tables=(ExperimentTable("minvar_direction", cols, rows),))
 
 
 def _run_graduated(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
@@ -428,17 +424,14 @@ def _run_graduated(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     ]
     rows = []
     for label, regime, sig in panels:
-        sigma = gen_regime(regime)
-        sectors = sector_labels(regime.n, regime.sectors)
-        mu = gen_signal(sig, regime.n, sectors=sectors, sigma=sigma)
-        tree = build_tree(to_correlation(sigma), "ward")
-        target = markowitz_direct(sigma, mu).values
-        row = [label, kappa(to_correlation(sigma)), dir_diag(sigma, mu)]
-        for g in (0.0, 1.0):
-            row.append(dir_error(baselines.a1_sum_norm_mvo(sigma, mu, tree, g).values, target))
-        for g in (0.0, 1.0):
-            w = crisp_solve(sigma, mu, g, p_max=200, eps=1e-300, ordering=tree.leaf_order)
-            row.append(dir_error(w.weights.values, target))
+        x = _population(regime, sig)
+        target = markowitz_direct(x.sigma, x.mu).values
+        row = [label, kappa(to_correlation(x.sigma)), dir_diag(x.sigma, x.mu)]
+        for method in ("a1", "crisp"):
+            row.extend(
+                dir_error(allocate(MethodSpec(method, g, 200, 1e-300), x)[0].values, target)
+                for g in (0.0, 1.0)
+            )
         rows.append(tuple(row))
     cols = (
         "panel",

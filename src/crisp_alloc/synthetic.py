@@ -93,10 +93,14 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _SIGNALS:
             raise ParameterError(f"unknown signal kind {self.kind!r}")
+        if len(self.tilts) == 0:
+            raise ParameterError("tilts must hold at least one value")
 
 
 def sector_labels(n: int, sectors: int) -> np.ndarray:
     """Contiguous equal-size sector ids (remainder spread over the first ones)."""
+    n = _count(n, 1, "sector labels need n and sectors of at least 1")
+    sectors = _count(sectors, 1, "sector labels need n and sectors of at least 1")
     base = n // sectors
     counts = [base + (1 if i < n % sectors else 0) for i in range(sectors)]
     return np.repeat(np.arange(sectors), counts)
@@ -199,6 +203,7 @@ def gen_signal(
 ) -> Signal:
     """Build the signal; sector tilts need the sector map, the worst-case
     search needs the covariance."""
+    n = _count(n, 1, "signals need at least one asset")
     if spec.kind == "ones":
         return Signal(np.ones(n))
     if spec.kind == "gaussian":
@@ -207,6 +212,8 @@ def gen_signal(
     if spec.kind == "sector_tilt":
         if sectors is None:
             raise ParameterError("sector_tilt needs the sector map")
+        if len(sectors) != n:
+            raise ParameterError(f"sector_tilt needs a sector map of {n} entries, got {len(sectors)}")
         tilts = np.asarray(spec.tilts, dtype=float)
         return Signal(tilts[np.asarray(sectors) % tilts.size])
     if spec.kind == "worst_case":

@@ -19,11 +19,21 @@ from crisp_alloc import (
     SignalSpec,
     SweepDiagnostic,
     WeightVector,
+    a1_sum_norm_mvo,
+    a2_flat_ivp_tree,
     allocate,
     build_tree,
+    cotton,
+    crisp_solve,
+    dir_diag,
+    dir_error,
     export,
     gen_regime,
     gen_signal,
+    hrp,
+    hrp_mu,
+    hrp_sigma_mu,
+    kappa,
     markowitz_direct,
     nonmonotone_instance,
     preset,
@@ -35,6 +45,7 @@ from crisp_alloc import (
     sector_labels,
     sharpe,
     signed_cosine,
+    to_correlation,
 )
 from crisp_alloc import experiments
 from crisp_alloc.experiments import METHOD_IDS, PRESET_NAMES, Inputs, _Context, _score
@@ -393,6 +404,105 @@ class TestPresets:
         d0 = rows[0][1]
         assert rows[-1][1] < 1e-10  # exact error vanishes at full coupling
         assert max(r[1] for r in rows) > d0
+
+
+# The diagnostic tables as the kernels give them, each kernel called by hand
+# with its own arguments: a pin on the method table's rows.
+
+
+def _recovery_oracle(spec):
+    sigma = gen_regime(spec.regime)
+    ones = Signal(np.ones(spec.regime.n))
+    tree = build_tree(to_correlation(sigma), "ward")
+    w_hrp = hrp(sigma, tree).sum_normalized().values
+    rows = []
+    for label, w in (
+        ("cotton g=0", cotton(sigma, tree, 0.0)),
+        ("flat-ivp-tree g=0 mu=1", a2_flat_ivp_tree(sigma, ones, tree, 0.0)),
+        ("sum-norm-mvo g=0 mu=1", a1_sum_norm_mvo(sigma, ones, tree, 0.0)),
+        ("hrp-mu g=0 mu=1", hrp_mu(sigma, ones, tree, 0.0)),
+        ("hrp-sigma-mu g=0 mu=1", hrp_sigma_mu(sigma, ones, tree, 0.0)),
+    ):
+        v = w.sum_normalized().values
+        rel = float(np.linalg.norm(v - w_hrp) / np.linalg.norm(w_hrp))
+        cos = signed_cosine(v, w_hrp)
+        rows.append((label, rel, cos, "match" if rel < 1e-12 else ("approx" if cos > 0.98 else "differ")))
+    return ExperimentTable("recovery", ("comparison", "rel_diff", "cos", "verdict"), tuple(rows))
+
+
+def _minvar_direction_oracle(spec):
+    sigma = gen_regime(spec.regime)
+    ones = Signal(np.ones(spec.regime.n))
+    tree = build_tree(to_correlation(sigma), "ward")
+    target = markowitz_direct(sigma, ones).values
+    rows = []
+    for g in (0.0, 0.3, 0.5, 0.7, 1.0):
+        ws = (
+            cotton(sigma, tree, g),
+            crisp_solve(sigma, ones, g, p_max=200, eps=1e-300, ordering=tree.leaf_order).weights,
+            a2_flat_ivp_tree(sigma, ones, tree, g),
+            hrp_mu(sigma, ones, tree, g),
+            a1_sum_norm_mvo(sigma, ones, tree, g),
+        )
+        rows.append((g, *(dir_error(w.values, target) for w in ws)))
+    cols = ("gamma", "cotton", "crisp_p200", "flat_ivp_tree", "hrp_mu", "sum_norm_mvo")
+    return ExperimentTable("minvar_direction", cols, tuple(rows))
+
+
+def _graduated_oracle(spec):
+    n, seed, gauss = spec.regime.n, spec.seed, SignalSpec("gaussian", seed=7)
+    rows = []
+    for label, regime, sig in (
+        ("base_gaussian", RegimeSpec("block_sector", n=n, seed=seed), gauss),
+        ("factor_k3", RegimeSpec("factor", n=n, k=3, seed=seed), gauss),
+        ("hedged", RegimeSpec("hedged_tight_blocks", n=n, seed=seed), gauss),
+        ("hedged_worst_mu", RegimeSpec("hedged_tight_blocks", n=n, seed=seed),
+         SignalSpec("worst_case", restarts=8)),
+    ):
+        sigma = gen_regime(regime)
+        mu = gen_signal(sig, n, sectors=sector_labels(n, regime.sectors), sigma=sigma)
+        tree = build_tree(to_correlation(sigma), "ward")
+        target = markowitz_direct(sigma, mu).values
+        row = [label, kappa(to_correlation(sigma)), dir_diag(sigma, mu)]
+        for g in (0.0, 1.0):
+            row.append(dir_error(a1_sum_norm_mvo(sigma, mu, tree, g).values, target))
+        for g in (0.0, 1.0):
+            w = crisp_solve(sigma, mu, g, p_max=200, eps=1e-300, ordering=tree.leaf_order).weights
+            row.append(dir_error(w.values, target))
+        rows.append(tuple(row))
+    cols = ("panel", "kappa_c", "dir_diag", "sum_norm_mvo_g0", "sum_norm_mvo_g1",
+            "crisp_p200_g0", "crisp_p200_g1")
+    return ExperimentTable("graduated", cols, tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "name, oracle, calls, trees",
+    (
+        pytest.param("recovery", _recovery_oracle, 6, 1, id="recovery"),
+        pytest.param("minvar_direction", _minvar_direction_oracle, 25, 1, id="minvar_direction"),
+        pytest.param("graduated", _graduated_oracle, 16, 4, id="graduated"),
+    ),
+)
+def test_diagnostic_preset_allocates_through_the_table(name, oracle, calls, trees, monkeypatch):
+    # every column passes through experiments.allocate, one tree per population,
+    # and the table is the kernels' own, value for value
+    spec = replace(preset(name), regime=RegimeSpec("block_sector", n=40, seed=42))
+    inner_allocate, inner_build = experiments.allocate, experiments.build_tree
+    seen, built = [], []
+
+    def allocate_spy(m, x):
+        seen.append(m)
+        return inner_allocate(m, x)
+
+    def build_spy(*args):
+        built.append(args)
+        return inner_build(*args)
+
+    monkeypatch.setattr(experiments, "allocate", allocate_spy)
+    monkeypatch.setattr(experiments, "build_tree", build_spy)
+    (table,) = run_experiment(spec).tables
+    assert (len(seen), len(built)) == (calls, trees)
+    assert table == oracle(spec)
 
 
 class TestNonmonotoneInstance:

@@ -282,6 +282,28 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
                      "unknown signal kind 'uniform'", id="signal-kind"),
         pytest.param(lambda: gen_signal(SignalSpec("worst_case"), 4), ParameterError,
                      "worst_case needs the covariance", id="worst-case-without-sigma"),
+        # counts take the count rule: sector maps need n and sectors of at least 1,
+        # signals at least one asset, and a sector tilt one tilt per sector id
+        *(
+            pytest.param(lambda n=n, k=k: sector_labels(n, k), ParameterError,
+                         "sector labels need n and sectors of at least 1", id=label)
+            for label, n, k in (
+                ("labels-sectors-0", 10, 0),
+                ("labels-sectors-negative", 10, -2),
+                ("labels-n-0", 0, 3),
+                ("labels-n-float", 10.0, 2),
+                ("labels-n-bool", True, 1),
+            )
+        ),
+        pytest.param(lambda: gen_signal(SignalSpec("ones"), -3), ParameterError,
+                     "signals need at least one asset", id="signal-n-negative"),
+        pytest.param(lambda: gen_signal(SignalSpec("gaussian"), 2.5), ParameterError,
+                     "signals need at least one asset", id="signal-n-float"),
+        pytest.param(lambda: gen_signal(SignalSpec("sector_tilt"), 10, sectors=sector_labels(3, 3)),
+                     ParameterError, "sector_tilt needs a sector map of 10 entries, got 3",
+                     id="tilt-map-length"),
+        pytest.param(lambda: SignalSpec("sector_tilt", tilts=()), ParameterError,
+                     "tilts must hold at least one value", id="tilts-empty"),
         pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=0), ParameterError,
                      "needs at least one restart", id="restarts-0"),
         pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=2.5), ParameterError,
