@@ -119,20 +119,17 @@ def _tree_pass(
     unnormalised (x_i = +-1/sigma_ii for the fixed ones, the output itself
     for stacked), and its normaliser A = sum |x_i| (1 for stacked), so the
     child statistics are v = Q/A^2, s = S/A and c = x_l'Sigma_lr x_r/(A_l A_r).
-    A Sigma whose largest variance lies outside [2^-256, 2^256] is scaled by
-    the power of two that brings it into [0.5, 1), so no input scale under-
-    or overflows the 2x2 solve. ``trace`` collects node id -> NodeRecord in
-    the input's units.
+    The pass works in canonical units: Sigma is scaled by the power of two
+    that brings its largest variance into [0.5, 1), so no input scale under-
+    or overflows the 2x2 solve and the weights are the same bits for Sigma
+    and 2^k Sigma. ``trace`` collects node id -> NodeRecord in the input's
+    units.
     """
     g = check_gamma(gamma)
     sp, order = _permuted(sigma, tree)
     n, m = tree.n, _paired(sigma, mu)
     d = np.diag(sigma.entries)[order]
-    # far-out scales get the exact power-of-two rescaling; the rest keep
-    # their units bit for bit ((gamma c)**2 in the 2x2 solve is libm pow,
-    # which need not commute with rescaling to the last bit)
-    e = int(np.frexp(d.max())[1])
-    sc = 2.0**-e if abs(e) > 256 else 1.0
+    sc = 2.0 ** -int(np.frexp(d.max())[1])  # exact: the canonical units
     d = d * sc
     stacked = rep == "stacked"
     sign = np.where(m >= 0.0, 1.0, -1.0) if rep == "signed" else np.ones(n)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import default_gamma_grid, trajectory
+from .analysis import TrajectoryPoint, default_gamma_grid, trajectory
 from .core import CovarianceMatrix, Signal, _count, markowitz_direct
 from .errors import AllocationError, ParameterError
 from .experiments import (
@@ -32,6 +32,8 @@ from .experiments import (
     METHOD_IDS,
     Inputs,
     MethodSpec,
+    _fmt,
+    _population,
     allocate,
     export,
     nonmonotone_instance,
@@ -267,7 +269,7 @@ def cmd_experiment(args) -> int:
         path.write_bytes(export(table, args.format))
         print(f"wrote {path}")
         for row in table.rows:
-            print("  " + " ".join(f"{x:.6g}" if isinstance(x, float) else str(x) for x in row))
+            print("  " + " ".join(map(_fmt, row)))
     return 0
 
 
@@ -277,11 +279,11 @@ def cmd_trajectory(args) -> int:
     else:
         sigma, mu = _build_inputs(args)
     points = trajectory(sigma, mu, default_gamma_grid(args.grid), p=args.sweeps)
-    print("gamma dir_exact dir_finite_sweep dir_slack")
-    for p in points:
-        print(f"{p.gamma:.3f} {p.dir_exact:.6g} {p.dir_finite_sweep:.6g} {p.dir_slack:.6g}")
+    rows = [dataclasses.astuple(p) for p in points]
+    print(*(f.name for f in dataclasses.fields(TrajectoryPoint)))
+    for gamma, *dirs in rows:
+        print(f"{gamma:.3f}", *map(_fmt, dirs))
     if args.out:
-        rows = [(p.gamma, p.dir_exact, p.dir_finite_sweep, p.dir_slack) for p in points]
         _write_matrix(args.out, np.array(rows))
         print(f"wrote {args.out}")
     return 0
@@ -302,16 +304,15 @@ def cmd_gen(args) -> int:
     if not args.out:
         raise CliError("gen needs --out FILE")
     spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
-    sig = _parse_spec("signal", args.signal, seed=args.seed) if args.signal else None
-    sigma = gen_regime(spec)
-    _write_matrix(args.out, sigma.entries)
-    print(f"wrote {args.out} ({sigma.n} x {sigma.n})")
-    if sig:
-        mu = gen_signal(sig, sigma.n, sectors=sector_labels(spec.n, spec.sectors), sigma=sigma)
+    sig = _parse_spec("signal", args.signal or "ones", seed=args.seed)
+    x = _population(spec, sig)
+    _write_matrix(args.out, x.sigma.entries)
+    print(f"wrote {args.out} ({spec.n} x {spec.n})")
+    if args.signal:
         out = Path(args.out)
         mu_path = args.mu_out or str(out.with_name(f"{out.stem}_mu{out.suffix}"))
-        _write_matrix(mu_path, mu.values)
-        print(f"wrote {mu_path} ({sigma.n} x 1)")
+        _write_matrix(mu_path, x.mu.values)
+        print(f"wrote {mu_path} ({spec.n} x 1)")
     return 0
 
 
@@ -320,13 +321,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--config", help="optional key = value config file")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", help="output path (or results root for experiments)")
+    # a file and a spec for the same input contradict each other, so argparse
+    # rejects the pair (exit 2)
     cov_io = argparse.ArgumentParser(add_help=False, parents=[common])
-    cov_io.add_argument("--cov", help="covariance CSV (N x N, headerless) or .npy")
-    cov_io.add_argument("--regime", help="regime spec, e.g. block or factor:k=3")
+    cov_src = cov_io.add_mutually_exclusive_group()
+    cov_src.add_argument("--cov", help="covariance CSV (N x N, headerless) or .npy")
+    cov_src.add_argument("--regime", help="regime spec, e.g. block or factor:k=3")
     cov_io.add_argument("--n", type=int, default=100, help="assets for generated regimes")
     inputs = argparse.ArgumentParser(add_help=False, parents=[cov_io])
-    inputs.add_argument("--mu", help="signal CSV (N x 1) or .npy")
-    inputs.add_argument("--signal", help="signal spec, e.g. gaussian:sigma=0.02")
+    mu_src = inputs.add_mutually_exclusive_group()
+    mu_src.add_argument("--mu", help="signal CSV (N x 1) or .npy")
+    mu_src.add_argument("--signal", help="signal spec, e.g. gaussian:sigma=0.02")
 
     parser = argparse.ArgumentParser(
         prog="crisp-alloc",
@@ -397,6 +402,11 @@ def main(argv=None) -> int:
         if "full" in cfg:  # a store_true default is not typed
             cfg["full"] = cfg["full"].lower() in ("1", "true", "yes", "on")
         sub = subparsers[args.command]
+        for group in sub._mutually_exclusive_groups:  # a flag outranks its partner's config value
+            pair = [a.dest for a in group._group_actions]
+            if any(getattr(args, d) is not None for d in pair):
+                for d in pair:
+                    cfg.pop(d, None)
         sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests[args.command]})
         args = parser.parse_args(argv)
         # argparse types a string default but checks no choices on it

@@ -20,7 +20,7 @@ import concurrent.futures
 import csv
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from . import baselines, signal_trees
-from .analysis import AdaptiveInputs, kappa_eff, trajectory
+from .analysis import AdaptiveInputs, TrajectoryPoint, kappa_eff, trajectory
 from .core import CovarianceMatrix, Signal, WeightVector, _count, kappa, markowitz_direct, to_correlation
 from .dendrogram import Dendrogram, build_tree
 from .errors import AllocationError, ConditioningError, ParameterError
@@ -485,9 +485,8 @@ def _run_sweep_rate(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
 def _run_trajectory(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     sigma, mu = nonmonotone_instance()
     grid = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
-    points = trajectory(sigma, mu, grid, p=200)
-    rows = tuple((p.gamma, p.dir_exact, p.dir_finite_sweep, p.dir_slack) for p in points)
-    cols = ("gamma", "dir_exact", "dir_finite_sweep", "dir_slack")
+    rows = tuple(astuple(p) for p in trajectory(sigma, mu, grid, p=200))
+    cols = tuple(f.name for f in fields(TrajectoryPoint))
     return ExperimentResult(spec=spec, tables=(ExperimentTable("trajectory", cols, rows),))
 
 
@@ -652,11 +651,8 @@ def preset(name: str, full: bool = False, seed: int = 42) -> ExperimentSpec:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.6g}"
-    return str(x)
+    """One table cell: a float to six significant digits (nan and inf too)."""
+    return f"{x:.6g}" if isinstance(x, float) else str(x)
 
 
 def export(table: ExperimentTable, format: str = "csv") -> bytes:

@@ -333,15 +333,11 @@ class FactorModel:
             lam = _symmetric(lam, "factor_cov")
         if not (np.isfinite(b).all() and np.isfinite(dv).all()):
             raise InvalidCovarianceError("loadings and idio_var must be finite")
-        if np.any(self.implied_diagonal(b, lam, dv) <= 0.0):
-            raise InvalidCovarianceError("implied variances must be strictly positive")
         object.__setattr__(self, "loadings", b)
         object.__setattr__(self, "factor_cov", lam)
         object.__setattr__(self, "idio_var", dv)
-
-    @staticmethod
-    def implied_diagonal(b, lam, dv) -> np.ndarray:
-        return np.einsum("ik,kl,il->i", b, lam, b) + dv
+        if np.any(self.diagonal() <= 0.0):
+            raise InvalidCovarianceError("implied variances must be strictly positive")
 
     @property
     def n(self) -> int:
@@ -352,7 +348,8 @@ class FactorModel:
         return self.loadings.shape[1]
 
     def diagonal(self) -> np.ndarray:
-        return self.implied_diagonal(self.loadings, self.factor_cov, self.idio_var)
+        b = self.loadings
+        return np.einsum("ik,kl,il->i", b, self.factor_cov, b) + self.idio_var
 
     def materialize(self) -> CovarianceMatrix:
         b = self.loadings

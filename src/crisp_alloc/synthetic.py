@@ -176,23 +176,21 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
         corr = 0.5 * (corr + corr.T)
         return _corr_to_cov(np.clip(corr, -1.0, 1.0), _vols(spec, rng))
 
-    if spec.kind == "hedged_tight_blocks":
-        if n < spec.sectors:
-            raise ParameterError("hedged_tight_blocks needs at least one asset per sector")
-        corr = _block_corr(n, spec.sectors, 0.8, 0.0)
-        labels = sector_labels(n, spec.sectors)
-        for p in range(spec.sectors):
-            for q in range(p + 1, spec.sectors):
-                i = int(rng.choice(np.flatnonzero(labels == p)))
-                j = int(rng.choice(np.flatnonzero(labels == q)))
-                corr[i, j] = corr[j, i] = -0.6
-        floored = psd_floor(corr, DEFAULT_FLOOR)
-        cov = _corr_to_cov(floored.entries, _vols(spec, rng))
-        if np.linalg.eigvalsh(cov.entries)[0] <= 0.0:
-            raise GenerationError("flooring failed to restore positive definiteness")
-        return cov
-
-    raise ParameterError(f"unknown regime kind {spec.kind!r}")
+    # hedged_tight_blocks, the last kind RegimeSpec admits
+    if n < spec.sectors:
+        raise ParameterError("hedged_tight_blocks needs at least one asset per sector")
+    corr = _block_corr(n, spec.sectors, 0.8, 0.0)
+    labels = sector_labels(n, spec.sectors)
+    for p in range(spec.sectors):
+        for q in range(p + 1, spec.sectors):
+            i = int(rng.choice(np.flatnonzero(labels == p)))
+            j = int(rng.choice(np.flatnonzero(labels == q)))
+            corr[i, j] = corr[j, i] = -0.6
+    floored = psd_floor(corr, DEFAULT_FLOOR)
+    cov = _corr_to_cov(floored.entries, _vols(spec, rng))
+    if np.linalg.eigvalsh(cov.entries)[0] <= 0.0:
+        raise GenerationError("flooring failed to restore positive definiteness")
+    return cov
 
 
 def gen_signal(
@@ -202,8 +200,11 @@ def gen_signal(
     sigma: Optional[CovarianceMatrix] = None,
 ) -> Signal:
     """Build the signal; sector tilts need the sector map, the worst-case
-    search needs the covariance."""
+    search needs the covariance. A ``sigma`` given to any kind must have
+    ``n`` assets."""
     n = _count(n, 1, "signals need at least one asset")
+    if sigma is not None:  # the pairing rule, before any draw
+        _paired(sigma, Signal(np.ones(n)))
     if spec.kind == "ones":
         return Signal(np.ones(n))
     if spec.kind == "gaussian":
@@ -216,12 +217,10 @@ def gen_signal(
             raise ParameterError(f"sector_tilt needs a sector map of {n} entries, got {len(sectors)}")
         tilts = np.asarray(spec.tilts, dtype=float)
         return Signal(tilts[np.asarray(sectors) % tilts.size])
-    if spec.kind == "worst_case":
-        if sigma is None:
-            raise ParameterError("worst_case needs the covariance")
-        mu, _ = worst_case_mu(sigma, restarts=spec.restarts, seed=spec.seed)
-        return mu
-    raise ParameterError(f"unknown signal kind {spec.kind!r}")
+    # worst_case, the last kind SignalSpec admits
+    if sigma is None:
+        raise ParameterError("worst_case needs the covariance")
+    return worst_case_mu(sigma, restarts=spec.restarts, seed=spec.seed)[0]
 
 
 def _dir_diag_objective(sigma_inv: np.ndarray, inv_diag: np.ndarray):

@@ -435,6 +435,25 @@ class TestConfigPrecedence:
         )
         assert len(out_b.read_text().splitlines()) == 4  # flag wins
 
+    def test_a_flag_outranks_the_config_value_of_its_partner(self, tmp_path, capsys):
+        # a config value is a default, so it never conflicts with a flag; a flag
+        # for one of --cov/--regime or --mu/--signal sets aside the config's
+        # value for the other
+        (tmp_path / "c.csv").write_text("1,0\n0,1\n")
+        (tmp_path / "mu.csv").write_text("1\n2\n")
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"cov = {tmp_path / 'c.csv'}\nmu = {tmp_path / 'mu.csv'}\n")
+        argv = ["allocate", "--method", "hrp-mu", "--config", str(cfg)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("method: hrp-mu  gamma: 0.5  n: 2\n")
+        flags = ["--regime", "block", "--n", "6", "--signal", "gaussian"]
+        _, want, _ = run_cli(["allocate", "--method", "hrp-mu", *flags], capsys)
+        code, got, _ = run_cli([*argv, *flags], capsys)
+        assert code == 0 and got == want
+        # the config's signal still pairs with the flag's covariance
+        code, _, err = run_cli([*argv, *flags[:4]], capsys)
+        assert code == 1 and "signal length does not match covariance size" in err
+
     @pytest.mark.parametrize("text, full", (("true", True), ("false", False)))
     def test_full_reaches_preset_as_a_bool(self, text, full, tmp_path, capsys, monkeypatch):
         seen = []
@@ -607,6 +626,20 @@ _REJECTED = [
             (["gen", "--regime", "block", "--n", "6", "--out", "{tmp}/c.csv"], _NEGATIVE_SEED),
         )
     ),
+    # a file and a spec for one input contradict each other: argparse rejects
+    # the pair, where the file was used and the spec ignored
+    *(
+        pytest.param({"c.csv": "1,0\n0,1\n", "mu.csv": "1\n2\n"}, [*argv, a, path, b, spec], 2,
+                     f"argument {b}: not allowed with argument {a}", id=f"{argv[0]}-{a[2:]}-{b[2:]}")
+        for argv, (a, path, b, spec) in (
+            (["allocate", "--method", "hrp"], ("--cov", "{tmp}/c.csv", "--regime", "block")),
+            (["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv"],
+             ("--mu", "{tmp}/mu.csv", "--signal", "gaussian")),
+            (["trajectory"], ("--cov", "{tmp}/c.csv", "--regime", "block")),
+            (["trajectory", "--cov", "{tmp}/c.csv"], ("--mu", "{tmp}/mu.csv", "--signal", "gaussian")),
+            (["worst-mu"], ("--cov", "{tmp}/c.csv", "--regime", "block")),
+        )
+    ),
 ]
 
 
@@ -614,7 +647,10 @@ _REJECTED = [
 def test_rejected_input(files, argv, code, fragment, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    got, _, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    try:
+        got, _, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    except SystemExit as exc:  # argparse's own rejections
+        got, err = exc.code, capsys.readouterr().err
     assert got == code
     assert fragment in err
 

@@ -304,6 +304,13 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
                      id="tilt-map-length"),
         pytest.param(lambda: SignalSpec("sector_tilt", tilts=()), ParameterError,
                      "tilts must hold at least one value", id="tilts-empty"),
+        # a covariance given to any kind takes the pairing rule: it has n assets
+        *(
+            pytest.param(lambda kind=kind: gen_signal(SignalSpec(kind, restarts=1), 10, sigma=_SIGMA4),
+                         ParameterError, "signal length does not match covariance size",
+                         id=f"{kind}-sigma-size")
+            for kind in ("worst_case", "gaussian")
+        ),
         pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=0), ParameterError,
                      "needs at least one restart", id="restarts-0"),
         pytest.param(lambda: worst_case_mu(_SIGMA4, restarts=2.5), ParameterError,

@@ -127,22 +127,28 @@ def test_passes_match_oracle(regime):
     assert seen == set(TREE_PASSES)
 
 
+def _scale_inputs():
+    """(sigma, mu, gamma): a small random draw, and a pinned case whose
+    hrp_mu and a2 weights move by about 1e-17 relative under Sigma -> 2 Sigma
+    unless the pass works in canonical units."""
+    small = random_spd(12, 4), Signal(np.random.default_rng(4).normal(0.0, 0.02, 12)), 0.5
+    sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=100, seed=3))
+    return small, (sigma, gen_signal(SignalSpec("gaussian", seed=3), 100), 1.0)
+
+
 @pytest.mark.parametrize("name", TREE_PASSES)
 def test_any_covariance_scale(name):
-    # a far-out scale is brought back by an exact power of two, so tiny or
-    # huge covariances give the in-range weights where the 2x2 solve's
-    # v_l * v_r would otherwise under- or overflow
-    sigma = random_spd(12, 4)
-    tree = build_tree(to_correlation(sigma), "ward")
-    mu = Signal(np.random.default_rng(4).normal(0.0, 0.02, 12))
+    # every pass works in the units that put Sigma's largest variance in
+    # [0.5, 1), an exact power of two away, so tiny or huge covariances, where
+    # the 2x2 solve's v_l * v_r would under- or overflow, and in-range ones
+    # alike give the same bits as the unscaled input
     run = TREE_PASSES[name]
-    base = run(sigma, mu, tree, 0.5).values
-    for e in (-700, -600, 600, 700):
-        w = run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, 0.5).values
-        assert np.linalg.norm(w - base) / np.linalg.norm(base) < 1e-14
-    # both far out: the same rescaled matrix, so the same bits
-    far = [run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, 0.5) for e in (600, 700)]
-    assert np.array_equal(far[0].values, far[1].values)
+    for sigma, mu, gamma in _scale_inputs():
+        tree = build_tree(to_correlation(sigma), "ward")
+        base = run(sigma, mu, tree, gamma).values
+        for e in (-700, -600, -3, 1, 5, 600, 700):
+            w = run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, gamma).values
+            assert np.array_equal(w, base), (sigma.n, e)
 
 
 @pytest.mark.parametrize("name", sorted(set(TREE_PASSES) - {"hrp"}))
