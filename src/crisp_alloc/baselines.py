@@ -1,4 +1,4 @@
-"""Signal-blind baseline allocators, the shared tree-pass kernel, and the two
+"""Signal-blind baseline allocators, the two tree-pass kernels, and the two
 diagnostic tree variants.
 
 Contents: hierarchical risk parity (HRP), the Schur-complement allocator with
@@ -7,11 +7,11 @@ direct minimum variance, and two negative-result tree passes kept for
 reproducibility: the flat-representative pass (``a2_flat_ivp_tree``) and the
 sum-normalised recursive mean-variance pass (``a1_sum_norm_mvo``).
 
-All six tree passes (these three and ``signal_trees``' ``hrp_mu``, ``hsp`` and
-``hrp_sigma_mu``) are thin wrappers over one post-order kernel,
-``_tree_pass``, set up by the child representative and the budget
-normalisation. A node's budget never depends on its parent's, so one
-children-first pass serves every member of the family, and each leaf pair of
+The six tree passes (these three and ``signal_trees``' ``hrp_mu``, ``hsp`` and
+``hrp_sigma_mu``) wrap two post-order kernels sharing a set-up and a node
+step: ``_fixed_pass`` (``hrp``, ``hsp``, ``hrp_mu``, ``a2``) and
+``_stacked_pass`` (``a1``, ``hrp_sigma_mu``). A node's budget never depends on
+its parent's, so one children-first pass serves each, and each leaf pair of
 the covariance enters one cross term, at its lowest common ancestor.
 """
 
@@ -26,8 +26,8 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .core import (
-    CovarianceMatrix, Signal, WeightVector, _count, _gathered, _original_order, _paired, _tagged,
-    check_gamma, markowitz_direct,
+    CovarianceMatrix, Signal, WeightVector, _count, _gathered, _original_order, _paired,
+    _scale_exponent, _tagged, check_gamma, markowitz_direct,
 )
 from .dendrogram import Dendrogram
 from .errors import ConditioningError, DegenerateInputError, ParameterError, SchurBreakdownError
@@ -94,89 +94,88 @@ def _permuted(sigma: CovarianceMatrix, tree: Dendrogram) -> tuple[np.ndarray, np
     return _gathered(sigma.entries, order), order
 
 
-def _tree_pass(
-    sigma: CovarianceMatrix,
-    mu: Signal,
-    tree: Dendrogram,
-    gamma: float,
-    rep: str,
-    norm: str,
-    trace: dict | None = None,
-) -> WeightVector:
-    """Post-order pass shared by the six tree allocators; returns leaf weights.
-
-    ``rep`` is the child representative scored at each node: ``"flat"``
-    (inverse variance), ``"signed"`` (inverse variance times sign(mu), with
-    sign(0) := +1), or ``"stacked"`` (the children's own normalised local
-    optima). ``norm`` divides each raw Cramer pair by ``"sum"`` a_l + a_r or
-    ``"l1"`` |a_l| + |a_r| (equal split when that is zero). A leaf weight is
-    its starting sign times the product of the budgets on its path. The fixed
-    representatives take all cross terms from one reduction over the tree's
-    ``row_segments`` and multiply budgets out top-down; ``stacked``, whose
-    representative is the output, forms and scales them node by node.
-
-    Each node id carries Q = x'Sigma x and S = x'mu of its representative x,
-    unnormalised (x_i = +-1/sigma_ii for the fixed ones, the output itself
-    for stacked), and its normaliser A = sum |x_i| (1 for stacked), so the
-    child statistics are v = Q/A^2, s = S/A and c = x_l'Sigma_lr x_r/(A_l A_r).
-    The pass works in canonical units: Sigma is scaled by the power of two
-    that brings its largest variance into [0.5, 1), so no input scale under-
-    or overflows the 2x2 solve and the weights are the same bits for Sigma
-    and 2^k Sigma. ``trace`` collects node id -> NodeRecord in the input's
-    units.
-    """
+def _setup(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram, gamma: float):
+    """Both passes' start: gamma, Sigma in leaf order, that order, mu, and Sigma's
+    diagonal in canonical units, times the 2^-e that puts the largest variance
+    in [0.5, 1), with e. These units keep the 2x2 solve from under- or
+    overflowing and give Sigma and 2^k Sigma the same bits."""
     g = check_gamma(gamma)
     sp, order = _permuted(sigma, tree)
-    n, m = tree.n, _paired(sigma, mu)
-    d = np.diag(sigma.entries)[order]
-    sc = 2.0 ** -int(np.frexp(d.max())[1])  # exact: the canonical units
-    d = d * sc
-    stacked = rep == "stacked"
-    sign = np.where(m >= 0.0, 1.0, -1.0) if rep == "signed" else np.ones(n)
-    w = sign[order]
-    x = w if stacked else w / d
+    d = np.diag(sigma.entries)
+    e = _scale_exponent(d)
+    return g, sp, order, _paired(sigma, mu), np.ldexp(d, -e), e
+
+
+def _split(k, v_l, v_r, s_l, s_r, c, g, l1, e, trace) -> tuple[float, float]:
+    """Node k's raw Cramer pair over its ``l1`` norm |a_l| + |a_r| or else its sum
+    (equal split when that is zero); ``trace`` gets its NodeRecord in input units."""
+    raw_l, raw_r, delta = raw_budgets(v_l, v_r, s_l, s_r, c, g)
+    z = abs(raw_l) + abs(raw_r) if l1 else raw_l + raw_r
+    b_l, b_r = (0.5, 0.5) if z == 0.0 else (raw_l / z, raw_r / z)
+    if trace is not None:
+        with np.errstate(over="ignore"):  # a record past the largest double reads inf
+            rec = np.ldexp([v_l, v_r, c, delta, raw_l, raw_r], [e, e, e, 2 * e, -e, -e]).tolist()
+        trace[k] = NodeRecord(*rec[:2], s_l, s_r, *rec[2:], b_l, b_r)
+    return b_l, b_r
+
+
+def _fixed_pass(
+    sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram, gamma: float, signed: bool, trace=None
+) -> WeightVector:
+    """Post-order pass with fixed child representatives, sum-normalised budgets.
+
+    A child's representative is the inverse-variance portfolio on its leaves,
+    times sign(mu) (sign(0) := +1) when ``signed``; a leaf weight is its sign
+    times the product of the budgets on its path, taken top-down. Node ids carry
+    Q = x'Sigma x, S = x'mu and A = sum |x_i| of x_i = +-1/sigma_ii, so v =
+    Q/A^2, s = S/A and c = x_l'Sigma_lr x_r/(A_l A_r), every cross term from
+    one reduction over ``tree.row_segments``, scaled after the sums.
+    """
+    g, sp, order, m, d, e = _setup(sigma, mu, tree, gamma)
+    n, pairs = tree.n, tree.pairs
+    sign = np.where(m >= 0.0, 1.0, -1.0) if signed else np.ones(n)
+    x = sign / d
     buf = np.empty((3, 2 * n - 1))
-    buf[:, order] = x * x * d, x * m[order], np.abs(x)
+    buf[:, :n] = x * x * d, x * m, np.abs(x)
     q, s, a = buf.tolist()
+    # sp[i, j] x_j in place, summed per row segment, times x_i
+    starts, merges = tree.row_segments
+    x = x[order]
+    sp *= x
+    cross_sums = np.add.reduceat(sp.ravel(), starts) * x[starts // n]
+    crosses = np.ldexp(np.bincount(merges, cross_sums, n), -e).tolist()
     path = [1.0] * (2 * n - 1)  # budget per node id; the root's is 1
-    spans, pairs = tree.spans, tree.pairs
-    if not stacked:  # sp[i, j] x_j in place, summed per row segment, times x_i
-        starts, merges = tree.row_segments
-        sp *= x
-        cross_sums = np.add.reduceat(sp.ravel(), starts) * x[starts // n]
-        crosses = (np.bincount(merges, cross_sums, n) * sc).tolist()
     for k, (i, j) in enumerate(pairs, n):
-        if stacked:
-            (l0, l1), (r0, r1) = spans[i], spans[j]
-        cross = float(x[l0:l1] @ sp[l0:l1, r0:r1] @ x[r0:r1]) * sc if stacked else crosses[k - n]
-        al, ar = a[i], a[j]
-        v_l, v_r = q[i] / (al * al), q[j] / (ar * ar)
-        s_l, s_r, c = s[i] / al, s[j] / ar, cross / (al * ar)
-        raw_l, raw_r, delta = raw_budgets(v_l, v_r, s_l, s_r, c, g)
-        z = raw_l + raw_r if norm == "sum" else abs(raw_l) + abs(raw_r)
-        b_l, b_r = (0.5, 0.5) if z == 0.0 else (raw_l / z, raw_r / z)
-        if trace is not None:
-            u = 1.0 / sc
-            trace[k] = NodeRecord(
-                v_l * u, v_r * u, s_l, s_r, c * u, delta * u * u, raw_l * sc, raw_r * sc, b_l, b_r
-            )
-        if stacked:  # the representative is the rescaled output itself
-            w[l0:l1] *= b_l
-            w[r0:r1] *= b_r
-            kl, kr, a[k] = b_l, b_r, 1.0
-        else:
-            path[i], path[j] = b_l, b_r
-            kl, kr, a[k] = 1.0, 1.0, al + ar
-        q[k] = kl * kl * q[i] + kr * kr * q[j] + 2.0 * kl * kr * cross
-        s[k] = kl * s[i] + kr * s[j]
-    tag = "l1_one" if rep == "signed" or norm == "l1" else "sum_one"
-    if stacked:
-        return _tagged(_original_order(w, order), tag)
+        al, ar, cross = a[i], a[j], crosses[k - n]
+        v_l, v_r, c = q[i] / (al * al), q[j] / (ar * ar), cross / (al * ar)
+        path[i], path[j] = _split(k, v_l, v_r, s[i] / al, s[j] / ar, c, g, False, e, trace)
+        q[k], s[k], a[k] = q[i] + q[j] + 2.0 * cross, s[i] + s[j], al + ar
     for k in range(2 * n - 2, n - 1, -1):  # parents first: path products
         i, j = pairs[k - n]
         path[i] *= path[k]
         path[j] *= path[k]
-    return _tagged(np.array(path[:n]) * sign, tag)
+    return _tagged(np.array(path[:n]) * sign, "l1_one" if signed else "sum_one")
+
+
+def _stacked_pass(
+    sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram, gamma: float, l1: bool, trace=None
+) -> WeightVector:
+    """Post-order pass whose child representatives x_l, x_r are the children's
+    own normalised local optima, stacked by the budget pair in each node's
+    slice of one leaf-ordered array; the root's is the output. A node reads
+    Sigma only in its cross block x_l'Sigma_lr x_r, scaled after the sum."""
+    g, sp, order, m, d, e = _setup(sigma, mu, tree, gamma)
+    n, spans, x = tree.n, tree.spans, np.ones(tree.n)
+    q, s = (v.tolist() + [0.0] * (n - 1) for v in (d, m))
+    for k, (i, j) in enumerate(tree.pairs, n):
+        (l0, l_end), (r0, r_end) = spans[i], spans[j]
+        cross = math.ldexp(float(x[l0:l_end] @ sp[l0:l_end, r0:r_end] @ x[r0:r_end]), -e)
+        b_l, b_r = _split(k, q[i], q[j], s[i], s[j], cross, g, l1, e, trace)
+        x[l0:l_end] *= b_l
+        x[r0:r_end] *= b_r
+        q[k] = b_l * b_l * q[i] + b_r * b_r * q[j] + 2.0 * b_l * b_r * cross
+        s[k] = b_l * s[i] + b_r * s[j]
+    return _tagged(_original_order(x, order), "l1_one" if l1 else "sum_one")
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
@@ -187,7 +186,7 @@ def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:
     and the leaf weight is the product of the split factors on its path. This
     is the flat-representative pass at gamma = 0 on a unit signal.
     """
-    return _tree_pass(sigma, Signal(np.ones(sigma.n)), tree, 0.0, "flat", "sum")
+    return _fixed_pass(sigma, Signal(np.ones(sigma.n)), tree, 0.0, False)
 
 
 def equal_weight(n: int) -> WeightVector:
@@ -332,7 +331,7 @@ def a2_flat_ivp_tree(
     zero and the budgets become noise-driven. Kept as a reproducible
     diagnostic; matches ``hrp`` at gamma = 0 with a flat unit signal.
     """
-    return _tree_pass(sigma, mu, tree, gamma, "flat", "sum")
+    return _fixed_pass(sigma, mu, tree, gamma, False)
 
 
 def a1_sum_norm_mvo(
@@ -351,4 +350,4 @@ def a1_sum_norm_mvo(
     repairs. ``trace``, when given, collects node id -> NodeRecord, whose
     ``flipped`` marks a negative denominator for parity analysis.
     """
-    return _tree_pass(sigma, mu, tree, gamma, "stacked", "sum", trace)
+    return _stacked_pass(sigma, mu, tree, gamma, False, trace)

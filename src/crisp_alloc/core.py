@@ -8,6 +8,7 @@ is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Optional, Union
@@ -217,6 +218,12 @@ def _original_order(w: np.ndarray, order: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     out[order] = w
     return out
+
+
+def _scale_exponent(v) -> int:
+    """The e that puts max |v| 2^-e in [0.5, 1) (0 for v = 0). Apply it with ``np.ldexp``,
+    which is exact and, unlike a factor 2^+-e (inf past |e| = 1023), cannot overflow."""
+    return math.frexp(np.abs(v).max(initial=0.0))[1]
 
 
 def to_correlation(sigma: CovarianceMatrix) -> CorrelationMatrix:

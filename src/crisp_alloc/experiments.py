@@ -70,8 +70,9 @@ def _pca_factors(sigma: CovarianceMatrix, k: int) -> FactorModel:
         raise ParameterError(message)
     eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(sigma.n - k, sigma.n - 1))
     top = vecs * np.sqrt(eigs)
-    idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
-    return FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
+    d = np.diag(sigma.entries)
+    # floored relative to each variance, so the model scales with Sigma
+    return FactorModel(top, np.eye(k), np.maximum(d - (top**2).sum(axis=1), 1e-10 * d))
 
 
 # The method table: id -> allocator(m, x) of a MethodSpec and the Inputs; a

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CovarianceMatrix, Signal, WeightVector, _paired, _same_length, markowitz_direct
+from .core import CovarianceMatrix, Signal, WeightVector, _paired, _same_length, _scale_exponent, markowitz_direct
 from .errors import DegenerateInputError
 
 VectorLike = Union[WeightVector, Signal, np.ndarray, list, tuple]
@@ -34,7 +34,7 @@ def _pow2_scaled(v: np.ndarray) -> np.ndarray:
     vectors in the normal range, while tiny or huge vectors no longer
     underflow or overflow when squared.
     """
-    return np.ldexp(v, -np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    return np.ldexp(v, -_scale_exponent(v))
 
 
 def _nonzero(v: np.ndarray, name: str) -> np.ndarray:

@@ -11,15 +11,15 @@ Two recommended constructions on the same dendrogram and the same node-level
   the representative and re-normalises each node's raw budget pair by
   |a_l| + |a_r|, which is strictly positive and therefore sign-preserving.
 
-``hsp`` is the closed-form gamma = 0 endpoint of ``hrp_mu``. All three are
-wrappers over the post-order kernel ``baselines._tree_pass``.
+``hsp`` is the closed-form gamma = 0 endpoint of ``hrp_mu``. Both wrap
+``baselines._fixed_pass``, and ``hrp_sigma_mu`` wraps ``_stacked_pass``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .baselines import ClusterStats, _tree_pass, raw_budgets
+from .baselines import ClusterStats, _fixed_pass, _stacked_pass, raw_budgets
 from .core import CovarianceMatrix, Signal, WeightVector, check_gamma
 from .dendrogram import Dendrogram
 from .errors import ParameterError
@@ -52,7 +52,7 @@ def hrp_mu(
     unit gross leverage. ``trace``, when given, collects node id ->
     NodeRecord for inspection.
     """
-    return _tree_pass(sigma, mu, tree, gamma, "signed", "sum", trace)
+    return _fixed_pass(sigma, mu, tree, gamma, True, trace)
 
 
 def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
@@ -62,7 +62,7 @@ def hsp(sigma: CovarianceMatrix, mu: Signal, tree: Dendrogram) -> WeightVector:
     inverse-variance statistics; no cross term enters. Coincides with hrp_mu
     at gamma = 0 and with plain HRP on a flat unit signal.
     """
-    return _tree_pass(sigma, mu, tree, 0.0, "signed", "sum")
+    return _fixed_pass(sigma, mu, tree, 0.0, True)
 
 
 def hrp_sigma_mu(
@@ -80,4 +80,4 @@ def hrp_sigma_mu(
     output. Exact for diagonal covariances at any gamma and any tree.
     ``trace`` collects node id -> NodeRecord.
     """
-    return _tree_pass(sigma, mu, tree, gamma, "stacked", "l1", trace)
+    return _stacked_pass(sigma, mu, tree, gamma, True, trace)

@@ -32,8 +32,8 @@ from scipy.linalg.blas import dtbmv, dtbsv, dtrmv
 from scipy.linalg.lapack import dtrtrs
 
 from .core import (
-    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _shrunk, _symmetric,
-    check_gamma,
+    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _scale_exponent,
+    _shrunk, _symmetric, check_gamma,
 )
 from .errors import (
     InfeasibleConstraintsError,
@@ -485,9 +485,8 @@ def _project(y, lo, hi, e, d, eq, max_iter=100):
     """
     if not d.size:
         return np.clip(y, lo, hi), True
-    finite = np.r_[y, d, lo[np.isfinite(lo)], hi[np.isfinite(hi)]]
-    unit = np.ldexp(1.0, -np.frexp(np.abs(finite).max())[1])
-    y, lo, hi, d = y * unit, lo * unit, hi * unit, d * unit
+    shift = _scale_exponent(np.r_[y, d, lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
+    y, lo, hi, d = (np.ldexp(v, -shift) for v in (y, lo, hi, d))
     abs_e, abs_y = np.abs(e), np.abs(y)
     tol = 8.0 * np.finfo(float).eps * y.size
     norms = (e * e).sum(axis=1)
@@ -539,7 +538,7 @@ def _project(y, lo, hi, e, d, eq, max_iter=100):
         _, x_t, _, _, _, met_t = dual(z_t)
         if met_t and _row_miss(x_t, e, d, eq).max() < _row_miss(x, e, d, eq).max():
             x = x_t
-    return x / unit, met
+    return np.ldexp(x, shift), met
 
 
 def _feasible(lo, hi, e, d, eq) -> bool:
@@ -651,13 +650,19 @@ def sweeps_to_tolerance(
     exception) when the cap is exceeded. ``_drive`` measures sweep k by the
     norm of its residual gamma U (w_k - w_{k-1}), one product a block, in
     ``np.linalg.norm``'s arithmetic, bounded by the double below tol: "< tol".
+    Both are in mu's canonical units, mu and tol times 2^-e (``_scale_exponent``).
     """
     g = _check_solver_args(gamma, cap, tol)
-    iterates, perm = _dense_sweeps(sigma, mu, g, ordering, cap)
+    e = _scale_exponent(_paired(sigma, mu))
+    iterates, perm = _dense_sweeps(sigma, Signal(np.ldexp(mu.values, -e)), g, ordering, cap)
     g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
 
     def norms(block, w):
         return np.sqrt(_dots(np.diff(block, axis=0, prepend=w[None]) @ g_l))
 
-    rep = _drive(iterates, cap, norms, math.nextafter(tol, 0.0))
+    try:
+        bound = math.nextafter(math.ldexp(tol, -e), 0.0)
+    except OverflowError:  # past the largest double: met at once
+        bound = math.inf
+    rep = _drive(iterates, cap, norms, bound)
     return SweepDiagnostic(rep.sweeps_used, rep.converged)

@@ -194,8 +194,8 @@ class TestStreamAllocate:
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=7))
         eigs, vecs = scipy.linalg.eigh(sigma.entries, subset_by_index=(n - k, n - 1))
         top = vecs * np.sqrt(eigs)
-        idio = np.diag(sigma.entries) - (top**2).sum(axis=1)
-        fm = FactorModel(top, np.eye(k), np.maximum(idio, 1e-10))
+        d = np.diag(sigma.entries)
+        fm = FactorModel(top, np.eye(k), np.maximum(d - (top**2).sum(axis=1), 1e-10 * d))
         rep = crisp_solve_stream(fm, Signal(np.ones(n)), 0.7, p_max=100, eps=1e-8)
         assert out.splitlines()[1] == "weights: " + " ".join(f"{x:.6g}" for x in rep.weights.values)
 

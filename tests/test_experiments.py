@@ -10,6 +10,7 @@ import pytest
 
 from crisp_alloc import (
     ConditioningError,
+    CovarianceMatrix,
     ExperimentSpec,
     ExperimentTable,
     MethodSpec,
@@ -567,6 +568,17 @@ def test_sweep_rate_names_a_capped_solve(monkeypatch):
     with pytest.raises(ConditioningError, match="sweep cap hit at gamma=0, signal seed 100"):
         run_experiment(preset("sweep_rate"))
     assert calls == [0.0]
+
+
+@pytest.mark.parametrize("k", (-330, 330))
+def test_pca_factors_scale_with_sigma(k):
+    # the idiosyncratic floor is relative to each variance; an absolute 1e-10
+    # bound every asset of Sigma * 2^-330, where crisp-stream then reported a
+    # one-sweep solve 100% off as converged
+    sigma = gen_regime(RegimeSpec("block_sector", n=60, seed=3))
+    want = np.ldexp(experiments._pca_factors(sigma, 3).idio_var, k)
+    got = experiments._pca_factors(CovarianceMatrix(np.ldexp(sigma.entries, k)), 3).idio_var
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
-"""The 11 preset exports against their committed golden record.
+"""The 11 preset exports and the ten acceptance lines against their committed
+golden record.
 
 ``tests/golden/<preset>.csv`` holds the bytes ``export`` gives for each
-preset's table at ``preset(name)`` defaults (seed 42, desk-scale trials), made
-at one BLAS thread on the toolchain ``tests/golden/TOOLCHAIN`` names. The test
-regenerates the exports in a fresh interpreter, so the thread count is set
-before numpy loads, and compares them byte for byte. Another BLAS, numpy,
-scipy or CPU can sum in another order and move a rounding-level cell, so on
-another toolchain the test skips. A change that moves a digit regenerates the
-record and commits it, so the diff shows the move:
+preset's table at ``preset(name)`` defaults (seed 42, desk-scale trials), and
+``tests/golden/acceptance.txt`` the ``[acceptance]`` lines of
+``tests/test_acceptance.py`` without their timing field, made at one BLAS
+thread on the toolchain ``tests/golden/TOOLCHAIN`` names. The tests
+regenerate both in a fresh interpreter, so the thread count is set before
+numpy loads, and compare them byte for byte and line by line. Another BLAS,
+numpy, scipy or CPU can sum in another order and move a rounding-level digit,
+so on another toolchain the tests skip. A change that moves a digit
+regenerates the record and commits it, so the diff shows the move:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +30,9 @@ import pytest
 import scipy
 
 GOLDEN = Path(__file__).parent / "golden"
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
+_TIMING = re.compile(r" \(\d+\.\d+s\)")
 
 # run in a fresh interpreter: every preset's export, to the directory argv[1] names
 _EMIT = """
@@ -54,11 +60,35 @@ def toolchain() -> str:
     )
 
 
+def _one_thread() -> dict:
+    """This environment with one BLAS thread and ``src`` on the import path."""
+    path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}
+
+
 def emit(out_dir: Path) -> None:
     """Write the 11 exports to ``out_dir`` in a fresh interpreter at one BLAS thread."""
-    path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", _EMIT, str(out_dir)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", _EMIT, str(out_dir)], env=_one_thread(), check=True)
+
+
+def acceptance_lines() -> list[str]:
+    """The ``[acceptance]`` lines of the acceptance suite's terminal summary,
+    run in a fresh interpreter at one BLAS thread, without their timing field."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"],
+        env=_one_thread(), cwd=_ROOT, capture_output=True, text=True,
+    )
+    summary = run.stdout.partition("acceptance criteria")[2]
+    return [_TIMING.sub("", line) for line in summary.splitlines() if line.startswith("[acceptance]")]
+
+
+def _skip_on_another_toolchain() -> None:
+    want, have = (GOLDEN / "TOOLCHAIN").read_text(encoding="utf-8"), toolchain()
+    if have != want:
+        pytest.skip(
+            f"golden record made on [{want.strip().replace(chr(10), '; ')}], "
+            f"this is [{have.strip().replace(chr(10), '; ')}]"
+        )
 
 
 def moved_cells(name: str, old: bytes, new: bytes) -> list[str]:
@@ -77,12 +107,7 @@ def moved_cells(name: str, old: bytes, new: bytes) -> list[str]:
 
 @pytest.mark.slow
 def test_preset_exports_match_the_golden_record(tmp_path):
-    want, have = (GOLDEN / "TOOLCHAIN").read_text(encoding="utf-8"), toolchain()
-    if have != want:
-        pytest.skip(
-            f"golden record made on [{want.strip().replace(chr(10), '; ')}], "
-            f"this is [{have.strip().replace(chr(10), '; ')}]"
-        )
+    _skip_on_another_toolchain()
     emit(tmp_path)
     names = sorted({p.name for p in GOLDEN.glob("*.csv")} | {p.name for p in tmp_path.glob("*.csv")})
     moved = []
@@ -94,10 +119,20 @@ def test_preset_exports_match_the_golden_record(tmp_path):
     assert not moved, "moved cells:\n" + "\n".join(moved)
 
 
+@pytest.mark.slow
+def test_acceptance_lines_match_the_golden_record():
+    _skip_on_another_toolchain()
+    old = (GOLDEN / "acceptance.txt").read_text(encoding="utf-8").splitlines()
+    pairs = itertools.zip_longest(old, acceptance_lines(), fillvalue="(none)")
+    moved = [f"{a} -> {b}" for a, b in pairs if a != b]
+    assert not moved, "moved lines:\n" + "\n".join(moved)
+
+
 if __name__ == "__main__":
     for stale in GOLDEN.glob("*.csv"):
         stale.unlink()
     GOLDEN.mkdir(exist_ok=True)
     emit(GOLDEN)
+    (GOLDEN / "acceptance.txt").write_text("\n".join(acceptance_lines()) + "\n", encoding="utf-8")
     (GOLDEN / "TOOLCHAIN").write_text(toolchain(), encoding="utf-8")
     print(f"wrote {GOLDEN}")

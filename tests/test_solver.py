@@ -19,6 +19,7 @@ from crisp_alloc import (
     RegimeSpec,
     Signal,
     SignalSpec,
+    SweepDiagnostic,
     build_tree,
     crisp_projected,
     crisp_solve,
@@ -711,7 +712,8 @@ class TestFactorStream:
 class TestStopRuleScale:
     """The stop rule is a ratio of norms, so scaling mu scales the weights and
     leaves the sweep count and the verdict as they are, also at scales where
-    the squares of the entries under- or overflow."""
+    the squares of the entries under- or overflow; so does scaling mu and the
+    residual tolerance together."""
 
     @pytest.mark.parametrize("scale", (1e-200, 1e200))
     @pytest.mark.parametrize("method", ("dense", "stream"))
@@ -728,6 +730,19 @@ class TestStopRuleScale:
         assert (scaled.sweeps_used, scaled.converged) == (base.sweeps_used, base.converged)
         w, w0 = scaled.weights.values / scale, base.weights.values
         assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
+
+    @pytest.mark.parametrize("k", (-660, 660))
+    def test_residual_count_at_any_scale(self, k):
+        # the squared residual underflowed at 2^-660 (one sweep, "converged")
+        # and overflowed at 2^660 (the count ran to the cap)
+        sigma = gen_regime(RegimeSpec("block_sector", n=40, seed=3))
+        mu = gen_signal(SignalSpec("gaussian", seed=3), 40).values
+        base = sweeps_to_tolerance(sigma, Signal(mu), 0.5, 1e-10)
+        scaled = sweeps_to_tolerance(sigma, Signal(np.ldexp(mu, k)), 0.5, float(np.ldexp(1e-10, k)))
+        assert base == scaled == SweepDiagnostic(31, True)
+        # a tolerance past the largest double in mu's units is met at once
+        huge = sweeps_to_tolerance(sigma, Signal(np.ldexp(mu, -1000)), 0.5, 1e10)
+        assert huge == SweepDiagnostic(1, True)
 
 
 def _project_box_budget(w, lo, hi, budget):
@@ -924,6 +939,15 @@ class TestProjection:
         assert met
         assert np.abs(x - _project_box_budget(y, lo, hi, -0.6 * scale)).max() <= 1e-15 * scale
         assert np.allclose(x / scale, [-0.2, 0.1, -0.1, -0.4], rtol=0.0, atol=1e-15)
+
+    def test_subnormal_inputs(self):
+        # 2^-e for inputs near 1e-310 is past the largest double, so the scale
+        # is applied to the arrays, not formed as a factor
+        y, lo, hi = np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, -np.inf), np.full(4, np.inf)
+        want, _ = _project(y, lo, hi, *_rows(4, 5.0))
+        x, met = _project(y * 1e-310, lo, hi, *_rows(4, 5e-310))
+        assert met
+        assert np.abs(x / 1e-310 - want).max() <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("scale", (1.0, 1e-200, 1e200))
     def test_newton_stall_falls_back_to_a_gradient_step(self, scale):

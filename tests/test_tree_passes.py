@@ -145,10 +145,15 @@ def test_any_covariance_scale(name):
     run = TREE_PASSES[name]
     for sigma, mu, gamma in _scale_inputs():
         tree = build_tree(to_correlation(sigma), "ward")
-        base = run(sigma, mu, tree, gamma).values
-        for e in (-700, -600, -3, 1, 5, 600, 700):
+        base = run(sigma, mu, tree, gamma)
+        for e in (-1000, -700, -600, -3, 1, 5, 600, 700, 1000):
             w = run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, gamma).values
-            assert np.array_equal(w, base), (sigma.n, e)
+            assert np.array_equal(w, base.values), (sigma.n, e)
+        # at 2^-1030 every entry is subnormal, rounded to fewer bits, and 2^1030
+        # itself is past the largest double
+        w = run(CovarianceMatrix(np.ldexp(sigma.entries, -1030)), mu, tree, gamma)
+        assert w.norm_tag == base.norm_tag
+        assert np.abs(w.values - base.values).max() <= 1e-9 * np.abs(base.values).max()
 
 
 @pytest.mark.parametrize("name", sorted(set(TREE_PASSES) - {"hrp"}))
