@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceMatrix, Signal, _count, _shrunk, check_gamma, markowitz_direct
+from .core import CovarianceMatrix, Signal, _count, _scale_exponent, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
 from .solver import _dense_sweeps, _drive
@@ -70,7 +70,12 @@ def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float, facto
 
 
 def _identity_terms(sigma: CovarianceMatrix, mu: Signal, g: float):
-    """w*, P_g's factor (made once for all its solves), w(g) and E = Sigma - D."""
+    """w*, P_g's factor (made once for all its solves), w(g) and E = Sigma - D,
+    in canonical units (``_scale_exponent``, of Sigma's diagonal and of mu):
+    the identities are ratios these exact factors leave as they are, so 2^a
+    Sigma and 2^b mu give the same bits, and no solve under- or overflows."""
+    sigma = CovarianceMatrix(np.ldexp(sigma.entries, -_scale_exponent(np.diag(sigma.entries))))
+    mu = Signal(np.ldexp(mu.values, -_scale_exponent(mu.values)))
     w_star = markowitz_direct(sigma, mu).values
     factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
     w_hat = _exact_shrunk_solve(sigma, mu, g, factor)

@@ -58,11 +58,12 @@ def raw_budgets(v_l: float, v_r: float, s_l: float, s_r: float, c: float, gamma:
     Returns (alpha_l_raw, alpha_r_raw, delta). When |delta| falls below
     DELTA_DEGENERACY * v_l * v_r the decoupled budgets s_k / v_k are used.
     """
-    delta = v_l * v_r - (gamma * c) ** 2
+    gc = gamma * c
+    delta = v_l * v_r - gc * gc  # a product, exact under power-of-two units
     if abs(delta) < DELTA_DEGENERACY * v_l * v_r:
         return s_l / v_l, s_r / v_r, delta
-    a_l = (v_r * s_l - gamma * c * s_r) / delta
-    a_r = (v_l * s_r - gamma * c * s_l) / delta
+    a_l = (v_r * s_l - gc * s_r) / delta
+    a_r = (v_l * s_r - gc * s_l) / delta
     return a_l, a_r, delta
 
 
@@ -138,12 +139,13 @@ def _fixed_pass(
     buf = np.empty((3, 2 * n - 1))
     buf[:, :n] = x * x * d, x * m, np.abs(x)
     q, s, a = buf.tolist()
-    # sp[i, j] x_j in place, summed per row segment, times x_i
+    # sp[i, j] x_j in place, summed per row segment, times x_i; the 2^-e of
+    # canonical units split over the two factors, so no sum over- or underflows
     starts, merges = tree.row_segments
-    x = x[order]
-    sp *= x
-    cross_sums = np.add.reduceat(sp.ravel(), starts) * x[starts // n]
-    crosses = np.ldexp(np.bincount(merges, cross_sums, n), -e).tolist()
+    x, half = x[order], e // 2
+    sp *= np.ldexp(x, -half)
+    cross_sums = np.add.reduceat(sp.ravel(), starts) * np.ldexp(x[starts // n], half - e)
+    crosses = np.bincount(merges, cross_sums, n).tolist()
     path = [1.0] * (2 * n - 1)  # budget per node id; the root's is 1
     for k, (i, j) in enumerate(pairs, n):
         al, ar, cross = a[i], a[j], crosses[k - n]
@@ -163,19 +165,22 @@ def _stacked_pass(
     """Post-order pass whose child representatives x_l, x_r are the children's
     own normalised local optima, stacked by the budget pair in each node's
     slice of one leaf-ordered array; the root's is the output. A node reads
-    Sigma only in its cross block x_l'Sigma_lr x_r, scaled after the sum."""
+    Sigma only in its cross block x_l'Sigma_lr x_r, summed with the array
+    held in units 2^-(e // 2), half the canonical scale in each factor, so no
+    sum over- or underflows, and scaled the rest of the way after the sum."""
     g, sp, order, m, d, e = _setup(sigma, mu, tree, gamma)
-    n, spans, x = tree.n, tree.spans, np.ones(tree.n)
+    half = e // 2
+    n, spans, x = tree.n, tree.spans, np.full(tree.n, math.ldexp(1.0, -half))
     q, s = (v.tolist() + [0.0] * (n - 1) for v in (d, m))
     for k, (i, j) in enumerate(tree.pairs, n):
         (l0, l_end), (r0, r_end) = spans[i], spans[j]
-        cross = math.ldexp(float(x[l0:l_end] @ sp[l0:l_end, r0:r_end] @ x[r0:r_end]), -e)
+        cross = math.ldexp(float(x[l0:l_end] @ sp[l0:l_end, r0:r_end] @ x[r0:r_end]), 2 * half - e)
         b_l, b_r = _split(k, q[i], q[j], s[i], s[j], cross, g, l1, e, trace)
         x[l0:l_end] *= b_l
         x[r0:r_end] *= b_r
         q[k] = b_l * b_l * q[i] + b_r * b_r * q[j] + 2.0 * b_l * b_r * cross
         s[k] = b_l * s[i] + b_r * s[j]
-    return _tagged(_original_order(x, order), "l1_one" if l1 else "sum_one")
+    return _tagged(_original_order(np.ldexp(x, half), order), "l1_one" if l1 else "sum_one")
 
 
 def hrp(sigma: CovarianceMatrix, tree: Dendrogram) -> WeightVector:

@@ -34,7 +34,9 @@ def solve_2x2(stats: ClusterStats, gamma: float) -> tuple[float, float]:
     g = check_gamma(gamma)
     if not (min(stats.v_l, stats.v_r) > 0.0 and all(map(math.isfinite, vars(stats).values()))):
         raise ParameterError("cluster variances must be strictly positive and all statistics finite")
-    a_l, a_r, _ = raw_budgets(stats.v_l, stats.v_r, stats.s_l, stats.s_r, stats.c, g)
+    a_l, a_r, delta = raw_budgets(stats.v_l, stats.v_r, stats.s_l, stats.s_r, stats.c, g)
+    if not math.isfinite(delta):
+        raise ParameterError("the node determinant v_l v_r - (gamma c)^2 is not finite")
     return a_l, a_r
 
 

@@ -7,16 +7,18 @@ P_gamma w+ - mu = gamma U (w+ - w); started from the diagonal solve
 w = mu / diag(Sigma) it converges for every SPD covariance and every gamma in
 [0, 1] at O(N^2) per sweep. On a dense Sigma, K sweeps stacked are one lower
 triangular system of bandwidth N - 1, diagonal blocks D + gamma L and
-subdiagonal blocks gamma U, which one BLAS band solve (``dtbsv``) takes at
-once (``_band_sweeps``): K = min(128, max(1, 1 MiB // (8 N^2))), so the band
-stays within a 1 MiB budget, and never more than the sweeps the caller can
-use. The blocked kernel (``_gauss_seidel``) takes one sweep at a time, a
-diagonal block of coordinates at a time: a factor model streams blocks of
-sqrt(N K) assets formed from its loadings, coupled through B^T w, in O(N K)
-memory, and a projected variant for box, budget, and linear inequality
-constraints sweeps a dense Sigma in blocks of 64 assets, each a clamped
-triangular solve, against a dual-shifted signal. One reader (``_drive``)
-takes either kernel's blocks, each at once, to a sweep cap or a stop rule.
+subdiagonal blocks gamma U, which one BLAS band solve takes at once
+(``_band_sweeps``; K and the band's memory budget in ``_band``). The blocked
+kernel (``_gauss_seidel``) takes one sweep at a time, a diagonal block of
+coordinates at a time: a factor model streams blocks of sqrt(N K) assets
+formed from its loadings, coupled through B^T w, in O(N K) memory, and a
+projected variant for box, budget, and linear inequality constraints sweeps
+a dense Sigma in blocks of 64 assets, each a clamped triangular solve,
+against a dual-shifted signal. Both kernels take gamma U w as one product on
+a strict triangle they hold, so Sigma 2^a and mu 2^b give exactly 2^(b - a)
+the iterates. One reader (``_drive``) takes either kernel's blocks, each at
+once, to a sweep cap or a stop rule whose ratios are formed in canonical
+units, so the sweeps it stops at do not depend on scale either.
 """
 
 from __future__ import annotations
@@ -92,24 +94,22 @@ def _dots(a: np.ndarray) -> np.ndarray:
 
 def _rel_changes(w: np.ndarray, last: np.ndarray) -> np.ndarray:
     """||w_k - w_{k-1}|| / ||w_{k-1}|| for each row w_k of a block, w_{-1} =
-    ``last``, computed as ``np.linalg.norm`` does at ordinary scale. Where
-    max|w_{k-1}| lies outside [1e-100, 1e100] the squares would under- or
-    overflow, so both vectors are first divided by it."""
+    ``last``, computed as ``np.linalg.norm`` does at ordinary scale. Where a
+    ||w_{k-1}||^2 lies outside [N 1e-200, 1e200] the squares may under- or
+    overflow, so both vectors of every row are first put in w_{k-1}'s
+    canonical units (``_scale_exponent``): an exact power of two, so a row at
+    ordinary scale keeps its bits and a ratio is the same at any scale."""
     prev = last[None] if len(w) == 1 else np.concatenate([last[None], w[:-1]])
     d = w - prev
-    with np.errstate(over="ignore"):  # an overflow fails the range check below
+    with np.errstate(over="ignore"):  # an overflow fails the range check, or is an infinite change
         ref2, change2 = _dots(prev), _dots(d)
-    # every max|w_{k-1}| lies in [1e-100, 1e100] when every ||w_{k-1}||^2
-    # lies in [N 1e-200, 1e200], here with a factor 2 of room for rounding
-    squares = ref2.tolist()
-    if not (2e-200 * w.shape[1] <= min(squares) and max(squares) <= 0.5e200):
-        s = np.abs(prev).max(axis=1, keepdims=True)
-        # x / 1.0 is x: rows at ordinary scale keep their bits
-        s = np.where((0.0 < s) & (s < math.inf) & ((s < 1e-100) | (s > 1e100)), s, 1.0)
-        ref2, change2 = _dots(prev / s), _dots(d / s)
-        if not ref2.all():  # a zero reference: no change is 0, any change is infinite
-            out = np.where(change2 == 0.0, 0.0, math.inf)
-            return np.divide(np.sqrt(change2), np.sqrt(ref2), out=out, where=ref2 != 0.0)
+        squares = ref2.tolist()
+        if not (2e-200 * w.shape[1] <= min(squares) and max(squares) <= 0.5e200):
+            shift = np.array([[-_scale_exponent(row)] for row in prev])
+            ref2, change2 = _dots(np.ldexp(prev, shift)), _dots(np.ldexp(d, shift))
+            if not ref2.all():  # a zero reference: no change is 0, any change is infinite
+                out = np.where(change2 == 0.0, 0.0, math.inf)
+                return np.divide(np.sqrt(change2), np.sqrt(ref2), out=out, where=ref2 != 0.0)
     return np.sqrt(change2) / np.sqrt(ref2)
 
 
@@ -149,9 +149,9 @@ def _band_sweeps(m: np.ndarray, d: np.ndarray, band: Callable) -> Iterator[np.nd
 
     ``band()`` gives the band of K stacked sweeps (``_band``); it is formed
     when the first sweep asks for it. One ``dtbsv`` takes the band's K sweeps
-    at once, the first against m less g U w of the last iterate (``dtbmv`` on
-    the band's first N columns, transposed, unit diagonal, less w) and the
-    rest coupled inside the band.
+    at once, the first against m less g U w of the last iterate (``dtbmv``,
+    transposed, on g L: the band's head one row down, read in place as a
+    band of width N - 2) and the rest coupled inside the band.
 
     Yields arrays whose rows are consecutive iterates: first the diagonal
     solve, one row, then K rows per band solve. Every yielded array is new
@@ -162,11 +162,14 @@ def _band_sweeps(m: np.ndarray, d: np.ndarray, band: Callable) -> Iterator[np.nd
     w = (m / d)[None]
     yield w
     b = band()
-    head, k = b[:, :n], b.shape[1] // n
+    k = b.shape[1] // n
+    # entry (i, j) is P_g[i + j + 1, j]: g L, whose transpose is g U
+    strict = b.T.ravel()[1 : n * n - n + 1].reshape(n - 1, n).T
     rhs = np.tile(m, k)
     while True:
         x = rhs.copy()
-        x[:n] -= dtbmv(n - 1, head, w[-1], lower=1, trans=1, diag=1) - w[-1]
+        if n > 1:  # g U of one asset is empty
+            x[: n - 1] -= dtbmv(n - 2, strict, w[-1][1:], lower=1, trans=1)
         w = dtbsv(n - 1, b, x, lower=1, overwrite_x=1).reshape(k, n)
         yield w
 
@@ -178,17 +181,20 @@ def _gauss_seidel(
     block of ``size`` coordinates at a time.
 
     A sweep is the triangular splitting (D + g L) w+ = m - g U w: each
-    block's lower triangle is solved against m less the block's upper
-    triangle times w, carried from the previous sweep, and less its coupling
-    to the rest of w. ``block(s, e)`` gives P_g[s:e, s:e]^T, Fortran-ordered
-    for a C-ordered block, so LAPACK and BLAS read it in place.
+    block's lower triangle is solved against m less g U w of the previous
+    sweep inside the block, and less its coupling to the rest of w.
+    ``block(s, e)`` gives the strict block P_g[s:e, s:e]^T, diagonal zero,
+    Fortran-ordered for a C-ordered block, so BLAS reads g U w off it in
+    place. Only a solve writes d onto a diagonal: without a box this kernel
+    onto the block, which ``block`` must form afresh each call, and with one
+    ``_clamped_solve`` onto its own copy, so a cached block stays strict.
     ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
     block's rows outside the block.
 
     With a ``box`` (lo, hi) every coordinate is clamped to it as it is
     updated, the projected Gauss-Seidel of C. W. Cryer (SIAM J. Control 9,
-    1971): each block is a ``_clamped_solve``. m is then read afresh each
-    sweep, so a caller may shift it in place between sweeps.
+    1971): each block is a ``_clamped_solve``. m is read afresh each sweep,
+    so a caller may shift it in place between sweeps.
 
     Yields one-row arrays, the diagonal solve and then each sweep's iterate,
     in ``_band_sweeps``' form. Every yielded array is new and never written
@@ -200,32 +206,24 @@ def _gauss_seidel(
     starts = list(range(0, n, size))
     # views: a caller's in-place shift of m is read at the next sweep
     parts = [(s, e, m[s:e]) for s, e in zip(starts, starts[1:] + [n])]
-    # g U w on each block, carried from the previous sweep
-    g_uw = [_upper(block(s, e), w[0, s:e]) for s, e, _ in parts]
     while True:
         w_prev, w = w[0], np.empty((1, n))
-        for i, (s, e, m_i) in enumerate(parts):
-            pt, rhs = block(s, e), m_i - g_uw[i]
+        for s, e, m_i in parts:
+            pt = block(s, e)
+            rhs = m_i - dtrmv(pt, w_prev[s:e], lower=1, trans=1)  # g U w inside the block
             rhs -= couple(s, e, w[0], w_prev)  # the blocks solved this sweep, the old values after
             if box is None:  # solved in the new rhs; info is 0: the diagonal d is > 0
+                pt.T.ravel()[:: e - s + 1] = d[s:e]  # a view: pt.T is C-ordered
                 x = dtrtrs(pt, rhs, trans=1, overwrite_b=1)[0]
             else:
                 x = _clamped_solve(pt, rhs, d[s:e], box[0][s:e], box[1][s:e], w_prev[s:e])
             w[0, s:e] = x
-            g_uw[i] = _upper(pt, x)
         yield w
-
-
-def _upper(pt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g U x inside one diagonal block, ``pt`` = P^T as in ``_gauss_seidel``."""
-    y = dtrmv(pt, x, lower=1, trans=1, diag=1)
-    y -= x
-    return y
 
 
 def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
     """x_i = clip((rhs_i - sum_{j<i} P_ij x_j) / d_i, lo_i, hi_i) in turn over
-    one diagonal block, ``pt`` = P^T as in ``_gauss_seidel``.
+    one diagonal block, ``pt`` = P^T strict as in ``_gauss_seidel``.
 
     Each coordinate ``prev`` left at a bound is held there and the block's
     lower triangle solved for the rest; one matvec then gives every
@@ -243,9 +241,9 @@ def _clamped_solve(pt, rhs, d, lo, hi, prev) -> np.ndarray:
     while k < x.size:
         t = np.array(pt, order="F")
         t[:, held] = 0.0  # a held row of P becomes the identity's
-        t[held, held] = 1.0
+        t.T.ravel()[:: x.size + 1] = np.where(held, 1.0, d)  # a view, as in ``_gauss_seidel``
         x = dtrtrs(t, np.where(held, x, rhs), trans=1)[0]
-        u = (rhs - (dtrmv(pt, x, lower=0, trans=1, diag=1) - x)) / d  # strict L x
+        u = (rhs - dtrmv(pt, x, lower=0, trans=1)) / d  # strict L x
         clamped = np.clip(u, lo, hi)
         bad = np.where(held, clamped != x, np.clip(x, lo, hi) != x)
         bad = np.flatnonzero(bad[k:])
@@ -377,7 +375,7 @@ def crisp_solve_stream(
 
     def block(s, e):
         p = gbl[s:e] @ b[s:e].T
-        np.fill_diagonal(p, d[s:e])
+        p.ravel()[:: e - s + 1] = 0.0  # strict, through a view of the diagonal
         return p.T
 
     def couple(s, e, x, y):  # through the K-vectors B^T x and B^T y
@@ -599,8 +597,8 @@ def crisp_projected(
     if not _feasible(lo, hi, e, d, eq):
         raise InfeasibleConstraintsError("the constraint set has no feasible point")
 
-    p_g = _shrunk(sigma.entries, g)
-    diag = np.diag(p_g).copy()
+    diag, p_g = np.diag(sigma.entries), sigma.entries * g
+    np.fill_diagonal(p_g, 0.0)  # P_gamma off the diagonal: the kernel's blocks are strict
     e2, inv_d, z = e * e, 1.0 / diag, np.zeros(d.size)
 
     def couple(s, t, x, y):

@@ -116,11 +116,15 @@ class TestOneFactorization:
     @pytest.mark.parametrize("fn", (perturbation_residual, dir_bound_factors))
     def test_p_gamma_factored_once(self, factored, fn, gamma):
         # Sigma's own factorization (markowitz_direct) plus one of P_gamma,
-        # shared by w(gamma) and the P_gamma^-1 E solve
+        # shared by w(gamma) and the P_gamma^-1 E solve; both in canonical
+        # units, Sigma times the power of two that puts its largest variance
+        # in [0.5, 1)
         sigma, mu = random_spd(50, 4), _rand_mu(50, 4)
         fn(sigma, mu, gamma)
+        e = int(np.frexp(np.diag(sigma.entries).max())[1])
+        canonical = CovarianceMatrix(np.ldexp(sigma.entries, -e))
         assert len(factored) == 2
-        assert sum(np.array_equal(a, shrink(sigma, gamma).entries) for a in factored) == 1
+        assert sum(np.array_equal(a, shrink(canonical, gamma).entries) for a in factored) == 1
 
     def test_trajectory_factors_p_gamma_once_per_point(self, factored, monkeypatch):
         # Sigma's factorization plus one of P_gamma per gamma > 0 (P_0 is the
@@ -281,6 +285,21 @@ def test_dir_bound_is_zero_when_the_off_diagonal_is():
     # E = 0 makes P_gamma^-1 E w* the zero vector: no angle, no bound
     sigma = CovarianceMatrix(np.diag([0.04, 0.09, 0.01]))
     assert dir_bound_factors(sigma, Signal([0.01, -0.02, 0.03]), 0.5) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", ("equicorr", "block_sector", "hedged_tight_blocks", "spiked"))
+def test_identities_at_any_scale(kind):
+    # both are ratios that rescaling Sigma or mu leaves as they are; in
+    # canonical units 2^a Sigma and 2^b mu give the same bits, also where
+    # the input-unit solves under- or overflowed
+    sigma = gen_regime(RegimeSpec(kind, n=30, seed=2))
+    mu = gen_signal(SignalSpec("gaussian", seed=2), 30)
+    for gamma in (0.0, 0.5, 0.9):
+        base = perturbation_residual(sigma, mu, gamma), dir_bound_factors(sigma, mu, gamma)
+        for a, b in ((0, -600), (0, 600), (-600, 0), (600, 0), (-300, 300), (600, -600), (-1000, 0)):
+            s, m = CovarianceMatrix(np.ldexp(sigma.entries, a)), Signal(np.ldexp(mu.values, b))
+            got = perturbation_residual(s, m, gamma), dir_bound_factors(s, m, gamma)
+            assert got == base, (gamma, a, b)
 
 
 _SIGMA4, _MU4 = nonmonotone_instance()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,21 @@ class TestSolve2x2:
         fields = {"v_l": 1.0, "v_r": 1.0, "s_l": 0.1, "s_r": 0.1, "c": 0.1, name: bad}
         with pytest.raises(ParameterError, match="all statistics finite"):
             solve_2x2(ClusterStats(**fields), 0.5)
+
+    def test_determinant_past_the_largest_double_raises(self):
+        # (gamma c)^2 = 1e320 overflows; it raised a bare OverflowError
+        with pytest.raises(ParameterError, match="node determinant"):
+            solve_2x2(ClusterStats(1.0, 1.0, 0.1, 0.2, 1e160), 1.0)
+
+    def test_determinant_scales_exactly(self):
+        # v_l, v_r and c times 2^k put delta times 2^2k, bit for bit: gamma c
+        # is squared by a product, where libm's pow is not correctly rounded
+        v_l, v_r, c = 0.001, 0.002, 0.12174110192433672
+        *_, delta = raw_budgets(v_l, v_r, 0.1, 0.2, c, 1.0)
+        for k in (1, 2, 3, -5):
+            v_lk, v_rk, c_k = (math.ldexp(v, k) for v in (v_l, v_r, c))
+            *_, scaled = raw_budgets(v_lk, v_rk, 0.1, 0.2, c_k, 1.0)
+            assert scaled == math.ldexp(delta, 2 * k), k
 
     def test_degenerate_determinant_falls_back(self):
         v = 1.0

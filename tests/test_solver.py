@@ -73,21 +73,23 @@ def reference_sweep_count(sigma, mu, gamma, tol, cap=50000):
 
 def triangular_sweeps(sigma, mu, gamma, ordering=None):
     """The kernel's arithmetic on one dense block, one array at a time: the same
-    LAPACK solve and BLAS product on P_gamma^T in visiting order, with the
-    state g U w as one vector. Kept as the bit-level oracle of the sweep
-    counts; yields (iterate in visiting order, residual) pairs."""
+    LAPACK solve on P_gamma^T in visiting order, and g U w as the BLAS product
+    on the strict triangle, with the state g U w as one vector. Kept as the
+    bit-level oracle of the sweep counts; yields (iterate in visiting order,
+    residual) pairs."""
     perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
     s = sigma.entries[np.ix_(perm, perm)]
     d = np.diag(s).copy()
     p = s * gamma
     np.fill_diagonal(p, d)
     pt, m = p.T, mu.values[perm]
+    strict = np.tril(pt, -1)  # (g U)^T
     w = m / d
     yield w, None
-    g_uw = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
+    g_uw = dtrmv(strict, w, lower=1, trans=1)
     while True:
         w = dtrtrs(pt, m - g_uw, trans=1)[0]
-        new = dtrmv(pt, w, lower=1, trans=1, diag=1) - w
+        new = dtrmv(strict, w, lower=1, trans=1)
         yield w, new - g_uw
         g_uw = new
 
@@ -108,8 +110,9 @@ def band_sweeps(sigma, mu, gamma, ordering=None):
     """The kernel's arithmetic on a dense Sigma, one block of K sweeps at a
     time: the band is K copies of P_gamma's columns, column j rolled up by j
     (built here with np.roll), one dtbmv forms g U w of a block's last
-    iterate and one dtbsv takes the next K sweeps. Kept as the bit-level
-    oracle; yields blocks of iterates in visiting order as
+    iterate from the strict lower triangle of the first block, a band of
+    width N - 2 one row down, and one dtbsv takes the next K sweeps. Kept as
+    the bit-level oracle; yields blocks of iterates in visiting order as
     ``solver._band_sweeps`` does, the first the diagonal solve."""
     n = sigma.n
     perm = np.arange(n) if ordering is None else np.asarray(ordering)
@@ -124,7 +127,8 @@ def band_sweeps(sigma, mu, gamma, ordering=None):
     yield w[None]
     while True:
         rhs = np.tile(m, k)
-        rhs[:n] -= dtbmv(n - 1, band[:, :n], w, lower=1, trans=1, diag=1) - w
+        if n > 1:
+            rhs[: n - 1] -= dtbmv(n - 2, band[1:, : n - 1], w[1:], lower=1, trans=1)
         block = dtbsv(n - 1, band, rhs, lower=1).reshape(k, n)
         yield block
         w = block[-1]
@@ -147,12 +151,13 @@ def band_residual_norms(sigma, mu, gamma, sweeps, ordering=None):
 
 def reference_rel_change(w, w_prev):
     """The per-sweep relative change the block reduction replaced: ||w -
-    w_prev|| / ||w_prev||, both first divided by max|w_prev| when that lies
-    outside [1e-100, 1e100]. Kept as the oracle."""
-    d = w - w_prev
-    s = float(np.abs(w_prev).max())
-    if not 1e-100 <= s <= 1e100 and 0.0 < s < math.inf:
-        d, w_prev = d / s, w_prev / s
+    w_prev|| / ||w_prev||, both first put in w_prev's canonical units, times
+    the power of two that puts max|w_prev| in [0.5, 1), always: an exact
+    factor, so where the kernel does not rescale the bits are the same. Kept
+    as the oracle."""
+    e = math.frexp(float(np.abs(w_prev).max()))[1]
+    with np.errstate(over="ignore"):
+        d, w_prev = np.ldexp(w - w_prev, -e), np.ldexp(w_prev, -e)
     ref, change = math.sqrt(w_prev.dot(w_prev)), math.sqrt(d.dot(d))
     if ref == 0.0:
         return 0.0 if change == 0.0 else math.inf
@@ -732,6 +737,22 @@ class TestStopRuleScale:
         assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
 
     @pytest.mark.parametrize("k", (-660, 660))
+    @pytest.mark.parametrize(
+        "kind, n, seed", (("equicorr", 30, 0), ("block_sector", 100, 0), ("hedged_tight_blocks", 40, 1))
+    )
+    def test_same_stop_bits_at_power_of_two_scales(self, kind, n, seed, k):
+        # mu times 2^k is exact, and so are the sweeps and the change in
+        # canonical units: the same count and change bit for bit, 2^k the
+        # weights. Dividing by max|w| moved the equicorr change at both signs
+        sigma = gen_regime(RegimeSpec(kind, n=n, seed=seed))
+        mu = np.random.default_rng(0).standard_normal(n)
+        base = crisp_solve(sigma, Signal(mu), 0.5)
+        scaled = crisp_solve(sigma, Signal(np.ldexp(mu, k)), 0.5)
+        assert (scaled.sweeps_used, scaled.converged) == (base.sweeps_used, base.converged)
+        assert scaled.final_rel_change == base.final_rel_change
+        assert np.array_equal(scaled.weights.values, np.ldexp(base.weights.values, k))
+
+    @pytest.mark.parametrize("k", (-660, 660))
     def test_residual_count_at_any_scale(self, k):
         # the squared residual underflowed at 2^-660 (one sweep, "converged")
         # and overflowed at 2^660 (the count ran to the cap)
@@ -1165,12 +1186,13 @@ class TestClampedSweep:
         c = solver._BOX_BLOCK
         p_g = shrink(random_spd(c, 4), 0.5).entries
         want = np.random.default_rng(4).uniform(1.0, 2.0, c)
-        rhs = np.tril(p_g) @ want
-        pt, lo, hi = p_g.T.copy(order="F"), np.zeros(c), np.full(c, np.inf)
+        rhs, d = np.tril(p_g) @ want, np.diag(p_g).copy()
+        # the strict block, as the kernel hands it over
+        pt, lo, hi = (p_g - np.diag(d)).T.copy(order="F"), np.zeros(c), np.full(c, np.inf)
         calls = []
         real = solver.dtrtrs
         monkeypatch.setattr(solver, "dtrtrs", lambda *a, **k: calls.append(1) or real(*a, **k))
-        x = solver._clamped_solve(pt, rhs, np.diag(pt).copy(), lo, hi, np.zeros(c))
+        x = solver._clamped_solve(pt, rhs, d, lo, hi, np.zeros(c))
         assert len(calls) == c
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -1190,6 +1212,7 @@ def reference_projected(sigma, mu, gamma, p, cs, eps=solver.DEFAULT_EPS):
     e, d_vec = np.vstack([np.ones((eq, n)), a_mat]), np.r_[[budget] * eq, b_vec]
     p_g = solver._shrunk(sigma.entries, gamma)
     d = np.diag(p_g).copy()
+    np.fill_diagonal(p_g, 0.0)  # the kernel's blocks are strict; couple reads no diagonal
     m, inv_d, lam, nu = mu.values, 1.0 / d, 0.0, np.zeros(len(rows))
 
     def couple(s, t, x, y):

@@ -146,7 +146,8 @@ def test_any_covariance_scale(name):
     for sigma, mu, gamma in _scale_inputs():
         tree = build_tree(to_correlation(sigma), "ward")
         base = run(sigma, mu, tree, gamma)
-        for e in (-1000, -700, -600, -3, 1, 5, 600, 700, 1000):
+        # up to 2^1022, where a sum of Sigma's entries in input units overflowed
+        for e in (-1000, -700, -600, -3, 1, 5, 600, 700, 1000, 1019, 1020, 1021, 1022):
             w = run(CovarianceMatrix(np.ldexp(sigma.entries, e)), mu, tree, gamma).values
             assert np.array_equal(w, base.values), (sigma.n, e)
         # at 2^-1030 every entry is subnormal, rounded to fewer bits, and 2^1030
