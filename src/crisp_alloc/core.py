@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +28,9 @@ NormTag = Literal["raw", "sum_one", "l1_one"]
 
 _SYMMETRY_RTOL = 1e-12
 _NORM_TOL = 1e-10
+# Bytes of one chunk of rows of an N x N loop (``_row_chunks``, the symmetry check,
+# ``to_correlation``, the regimes' scaling) and of the solver's band of sweeps.
+_CHUNK_BYTES = 1 << 20
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -35,22 +38,41 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_chunks(n: int) -> Iterator[slice]:
+    """Slices of the rows of an n x n array, each chunk of rows within _CHUNK_BYTES."""
+    rows = max(1, _CHUNK_BYTES // (8 * n))
+    return (slice(a, a + rows) for a in range(0, n, rows))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| from two reductions, no absolute copy; NaN if any entry is."""
+    return max(a.max(), -a.min())
+
+
 def _symmetric(m, name: str) -> np.ndarray:
     """The matrix rule: a nonempty square, finite matrix, symmetric to 1e-12 times
-    max(max |m|, 1), as the float copy (m + m^T) / 2; else InvalidCovarianceError."""
+    max(max |m|, 1), as the float copy (m + m^T) / 2; else InvalidCovarianceError.
+
+    Holds its float copy of m, which it returns, and row chunks within _CHUNK_BYTES:
+    max |m - m^T| is taken a chunk at a time, and only an input that is not exactly
+    symmetric is averaged, in place, a chunk of each triangle at a time.
+    """
     m = np.array(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidCovarianceError(f"{name} must be a nonempty square matrix")
-    if not np.all(np.isfinite(m)):
+    top = _max_abs(m)
+    if not math.isfinite(top):
         raise InvalidCovarianceError(f"{name} has non-finite entries")
-    # max |m| and max |m - m^T| from two reductions each, no absolute copy
-    bound = _SYMMETRY_RTOL * max(m.max(), -m.min(), 1.0)
-    gap = m - m.T
-    worst = max(gap.max(), -gap.min())
-    if not worst <= bound:
+    # each chunk's gap is freed before the next is formed
+    worst = max(_max_abs(m[r] - m[:, r].T) for r in _row_chunks(len(m)))
+    if not worst <= _SYMMETRY_RTOL * max(top, 1.0):
         raise InvalidCovarianceError(f"{name} is not symmetric to 1e-12 relative")
-    # both triangles must hold the same bits: the sweep reads both, a Cholesky one
-    return m if worst == 0.0 else np.multiply(np.add(m, m.T, out=gap), 0.5, out=gap)
+    # both triangles must hold the same bits: the sweep reads both, a Cholesky one.
+    # Rows and columns r from r.start on: later chunks read neither.
+    for r in _row_chunks(len(m)) if worst else ():
+        mean = (m[r, r.start :] + m[r.start :, r].T) * 0.5
+        m[r, r.start :], m[r.start :, r] = mean, mean.T
+    return m
 
 
 @dataclass(frozen=True)
@@ -93,8 +115,8 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         m = _symmetric(self.entries, "correlation")
-        np.fill_diagonal(m, 0.0)  # max |off-diagonal| from two reductions, no temporary
-        if max(m.max(), -m.min()) > 1.0 + 1e-9:
+        np.fill_diagonal(m, 0.0)  # max |off-diagonal|, no temporary
+        if _max_abs(m) > 1.0 + 1e-9:
             raise InvalidCovarianceError("off-diagonal correlation outside [-1, 1]")
         np.clip(m, -1.0, 1.0, out=m)
         np.fill_diagonal(m, 1.0)
@@ -157,6 +179,14 @@ class WeightVector:
         if s == 0.0:
             raise DegenerateInputError("cannot sum-normalize weights with zero sum")
         return WeightVector(self.values / s, "sum_one")
+
+
+def _raw_weights(w: np.ndarray) -> WeightVector:
+    """A solve's raw weights; ConditioningError when they overflow the double range
+    (the covariance is valid, the answer is not representable)."""
+    if not np.isfinite(w).all():
+        raise ConditioningError("the weights overflow the double range")
+    return WeightVector(w, "raw")
 
 
 def _meets(v: np.ndarray, tag: NormTag) -> bool:
@@ -227,10 +257,17 @@ def _scale_exponent(v) -> int:
 
 
 def to_correlation(sigma: CovarianceMatrix) -> CorrelationMatrix:
-    """Rescale a covariance to its correlation matrix, unit diagonal exact."""
-    d = np.diag(sigma.entries)
-    inv_vol = 1.0 / np.sqrt(d)
-    c = sigma.entries * np.outer(inv_vol, inv_vol)
+    """Rescale a covariance to its correlation matrix, unit diagonal exact.
+
+    Holds the product, the correlation's copy of it, and row chunks within
+    _CHUNK_BYTES: Sigma times v_i v_j (v the inverse vols) a chunk of rows at a
+    time, the same bits as ``sigma * np.outer(v, v)``.
+    """
+    s = sigma.entries
+    inv_vol = 1.0 / np.sqrt(np.diag(s))
+    c = np.empty_like(s)
+    for r in _row_chunks(len(s)):
+        np.multiply(s[r], np.outer(inv_vol[r], inv_vol), out=c[r])
     return CorrelationMatrix(c)
 
 
@@ -276,4 +313,4 @@ def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:
         w = scipy.linalg.cho_solve((c, low), m, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
-    return WeightVector(w, "raw")
+    return _raw_weights(w)

@@ -80,7 +80,9 @@ class Dendrogram:
 
 def corr_distance(corr: CorrelationMatrix) -> np.ndarray:
     """d_ij = sqrt((1 - C_ij) / 2), symmetric like C; zero diagonal, in [0, 1]."""
-    d = np.sqrt(0.5 * (1.0 - corr.entries))
+    d = np.subtract(1.0, corr.entries)  # the one N x N array, worked in place
+    d *= 0.5
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -17,7 +17,8 @@ class SingularCovarianceError(AllocationError):
 
 class ConditioningError(AllocationError):
     """A spectral routine got a matrix that is not positive definite, a
-    conditioning figure overflowed a float, or a sweep count hit its cap."""
+    conditioning figure overflowed a float, a solve's weights overflowed the
+    double range, or a sweep count hit its cap."""
 
 
 class ParameterError(AllocationError):

@@ -34,8 +34,8 @@ from scipy.linalg.blas import dtbmv, dtbsv, dtrmv
 from scipy.linalg.lapack import dtrtrs
 
 from .core import (
-    CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired, _scale_exponent,
-    _shrunk, _symmetric, check_gamma,
+    _CHUNK_BYTES, CovarianceMatrix, Signal, WeightVector, _count, _original_order, _paired,
+    _raw_weights, _scale_exponent, _shrunk, _symmetric, check_gamma,
 )
 from .errors import (
     InfeasibleConstraintsError,
@@ -50,14 +50,13 @@ DEFAULT_EPS = 1e-8
 # Diagonal block of a dense Sigma swept under a box: on an N = 1000 book 64
 # was as fast as 128 and faster than 32.
 _BOX_BLOCK = 64
-# Bytes of the band of a dense Sigma, and its most sweeps: K = min(_BAND_SWEEPS,
-# max(1, _BAND_BYTES // (8 N^2))) sweeps per band solve, and no more than the
+# The band of a dense Sigma: its bytes (core's row-chunk budget) and most sweeps, K =
+# min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 N^2))) sweeps per band solve, and no more than the
 # caller can use. On a 2-vCPU Xeon with 1 BLAS thread, microseconds per sweep
 # over K = 1, 2, 4, ... were least at K = 128 for N = 30 (0.42, against 4.7
 # at K = 1), K = 64 for N = 40 (0.64), K = 8-16 for N = 100 (3.3) and K = 4
 # for N = 200 (10.3): a band of 0.6-1.3 MiB each time, and twice that, or
 # more than 128 sweeps, was slower at every N (BENCH_23.json).
-_BAND_BYTES = 1 << 20
 _BAND_SWEEPS = 128
 
 
@@ -122,7 +121,7 @@ def _band(s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int) -> 
     LAPACK's lower band storage its column j of block k is column j of P_g
     rolled up by j, the same for every k: the band is K copies of one N x N
     block, N x KN and Fortran-ordered so that BLAS reads it in place. K =
-    min(sweeps, _BAND_SWEEPS, max(1, _BAND_BYTES // (8 N^2))). Each chunk of
+    min(sweeps, _BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 N^2))). Each chunk of
     rows is gathered with the columns it wraps round to and rolled through a
     sliding window, so no N x N index array or second N x N array is made.
     Off-diagonal entries are g s_ij and the diagonal is copied exactly, as
@@ -130,10 +129,10 @@ def _band(s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int) -> 
     """
     n = s.shape[0]
     order = np.arange(n) if order is None else order
-    k = min(sweeps, _BAND_SWEEPS, max(1, _BAND_BYTES // (8 * n * n)))
+    k = min(sweeps, _BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 * n * n)))
     twice = np.concatenate([order, order])
     blocks = np.empty((k, n, n))  # blocks[0][j] is the block's column j
-    rows = max(1, _BAND_BYTES // (16 * n))  # a chunk's gather stays in the budget
+    rows = max(1, _CHUNK_BYTES // (16 * n))  # a chunk's gather stays in the budget
     for a in range(0, n, rows):
         b = min(a + rows, n)
         t = np.take(np.take(s, order[a:b], axis=0), twice[a : b + n - 1], axis=1)
@@ -271,18 +270,20 @@ def _drive(iterates, cap: int, measure=None, bound: float = 0.0, perm=None) -> S
     (of a block and the iterate before it, one value a row; NaN when None) is
     at most ``bound``, or sweep ``cap``. A block is measured at once and its
     rows after the stop dropped; the last value is ``final_rel_change`` (0.0
-    at cap 0, the diagonal solve), and the weights are in original order."""
-    w, sweeps, last = next(iterates)[0], 0, 0.0
-    while sweeps < cap:
-        block = next(iterates)[: cap - sweeps]
-        values = [math.nan] * len(block) if measure is None else measure(block, w).tolist()
-        k = next((i for i, v in enumerate(values, 1) if v <= bound), len(values))
-        sweeps, last, w = sweeps + k, values[k - 1], block[k - 1]
-        if last <= bound:
-            break
+    at cap 0, the diagonal solve), and the weights are in original order.
+    Iterates past the largest double are ConditioningError, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the kernels run inside next()
+        w, sweeps, last = next(iterates)[0], 0, 0.0
+        while sweeps < cap:
+            block = next(iterates)[: cap - sweeps]
+            values = [math.nan] * len(block) if measure is None else measure(block, w).tolist()
+            k = next((i for i, v in enumerate(values, 1) if v <= bound), len(values))
+            sweeps, last, w = sweeps + k, values[k - 1], block[k - 1]
+            if last <= bound:
+                break
     if perm is not None:
         w = _original_order(w, perm)
-    return SolveReport(WeightVector(w, "raw"), sweeps, last, last <= bound)
+    return SolveReport(_raw_weights(w), sweeps, last, last <= bound)
 
 
 def _drive_rel(iterates, perm, g: float, p_max: int, eps: float) -> SolveReport:

@@ -14,7 +14,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CorrelationMatrix, CovarianceMatrix, Signal, _count, _paired, _symmetric, to_correlation
+from .core import (
+    CorrelationMatrix, CovarianceMatrix, Signal, _count, _paired, _row_chunks, _symmetric, to_correlation,
+)
 from .errors import GenerationError, ParameterError
 from .metrics import dir_error
 
@@ -120,7 +122,13 @@ def _block_corr(n: int, sectors: int, rho_w: float, rho_c: float) -> np.ndarray:
 
 
 def _corr_to_cov(corr: np.ndarray, vols: np.ndarray) -> CovarianceMatrix:
-    return CovarianceMatrix(corr * np.outer(vols, vols))
+    """The covariance with correlation ``corr`` and ``vols``: scales ``corr``, which
+    the caller hands over, in place by v_i v_j a chunk of rows at a time (the bits
+    of ``corr * np.outer(vols, vols)``), so it holds that array, the covariance's
+    copy of it, and row chunks within ``_CHUNK_BYTES``."""
+    for r in _row_chunks(len(corr)):
+        corr[r] *= np.outer(vols[r], vols)
+    return CovarianceMatrix(corr)
 
 
 def psd_floor(sym: np.ndarray, floor: float = DEFAULT_FLOOR) -> CorrelationMatrix:
@@ -160,9 +168,8 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
         b = rng.standard_normal((n, spec.k))
         fac_var = (b**2).sum(axis=1) / spec.k * share
         idio = fac_var * (1.0 - share) / share
-        raw = (share / spec.k) * (b @ b.T) + np.diag(idio)
-        corr = to_correlation(CovarianceMatrix(raw))
-        return _corr_to_cov(corr.entries, _vols(spec, rng))
+        sigma = CovarianceMatrix((share / spec.k) * (b @ b.T) + np.diag(idio))
+        return _corr_to_cov(to_correlation(sigma).entries.copy(), _vols(spec, rng))
 
     if spec.kind == "spiked":
         eigs = np.ones(n)
@@ -187,7 +194,7 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
             j = int(rng.choice(np.flatnonzero(labels == q)))
             corr[i, j] = corr[j, i] = -0.6
     floored = psd_floor(corr, DEFAULT_FLOOR)
-    cov = _corr_to_cov(floored.entries, _vols(spec, rng))
+    cov = _corr_to_cov(floored.entries.copy(), _vols(spec, rng))
     if np.linalg.eigvalsh(cov.entries)[0] <= 0.0:
         raise GenerationError("flooring failed to restore positive definiteness")
     return cov
@@ -286,7 +293,11 @@ def worst_case_mu(
 
 
 def sample_returns(sigma: CovarianceMatrix, mu: Signal, t: int, seed: SeedLike) -> np.ndarray:
-    """T x N Gaussian draws from N(mu, Sigma); bit-identical per seed."""
+    """T x N Gaussian draws from N(mu, Sigma); bit-identical per seed.
+
+    Holds the draws, the Cholesky factor and the result: mu is added into
+    ``z @ chol.T`` in place, the bits of ``mu + z @ chol.T``.
+    """
     _count(t, 2, "need at least two observations")
     m = _paired(sigma, mu)
     rng = _rng(seed)
@@ -294,8 +305,9 @@ def sample_returns(sigma: CovarianceMatrix, mu: Signal, t: int, seed: SeedLike) 
         chol = np.linalg.cholesky(sigma.entries)
     except np.linalg.LinAlgError as exc:
         raise GenerationError("sampling needs a positive definite covariance") from exc
-    z = rng.standard_normal((t, sigma.n))
-    return m + z @ chol.T
+    x = rng.standard_normal((t, sigma.n)) @ chol.T
+    x += m
+    return x
 
 
 def sample_cov(samples: np.ndarray, ridge: float = DEFAULT_RIDGE) -> CovarianceMatrix:
@@ -305,7 +317,10 @@ def sample_cov(samples: np.ndarray, ridge: float = DEFAULT_RIDGE) -> CovarianceM
         raise ParameterError("samples must be a T x N array with T >= 2")
     if ridge < 0.0:
         raise ParameterError("ridge must be nonnegative")
-    return CovarianceMatrix(np.cov(x, rowvar=False, ddof=1) + ridge * np.eye(x.shape[1]))
+    n = x.shape[1]
+    c = np.cov(x, rowvar=False, ddof=1).reshape(n, n)  # a scalar for N = 1
+    c.flat[:: n + 1] += ridge  # the diagonal only: no N x N identity
+    return CovarianceMatrix(c)
 
 
 def sample_mean(samples: np.ndarray) -> Signal:

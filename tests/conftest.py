@@ -3,6 +3,8 @@ draws, and the six tree passes under one call signature."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,17 @@ def chain_tree(n: int) -> Dendrogram:
     left, to the cluster so far, so the depth is n - 1."""
     pairs = [(0, 1)] + [(i + 1, n + i - 1) for i in range(1, n - 1)]
     return _assemble(n, pairs, [float(h) for h in range(1, n)])
+
+
+def peak_matrices(call, n: int) -> float:
+    """The peak of what ``call()`` allocates, in N x N double matrices."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n * n)
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from crisp_alloc import (
     trajectory,
 )
 from crisp_alloc import analysis, solver
-from tests.conftest import random_spd
+from tests.conftest import peak_matrices, random_spd
 
 
 def _rand_mu(n, seed):
@@ -155,11 +154,7 @@ class TestOneFactorization:
         n = 1000
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
         mu = _rand_mu(n, 5)
-        tracemalloc.start()
-        trajectory(sigma, mu, np.array([0.5]), p=3)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 2.5 * 8 * n * n
+        assert peak_matrices(lambda: trajectory(sigma, mu, np.array([0.5]), p=3), n) < 2.5
 
 
 class TestTrajectory:

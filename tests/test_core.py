@@ -337,6 +337,10 @@ class TestCountRule:
                      "covariance must be a nonempty square matrix", id="empty"),
         pytest.param(lambda: CovarianceMatrix([[1.0, np.nan], [np.nan, 1.0]]),
                      InvalidCovarianceError, "covariance has non-finite entries", id="nan"),
+        pytest.param(lambda: CovarianceMatrix([[1.0, 0.0], [0.0, np.inf]]),
+                     InvalidCovarianceError, "covariance has non-finite entries", id="inf"),
+        pytest.param(lambda: CorrelationMatrix([[1.0, -np.inf], [-np.inf, 1.0]]),
+                     InvalidCovarianceError, "correlation has non-finite entries", id="minus-inf"),
         pytest.param(lambda: WeightVector([]), InvalidCovarianceError,
                      "weights must be a nonempty finite vector", id="no-weights"),
         pytest.param(lambda: WeightVector([1.0, np.nan]), InvalidCovarianceError,

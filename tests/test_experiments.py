@@ -599,10 +599,14 @@ def test_every_method_at_any_scale(method):
     m, scaled = MethodSpec(method, 0.5), method in _SCALED_EXACTLY | _SCALED_CLOSE
     base = allocate(m, _scaled_inputs(0, 0))[0].values
     for a, b in itertools.product(_SCALES, _SCALES):
-        if scaled and abs(b - a) > 1000:
-            continue  # 2^(b - a) the weights lies past the double range
+        if scaled and b - a > 1000:  # 2^(b - a) the weights lies past the largest double
+            with pytest.raises(ConditioningError, match="the weights overflow the double range"):
+                allocate(m, _scaled_inputs(a, b))
+            continue
         w = allocate(m, _scaled_inputs(a, b))[0].values
-        if method in _SCALED_CLOSE:
+        if scaled and a - b > 1000:  # below the least double: the nearest weights are zeros
+            assert not w.any(), (a, b)
+        elif method in _SCALED_CLOSE:
             assert np.abs(np.ldexp(w, a - b) - base).max() <= 1e-14 * np.abs(base).max(), (a, b)
         else:
             assert np.array_equal(w, np.ldexp(base, b - a) if scaled else base), (a, b)

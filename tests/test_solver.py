@@ -38,7 +38,7 @@ from crisp_alloc import (
 )
 from crisp_alloc import solver
 from crisp_alloc.solver import _feasible, _project, _row_system
-from tests.conftest import random_spd
+from tests.conftest import peak_matrices, random_spd
 
 
 def _rand_mu(n, seed):
@@ -103,7 +103,7 @@ def triangular_sweep_count(sigma, mu, gamma, tol, cap=50000):
 
 
 def _sweeps_per_band(n):
-    return min(solver._BAND_SWEEPS, max(1, solver._BAND_BYTES // (8 * n * n)))
+    return min(solver._BAND_SWEEPS, max(1, solver._CHUNK_BYTES // (8 * n * n)))
 
 
 def band_sweeps(sigma, mu, gamma, ordering=None):
@@ -301,11 +301,8 @@ class TestAgainstScalarLoop:
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
         mu = _rand_mu(n, 5)
         order = build_tree(to_correlation(sigma), "ward").leaf_order
-        tracemalloc.start()
-        crisp_solve(sigma, mu, 0.5, p_max=3, eps=1e-300, ordering=order)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        peak = peak_matrices(lambda: crisp_solve(sigma, mu, 0.5, p_max=3, eps=1e-300, ordering=order), n)
+        assert peak < 1.5
 
 
 class TestKernelBits:

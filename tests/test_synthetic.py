@@ -9,6 +9,7 @@ import pytest
 
 import crisp_alloc
 from crisp_alloc import (
+    CorrelationMatrix,
     CovarianceMatrix,
     GenerationError,
     InvalidCovarianceError,
@@ -16,6 +17,7 @@ from crisp_alloc import (
     RegimeSpec,
     Signal,
     SignalSpec,
+    corr_distance,
     dir_diag,
     gen_regime,
     gen_signal,
@@ -28,6 +30,8 @@ from crisp_alloc import (
     to_correlation,
     worst_case_mu,
 )
+from crisp_alloc import synthetic
+from tests.conftest import peak_matrices
 
 
 class TestRegimes:
@@ -216,6 +220,100 @@ class TestSampling:
         mu = gen_signal(SignalSpec("ones"), 100)
         with pytest.raises(ParameterError):
             sample_returns(base100, mu, 1, seed=0)
+
+
+_KINDS = ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks", "wide_vol")
+
+
+def _old_corr_to_cov(corr, vols):
+    return CovarianceMatrix(corr * np.outer(vols, vols))
+
+
+class TestFullMatrixBits:
+    """The row-chunked and in-place forms against the full-matrix expressions
+    they replace: the same bits at every N, one chunk (N <= 300) or several (700)."""
+
+    @pytest.mark.parametrize(
+        "kind, n", [(k, n) for k in _KINDS for n in (7, 60, 300)] + [("block_sector", 700)]
+    )
+    def test_set_up_chain(self, kind, n, monkeypatch):
+        spec = RegimeSpec(kind, n=n, seed=n, sectors=min(5, n))
+        sigma = gen_regime(spec)
+        with monkeypatch.context() as patched:
+            patched.setattr(synthetic, "_corr_to_cov", _old_corr_to_cov)
+            assert _same_bits(sigma.entries, gen_regime(spec).entries)
+
+        mu = gen_signal(SignalSpec("gaussian", seed=n), n)
+        x = sample_returns(sigma, mu, 2 * n, seed=n)
+        z = np.random.default_rng(np.random.SeedSequence(n)).standard_normal((2 * n, n))
+        assert _same_bits(x, mu.values + z @ np.linalg.cholesky(sigma.entries).T)
+
+        ridge = 1e-4 * n
+        cov = sample_cov(x, ridge)
+        assert _same_bits(cov.entries, np.cov(x, rowvar=False, ddof=1) + ridge * np.eye(n))
+
+        corr = to_correlation(cov)
+        inv_vol = 1.0 / np.sqrt(np.diag(cov.entries))
+        want = CorrelationMatrix(cov.entries * np.outer(inv_vol, inv_vol)).entries
+        assert _same_bits(corr.entries, want)
+
+        d = np.sqrt(0.5 * (1.0 - corr.entries))
+        np.fill_diagonal(d, 0.0)
+        assert _same_bits(corr_distance(corr), d)
+
+    @pytest.mark.parametrize("n", (7, 700))
+    def test_a_near_symmetric_input_is_averaged(self, n):
+        rng = np.random.default_rng(n)
+        m = gen_regime(RegimeSpec("block_sector", n=n, seed=n)).entries.copy()
+        m += np.triu(rng.uniform(-1e-14, 1e-14, (n, n)), 1) * m.max()
+        assert not np.array_equal(m, m.T)
+        assert _same_bits(CovarianceMatrix(m).entries, (m + m.T) * 0.5)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWorkingMatrices:
+    """Each N x N constructor, generator and sampler holds its result and at
+    most one other full-size array (row chunks aside), at N = 1000, in N x N
+    double matrices."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def book(self):
+        sigma = gen_regime(RegimeSpec("block_sector", n=self.N, seed=0))
+        returns = sample_returns(sigma, Signal(np.zeros(self.N)), 2 * self.N, seed=1)
+        return sigma, returns
+
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [("block_sector", 2.5), ("equicorr", 2.5), ("wide_vol", 2.5),
+         ("factor", 3.5), ("spiked", 6.5), ("hedged_tight_blocks", 6.1)],
+    )
+    def test_gen_regime(self, kind, bound):
+        spec = RegimeSpec(kind, n=self.N, seed=0)
+        assert peak_matrices(lambda: gen_regime(spec), self.N) < bound
+
+    def test_covariance_matrix(self, book):
+        entries = book[0].entries
+        assert peak_matrices(lambda: CovarianceMatrix(entries), self.N) < 1.5
+
+    def test_to_correlation(self, book):
+        assert peak_matrices(lambda: to_correlation(book[0]), self.N) < 2.5
+
+    def test_corr_distance(self, book):
+        corr = to_correlation(book[0])
+        assert peak_matrices(lambda: corr_distance(corr), self.N) < 1.5
+
+    def test_sample_returns(self, book):
+        sigma, zero = book[0], Signal(np.zeros(self.N))
+        assert peak_matrices(lambda: sample_returns(sigma, zero, 2 * self.N, seed=1), self.N) < 5.5
+
+    def test_sample_cov(self, book):
+        # np.cov's centred copy of the T = 2N returns and its product
+        assert peak_matrices(lambda: sample_cov(book[1]), self.N) < 3.5
 
 
 class TestWorstCase:
