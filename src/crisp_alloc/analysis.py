@@ -152,7 +152,7 @@ def trajectory(
             if g else None
         )
         exact = _exact_shrunk_solve(sigma, mu, g, factor)
-        iterate = _drive(_dense_sweeps(sigma, mu, g, None, p)[0], p).weights.values
+        iterate = _drive(_dense_sweeps(sigma, mu, g, None, p)[0], mu.values, p).weights.values
         out.append(
             TrajectoryPoint(
                 gamma=g,

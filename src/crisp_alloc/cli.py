@@ -354,7 +354,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--full", action="store_true", help="restore full-scale runs")
     p_exp.add_argument("--format", choices=("csv", "tsv", "text"), default="csv")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_exp.add_argument("--jobs", type=int, default=1, help="checked only; trials run in order on one thread")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_traj = sub.add_parser("trajectory", help="shrinkage-grid direction errors", parents=[inputs])

@@ -181,11 +181,14 @@ class WeightVector:
         return WeightVector(self.values / s, "sum_one")
 
 
-def _raw_weights(w: np.ndarray) -> WeightVector:
-    """A solve's raw weights; ConditioningError when they overflow the double range
-    (the covariance is valid, the answer is not representable)."""
+def _raw_weights(w: np.ndarray, mu: np.ndarray) -> WeightVector:
+    """A solve's raw weights for ``mu``; ConditioningError when they overflow the
+    double range or all underflow it for a nonzero mu (the covariance is valid,
+    the answer is not representable)."""
     if not np.isfinite(w).all():
         raise ConditioningError("the weights overflow the double range")
+    if not w.any() and mu.any():
+        raise ConditioningError("the weights underflow the double range")
     return WeightVector(w, "raw")
 
 
@@ -313,4 +316,4 @@ def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:
         w = scipy.linalg.cho_solve((c, low), m, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
-    return _raw_weights(w)
+    return _raw_weights(w, m)

@@ -110,8 +110,11 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
     work = corr_distance(corr)
     # squareform's row-major order without importing scipy.spatial
     cond = np.concatenate([work[i, i + 1 :] for i in range(n - 1)])
+    del work  # the tie loop, its only other reader, forms it again
     ranked = np.sort(cond)
-    if (ranked[1:] > ranked[:-1]).all():
+    distinct = (ranked[1:] > ranked[:-1]).all()
+    del ranked
+    if distinct:
         # imported here: the module costs ~30 ms, which every import of the
         # package would otherwise pay
         from scipy.cluster.hierarchy import linkage
@@ -123,6 +126,7 @@ def build_tree(corr: CorrelationMatrix, rule: LinkageRule = "ward") -> Dendrogra
     # Ward's update runs on squared distances, the other rules on raw ones,
     # squared in place so one n x n array is alive. The live clusters fill
     # slots 0..size-1 and the diagonal holds inf, so no row needs a mask.
+    work = corr_distance(corr)
     if rule == "ward":
         np.square(work, out=work)
     np.fill_diagonal(work, np.inf)

@@ -4,19 +4,18 @@ One trial draws T observations from the true (mu, Sigma), forms the ridged
 sample covariance, allocates every configured method through the one method
 table ``METHODS`` (the cluster tree of the estimate's correlation is built on
 the first method that reads it), and scores the weights under the true moments.
-Aggregation is a deterministic reduction keyed by trial index, so running
-trials across worker threads cannot change any number. Each experiment kind,
-the Monte Carlo one included, is one runner in ``_RUNNERS``, and each preset
-one row of ``_PRESETS``; all share the same table/export machinery. The Monte
-Carlo context and the ``recovery``, ``minvar_direction`` and ``graduated``
-tables draw their true (Sigma, mu) with one recipe, ``_population``, and those
-tables allocate every column through ``METHODS`` too, so each column is the
-allocator its method id names.
+Trials run in trial order on the calling thread, and aggregation is a
+deterministic reduction keyed by trial index. Each experiment kind, the Monte
+Carlo one included, is one runner in ``_RUNNERS``, and each preset one row of
+``_PRESETS``; all share the same table/export machinery. The Monte Carlo
+context and the ``recovery``, ``minvar_direction`` and ``graduated`` tables
+draw their true (Sigma, mu) with one recipe, ``_population``, and those tables
+allocate every column through ``METHODS`` too, so each column is the allocator
+its method id names.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import math
@@ -327,28 +326,19 @@ _CELL_COLUMNS = tuple(f.name for f in fields(CellResult) if f.name != "sweeps")
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
-    """Execute the experiment with the runner its ``kind`` names, on ``jobs``
-    worker threads."""
+    """Execute the experiment with the runner its ``kind`` names, its trials in
+    trial order on the calling thread. ``jobs`` is checked and otherwise
+    ignored until the benchmark stops passing it (ROADMAP items 6 and 7)."""
     _count(jobs, 1, "jobs must be a whole number of at least 1")
     runner = _RUNNERS.get(spec.kind)
     if runner is None:
         raise ParameterError(f"unknown experiment kind {spec.kind!r}")
-    return runner(spec, jobs)
+    return runner(spec)
 
 
-def _run_monte_carlo(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     ctx = _make_context(spec)
-    work = [(t, i) for t in spec.t_values for i in range(spec.trials)]
-
-    def run(key: tuple[int, int]) -> TrialRecord:
-        return _run_trial(ctx, spec, *key)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, work))
-    else:
-        records = list(map(run, work))
-
+    records = [_run_trial(ctx, spec, t, i) for t in spec.t_values for i in range(spec.trials)]
     cells = _aggregate(spec, records)
     rows = tuple(tuple(getattr(c, col) for col in _CELL_COLUMNS) for c in cells)
     table = ExperimentTable("cells", _CELL_COLUMNS, rows)
@@ -381,7 +371,7 @@ def nonmonotone_instance() -> tuple[CovarianceMatrix, Signal]:
 # ---------------------------------------------------------------------------
 
 
-def _run_recovery(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_recovery(spec: ExperimentSpec) -> ExperimentResult:
     x = _population(spec.regime, _ONES)
     w_hrp = allocate(MethodSpec("hrp"), x)[0].sum_normalized().values
     comparisons = (
@@ -402,7 +392,7 @@ def _run_recovery(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(table,))
 
 
-def _run_minvar_direction(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_minvar_direction(spec: ExperimentSpec) -> ExperimentResult:
     x = _population(spec.regime, _ONES)
     target = markowitz_direct(x.sigma, x.mu).values
     methods = ("cotton", "crisp", "a2", "hrp-mu", "a1")
@@ -415,7 +405,7 @@ def _run_minvar_direction(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("minvar_direction", cols, rows),))
 
 
-def _run_graduated(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_graduated(spec: ExperimentSpec) -> ExperimentResult:
     n = spec.regime.n
     panels = [
         ("base_gaussian", RegimeSpec("block_sector", n=n, seed=spec.seed), SignalSpec("gaussian", seed=7)),
@@ -446,7 +436,7 @@ def _run_graduated(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("graduated", cols, tuple(rows)),))
 
 
-def _run_worst_case(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_worst_case(spec: ExperimentSpec) -> ExperimentResult:
     n = spec.regime.n
     cases = [
         ("hedged", RegimeSpec("hedged_tight_blocks", n=n, seed=spec.seed)),
@@ -464,7 +454,7 @@ def _run_worst_case(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("worst_case", cols, tuple(rows)),))
 
 
-def _run_sweep_rate(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_sweep_rate(spec: ExperimentSpec) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     corr_eigs = to_correlation(sigma).eigenvalues
     gammas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0)
@@ -483,7 +473,7 @@ def _run_sweep_rate(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_rate", cols, tuple(rows)),))
 
 
-def _run_trajectory(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_trajectory(spec: ExperimentSpec) -> ExperimentResult:
     sigma, mu = nonmonotone_instance()
     grid = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
     rows = tuple(astuple(p) for p in trajectory(sigma, mu, grid, p=200))
@@ -491,7 +481,7 @@ def _run_trajectory(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
     return ExperimentResult(spec=spec, tables=(ExperimentTable("trajectory", cols, rows),))
 
 
-def _run_adaptive_calibration(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_adaptive_calibration(spec: ExperimentSpec) -> ExperimentResult:
     n = spec.regime.n
     regimes = [
         ("block", RegimeSpec("block_sector", n=n, seed=spec.seed)),
@@ -516,7 +506,7 @@ def _run_adaptive_calibration(spec: ExperimentSpec, jobs: int) -> ExperimentResu
                     ic=ic,
                     kind="monte_carlo",
                 )
-                res = run_experiment(sub, jobs)
+                res = run_experiment(sub)
                 sharpes = {c.gamma: c.mean_sharpe for c in res.cells}
                 best_gamma = max(sharpes, key=sharpes.get)
                 peak = sharpes[best_gamma]
@@ -529,7 +519,7 @@ def _run_adaptive_calibration(spec: ExperimentSpec, jobs: int) -> ExperimentResu
     return ExperimentResult(spec=spec, tables=(ExperimentTable("adaptive_calibration", cols, tuple(rows)),))
 
 
-def _run_sweep_regularization(spec: ExperimentSpec, jobs: int) -> ExperimentResult:
+def _run_sweep_regularization(spec: ExperimentSpec) -> ExperimentResult:
     # one run over every (gamma, sweep budget): each draw is sampled, estimated
     # and clustered once, and the cells come out sorted by (gamma, sweeps, T)
     methods = tuple(
@@ -537,13 +527,13 @@ def _run_sweep_regularization(spec: ExperimentSpec, jobs: int) -> ExperimentResu
         for g in (0.3, 0.5, 0.7, 1.0)
         for p in (1, 5, 10, 50, 100, 500)
     )
-    res = run_experiment(replace(spec, methods=methods, kind="monte_carlo"), jobs)
+    res = run_experiment(replace(spec, methods=methods, kind="monte_carlo"))
     rows = tuple((c.gamma, c.sweeps, c.t, c.mean_sharpe, c.std_sharpe) for c in res.cells)
     cols = ("gamma", "sweeps", "t", "mean_sharpe", "std_sharpe")
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_regularization", cols, rows),))
 
 
-_RUNNERS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
+_RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentResult]] = {
     "monte_carlo": _run_monte_carlo,
     "recovery": _run_recovery,
     "minvar_direction": _run_minvar_direction,

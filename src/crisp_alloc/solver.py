@@ -185,8 +185,8 @@ def _gauss_seidel(
     ``block(s, e)`` gives the strict block P_g[s:e, s:e]^T, diagonal zero,
     Fortran-ordered for a C-ordered block, so BLAS reads g U w off it in
     place. Only a solve writes d onto a diagonal: without a box this kernel
-    onto the block, which ``block`` must form afresh each call, and with one
-    ``_clamped_solve`` onto its own copy, so a cached block stays strict.
+    writes it onto the block, which ``block`` must form afresh each call, and
+    with one ``_clamped_solve`` onto its own copy, so a cached block stays strict.
     ``couple(s, e, x, y)`` gives P_g[s:e, :s] x[:s] + P_g[s:e, e:] y[e:], the
     block's rows outside the block.
 
@@ -265,13 +265,13 @@ def _dense_sweeps(sigma: CovarianceMatrix, mu: Signal, g: float, ordering, sweep
     return _band_sweeps(m, d, lambda: _band(sigma.entries, g, perm, sweeps)), perm
 
 
-def _drive(iterates, cap: int, measure=None, bound: float = 0.0, perm=None) -> SolveReport:
-    """The one reader of kernel ``iterates``: the first sweep whose ``measure``
-    (of a block and the iterate before it, one value a row; NaN when None) is
-    at most ``bound``, or sweep ``cap``. A block is measured at once and its
-    rows after the stop dropped; the last value is ``final_rel_change`` (0.0
-    at cap 0, the diagonal solve), and the weights are in original order.
-    Iterates past the largest double are ConditioningError, not a warning."""
+def _drive(iterates, m, cap: int, measure=None, bound: float = 0.0, perm=None) -> SolveReport:
+    """The one reader of kernel ``iterates`` for the signal ``m``: the first
+    sweep whose ``measure`` (of a block and the iterate before it, one value a
+    row; NaN when None) is at most ``bound``, or sweep ``cap``. A block is
+    measured at once and its rows after the stop dropped; the last value is
+    ``final_rel_change`` (0.0 at cap 0, the diagonal solve), and the weights
+    are in original order and in the double range (``_raw_weights``)."""
     with np.errstate(over="ignore", invalid="ignore"):  # the kernels run inside next()
         w, sweeps, last = next(iterates)[0], 0, 0.0
         while sweeps < cap:
@@ -283,12 +283,12 @@ def _drive(iterates, cap: int, measure=None, bound: float = 0.0, perm=None) -> S
                 break
     if perm is not None:
         w = _original_order(w, perm)
-    return SolveReport(_raw_weights(w), sweeps, last, last <= bound)
+    return SolveReport(_raw_weights(w, m), sweeps, last, last <= bound)
 
 
-def _drive_rel(iterates, perm, g: float, p_max: int, eps: float) -> SolveReport:
+def _drive_rel(iterates, perm, m, g: float, p_max: int, eps: float) -> SolveReport:
     """``_drive`` to ``crisp_solve``'s stop rule; gamma below eps is cap 0, the diagonal solve."""
-    return _drive(iterates, p_max if g >= eps else 0, _rel_changes, eps, perm)
+    return _drive(iterates, m, p_max if g >= eps else 0, _rel_changes, eps, perm)
 
 
 def crisp_solve(
@@ -308,7 +308,7 @@ def crisp_solve(
     ||w - w_prev||_2 <= eps * ||w_prev||_2.
     """
     g = _check_solver_args(gamma, p_max, eps)
-    return _drive_rel(*_dense_sweeps(sigma, mu, g, ordering, p_max), g, p_max, eps)
+    return _drive_rel(*_dense_sweeps(sigma, mu, g, ordering, p_max), mu.values, g, p_max, eps)
 
 
 @dataclass(frozen=True)
@@ -383,7 +383,7 @@ def crisp_solve_stream(
         return gbl[s:e] @ (b[:s].T @ x[:s] + b[e:].T @ y[e:])
 
     size = math.isqrt(fm.n * max(fm.k, 1) - 1) + 1
-    return _drive_rel(_gauss_seidel(m, d, block, size, couple), None, g, p_max, eps)
+    return _drive_rel(_gauss_seidel(m, d, block, size, couple), None, m, g, p_max, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +653,8 @@ def sweeps_to_tolerance(
     """
     g = _check_solver_args(gamma, cap, tol)
     e = _scale_exponent(_paired(sigma, mu))
-    iterates, perm = _dense_sweeps(sigma, Signal(np.ldexp(mu.values, -e)), g, ordering, cap)
+    m = np.ldexp(mu.values, -e)
+    iterates, perm = _dense_sweeps(sigma, Signal(m), g, ordering, cap)
     g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
 
     def norms(block, w):
@@ -663,5 +664,5 @@ def sweeps_to_tolerance(
         bound = math.nextafter(math.ldexp(tol, -e), 0.0)
     except OverflowError:  # past the largest double: met at once
         bound = math.inf
-    rep = _drive(iterates, cap, norms, bound)
+    rep = _drive(iterates, m, cap, norms, bound)
     return SweepDiagnostic(rep.sweeps_used, rep.converged)

@@ -326,7 +326,7 @@ def test_criterion_06_sign_flip_pathology_mc():
         trials=60,
         seed=5,
     )
-    res = run_experiment(spec, jobs=2)
+    res = run_experiment(spec)
     a1_frac = {c.t: c.frac_neg_cos for c in res.cells if c.method == "a1"}
     mu_frac = {c.t: c.frac_neg_cos for c in res.cells if c.method == "hrp-mu"}
     band_ok = all(0.40 <= f <= 0.60 for f in a1_frac.values())
@@ -371,7 +371,7 @@ def test_criterion_07_oos_tournament():
         t_values=(120,),
         trials=40,
     )
-    res = run_experiment(spec, jobs=2)
+    res = run_experiment(spec)
 
     def series(mid, gamma=0.5):
         key = next(m for m in spec.methods if m.method == mid and m.gamma == gamma)
@@ -403,7 +403,7 @@ def test_criterion_07_oos_tournament():
         t_values=(60, 120, 240),
         trials=40,
     )
-    mv_res = run_experiment(mv, jobs=2)
+    mv_res = run_experiment(mv)
     oracle = 1.0 / _make_context(mv).oracle_minvar_vol
     fracs = [c.mean_sharpe / oracle for c in sorted(mv_res.cells, key=lambda c: c.t)]
     increasing = fracs[0] < fracs[1] < fracs[2]

@@ -20,7 +20,7 @@ from crisp_alloc import (
     to_correlation,
 )
 from crisp_alloc.dendrogram import _assemble
-from tests.conftest import chain_tree, random_spd
+from tests.conftest import chain_tree, peak_matrices, random_spd
 
 RULES = ("ward", "single", "complete", "average")
 REGIMES = ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks", "wide_vol")
@@ -246,6 +246,14 @@ class TestBuildTree:
         assert np.allclose(
             np.linalg.eigvalsh(permuted), np.linalg.eigvalsh(sigma.entries), atol=1e-10
         )
+
+
+@pytest.mark.parametrize("population", (True, False), ids=("tie-loop", "scipy"))
+def test_build_tree_holds_one_distance_square(population):
+    # at N = 1000, in N x N double matrices: the square and its condensed copy,
+    # each released once read; the tied population runs the loop, a sample scipy
+    corr = regime_corrs("block_sector", 1000)[0 if population else 1]
+    assert peak_matrices(lambda: build_tree(corr), 1000) < 1.6
 
 
 class TestBalancedTree:

@@ -363,20 +363,6 @@ class TestPresets:
         threaded = [export(t) for t in run_experiment(spec, jobs=2).tables]
         assert serial == threaded
 
-    @pytest.mark.parametrize("name", ("sweep_regularization", "adaptive_calibration"))
-    def test_nested_presets_pass_jobs_through(self, name, monkeypatch):
-        inner = experiments.run_experiment
-        seen = []
-
-        def spy(spec, jobs=1):
-            seen.append((spec.kind, jobs))
-            return inner(spec, jobs)
-
-        monkeypatch.setattr(experiments, "run_experiment", spy)
-        spy(replace(preset(name), trials=1), jobs=2)
-        assert seen[0] == (name, 2)
-        assert seen[1:] and all(s == ("monte_carlo", 2) for s in seen[1:])
-
     def test_sweep_regularization_matches_one_run_per_configuration(self):
         # the table as it was built before: one single-method run per (gamma, p)
         spec = replace(preset("sweep_regularization"), trials=2)
@@ -599,17 +585,24 @@ def test_every_method_at_any_scale(method):
     m, scaled = MethodSpec(method, 0.5), method in _SCALED_EXACTLY | _SCALED_CLOSE
     base = allocate(m, _scaled_inputs(0, 0))[0].values
     for a, b in itertools.product(_SCALES, _SCALES):
-        if scaled and b - a > 1000:  # 2^(b - a) the weights lies past the largest double
-            with pytest.raises(ConditioningError, match="the weights overflow the double range"):
+        if scaled and abs(b - a) > 1000:  # 2^(b - a) the weights lies past the double range
+            way = "overflow" if b > a else "underflow"
+            with pytest.raises(ConditioningError, match=f"the weights {way} the double range"):
                 allocate(m, _scaled_inputs(a, b))
             continue
         w = allocate(m, _scaled_inputs(a, b))[0].values
-        if scaled and a - b > 1000:  # below the least double: the nearest weights are zeros
-            assert not w.any(), (a, b)
-        elif method in _SCALED_CLOSE:
+        if method in _SCALED_CLOSE:
             assert np.abs(np.ldexp(w, a - b) - base).max() <= 1e-14 * np.abs(base).max(), (a, b)
         else:
             assert np.array_equal(w, np.ldexp(base, b - a) if scaled else base), (a, b)
+
+
+@pytest.mark.parametrize("method", sorted(_SCALED_EXACTLY | _SCALED_CLOSE))
+def test_zero_signal_gives_zero_weights(method):
+    # all-zero weights are the answer to a zero mu, not an underflow
+    x = _scaled_inputs(0, 0)
+    w = allocate(MethodSpec(method, 0.5), Inputs(x.sigma, Signal(np.zeros(x.sigma.n))))[0]
+    assert w.norm_tag == "raw" and not w.values.any()
 
 
 @pytest.mark.parametrize(

@@ -566,7 +566,7 @@ class TestOneReader:
                         assert diags == [(1, True)] * 2
                     # a measure that is NaN on every row never stops
                     iterates, perm = solver._dense_sweeps(sigma, mu, gamma, ordering, cap)
-                    never = solver._drive(iterates, cap, lambda b, w: np.full(len(b), np.nan),
+                    never = solver._drive(iterates, mu.values, cap, lambda b, w: np.full(len(b), np.nan),
                                           solver.DEFAULT_EPS, perm)
                     rows = np.concatenate(list(islice(band_sweeps(sigma, mu, gamma, ordering),
                                                       2 + cap // k)))
@@ -577,7 +577,8 @@ class TestOneReader:
                 # trajectory's p-th row, read with islice over the rows
                 sweeps = solver._dense_sweeps(sigma, mu, gamma, None, cap)[0]
                 row = next(islice(chain.from_iterable(sweeps), cap, None))
-                read = solver._drive(solver._dense_sweeps(sigma, mu, gamma, None, cap)[0], cap)
+                sweeps = solver._dense_sweeps(sigma, mu, gamma, None, cap)[0]
+                read = solver._drive(sweeps, mu.values, cap)
                 assert read.weights.values.tobytes() == row.tobytes()
                 assert (read.sweeps_used, read.converged) == (cap, False)
                 (point,) = trajectory(sigma, mu, np.array([gamma]), p=cap)
