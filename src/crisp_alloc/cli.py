@@ -7,7 +7,11 @@ regime, with direction/Sharpe diagnostics against the direct solve),
 signal search), and ``gen`` (write a synthetic covariance/signal to CSV).
 
 Covariance files are headerless CSV, N rows by N columns; signals are N x 1.
-A path ending in ``.npy`` is read and written as a numpy array instead.
+A path ending in ``.npy`` is read and written as a numpy array instead. With
+neither ``--mu`` nor ``--signal`` the signal is all ones; a ``--signal`` spec
+on a ``--cov`` file is drawn on five equal sectors. ``--regime`` and
+``--signal`` specs give the same inputs that ``gen`` writes, and a signal of
+the wrong length exits 1 with the library's message.
 Flags override an optional ``key = value`` config file, which overrides the
 built-in defaults. The CRISP_ALLOC_RESULTS_DIR environment variable overrides
 the results root.
@@ -29,6 +33,7 @@ from .core import CovarianceMatrix, Signal, _count, markowitz_direct
 from .errors import AllocationError, ParameterError
 from .experiments import (
     DEFAULT_FACTORS,
+    EXPORT_FORMATS,
     METHOD_IDS,
     Inputs,
     MethodSpec,
@@ -126,6 +131,13 @@ def _write_matrix(path: str, m: np.ndarray) -> None:
         np.savetxt(path, m, fmt="%.17g", delimiter=",")
 
 
+def _write_out(path: str | None, m: np.ndarray) -> None:
+    """``m`` to the ``--out`` path, when one is given."""
+    if path:
+        _write_matrix(path, m)
+        print(f"wrote {path}")
+
+
 # per spec kind: the spec class, the library's kind names, short aliases,
 # and the keys a spec string may set, key -> (field, type)
 _SPECS = {
@@ -197,7 +209,7 @@ def _build_cov(args):
     """(sigma, sectors) from a CSV path or a generated regime."""
     if args.cov:
         sigma = CovarianceMatrix(_read_matrix(args.cov))
-        sectors = sector_labels(sigma.n, 5)
+        sectors = sector_labels(sigma.n, RegimeSpec.sectors)
     elif args.regime:
         spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
         sigma = gen_regime(spec)
@@ -208,18 +220,13 @@ def _build_cov(args):
 
 
 def _build_inputs(args):
-    """(sigma, mu): ``_build_cov`` and a signal from a CSV path or a spec."""
+    """(sigma, mu): ``_build_cov`` and a signal from a CSV path or a spec (all
+    ones when neither is given). The library pairs them when it reads them."""
     sigma, sectors = _build_cov(args)
     if args.mu:
-        mu = Signal(_read_matrix(args.mu).reshape(-1))
-        if mu.n != sigma.n:
-            raise CliError("signal length does not match covariance size")
-    elif args.signal:
-        sig = _parse_spec("signal", args.signal, seed=args.seed)
-        mu = gen_signal(sig, sigma.n, sectors=sectors, sigma=sigma)
-    else:
-        mu = Signal(np.ones(sigma.n))
-    return sigma, mu
+        return sigma, Signal(_read_matrix(args.mu).reshape(-1))
+    sig = _parse_spec("signal", args.signal or "ones", seed=args.seed)
+    return sigma, gen_signal(sig, sigma.n, sectors=sectors, sigma=sigma)
 
 
 def cmd_allocate(args) -> int:
@@ -238,9 +245,7 @@ def cmd_allocate(args) -> int:
         f"sign_match: {rep.sign_match_fraction:.6g}"
     )
     print(f"sharpe: {sharpe(w.values, sigma, mu):.6g}  sharpe_direct: {sharpe(w_star.values, sigma, mu):.6g}")
-    if args.out:
-        _write_matrix(args.out, w.values)
-        print(f"wrote {args.out}")
+    _write_out(args.out, w.values)
     return 0
 
 
@@ -283,9 +288,7 @@ def cmd_trajectory(args) -> int:
     print(*(f.name for f in dataclasses.fields(TrajectoryPoint)))
     for gamma, *dirs in rows:
         print(f"{gamma:.3f}", *map(_fmt, dirs))
-    if args.out:
-        _write_matrix(args.out, np.array(rows))
-        print(f"wrote {args.out}")
+    _write_out(args.out, np.array(rows))
     return 0
 
 
@@ -294,9 +297,7 @@ def cmd_worst_mu(args) -> int:
     mu, val = worst_case_mu(sigma, restarts=args.restarts, seed=args.seed)
     print(f"dir_diag: {val:.6g}")
     print("mu:", " ".join(f"{x:.6g}" for x in mu.values))
-    if args.out:
-        _write_matrix(args.out, mu.values)
-        print(f"wrote {args.out}")
+    _write_out(args.out, mu.values)
     return 0
 
 
@@ -353,7 +354,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_exp.add_argument("preset", help="preset name; see --list via invalid name")
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--full", action="store_true", help="restore full-scale runs")
-    p_exp.add_argument("--format", choices=("csv", "tsv", "text"), default="csv")
+    p_exp.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
     p_exp.add_argument("--jobs", type=int, default=1, help="checked only; trials run in order on one thread")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -373,15 +374,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_gen.add_argument("--signal", help="also write a signal")
     p_gen.add_argument("--mu-out", help="signal path (default: --out with _mu before its suffix)")
     p_gen.set_defaults(func=cmd_gen)
-
-    subparsers = {
-        "allocate": p_alloc,
-        "experiment": p_exp,
-        "trajectory": p_traj,
-        "worst-mu": p_worst,
-        "gen": p_gen,
-    }
-    return parser, subparsers
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:

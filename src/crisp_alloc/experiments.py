@@ -449,7 +449,7 @@ def _run_worst_case(spec: ExperimentSpec) -> ExperimentResult:
         eigs, vecs = np.linalg.eigh(sigma.entries)
         v_min = vecs[:, 0]
         cos_min = abs(float(mu.values @ v_min))
-        rows.append((label, kappa(sigma.entries), kappa(to_correlation(sigma)), val, cos_min))
+        rows.append((label, kappa(sigma), kappa(to_correlation(sigma)), val, cos_min))
     cols = ("case", "kappa_sigma", "kappa_c", "dir_diag", "cos_mu_vmin")
     return ExperimentResult(spec=spec, tables=(ExperimentTable("worst_case", cols, tuple(rows)),))
 
@@ -504,9 +504,8 @@ def _run_adaptive_calibration(spec: ExperimentSpec) -> ExperimentResult:
                     t_values=(t,),
                     mu_estimator="ic_noise",
                     ic=ic,
-                    kind="monte_carlo",
                 )
-                res = run_experiment(sub)
+                res = _run_monte_carlo(sub)
                 sharpes = {c.gamma: c.mean_sharpe for c in res.cells}
                 best_gamma = max(sharpes, key=sharpes.get)
                 peak = sharpes[best_gamma]
@@ -527,7 +526,7 @@ def _run_sweep_regularization(spec: ExperimentSpec) -> ExperimentResult:
         for g in (0.3, 0.5, 0.7, 1.0)
         for p in (1, 5, 10, 50, 100, 500)
     )
-    res = run_experiment(replace(spec, methods=methods, kind="monte_carlo"))
+    res = _run_monte_carlo(replace(spec, methods=methods))
     rows = tuple((c.gamma, c.sweeps, c.t, c.mean_sharpe, c.std_sharpe) for c in res.cells)
     cols = ("gamma", "sweeps", "t", "mean_sharpe", "std_sharpe")
     return ExperimentResult(spec=spec, tables=(ExperimentTable("sweep_regularization", cols, rows),))
@@ -646,9 +645,12 @@ def _fmt(x) -> str:
     return f"{x:.6g}" if isinstance(x, float) else str(x)
 
 
+EXPORT_FORMATS = ("csv", "tsv", "text")
+
+
 def export(table: ExperimentTable, format: str = "csv") -> bytes:
     """Serialize a table: header row, six significant digits, stable order."""
-    if format not in ("csv", "tsv", "text"):
+    if format not in EXPORT_FORMATS:
         raise ParameterError(f"unknown export format {format!r}")
     if format in ("csv", "tsv"):
         buf = io.StringIO()

@@ -21,14 +21,13 @@ from crisp_alloc import (
     gen_signal,
     preset,
     run_experiment,
-    sector_labels,
     trajectory,
     worst_case_mu,
 )
 from crisp_alloc.analysis import default_gamma_grid
 from crisp_alloc.cli import main
 from crisp_alloc.errors import ParameterError
-from crisp_alloc.experiments import METHOD_IDS, Inputs
+from crisp_alloc.experiments import METHOD_IDS
 from crisp_alloc.synthetic import _REGIMES, _SIGNALS
 
 
@@ -71,6 +70,20 @@ class TestGenAllocateRoundTrip:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("signal", ("ones", "gaussian", "tilt", "worst:restarts=2"))
+    def test_allocate_on_gen_files_prints_what_the_specs_print(self, signal, tmp_path, capsys):
+        # one recipe: a spec given to allocate draws the inputs gen writes, and
+        # a signal spec on a covariance file draws on its five equal sectors
+        regime, sig = ["--regime", "block", "--n", "12"], ["--signal", signal, "--seed", "42"]
+        cov = tmp_path / "cov.csv"
+        assert run_cli(["gen", *regime, *sig, "--out", str(cov)], capsys)[0] == 0
+        alloc = ["allocate", "--method", "crisp"]
+        files = ["--cov", str(cov), "--mu", str(tmp_path / "cov_mu.csv")]
+        code, from_files, _ = run_cli([*alloc, *files], capsys)
+        assert code == 0
+        assert run_cli([*alloc, *regime, *sig], capsys) == (0, from_files, "")
+        assert run_cli([*alloc, "--cov", str(cov), *sig], capsys) == (0, from_files, "")
 
     def test_solvers_report_their_convergence(self, capsys):
         # a line of its own after the weights line, which is parsed and stays as it was
@@ -661,9 +674,8 @@ def test_allocate_prints_the_method_table_row(method, capsys):
             "--signal", "gaussian", "--gamma", "0.7", "--sweeps", "40", "--eps", "1e-10"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    sigma = gen_regime(RegimeSpec("block_sector", n=12, seed=4))
-    mu = gen_signal(SignalSpec("gaussian", seed=4), 12, sectors=sector_labels(12, 5), sigma=sigma)
-    w, report = allocate(MethodSpec(method, 0.7, 40, 1e-10), Inputs(sigma, mu))
+    x = experiments._population(RegimeSpec("block_sector", n=12, seed=4), SignalSpec("gaussian", seed=4))
+    w, report = allocate(MethodSpec(method, 0.7, 40, 1e-10), x)
     lines = out.splitlines()
     assert lines[1] == "weights: " + " ".join(f"{x:.6g}" for x in w.values)
     sweeps = [line for line in lines if line.startswith("sweeps:")]
