@@ -11,7 +11,8 @@ A path ending in ``.npy`` is read and written as a numpy array instead. With
 neither ``--mu`` nor ``--signal`` the signal is all ones; a ``--signal`` spec
 on a ``--cov`` file is drawn on five equal sectors. ``--regime`` and
 ``--signal`` specs give the same inputs that ``gen`` writes, and a signal of
-the wrong length exits 1 with the library's message.
+the wrong length exits 1 with the library's message. ``gen --mu-out`` needs
+``--signal``. A stdout closed before the output is written exits 1.
 Flags override an optional ``key = value`` config file, which overrides the
 built-in defaults. The CRISP_ALLOC_RESULTS_DIR environment variable overrides
 the results root.
@@ -304,6 +305,8 @@ def cmd_worst_mu(args) -> int:
 def cmd_gen(args) -> int:
     if not args.out:
         raise CliError("gen needs --out FILE")
+    if args.mu_out and not args.signal:
+        raise CliError("--mu-out needs --signal")
     spec = _parse_spec("regime", args.regime, n=args.n, seed=args.seed)
     sig = _parse_spec("signal", args.signal or "ones", seed=args.seed)
     x = _population(spec, sig)
@@ -410,9 +413,14 @@ def main(argv=None) -> int:
                 except argparse.ArgumentError as exc:
                     sub.error(str(exc))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone raises here, not at exit
+        return code
     except (CliError, AllocationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the rest of stdout goes to devnull: the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Union
 
 import numpy as np
 import scipy.linalg
@@ -276,23 +276,19 @@ def to_correlation(sigma: CovarianceMatrix) -> CorrelationMatrix:
 
 def kappa(matrix: MatrixLike) -> float:
     """Spectral condition number lambda_max / lambda_min of an SPD matrix."""
-    eigs = (
-        matrix.eigenvalues
-        if isinstance(matrix, CorrelationMatrix)
-        else scipy.linalg.eigvalsh(_as_array(matrix))
-    )
+    eigs = scipy.linalg.eigvalsh(_as_array(matrix))
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
         raise ConditioningError(f"matrix is not positive definite (min eigenvalue {lo:g})")
     return hi / lo
 
 
-def _shrunk(s: np.ndarray, gamma: float, order: Optional[np.ndarray] = None) -> np.ndarray:
-    """P_gamma of the entries ``s`` as one new array, rows and columns in ``order``.
+def _shrunk(s: np.ndarray, gamma: float) -> np.ndarray:
+    """P_gamma of the entries ``s`` as one new array.
 
     The off-diagonal is scaled by gamma and the diagonal is copied exactly.
     """
-    p = s.copy() if order is None else _gathered(s, order)
+    p = s.copy()
     d = np.diag(p).copy()
     p *= gamma
     np.fill_diagonal(p, d)

@@ -640,9 +640,9 @@ def sweeps_to_tolerance(
     gamma: float,
     tol: float,
     cap: int = 50000,
-    ordering: Optional[Sequence[int]] = None,
 ) -> SweepDiagnostic:
-    """Sweeps until the residual norm ||P_gamma w - mu||_2 falls below tol.
+    """Sweeps, in asset order, until the residual norm ||P_gamma w - mu||_2
+    falls below tol.
 
     Residual-based, unlike the solver's relative-change rule; the first sweep
     is always performed and counted. Returns a non-convergence report (not an
@@ -654,8 +654,8 @@ def sweeps_to_tolerance(
     g = _check_solver_args(gamma, cap, tol)
     e = _scale_exponent(_paired(sigma, mu))
     m = np.ldexp(mu.values, -e)
-    iterates, perm = _dense_sweeps(sigma, Signal(m), g, ordering, cap)
-    g_l = np.tril(_shrunk(sigma.entries, g, perm), -1)  # (g U)^T: P_gamma is symmetric
+    iterates = _dense_sweeps(sigma, Signal(m), g, None, cap)[0]
+    g_l = np.tril(_shrunk(sigma.entries, g), -1)  # (g U)^T: P_gamma is symmetric
 
     def norms(block, w):
         return np.sqrt(_dots(np.diff(block, axis=0, prepend=w[None]) @ g_l))

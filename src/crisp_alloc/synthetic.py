@@ -34,6 +34,7 @@ _REGIMES = (
     "wide_vol",
 )
 _SIGNALS = ("ones", "gaussian", "sector_tilt", "worst_case")
+_TILTS = (0.04, -0.04, 0.02, -0.02, 0.0)  # sector_tilt's signal of sector id s is _TILTS[s % 5]
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
@@ -52,20 +53,18 @@ def _rng(seed: SeedLike) -> np.random.Generator:
 class RegimeSpec:
     """Covariance-regime recipe; deterministic given the seed.
 
-    ``sectors`` controls the block count for the block/hedged kinds, ``k``
-    the factor count, ``rho`` the equicorrelation level. ``vol_range``
-    defaults to (0.05, 1.0) for ``wide_vol`` and to (0.15, 0.40) otherwise.
+    ``kind`` fixes the constants: volatilities on (0.05, 1.0) for ``wide_vol``, else
+    on (0.15, 0.40); block correlation 0.6 within and 0.15 across, 0.8 and 0.0 with
+    -0.6 hedges for ``hedged_tight_blocks``; factor share 0.62. ``sectors`` is the
+    block count, ``k`` the factor count, ``rho`` the equicorrelation level.
     """
 
     kind: str
     n: int = 100
-    vol_range: Optional[tuple[float, float]] = None
     seed: int = 42
     sectors: int = 5
     k: int = 3
     rho: float = 0.6
-    rho_within: float = 0.6
-    rho_cross: float = 0.15
 
     def __post_init__(self):
         if self.kind not in _REGIMES:
@@ -73,30 +72,22 @@ class RegimeSpec:
         _count(self.n, 2, "regimes need at least two assets")
         _count(self.sectors, 1, "sectors and k must be at least 1")
         _count(self.k, 1, "sectors and k must be at least 1")
-        if self.vol_range is None:
-            wide = self.kind == "wide_vol"
-            object.__setattr__(self, "vol_range", (0.05, 1.0) if wide else (0.15, 0.40))
-        lo, hi = self.vol_range
-        if not 0.0 < lo <= hi:
-            raise ParameterError("vol_range must be 0 < lo <= hi")
 
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Signal recipe: flat ones, gaussian draws, tiled sector tilts, or the
-    adversarial worst-case search (which needs the covariance)."""
+    """Signal recipe: flat ones, gaussian draws, the tilts 0.04, -0.04, 0.02,
+    -0.02, 0.0 tiled over the sector ids, or the adversarial worst-case search
+    (which needs the covariance)."""
 
     kind: str
     sigma_mu: float = 0.02
     seed: int = 0
-    tilts: tuple[float, ...] = (0.04, -0.04, 0.02, -0.02, 0.0)
     restarts: int = 32
 
     def __post_init__(self):
         if self.kind not in _SIGNALS:
             raise ParameterError(f"unknown signal kind {self.kind!r}")
-        if len(self.tilts) == 0:
-            raise ParameterError("tilts must hold at least one value")
 
 
 def sector_labels(n: int, sectors: int) -> np.ndarray:
@@ -109,7 +100,7 @@ def sector_labels(n: int, sectors: int) -> np.ndarray:
 
 
 def _vols(spec: RegimeSpec, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = spec.vol_range
+    lo, hi = (0.05, 1.0) if spec.kind == "wide_vol" else (0.15, 0.40)
     return rng.uniform(lo, hi, size=spec.n)
 
 
@@ -152,7 +143,7 @@ def gen_regime(spec: RegimeSpec) -> CovarianceMatrix:
     n = spec.n
 
     if spec.kind in ("block_sector", "wide_vol"):
-        corr = _block_corr(n, spec.sectors, spec.rho_within, spec.rho_cross)
+        corr = _block_corr(n, spec.sectors, 0.6, 0.15)
         return _corr_to_cov(corr, _vols(spec, rng))
 
     if spec.kind == "equicorr":
@@ -222,8 +213,7 @@ def gen_signal(
             raise ParameterError("sector_tilt needs the sector map")
         if len(sectors) != n:
             raise ParameterError(f"sector_tilt needs a sector map of {n} entries, got {len(sectors)}")
-        tilts = np.asarray(spec.tilts, dtype=float)
-        return Signal(tilts[np.asarray(sectors) % tilts.size])
+        return Signal(np.take(_TILTS, np.asarray(sectors) % len(_TILTS)))
     # worst_case, the last kind SignalSpec admits
     if sigma is None:
         raise ParameterError("worst_case needs the covariance")
@@ -315,8 +305,8 @@ def sample_cov(samples: np.ndarray, ridge: float = DEFAULT_RIDGE) -> CovarianceM
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ParameterError("samples must be a T x N array with T >= 2")
-    if ridge < 0.0:
-        raise ParameterError("ridge must be nonnegative")
+    if not 0.0 <= ridge < np.inf:
+        raise ParameterError("ridge must be nonnegative and finite")
     n = x.shape[1]
     c = np.cov(x, rowvar=False, ddof=1).reshape(n, n)  # a scalar for N = 1
     c.flat[:: n + 1] += ridge  # the diagonal only: no N x N identity

@@ -1,5 +1,10 @@
 import hashlib
+import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,6 +626,8 @@ _REJECTED = [
     pytest.param({"c.csv": "1,0\n\n0,\u0661\n"},
                  ["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv"], 1,
                  "could not convert string", id="cell-loadtxt-alone-rejects"),
+    pytest.param({}, ["gen", "--regime", "block", "--n", "6", "--out", "{tmp}/c.csv", "--mu-out", "{tmp}/m.csv"],
+                 1, "error: --mu-out needs --signal", id="mu-out-without-signal"),
     pytest.param({}, ["experiment", "recovery", "--jobs", "0", "--out", "{tmp}/r"], 1,
                  "error: --jobs must be at least 1", id="jobs-0"),
     pytest.param({}, ["experiment", "recovery", "--jobs", "-3", "--out", "{tmp}/r"], 1,
@@ -666,6 +673,7 @@ def test_rejected_input(files, argv, code, fragment, tmp_path, capsys):
         got, err = exc.code, capsys.readouterr().err
     assert got == code
     assert fragment in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)  # nothing written
 
 
 @pytest.mark.parametrize("method", METHOD_IDS)
@@ -690,3 +698,39 @@ def test_a_rejected_job_count_writes_nothing(tmp_path, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 1
     assert not (tmp_path / "r").exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written ends the run
+    with exit 1 and no traceback: the rest of stdout goes to devnull."""
+
+    ALLOCATE = ["allocate", "--method", "hrp", "--regime", "block", "--n", "400"]
+
+    @pytest.mark.parametrize("method", ("write", "flush"))
+    def test_exits_1_and_sends_the_rest_to_devnull(self, method, tmp_path, monkeypatch):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        def broken(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, method, broken)
+        monkeypatch.setattr(stdout, "fileno", lambda: fd)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(self.ALLOCATE) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    def test_a_closed_pipe_prints_no_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the first write
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        try:
+            run = subprocess.run([sys.executable, "-m", "crisp_alloc.cli", *self.ALLOCATE],
+                                 stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr

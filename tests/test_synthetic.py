@@ -94,7 +94,7 @@ class TestRegimes:
         assert gen_regime(RegimeSpec("hedged_tight_blocks", n=2, sectors=2)).n == 2
 
     def test_vol_range_respected(self):
-        cov = gen_regime(RegimeSpec("block_sector", n=50, vol_range=(0.05, 1.0), seed=7))
+        cov = gen_regime(RegimeSpec("wide_vol", n=50, seed=7))
         vols = np.sqrt(np.diag(cov.entries))
         assert vols.min() >= 0.05 and vols.max() <= 1.0
 
@@ -110,11 +110,10 @@ class TestRegimes:
         "kind", ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks")
     )
     def test_default_vol_range_is_pinned(self, kind):
-        assert repr(RegimeSpec(kind)) == (
-            f"RegimeSpec(kind='{kind}', n=100, vol_range=(0.15, 0.4), seed=42, sectors=5, "
-            "k=3, rho=0.6, rho_within=0.6, rho_cross=0.15)"
-        )
-        assert RegimeSpec("wide_vol", vol_range=(0.2, 0.3)).vol_range == (0.2, 0.3)
+        assert repr(RegimeSpec(kind)) == f"RegimeSpec(kind='{kind}', n=100, seed=42, sectors=5, k=3, rho=0.6)"
+        # every kind but wide_vol draws its volatilities on (0.15, 0.40)
+        vols = np.sqrt(np.diag(gen_regime(RegimeSpec(kind, n=200, seed=5)).entries))
+        assert 0.15 <= vols.min() < 0.17 and 0.38 < vols.max() <= 0.40
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -374,8 +373,6 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
                      "sectors and k must be at least 1", id="sectors-float"),
         pytest.param(lambda: RegimeSpec("factor", k=True), ParameterError,
                      "sectors and k must be at least 1", id="k-bool"),
-        pytest.param(lambda: RegimeSpec("block_sector", vol_range=(0.3, 0.1)), ParameterError,
-                     "vol_range must be 0 < lo <= hi", id="vol-range"),
         pytest.param(lambda: SignalSpec("uniform"), ParameterError,
                      "unknown signal kind 'uniform'", id="signal-kind"),
         pytest.param(lambda: gen_signal(SignalSpec("worst_case"), 4), ParameterError,
@@ -400,8 +397,6 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
         pytest.param(lambda: gen_signal(SignalSpec("sector_tilt"), 10, sectors=sector_labels(3, 3)),
                      ParameterError, "sector_tilt needs a sector map of 10 entries, got 3",
                      id="tilt-map-length"),
-        pytest.param(lambda: SignalSpec("sector_tilt", tilts=()), ParameterError,
-                     "tilts must hold at least one value", id="tilts-empty"),
         # a covariance given to any kind takes the pairing rule: it has n assets
         *(
             pytest.param(lambda kind=kind: gen_signal(SignalSpec(kind, restarts=1), 10, sigma=_SIGMA4),
@@ -421,6 +416,12 @@ _MU4 = Signal([0.01, -0.02, 0.03, 0.0])
                      "samples must be a T x N array with T >= 2", id="cov-vector"),
         pytest.param(lambda: sample_cov(np.eye(3), ridge=-1e-4), ParameterError,
                      "ridge must be nonnegative", id="ridge"),
+        # a ridge that is not a finite number is a bad ridge, not a bad covariance
+        *(
+            pytest.param(lambda bad=bad: sample_cov(np.eye(3), ridge=bad), ParameterError,
+                         "ridge must be nonnegative and finite", id=f"ridge-{bad}")
+            for bad in (np.nan, np.inf)
+        ),
         pytest.param(lambda: sample_mean(np.ones(5)), ParameterError,
                      "samples must be a T x N array", id="mean-vector"),
         # seeds take the count rule: an int, or each entry of a sequence, at least 0
