@@ -458,12 +458,11 @@ def _run_sweep_rate(spec: ExperimentSpec) -> ExperimentResult:
     sigma = gen_regime(spec.regime)
     corr_eigs = to_correlation(sigma).eigenvalues
     gammas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0)
-    n_signals = 5
+    signals = [gen_signal(SignalSpec("gaussian", seed=100 + s), spec.regime.n) for s in range(5)]
     rows = []
     for g in gammas:
         counts = []
-        for s in range(n_signals):
-            mu = gen_signal(SignalSpec("gaussian", seed=100 + s), spec.regime.n)
+        for s, mu in enumerate(signals):
             run = sweeps_to_tolerance(sigma, mu, g, 1e-10)
             if not run.converged:  # the cap is not a sweep count
                 raise ConditioningError(f"sweep cap hit at gamma={g:g}, signal seed {100 + s}")

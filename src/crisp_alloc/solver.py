@@ -18,7 +18,10 @@ against a dual-shifted signal. Both kernels take gamma U w as one product on
 a strict triangle they hold, so Sigma 2^a and mu 2^b give exactly 2^(b - a)
 the iterates. One reader (``_drive``) takes either kernel's blocks, each at
 once, to a sweep cap or a stop rule whose ratios are formed in canonical
-units, so the sweeps it stops at do not depend on scale either.
+units, so the sweeps it stops at do not depend on scale either. The residual
+counter (``sweeps_to_tolerance``) runs one sweep and no kernel: it advances
+the residual by its recurrence r+ = G r, G = -gamma U (D + gamma L)^-1, one
+product a sweep and then K sweeps a product with G^K, K doubled by squaring.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ _BOX_BLOCK = 64
 # over K = 1, 2, 4, ... were least at K = 128 for N = 30 (0.42, against 4.7
 # at K = 1), K = 64 for N = 40 (0.64), K = 8-16 for N = 100 (3.3) and K = 4
 # for N = 200 (10.3): a band of 0.6-1.3 MiB each time, and twice that, or
-# more than 128 sweeps, was slower at every N (BENCH_23.json).
+# more than 128 sweeps, was slower at every N (BENCH_23.json). The residual
+# counter's blocks take at most as many sweeps, K residuals of N doubles each
+# within the same bytes: per sweep, K = 128 came within 1.15x of K = 256 from
+# N = 30 to N = 1000, and 4.1-33x faster than K = 1 (two scans, BENCH_36.json).
 _BAND_SWEEPS = 128
 
 
@@ -71,7 +77,8 @@ class SolveReport:
 
 
 class SweepDiagnostic(NamedTuple):
-    """Residual-based sweep count; ``converged`` False when the cap was hit."""
+    """The sweeps until the exact residual sequence fell below tol
+    (``sweeps_to_tolerance``); ``converged`` False when the cap was hit."""
 
     sweeps: int
     converged: bool
@@ -646,23 +653,65 @@ def sweeps_to_tolerance(
 
     Residual-based, unlike the solver's relative-change rule; the first sweep
     is always performed and counted. Returns a non-convergence report (not an
-    exception) when the cap is exceeded. ``_drive`` measures sweep k by the
-    norm of its residual gamma U (w_k - w_{k-1}), one product a block, in
-    ``np.linalg.norm``'s arithmetic, bounded by the double below tol: "< tol".
-    Both are in mu's canonical units, mu and tol times 2^-e (``_scale_exponent``).
+    exception) when the cap is exceeded. Each ||r_k|| is formed in
+    ``np.linalg.norm``'s arithmetic and bounded by the double below tol: "<
+    tol", both in mu's canonical units, mu and tol times 2^-e
+    (``_scale_exponent``).
+
+    Only the first sweep is run: r_1 = gamma U (w_1 - w_0), and after it
+    r_{k+1} = G r_k, G = -gamma U (D + gamma L)^-1 (R. S. Varga, Matrix
+    Iterative Analysis, 1962), G^T formed by one triangular solve on N
+    right-hand sides in the array that held gamma U. One matrix-vector
+    product a sweep advances r up to sweep N, whose sweeps cost the flops of
+    one squaring of G; after it each block of K residuals is the last times
+    G^K, and K doubles by squaring while a doubled block fits under the cap,
+    up to min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 N))). At most two
+    N x N arrays are held at once. A first iterate past the double range
+    raises ``ConditioningError``, as the solve does.
+
+    So the count is that of the exact residual sequence. Residuals read off
+    computed iterates, gamma U (w_k - w_{k-1}), carry an absolute rounding
+    noise of about eps ||gamma U|| ||w||: for a tol above it the two counts
+    agree, and below it this count still reaches tol where theirs stalls.
     """
     g = _check_solver_args(gamma, cap, tol)
     e = _scale_exponent(_paired(sigma, mu))
     m = np.ldexp(mu.values, -e)
-    iterates = _dense_sweeps(sigma, Signal(m), g, None, cap)[0]
-    g_l = np.tril(_shrunk(sigma.entries, g), -1)  # (g U)^T: P_gamma is symmetric
-
-    def norms(block, w):
-        return np.sqrt(_dots(np.diff(block, axis=0, prepend=w[None]) @ g_l))
-
     try:
         bound = math.nextafter(math.ldexp(tol, -e), 0.0)
     except OverflowError:  # past the largest double: met at once
         bound = math.inf
-    rep = _drive(iterates, m, cap, norms, bound)
-    return SweepDiagnostic(rep.sweeps_used, rep.converged)
+    n = m.size
+    p = _shrunk(sigma.entries, g)
+    g_u = np.triu(p, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # weights past the double range raise
+        w = m / np.diag(p)
+        # (D + g L) w_1 = m - g U w_0, on the upper triangle of P_g^T read in place
+        w1 = dtrtrs(p.T, m - g_u @ w, trans=1)[0]
+    _raw_weights(w1, m)
+    r = g_u @ (w1 - w)
+    if math.sqrt(r.dot(r)) <= bound:
+        return SweepDiagnostic(1, True)
+    np.negative(g_u, out=g_u)
+    power = dtrtrs(p.T, g_u.T, overwrite_b=1)[0]  # (D + g L)^T G^T = -(g U)^T, in place
+    del p, g_u
+    sweeps = 1
+    while sweeps < min(cap, n):
+        r = r @ power
+        sweeps += 1
+        if math.sqrt(r.dot(r)) <= bound:
+            return SweepDiagnostic(sweeps, True)
+    k_max = min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 * n)))
+    block, k = r[None], 1
+    while sweeps < cap:
+        nxt = block[: cap - sweeps] @ power
+        norms = np.sqrt(_dots(nxt)).tolist()
+        stop = next((i for i, v in enumerate(norms, 1) if v <= bound), 0)
+        if stop:
+            return SweepDiagnostic(sweeps + stop, True)
+        sweeps += len(norms)
+        if 2 * k <= k_max and cap - sweeps > 2 * k:
+            block, power, k = np.concatenate([block, nxt]), power @ power, 2 * k
+        else:
+            block = nxt
+    return SweepDiagnostic(cap, False)

@@ -5,11 +5,13 @@ from itertools import chain, islice
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtbmv, dtbsv, dtrmv
 from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 
 from crisp_alloc import (
+    ConditioningError,
     ConstraintSet,
     CovarianceMatrix,
     FactorModel,
@@ -134,19 +136,21 @@ def band_sweeps(sigma, mu, gamma, ordering=None):
         w = block[-1]
 
 
-def band_residual_norms(sigma, mu, gamma, sweeps, ordering=None):
-    """||g U (w_k - w_{k-1})|| for sweeps k = 1..``sweeps`` of ``band_sweeps``,
-    one product per block as ``sweeps_to_tolerance`` forms them."""
-    perm = np.arange(sigma.n) if ordering is None else np.asarray(ordering)
-    g_l = np.tril(shrink(sigma, gamma).entries[np.ix_(perm, perm)], -1)
-    blocks = band_sweeps(sigma, mu, gamma, ordering)
-    (w,), norms = next(blocks), []
-    while len(norms) < sweeps:
-        block = next(blocks)
-        resid = np.diff(block, axis=0, prepend=w[None]) @ g_l
-        norms += [math.sqrt(r.dot(r)) for r in resid]
-        w = block[-1]
-    return norms[:sweeps]
+def recurrence_residual_norms(sigma, mu, gamma, sweeps):
+    """||r_k|| for sweeps k = 1..``sweeps`` in asset order, one product a
+    sweep: r_1 = g U (w_1 - w_0) from the diagonal solve w_0, then r_{k+1} =
+    G r_k, G = -g U (D + g L)^-1, both formed here with scipy's triangular
+    solve. The exact residual sequence that ``sweeps_to_tolerance`` counts."""
+    p = shrink(sigma, gamma).entries
+    low, g_u, m = np.tril(p), np.triu(p, 1), mu.values
+    w = m / np.diag(p)
+    r = g_u @ (solve_triangular(low, m - g_u @ w, lower=True) - w)
+    g_t = -solve_triangular(low, g_u.T, lower=True, trans="T")  # G^T
+    norms = []
+    for _ in range(sweeps):
+        norms.append(math.sqrt(r.dot(r)))
+        r = r @ g_t
+    return norms
 
 
 def reference_rel_change(w, w_prev):
@@ -348,7 +352,7 @@ class TestKernelBits:
 class TestBandWidth:
     """K, the sweeps one band solve takes, is the budget's and at most 128,
     and never more than the caller can use: a solve capped at a few sweeps
-    at a small N computes only those."""
+    at a small N computes only those. The residual counter builds no band."""
 
     @staticmethod
     def _widths(monkeypatch, call):
@@ -372,11 +376,11 @@ class TestBandWidth:
         mu = _rand_mu(n, n)
         calls = (
             lambda: crisp_solve(sigma, mu, 0.5, p_max=cap, eps=1e-300),
-            lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=cap),
             lambda: trajectory(sigma, mu, np.array([0.5]), p=cap),
         )
         for call in calls:
             assert self._widths(monkeypatch, call) == [k]
+        assert self._widths(monkeypatch, lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=cap)) == []
 
 
 class TestYieldedIterates:
@@ -442,7 +446,7 @@ class TestBlockBoundaries:
         ps = sorted({1, k - 1, k, k + 1, 2 * k + 3} - {0})
         blocks = 2 + (ps[-1] + k + 1) // k
         rows = np.concatenate(list(islice(band_sweeps(sigma, mu, gamma), blocks)))
-        norms = band_residual_norms(sigma, mu, gamma, ps[-1])
+        norms = recurrence_residual_norms(sigma, mu, gamma, ps[-1])
         # at N = 1 the first sweep is the solution, and a change of 0 stops
         same = (q for q, (a, b) in enumerate(zip(rows, rows[1:]), 1) if np.array_equal(a, b))
         exact = next(same, None)
@@ -454,7 +458,7 @@ class TestBlockBoundaries:
             # a tolerance just above sweep p's residual stops at the first
             # sweep below it, and crisp_solve for that count is that iterate
             if norms[p - 1] == 0.0:
-                continue  # N = 1 solves exactly at the first sweep
+                continue  # N = 1 solves exactly at the first sweep, N = 2 underflows
             tol = norms[p - 1] * (1.0 + 1e-9)
             stop = next(q for q, r in enumerate(norms, 1) if r < tol)
             diag = sweeps_to_tolerance(sigma, mu, gamma, tol)
@@ -533,9 +537,10 @@ def block_sweeps_to_tolerance(sigma, mu, g, tol, cap):
 
 class TestOneReader:
     """``_drive`` is the one reader of the kernels' blocks: what it returns
-    for ``crisp_solve``, ``sweeps_to_tolerance`` and ``trajectory`` is, bit
-    for bit, what each one's own block loop returned (the relative-change
-    loop, the residual loop and an ``islice`` over the rows)."""
+    for ``crisp_solve`` and ``trajectory`` is, bit for bit, what each one's
+    own block loop returned (the relative-change loop and an ``islice`` over
+    the rows). ``sweeps_to_tolerance`` reads no block of iterates; its count
+    is still the residual loop's on these inputs."""
 
     @pytest.mark.parametrize("n", (5, 30, 100))
     @pytest.mark.parametrize("kind", ("equicorr", "block_sector", "hedged_tight_blocks", "spiked"))
@@ -1531,6 +1536,51 @@ class TestSweepsToTolerance:
         sigma = random_spd(4, 1)
         with pytest.raises(ParameterError):
             sweeps_to_tolerance(sigma, _rand_mu(4, 1), 0.5, 1e-10, cap=0)
+
+    @pytest.mark.parametrize("n", (5, 40, 100))
+    @pytest.mark.parametrize(
+        "kind", ("block_sector", "factor", "equicorr", "spiked", "hedged_tight_blocks", "wide_vol")
+    )
+    def test_the_band_loop_count(self, kind, n):
+        # one product a sweep up to sweep N, then blocks of 1, 2, 4, ..., 128
+        # residuals, K doubled only while the doubled block fits under the
+        # cap: caps on either side of sweep N, of the 2-row block's end and
+        # of the first 128-row block's end (sweep N + 255), and the default
+        sigma = gen_regime(RegimeSpec(kind, n=n, seed=n))
+        mu = _rand_mu(n, n)
+        for gamma in (0.0, 1e-9, 0.1, 0.5, 1.0):
+            for tol in (1e-6, 1e-10):
+                for cap in (1, n - 1, n, n + 1, n + 3, n + 4, n + 255, n + 256, 50000):
+                    want = block_sweeps_to_tolerance(sigma, mu, gamma, tol, cap)
+                    assert tuple(sweeps_to_tolerance(sigma, mu, gamma, tol, cap)) == want, (gamma, tol, cap)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_the_benchmark_capped_solve(self, seed):
+        # hedged_tight_blocks at gamma = 1 is still above 1e-10 at 50,000 sweeps
+        sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=40, seed=seed))
+        mu = gen_signal(SignalSpec("gaussian", seed=seed + 1), 40)
+        want = SweepDiagnostic(50000, False)
+        assert sweeps_to_tolerance(sigma, mu, 1.0, 1e-10) == want
+        assert block_sweeps_to_tolerance(sigma, mu, 1.0, 1e-10, 50000) == tuple(want)
+
+    def test_weights_past_the_double_range(self):
+        # subnormal variances put the diagonal solve past the largest double:
+        # the counter raises as the solve does
+        sigma = CovarianceMatrix(np.ldexp(gen_regime(RegimeSpec("block_sector", n=30, seed=3)).entries, -1040))
+        mu = _rand_mu(30, 3)
+        with pytest.raises(ConditioningError):
+            crisp_solve(sigma, mu, 0.5)
+        with pytest.raises(ConditioningError):
+            sweeps_to_tolerance(sigma, mu, 0.5, 1e-10)
+
+    @pytest.mark.parametrize("n, bound", ((300, 4.0), (1000, 3.0)))
+    def test_working_matrices(self, n, bound):
+        # P_gamma and its strict upper triangle, then G^K and its square, and
+        # blocks of up to 256 residuals: a tol no residual meets runs to the
+        # cap, past the first 128-row block
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
+        mu = _rand_mu(n, 5)
+        assert peak_matrices(lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=n + 400), n) < bound
 
 
 _SIGMA4, _MU4, _MU3 = random_spd(4, 0), _rand_mu(4, 0), _rand_mu(3, 0)
