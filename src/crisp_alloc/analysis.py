@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import solver  # its kernels are read as attributes, so a wrapper of one sees every call
 from .core import CovarianceMatrix, Signal, _count, _scale_exponent, _shrunk, check_gamma, markowitz_direct
 from .errors import ParameterError
 from .metrics import dir_error
-from .solver import _dense_sweeps, _drive
 
 
 @dataclass(frozen=True)
@@ -137,22 +137,33 @@ def trajectory(
     p: int = 200,
 ) -> list[TrajectoryPoint]:
     """Exact and finite-sweep (``p`` Gauss-Seidel sweeps) direction errors
-    along the shrinkage grid."""
+    along the shrinkage grid ``gammas``, a 1-D array (the default grid when
+    None).
+
+    One call holds two N x N working arrays, whatever the grid's length: one
+    buffer that each P_gamma is formed and factored in, and one band of
+    stacked sweeps (``solver._band``) refilled at every gamma > 0. gamma = 0
+    is the diagonal solve, exact and swept alike: P_0's sweeps leave it as it
+    is, so none is run and no band is built.
+    """
     _count(p, 1, "p must be at least 1")
-    if gammas is None:
-        gammas = default_gamma_grid()
+    grid = default_gamma_grid() if gammas is None else np.asarray(gammas, dtype=float)
+    if grid.ndim != 1:
+        raise ParameterError(f"gammas must be a 1-D grid, got {grid.ndim} dimensions")
+    grid = [check_gamma(gamma) for gamma in grid]
     w_star = markowitz_direct(sigma, mu).values
+    s, m, d = sigma.entries, mu.values, np.diag(sigma.entries)
+    p_gamma = band = factor = None
     out = []
-    for gamma in np.asarray(gammas, dtype=float):
-        g = check_gamma(gamma)
-        # P_gamma lives only while it is factored: the factor and the band
-        # are the N x N arrays a point holds
-        factor = (
-            scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
-            if g else None
-        )
+    for g in grid:
+        if g:
+            # P_gamma is exactly symmetric, so its transpose, a Fortran-ordered
+            # view, is the same matrix: dpotrf factors it in place, no copy
+            p_gamma = _shrunk(s, g, p_gamma)
+            factor = scipy.linalg.cho_factor(p_gamma.T, lower=True, overwrite_a=True, check_finite=False)
+            band = solver._band(s, g, None, p, band)
         exact = _exact_shrunk_solve(sigma, mu, g, factor)
-        iterate = _drive(_dense_sweeps(sigma, mu, g, None, p)[0], mu.values, p).weights.values
+        iterate = solver._drive(solver._band_sweeps(m, d, lambda: band), m, p if g else 0).weights.values
         out.append(
             TrajectoryPoint(
                 gamma=g,

@@ -283,15 +283,14 @@ def kappa(matrix: MatrixLike) -> float:
     return hi / lo
 
 
-def _shrunk(s: np.ndarray, gamma: float) -> np.ndarray:
-    """P_gamma of the entries ``s`` as one new array.
+def _shrunk(s: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """P_gamma of the entries ``s`` as one new array, or written over ``out``
+    (an N x N array that is not ``s``) and returned.
 
     The off-diagonal is scaled by gamma and the diagonal is copied exactly.
     """
-    p = s.copy()
-    d = np.diag(p).copy()
-    p *= gamma
-    np.fill_diagonal(p, d)
+    p = np.multiply(s, gamma, out=out)
+    np.fill_diagonal(p, np.diagonal(s))
     return p
 
 

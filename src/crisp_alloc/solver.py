@@ -119,9 +119,13 @@ def _rel_changes(w: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.sqrt(change2) / np.sqrt(ref2)
 
 
-def _band(s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int) -> np.ndarray:
+def _band(
+    s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The band of K stacked sweeps of P_g on the entries ``s``, rows and
-    columns in ``order`` (as they are when None), K at most ``sweeps``.
+    columns in ``order`` (as they are when None), K at most ``sweeps``: a new
+    array, or ``out``, a band this function returned for the same N and
+    ``sweeps``, written over in place and returned.
 
     Sweeps k = 1..K are the lower triangular system whose diagonal blocks are
     D + g L and whose subdiagonal blocks are g U, of bandwidth N - 1. In
@@ -138,7 +142,8 @@ def _band(s: np.ndarray, g: float, order: Optional[np.ndarray], sweeps: int) -> 
     order = np.arange(n) if order is None else order
     k = min(sweeps, _BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 * n * n)))
     twice = np.concatenate([order, order])
-    blocks = np.empty((k, n, n))  # blocks[0][j] is the block's column j
+    # blocks[0][j] is the block's column j; out.T is C-ordered, so this is a view
+    blocks = np.empty((k, n, n)) if out is None else out.T.reshape(k, n, n)
     rows = max(1, _CHUNK_BYTES // (16 * n))  # a chunk's gather stays in the budget
     for a in range(0, n, rows):
         b = min(a + rows, n)

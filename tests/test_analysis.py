@@ -96,12 +96,14 @@ class TestDirBound:
 class TestOneFactorization:
     @pytest.fixture
     def factored(self, monkeypatch):
-        """The arrays handed to cho_factor; a dense solve fails the test."""
+        """Copies of the arrays handed to cho_factor, made as they are handed
+        over (a factor made in place writes over its input); a dense solve
+        fails the test."""
         factored = []
         real = scipy.linalg.cho_factor
 
         def counting(a, *args, **kwargs):
-            factored.append(a)
+            factored.append(np.array(a))
             return real(a, *args, **kwargs)
 
         def no_dense_solve(*args, **kwargs):
@@ -128,15 +130,18 @@ class TestOneFactorization:
     def test_trajectory_factors_p_gamma_once_per_point(self, factored, monkeypatch):
         # Sigma's factorization plus one of P_gamma per gamma > 0 (P_0 is the
         # diagonal), and the sweep reads a band whose first block is that
-        # P_gamma, column j rolled up by j
+        # P_gamma, column j rolled up by j; gamma = 0 builds no band
         swept = []
         real = solver._band_sweeps
 
         def recording(m, d, band):
-            b = band()
-            head = b[:, : m.size]
-            swept.append(np.stack([np.roll(col, j) for j, col in enumerate(head.T)], 1))
-            return real(m, d, lambda: b)
+            def recorded():
+                b = band()
+                head = b[:, : m.size]
+                swept.append(np.stack([np.roll(col, j) for j, col in enumerate(head.T)], 1))
+                return b
+
+            return real(m, d, recorded)
 
         monkeypatch.setattr(solver, "_band_sweeps", recording)
         sigma, mu = random_spd(30, 6), _rand_mu(30, 6)
@@ -146,18 +151,100 @@ class TestOneFactorization:
         assert np.array_equal(factored[0], sigma.entries)
         for g, a in zip(gammas[1:], factored[1:]):
             assert np.array_equal(a, shrink(sigma, g).entries)
-        assert all(np.array_equal(a, shrink(sigma, g).entries) for g, a in zip(gammas, swept))
+        assert len(swept) == 3
+        assert all(np.array_equal(a, shrink(sigma, g).entries) for g, a in zip(gammas[1:], swept))
+
+    def test_trajectory_reuses_one_buffer_and_one_band(self, monkeypatch):
+        # every P_gamma is factored in one buffer, and every band the sweep
+        # reads is the first one refilled; gamma = 0 builds none
+        factored, bands, built = [], [], []
+        real_factor, real_sweeps, real_band = scipy.linalg.cho_factor, solver._band_sweeps, solver._band
+
+        def factoring(a, *args, **kwargs):
+            factored.append(a)
+            return real_factor(a, *args, **kwargs)
+
+        def recording(m, d, band):
+            def recorded():
+                bands.append(band())
+                return bands[-1]
+
+            return real_sweeps(m, d, recorded)
+
+        def building(*args):
+            built.append(args[1])
+            return real_band(*args)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", factoring)
+        monkeypatch.setattr(solver, "_band_sweeps", recording)
+        monkeypatch.setattr(solver, "_band", building)
+        sigma, mu = random_spd(30, 7), _rand_mu(30, 7)
+        gammas = [0.5, 0.0, 1.0, 0.25, 0.0, 0.5]
+        trajectory(sigma, mu, np.array(gammas), p=3)
+        assert built == [g for g in gammas if g]
+        assert len(bands) == 4
+        assert all(np.shares_memory(b, bands[0]) for b in bands[1:])
+        assert len(factored) == 1 + 4  # Sigma's own, then P_gamma's
+        assert all(np.shares_memory(a, factored[1]) for a in factored[2:])
+        assert not np.shares_memory(factored[0], factored[1])
 
     def test_a_trajectory_point_holds_two_working_matrices(self):
-        # P_gamma's factor and the band the sweep reads (one sweep a band at
-        # this N) are the only N x N arrays: P_gamma is not formed twice over
+        # one P_gamma buffer, factored in place, and one band the sweep reads
+        # (one sweep a band at this N) are the only N x N arrays, however
+        # many points the grid has: neither is formed twice over
         n = 1000
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
         mu = _rand_mu(n, 5)
-        assert peak_matrices(lambda: trajectory(sigma, mu, np.array([0.5]), p=3), n) < 2.5
+        grid = np.array([0.0, 0.5, 1.0])
+        assert peak_matrices(lambda: trajectory(sigma, mu, grid, p=3), n) < 2.5
+
+
+def per_point_trajectory(sigma, mu, gammas, p):
+    """``trajectory`` as a loop of independent points: at every gamma a fresh
+    P_gamma and its own factor (P_0 is the diagonal), and the dense solver's
+    sweeps on a fresh band read to sweep p, gamma = 0 included. Kept as the
+    bit-level oracle; gives each point's fields as a row."""
+    w_star = markowitz_direct(sigma, mu).values
+    rows = []
+    for g in np.asarray(gammas, dtype=float).tolist():
+        if g:
+            p_gamma = sigma.entries.copy()
+            d = np.diag(p_gamma).copy()
+            p_gamma *= g
+            np.fill_diagonal(p_gamma, d)
+            factor = scipy.linalg.cho_factor(p_gamma, lower=True, check_finite=False)
+            exact = scipy.linalg.cho_solve(factor, mu.values, check_finite=False)
+        else:
+            exact = mu.values / np.diag(sigma.entries)
+        iterates = solver._dense_sweeps(sigma, mu, g, None, p)[0]
+        iterate = solver._drive(iterates, mu.values, p).weights.values
+        rows.append((g, dir_error(exact, w_star), dir_error(iterate, w_star), dir_error(iterate, exact)))
+    return np.array(rows)
 
 
 class TestTrajectory:
+    @pytest.mark.parametrize("n", (1, 2, 30, 200, 363, 400))
+    @pytest.mark.parametrize("kind", ("equicorr", "block_sector", "hedged_tight_blocks", "spiked"))
+    def test_the_per_point_loop_bit_for_bit(self, kind, n):
+        # one buffer and one band for the call give each point's bits, sign
+        # bits included, on grids with gamma = 0 first, last, repeated and
+        # out of order, and a signal with zero entries of either sign; p on
+        # either side of K, the sweeps one band takes
+        try:
+            sigma = gen_regime(RegimeSpec(kind, n=n, seed=n))
+        except ParameterError:  # fewer assets than the regime takes
+            sigma = random_spd(n, n)
+        values = _rand_mu(n, n).values.copy()
+        values[1::3], values[2::3] = 0.0, -0.0
+        mu = Signal(values)
+        k = min(solver._BAND_SWEEPS, max(1, solver._CHUNK_BYTES // (8 * n * n)))
+        grids = ([0.0, 0.4, 1.0], [1.0, 0.6, 0.0], [0.5, 0.0, 0.5, 0.0], [0.9, 0.0, 0.2, 1.0, 0.2])
+        for i, p in enumerate(sorted({1, k - 1, k, k + 1, 200} - {0})):
+            grid = grids[i % len(grids)]
+            points = trajectory(sigma, mu, np.array(grid), p=p)
+            got = np.array([(t.gamma, t.dir_exact, t.dir_finite_sweep, t.dir_slack) for t in points])
+            assert got.tobytes() == per_point_trajectory(sigma, mu, grid, p).tobytes(), (p, grid)
+
     def test_nonmonotone_reference_instance(self):
         sigma, mu = nonmonotone_instance()
         pts = trajectory(sigma, mu, np.array([0.0, 0.3, 0.5, 1.0]), p=200)
@@ -323,6 +410,10 @@ _SIGMA4, _MU4 = nonmonotone_instance()
                      "p must be at least 1", id="sweeps-float"),
         pytest.param(lambda: trajectory(_SIGMA4, _MU4, p=True), ParameterError,
                      "p must be at least 1", id="sweeps-bool"),
+        pytest.param(lambda: trajectory(_SIGMA4, _MU4, np.array([[0.1, 0.2]])), ParameterError,
+                     "gammas must be a 1-D grid, got 2 dimensions", id="grid-2d"),
+        pytest.param(lambda: trajectory(_SIGMA4, _MU4, np.array(0.5)), ParameterError,
+                     "gammas must be a 1-D grid, got 0 dimensions", id="grid-0d"),
         pytest.param(lambda: kappa_eff([1.0, 0.0, 3.0], 0.5), ParameterError,
                      "correlation eigenvalues must be strictly positive", id="eigenvalue"),
     ],

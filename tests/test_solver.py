@@ -358,8 +358,8 @@ class TestBandWidth:
     def _widths(monkeypatch, call):
         real, widths = solver._band, []
 
-        def recording(s, g, order, sweeps):
-            band = real(s, g, order, sweeps)
+        def recording(s, g, order, sweeps, out=None):
+            band = real(s, g, order, sweeps, out)
             widths.append(band.shape[1] // band.shape[0])
             return band
 
