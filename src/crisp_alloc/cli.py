@@ -13,9 +13,6 @@ on a ``--cov`` file is drawn on five equal sectors. ``--regime`` and
 ``--signal`` specs give the same inputs that ``gen`` writes, and a signal of
 the wrong length exits 1 with the library's message. ``gen --mu-out`` needs
 ``--signal``. A stdout closed before the output is written exits 1.
-Flags override an optional ``key = value`` config file, which overrides the
-built-in defaults. The CRISP_ALLOC_RESULTS_DIR environment variable overrides
-the results root.
 """
 
 from __future__ import annotations
@@ -182,30 +179,6 @@ def _parse_spec(what: str, text: str, **fields):
     return cls(kind=names[kind], **fields)
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise CliError(f"{path}:{lineno}: expected key = value")
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _results_root(args) -> Path:
-    env = os.environ.get("CRISP_ALLOC_RESULTS_DIR")
-    if env:
-        return Path(env)
-    return Path(args.out) if args.out else Path("results")
-
-
 def _build_cov(args):
     """(sigma, sectors) from a CSV path or a generated regime."""
     if args.cov:
@@ -260,7 +233,7 @@ def cmd_experiment(args) -> int:
         return 2
     if args.trials is not None:  # runners that draw no trials ignore it
         spec = dataclasses.replace(spec, trials=args.trials)
-    root = _results_root(args) / args.preset
+    root = Path(args.out or "results") / args.preset
     try:
         result = run_experiment(spec, jobs=args.jobs)
     except AllocationError as exc:
@@ -320,11 +293,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="optional key = value config file")
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--out", help="output path (or results root for experiments)")
+    common.add_argument(
+        "--out", help="output file, CSV or .npy; for experiment the results root (default: results/)"
+    )
     # a file and a spec for the same input contradict each other, so argparse
     # rejects the pair (exit 2)
     cov_io = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -354,7 +328,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_alloc.set_defaults(func=cmd_allocate)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment preset", parents=[common])
-    p_exp.add_argument("preset", help="preset name; see --list via invalid name")
+    p_exp.add_argument("preset", help="preset name; an unknown name exits 2 and lists the presets")
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--full", action="store_true", help="restore full-scale runs")
     p_exp.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
@@ -371,47 +345,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_worst.add_argument("--restarts", type=int, default=32)
     p_worst.set_defaults(func=cmd_worst_mu)
 
-    p_gen = sub.add_parser("gen", help="write a synthetic covariance to CSV", parents=[common])
+    p_gen = sub.add_parser(
+        "gen", help="write a synthetic covariance, and with --signal a signal, as CSV or .npy",
+        parents=[common],
+    )
     p_gen.add_argument("--regime", required=True)
     p_gen.add_argument("--n", type=int, default=100)
     p_gen.add_argument("--signal", help="also write a signal")
     p_gen.add_argument("--mu-out", help="signal path (default: --out with _mu before its suffix)")
     p_gen.set_defaults(func=cmd_gen)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # flags > config file > defaults: the config's strings become the
-        # subcommand's defaults, which argparse types as it types the flags
-        dests = {name: {a.dest for a in p._actions} for name, p in subparsers.items()}
-        try:
-            cfg = _load_config(args.config)
-            bad = set(cfg).difference(*dests.values())
-            if bad:
-                raise CliError(f"unknown config keys: {', '.join(sorted(bad))}")
-        except CliError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if "full" in cfg:  # a store_true default is not typed
-            cfg["full"] = cfg["full"].lower() in ("1", "true", "yes", "on")
-        sub = subparsers[args.command]
-        for group in sub._mutually_exclusive_groups:  # a flag outranks its partner's config value
-            pair = [a.dest for a in group._group_actions]
-            if any(getattr(args, d) is not None for d in pair):
-                for d in pair:
-                    cfg.pop(d, None)
-        sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests[args.command]})
-        args = parser.parse_args(argv)
-        # argparse types a string default but checks no choices on it
-        for action in sub._actions:
-            if action.choices is not None and action.dest in cfg:
-                try:
-                    sub._check_value(action, getattr(args, action.dest))
-                except argparse.ArgumentError as exc:
-                    sub.error(str(exc))
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone raises here, not at exit

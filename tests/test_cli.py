@@ -31,7 +31,6 @@ from crisp_alloc import (
 )
 from crisp_alloc.analysis import default_gamma_grid
 from crisp_alloc.cli import main
-from crisp_alloc.errors import ParameterError
 from crisp_alloc.experiments import METHOD_IDS
 from crisp_alloc.synthetic import _REGIMES, _SIGNALS
 
@@ -233,20 +232,19 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_experiment_trials_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path))
-        code, _, _ = run_cli(["experiment", "oos_sensitivity", "--trials", "2"], capsys)
+    def test_experiment_trials_override(self, tmp_path, capsys):
+        argv = ["experiment", "oos_sensitivity", "--trials", "2", "--out", str(tmp_path)]
+        code, _, _ = run_cli(argv, capsys)
         assert code == 0
         spec = replace(preset("oos_sensitivity"), trials=2)
         want = export(run_experiment(spec).tables[0])
         assert (tmp_path / "oos_sensitivity" / "cells.csv").read_bytes() == want
 
-    def test_experiment_output_bytes_identical(self, tmp_path, capsys, monkeypatch):
+    def test_experiment_output_bytes_identical(self, tmp_path, capsys):
         blobs = []
         for i in range(2):
             root = tmp_path / f"run{i}"
-            monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(root))
-            code, _, _ = run_cli(["experiment", "trajectory"], capsys)
+            code, _, _ = run_cli(["experiment", "trajectory", "--out", str(root)], capsys)
             assert code == 0
             blobs.append((root / "trajectory" / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]
@@ -315,8 +313,7 @@ class TestErrors:
             raise SingularCovarianceError("synthetic failure")
 
         monkeypatch.setattr(cli, "run_experiment", broken)
-        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path))
-        code, _, err = run_cli(["experiment", "recovery"], capsys)
+        code, _, err = run_cli(["experiment", "recovery", "--out", str(tmp_path)], capsys)
         failed = tmp_path / "recovery" / "FAILED.txt"
         assert code == 1
         assert failed.read_text(encoding="utf-8") == "synthetic failure\n"
@@ -434,129 +431,74 @@ class TestOptionsWhereRead:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-
-class TestConfigPrecedence:
-    def test_config_sets_defaults_flags_override(self, tmp_path, capsys):
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text("seed = 9\nn = 6\n")
-        out_a = tmp_path / "a.csv"
-        code, _, _ = run_cli(
-            ["gen", "--regime", "block", "--config", str(cfg), "--out", str(out_a)],
-            capsys,
-        )
-        assert code == 0
-        assert len(out_a.read_text().splitlines()) == 6  # n from config
-        out_b = tmp_path / "b.csv"
-        code, _, _ = run_cli(
-            ["gen", "--regime", "block", "--config", str(cfg), "--n", "4", "--out", str(out_b)],
-            capsys,
-        )
-        assert len(out_b.read_text().splitlines()) == 4  # flag wins
-
-    def test_a_flag_outranks_the_config_value_of_its_partner(self, tmp_path, capsys):
-        # a config value is a default, so it never conflicts with a flag; a flag
-        # for one of --cov/--regime or --mu/--signal sets aside the config's
-        # value for the other
-        (tmp_path / "c.csv").write_text("1,0\n0,1\n")
-        (tmp_path / "mu.csv").write_text("1\n2\n")
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text(f"cov = {tmp_path / 'c.csv'}\nmu = {tmp_path / 'mu.csv'}\n")
-        argv = ["allocate", "--method", "hrp-mu", "--config", str(cfg)]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0 and out.startswith("method: hrp-mu  gamma: 0.5  n: 2\n")
-        flags = ["--regime", "block", "--n", "6", "--signal", "gaussian"]
-        _, want, _ = run_cli(["allocate", "--method", "hrp-mu", *flags], capsys)
-        code, got, _ = run_cli([*argv, *flags], capsys)
-        assert code == 0 and got == want
-        # the config's signal still pairs with the flag's covariance
-        code, _, err = run_cli([*argv, *flags[:4]], capsys)
-        assert code == 1 and "signal length does not match covariance size" in err
-
-    @pytest.mark.parametrize("text, full", (("true", True), ("false", False)))
-    def test_full_reaches_preset_as_a_bool(self, text, full, tmp_path, capsys, monkeypatch):
-        seen = []
-
-        def record(name, full=False, seed=42):
-            seen.append(full)
-            raise ParameterError("stop here")
-
-        monkeypatch.setattr(cli, "preset", record)
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text(f"full = {text}\n")
-        code, _, _ = run_cli(["experiment", "recovery", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert seen == [full] and type(seen[0]) is bool
-
-    def test_config_types_experiment_options(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path / "res"))
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text("format = tsv\njobs = 2\n")
-        code, _, _ = run_cli(["experiment", "sweep_rate", "--config", str(cfg)], capsys)
-        assert code == 0
-        assert (tmp_path / "res" / "sweep_rate" / "sweep_rate.tsv").exists()
-        # keys only experiment reads are still known to the other subcommands
-        out = tmp_path / "c.csv"
-        code, _, _ = run_cli(["gen", "--regime", "block", "--config", str(cfg), "--out", str(out)],
-                             capsys)
-        assert code == 0 and out.exists()
-
-    def test_bad_config_value_exits_like_a_bad_flag(self, tmp_path, capsys):
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text("n = six\n")
+    # every setting comes from a flag: no subcommand reads a settings file
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["allocate", "--method", "hrp", "--regime", "block"],
+            ["experiment", "recovery"],
+            ["trajectory", "--example", "nonmonotone"],
+            ["worst-mu", "--regime", "hedged"],
+            ["gen", "--regime", "block", "--out", "x.csv"],
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_config_is_not_a_flag(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text("seed = 3\n")
         with pytest.raises(SystemExit) as exc:
-            main(["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            main([*argv, "--config", "cfg"])
         assert exc.value.code == 2
-        assert "argument --n: invalid int value: 'six'" in capsys.readouterr().err
+        assert "unrecognized arguments: --config cfg" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
 
-    def test_config_value_outside_the_choices(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path / "res"))
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text("format = xml\n")
+    def test_experiment_help_names_only_real_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", "sweep_rate", "--config", str(cfg)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --format: invalid choice: 'xml' (choose from 'csv', 'tsv', 'text')" in err
-        assert not (tmp_path / "res").exists()
-        # a flag still overrides the config
-        assert main(["experiment", "sweep_rate", "--config", str(cfg), "--format", "tsv"]) == 0
-        assert (tmp_path / "res" / "sweep_rate" / "sweep_rate.tsv").exists()
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # whatever the terminal width
+        assert "--out" in out and "results/" in out and "exits 2" in out
+        assert "--config" not in out and "--list" not in out
 
-    def test_undecodable_config(self, tmp_path, capsys):
-        cfg = tmp_path / "conf.ini"
-        cfg.write_bytes(b"\xffseed = 9\n")
-        code, _, err = run_cli(
-            ["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith(f"cannot read config {cfg}")
+    @pytest.mark.parametrize("command", ("allocate", "trajectory", "worst-mu", "gen"))
+    def test_help_names_the_output_file_and_no_config(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT output file, CSV or .npy" in out
+        assert "--config" not in out
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "conf.ini"
-        cfg.write_text("volatility = 12\n")
-        code, _, err = run_cli(
-            ["gen", "--regime", "block", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
-            capsys,
-        )
-        assert code == 2
-        assert "volatility" in err
+    def test_gen_help_names_what_it_writes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "write a synthetic covariance, and with --signal a signal, as CSV or .npy" in out
 
 
 class TestResultsDir:
-    def test_env_var_overrides_root(self, tmp_path, capsys, monkeypatch):
-        root = tmp_path / "elsewhere"
-        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(root))
-        code, out, _ = run_cli(["experiment", "sweep_rate"], capsys)
-        assert code == 0
-        assert (root / "sweep_rate" / "sweep_rate.csv").exists()
-
-    def test_out_is_the_root_without_the_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("CRISP_ALLOC_RESULTS_DIR", raising=False)
-        root = tmp_path / "res"
+    def test_out_is_the_root_whatever_the_environment_holds(self, tmp_path, capsys, monkeypatch):
+        env, root = tmp_path / "env", tmp_path / "res"
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(env))
         code, _, _ = run_cli(["experiment", "trajectory", "--out", str(root)], capsys)
         assert code == 0
         assert (root / "trajectory" / "trajectory.csv").exists()
+        assert not env.exists()
+
+    def test_results_is_the_default_root(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(["experiment", "trajectory"], capsys)
+        assert code == 0
+        assert (tmp_path / "results" / "trajectory" / "trajectory.csv").exists()
+
+    def test_the_variable_does_not_move_the_default_root(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CRISP_ALLOC_RESULTS_DIR", str(tmp_path / "env"))
+        code, _, _ = run_cli(["experiment", "trajectory"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
+        assert (tmp_path / "results" / "trajectory" / "trajectory.csv").exists()
 
 
 class TestTrajectoryAndWorstMu:
@@ -615,9 +557,6 @@ _NEGATIVE_SEED = "error: seeds must be whole numbers of at least 0, got -1"
 _REJECTED = [
     pytest.param({}, ["gen", "--regime", "block:k", "--n", "6", "--out", "{tmp}/c.csv"], 1,
                  "error: bad spec item 'k' (want key=value)", id="spec-item"),
-    pytest.param({"cfg": "# a comment\n\nseed 3\n"},
-                 ["gen", "--regime", "block", "--config", "{tmp}/cfg"], 2,
-                 "cfg:3: expected key = value", id="config-line"),
     pytest.param({"c.csv": "1,0,0\n0,1,0\n0,0,1\n", "mu.csv": "1\n2\n"},
                  ["allocate", "--method", "hrp", "--cov", "{tmp}/c.csv", "--mu", "{tmp}/mu.csv"],
                  1, "error: signal length does not match covariance size", id="pairing"),
