@@ -15,9 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from . import solver  # its kernels are read as attributes, so a wrapper of one sees every call
-from .core import CovarianceMatrix, Signal, _count, _scale_exponent, _shrunk, check_gamma, markowitz_direct
+from .core import CovarianceMatrix, Signal, _count, _factor, _scale_exponent, _solve, check_gamma, markowitz_direct
 from .errors import ParameterError
-from .metrics import dir_error
+from .metrics import _nonzero, dir_error
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class AdaptiveInputs:
     kappa_c is the correlation condition number, ic the information
     coefficient in (0, 1], n/t the universe and sample sizes, and c the
     composite calibration constant (>= 0; it vanishes when kappa_c = 1, where
-    no shrinkage is needed).
+    no shrinkage is needed). kappa_c and c are finite.
     """
 
     kappa_c: float
@@ -47,39 +47,33 @@ class AdaptiveInputs:
     c: float
 
     def __post_init__(self):
-        if self.kappa_c < 1.0:
-            raise ParameterError("kappa_c must be at least 1")
+        if not 1.0 <= self.kappa_c < np.inf:
+            raise ParameterError("kappa_c must be at least 1 and finite")
         if not 0.0 < self.ic <= 1.0:
             raise ParameterError("ic must lie in (0, 1]")
         for count in (self.n, self.t):
             _count(count, 1, "n and t must be positive whole numbers")
-        if self.c < 0.0:
-            raise ParameterError("calibration constant must be nonnegative")
+        if not 0.0 <= self.c < np.inf:
+            raise ParameterError("calibration constant must be nonnegative and finite")
 
     @property
     def nsr(self) -> float:
         return self.kappa_c**2 * self.n / (self.t * self.ic**2)
 
 
-def _exact_shrunk_solve(sigma: CovarianceMatrix, mu: Signal, gamma: float, factor) -> np.ndarray:
-    """P_gamma^-1 mu from P_gamma's ``factor`` (not read at gamma = 0)."""
-    if gamma == 0.0:
-        # P_0 is the diagonal; match the solver's expression bit for bit
-        return mu.values / np.diag(sigma.entries)
-    return scipy.linalg.cho_solve(factor, mu.values, check_finite=False)
-
-
 def _identity_terms(sigma: CovarianceMatrix, mu: Signal, g: float):
     """w*, P_g's factor (made once for all its solves), w(g) and E = Sigma - D,
     in canonical units (``_scale_exponent``, of Sigma's diagonal and of mu):
     the identities are ratios these exact factors leave as they are, so 2^a
-    Sigma and 2^b mu give the same bits, and no solve under- or overflows."""
+    Sigma and 2^b mu give the same bits, and no solve under- or overflows.
+    mu = 0 has no direction, so neither identity has a ratio: DegenerateInputError."""
+    _nonzero(mu.values, "mu")
     sigma = CovarianceMatrix(np.ldexp(sigma.entries, -_scale_exponent(np.diag(sigma.entries))))
     mu = Signal(np.ldexp(mu.values, -_scale_exponent(mu.values)))
     w_star = markowitz_direct(sigma, mu).values
-    factor = scipy.linalg.cho_factor(_shrunk(sigma.entries, g), lower=True, check_finite=False)
-    w_hat = _exact_shrunk_solve(sigma, mu, g, factor)
-    return w_star, factor, w_hat, sigma.entries - np.diag(np.diag(sigma.entries))
+    s = sigma.entries
+    factor = _factor(s, g)
+    return w_star, factor, _solve(s, g, factor, mu.values), s - np.diag(np.diag(s))
 
 
 def perturbation_residual(sigma: CovarianceMatrix, mu: Signal, gamma: float) -> float:
@@ -153,16 +147,13 @@ def trajectory(
     grid = [check_gamma(gamma) for gamma in grid]
     w_star = markowitz_direct(sigma, mu).values
     s, m, d = sigma.entries, mu.values, np.diag(sigma.entries)
-    p_gamma = band = factor = None
+    band = factor = None
     out = []
     for g in grid:
         if g:
-            # P_gamma is exactly symmetric, so its transpose, a Fortran-ordered
-            # view, is the same matrix: dpotrf factors it in place, no copy
-            p_gamma = _shrunk(s, g, p_gamma)
-            factor = scipy.linalg.cho_factor(p_gamma.T, lower=True, overwrite_a=True, check_finite=False)
+            factor = _factor(s, g, None if factor is None else factor[0].T)
             band = solver._band(s, g, None, p, band)
-        exact = _exact_shrunk_solve(sigma, mu, g, factor)
+        exact = _solve(s, g, factor, m)
         iterate = solver._drive(solver._band_sweeps(m, d, lambda: band), m, p if g else 0).weights.values
         out.append(
             TrajectoryPoint(
@@ -187,8 +178,8 @@ def gamma_star(inputs: AdaptiveInputs) -> float:
 
 def _eig_bounds(corr_eigs) -> tuple[np.ndarray, float, float]:
     eigs = np.asarray(corr_eigs, dtype=float).reshape(-1)
-    if np.any(eigs <= 0.0):
-        raise ParameterError("correlation eigenvalues must be strictly positive")
+    if not (eigs.size and np.all((eigs > 0.0) & (eigs < np.inf))):
+        raise ParameterError("correlation eigenvalues must be strictly positive and finite (at least one)")
     return eigs, float(eigs.min()), float(eigs.max())
 
 

@@ -299,16 +299,27 @@ def shrink(sigma: CovarianceMatrix, gamma: float) -> CovarianceMatrix:
     return CovarianceMatrix(_shrunk(sigma.entries, check_gamma(gamma)))
 
 
+def _factor(s: np.ndarray, gamma: float, out: np.ndarray | None = None):
+    """The exact solve's kernel: P_gamma of the entries ``s`` (``_shrunk``, new or over
+    ``out``), Cholesky-factored in place; SingularCovarianceError if it is not positive definite."""
+    p = _shrunk(s, gamma, out)
+    try:  # P_gamma is exactly symmetric: its transpose, a Fortran-ordered view, is the same matrix
+        return scipy.linalg.cho_factor(p.T, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
+
+
+def _solve(s: np.ndarray, gamma: float, factor, b: np.ndarray) -> np.ndarray:
+    """P_gamma^-1 b from P_gamma's ``factor`` (``_factor``), not read at gamma = 0:
+    P_0 is the diagonal, and b / diag(s) matches the solver's expression bit for bit."""
+    return b / np.diag(s) if gamma == 0.0 else scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+
 def markowitz_direct(sigma: CovarianceMatrix, mu: Signal) -> WeightVector:
     """Unconstrained mean-variance direction: solve Sigma w = mu directly.
 
-    Uses a symmetric (Cholesky) factorization; the output is a raw direction,
-    defined up to positive scale.
+    The exact solve at gamma = 1 (Sigma is P_1), one Cholesky factorization
+    made in place; the output is a raw direction, defined up to positive scale.
     """
     m = _paired(sigma, mu)
-    try:
-        c, low = scipy.linalg.cho_factor(sigma.entries, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve((c, low), m, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(f"covariance factorization failed: {exc}") from exc
-    return _raw_weights(w, m)
+    return _raw_weights(_solve(sigma.entries, 1.0, _factor(sigma.entries, 1.0), m), m)

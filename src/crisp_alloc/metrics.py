@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .core import CovarianceMatrix, Signal, WeightVector, _paired, _same_length, _scale_exponent, markowitz_direct
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, ParameterError
 
 VectorLike = Union[WeightVector, Signal, np.ndarray, list, tuple]
 
@@ -24,7 +24,10 @@ VectorLike = Union[WeightVector, Signal, np.ndarray, list, tuple]
 def _vec(w: VectorLike) -> np.ndarray:
     if isinstance(w, (WeightVector, Signal)):
         return w.values
-    return np.asarray(w, dtype=float).reshape(-1)
+    v = np.asarray(w, dtype=float).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ParameterError("vectors must have finite entries")
+    return v
 
 
 def _pow2_scaled(v: np.ndarray) -> np.ndarray:

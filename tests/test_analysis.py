@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crisp_alloc import (
     AdaptiveInputs,
     CovarianceMatrix,
+    DegenerateInputError,
     ParameterError,
     RegimeSpec,
     Signal,
@@ -400,6 +401,20 @@ _SIGMA4, _MU4 = nonmonotone_instance()
         ),
         pytest.param(lambda: AdaptiveInputs(1.0, 0.05, 10, 10, -1.0), ParameterError,
                      "calibration constant must be nonnegative", id="adaptive-c"),
+        *(
+            pytest.param(lambda k=k: AdaptiveInputs(k, 0.05, 10, 10, 0.0), ParameterError,
+                         "kappa_c must be at least 1 and finite", id=f"adaptive-kappa-{k}")
+            for k in (0.5, np.nan, np.inf)
+        ),
+        *(
+            pytest.param(lambda c=c: AdaptiveInputs(2.0, 0.05, 10, 10, c), ParameterError,
+                         "calibration constant must be nonnegative and finite", id=f"adaptive-c-{c}")
+            for c in (np.nan, np.inf)
+        ),
+        pytest.param(lambda: perturbation_residual(_SIGMA4, Signal(np.zeros(4)), 0.5),
+                     DegenerateInputError, "mu is the zero vector", id="residual-zero-mu"),
+        pytest.param(lambda: dir_bound_factors(_SIGMA4, Signal(np.zeros(4)), 0.5),
+                     DegenerateInputError, "mu is the zero vector", id="bound-zero-mu"),
         pytest.param(lambda: analysis.default_gamma_grid(1), ParameterError,
                      "grid needs at least the two endpoints", id="grid-1"),
         pytest.param(lambda: analysis.default_gamma_grid(2.5), ParameterError,
@@ -416,6 +431,13 @@ _SIGMA4, _MU4 = nonmonotone_instance()
                      "gammas must be a 1-D grid, got 0 dimensions", id="grid-0d"),
         pytest.param(lambda: kappa_eff([1.0, 0.0, 3.0], 0.5), ParameterError,
                      "correlation eigenvalues must be strictly positive", id="eigenvalue"),
+        *(
+            pytest.param(lambda fn=fn, eigs=eigs: fn(eigs, 0.5), ParameterError,
+                         "correlation eigenvalues must be strictly positive and finite (at least one)",
+                         id=f"eigenvalue-{fn.__name__}-{name}")
+            for fn in (kappa_eff, kappa_eff_linearized, shrinkage_kl)
+            for name, eigs in (("nan", [1.0, np.nan, 3.0]), ("inf", [1.0, np.inf]), ("empty", []))
+        ),
     ],
 )
 def test_rejected_input(call, error, fragment):

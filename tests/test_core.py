@@ -11,8 +11,10 @@ from crisp_alloc import (
     FactorModel,
     InvalidCovarianceError,
     ParameterError,
+    RegimeSpec,
     Signal,
     WeightVector,
+    gen_regime,
     kappa,
     kappa_eff,
     markowitz_direct,
@@ -21,7 +23,7 @@ from crisp_alloc import (
     to_correlation,
 )
 from crisp_alloc.core import _count, _gathered, _tagged
-from tests.conftest import random_spd
+from tests.conftest import peak_matrices, random_spd
 
 
 def _check_asymmetry_bound(accept, scale):
@@ -268,6 +270,14 @@ class TestMarkowitzDirect:
         rank_one = CovarianceMatrix(np.ones((3, 3)))
         with pytest.raises(SingularCovarianceError):
             markowitz_direct(rank_one, Signal([1.0, 2.0, 3.0]))
+
+    def test_one_working_matrix(self):
+        # Sigma's copy, factored in place, is the only N x N array the solve
+        # holds; a factor made on a second copy would read 2
+        n = 1000
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
+        mu = Signal(np.random.default_rng(5).normal(0.0, 0.02, n))
+        assert peak_matrices(lambda: markowitz_direct(sigma, mu), n) < 1.5
 
 
 class TestPreconditionedKappa:

@@ -207,6 +207,16 @@ _SIGMA2 = CovarianceMatrix(np.array([[0.04, 0.01], [0.01, 0.09]]))
                      "w and w_star have different lengths (1 and 2)", id="sign-match-lengths"),
         pytest.param(lambda: direction_report([1.0, 2.0], [1.0]), ParameterError,
                      "w and w_star have different lengths (2 and 1)", id="report-lengths"),
+        pytest.param(lambda: dir_error([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]), ParameterError,
+                     "vectors must have finite entries", id="dir-error-nan"),
+        pytest.param(lambda: dir_error([np.inf, 1.0, 1.0], [1.0, 1.0, 1.0]), ParameterError,
+                     "vectors must have finite entries", id="dir-error-inf"),
+        pytest.param(lambda: direction_report([1.0, 1.0], [1.0, -np.inf]), ParameterError,
+                     "vectors must have finite entries", id="report-inf"),
+        pytest.param(lambda: sharpe([np.nan, 1.0], _SIGMA2, Signal([0.01, 0.02])), ParameterError,
+                     "vectors must have finite entries", id="sharpe-nan"),
+        pytest.param(lambda: gross_leverage([1.0, np.inf]), ParameterError,
+                     "vectors must have finite entries", id="leverage-inf"),
     ],
 )
 def test_rejected_input(call, error, fragment):
