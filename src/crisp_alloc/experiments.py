@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 import scipy.linalg
 
-from . import baselines, signal_trees
+from . import baselines, signal_trees, solver
 from .analysis import AdaptiveInputs, TrajectoryPoint, kappa_eff, trajectory
 from .core import CovarianceMatrix, Signal, WeightVector, _count, kappa, markowitz_direct, to_correlation
 from .dendrogram import Dendrogram, build_tree
@@ -461,9 +461,9 @@ def _run_sweep_rate(spec: ExperimentSpec) -> ExperimentResult:
     signals = [gen_signal(SignalSpec("gaussian", seed=100 + s), spec.regime.n) for s in range(5)]
     rows = []
     for g in gammas:
-        counts = []
+        counts, rec = [], solver._Recurrence(sigma, g)  # one P_gamma, G and squares for the five
         for s, mu in enumerate(signals):
-            run = sweeps_to_tolerance(sigma, mu, g, 1e-10)
+            run = sweeps_to_tolerance(sigma, mu, g, 1e-10, recurrence=rec)
             if not run.converged:  # the cap is not a sweep count
                 raise ConditioningError(f"sweep cap hit at gamma={g:g}, signal seed {100 + s}")
             counts.append(run.sweeps)

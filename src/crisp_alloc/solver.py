@@ -22,6 +22,9 @@ units, so the sweeps it stops at do not depend on scale either. The residual
 counter (``sweeps_to_tolerance``) runs one sweep and no kernel: it advances
 the residual by its recurrence r+ = G r, G = -gamma U (D + gamma L)^-1, one
 product a sweep and then K sweeps a product with G^K, K doubled by squaring.
+Counts on one Sigma and gamma may share one recurrence (``_Recurrence``): one
+P_gamma, G and set of squares, with the switch to squaring pooled over the
+sweeps they run.
 """
 
 from __future__ import annotations
@@ -646,12 +649,85 @@ def crisp_projected(
     return SolveReport(WeightVector(y, tag), sweeps, rel, converged)
 
 
+class _Recurrence:
+    """The residual recurrence of one (Sigma, gamma), shared by the counts
+    given it (``sweeps_to_tolerance``'s ``recurrence``, whose rule they pool):
+    P_gamma and gamma U, which each count's first sweep reads, G^T, formed the
+    first time a count needs it, the squares (G^(2^j))^T formed so far, and
+    the sweeps run on it one product a sweep. Not ``shared``, it serves one
+    count: G^T is formed over gamma U, P_gamma is dropped, and each square
+    replaces the one before it, so at most two N x N arrays are held at once.
+    """
+
+    def __init__(self, sigma: CovarianceMatrix, gamma: float, shared: bool = True):
+        self.sigma, self.gamma, self.shared = sigma, check_gamma(gamma), shared
+        self.p = _shrunk(sigma.entries, self.gamma)
+        self.g_u = np.triu(self.p, 1)
+        self.powers: list = []  # (G^(2^j))^T at index j; None once replaced when not shared
+        self.swept = 0  # the sweeps run here one product a sweep, first sweeps included
+
+    def first(self, m: np.ndarray) -> np.ndarray:
+        """r_1 = gamma U (w_1 - w_0) for the signal ``m``, w_0 = m / diag."""
+        p, g_u = self.p, self.g_u
+        with np.errstate(over="ignore", invalid="ignore"):  # weights past the double range raise
+            w = m / np.diag(p)
+            # (D + g L) w_1 = m - g U w_0, on the upper triangle of P_g^T read in place
+            w1 = dtrtrs(p.T, m - g_u @ w, trans=1)[0]
+        _raw_weights(w1, m)
+        self.swept += 1
+        return g_u @ (w1 - w)
+
+    def power(self, j: int) -> np.ndarray:
+        """(G^(2^j))^T, j at most one past the last formed."""
+        if not self.powers:  # (D + g L)^T G^T = -(g U)^T, over -g U
+            g_u = np.negative(self.g_u, out=None if self.shared else self.g_u)
+            self.powers.append(dtrtrs(self.p.T, g_u.T, overwrite_b=1)[0])
+            if not self.shared:
+                self.p = self.g_u = None
+        if j == len(self.powers):
+            last = self.powers[-1]
+            self.powers.append(last @ last)
+            if not self.shared:
+                self.powers[-2] = None
+        return self.powers[j]
+
+    def count(self, m: np.ndarray, bound: float, cap: int) -> SweepDiagnostic:
+        """The first sweep whose residual norm is at most ``bound``, or ``cap``."""
+        n, sweeps = m.size, 1
+        r = self.first(m)
+        if math.sqrt(r.dot(r)) <= bound:
+            return SweepDiagnostic(1, True)
+        power = self.power(0)
+        while sweeps < cap and self.swept < n:
+            r = r @ power
+            sweeps += 1
+            self.swept += 1
+            if math.sqrt(r.dot(r)) <= bound:
+                return SweepDiagnostic(sweeps, True)
+        k_max = min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 * n)))
+        block, k, j = r[None], 1, 0  # power is G^k, k = 2^j
+        while sweeps < cap:
+            nxt = block[: cap - sweeps] @ power
+            met = np.flatnonzero(np.sqrt(_dots(nxt)) <= bound)
+            if met.size:
+                return SweepDiagnostic(sweeps + int(met[0]) + 1, True)
+            sweeps += len(nxt)
+            if 2 * k <= k_max and cap - sweeps > 2 * k:
+                block, k, j = np.concatenate([block, nxt]), 2 * k, j + 1
+                power = self.power(j)
+            else:
+                block = nxt
+        return SweepDiagnostic(cap, False)
+
+
 def sweeps_to_tolerance(
     sigma: CovarianceMatrix,
     mu: Signal,
     gamma: float,
     tol: float,
     cap: int = 50000,
+    *,
+    recurrence: Optional[_Recurrence] = None,
 ) -> SweepDiagnostic:
     """Sweeps, in asset order, until the residual norm ||P_gamma w - mu||_2
     falls below tol.
@@ -666,57 +742,33 @@ def sweeps_to_tolerance(
     Only the first sweep is run: r_1 = gamma U (w_1 - w_0), and after it
     r_{k+1} = G r_k, G = -gamma U (D + gamma L)^-1 (R. S. Varga, Matrix
     Iterative Analysis, 1962), G^T formed by one triangular solve on N
-    right-hand sides in the array that held gamma U. One matrix-vector
-    product a sweep advances r up to sweep N, whose sweeps cost the flops of
-    one squaring of G; after it each block of K residuals is the last times
-    G^K, and K doubles by squaring while a doubled block fits under the cap,
-    up to min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 N))). At most two
-    N x N arrays are held at once. A first iterate past the double range
-    raises ``ConditioningError``, as the solve does.
+    right-hand sides. One matrix-vector product a sweep advances r up to
+    sweep N, whose sweeps cost the flops of one squaring of G; after it each
+    block of K residuals is the last times G^K, and K doubles by squaring
+    while a doubled block fits under the cap, up to min(_BAND_SWEEPS, max(1,
+    _CHUNK_BYTES // (8 N))). Alone, a count forms G^T in the array that held
+    gamma U and holds at most two N x N arrays at once. A first iterate past
+    the double range raises ``ConditioningError``, as the solve does.
 
     So the count is that of the exact residual sequence. Residuals read off
     computed iterates, gamma U (w_k - w_{k-1}), carry an absolute rounding
     noise of about eps ||gamma U|| ||w||: for a tol above it the two counts
     agree, and below it this count still reaches tol where theirs stalls.
+
+    ``recurrence``, a ``_Recurrence`` of this sigma (the same object) and
+    gamma, is shared with the other counts on it: they read one P_gamma, G^T
+    and set of squares, and pool the rule, so once the sweeps run on it one
+    product a sweep reach N, a count takes blocks from its first sweep on,
+    with the squares formed before it. Its products differ, not the sequence
+    counted. A recurrence of another sigma or gamma raises ``ParameterError``.
     """
     g = _check_solver_args(gamma, cap, tol)
+    if recurrence is not None and (recurrence.sigma is not sigma or recurrence.gamma != g):
+        raise ParameterError("the recurrence is of another covariance or gamma")
     e = _scale_exponent(_paired(sigma, mu))
-    m = np.ldexp(mu.values, -e)
     try:
         bound = math.nextafter(math.ldexp(tol, -e), 0.0)
     except OverflowError:  # past the largest double: met at once
         bound = math.inf
-    n = m.size
-    p = _shrunk(sigma.entries, g)
-    g_u = np.triu(p, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # weights past the double range raise
-        w = m / np.diag(p)
-        # (D + g L) w_1 = m - g U w_0, on the upper triangle of P_g^T read in place
-        w1 = dtrtrs(p.T, m - g_u @ w, trans=1)[0]
-    _raw_weights(w1, m)
-    r = g_u @ (w1 - w)
-    if math.sqrt(r.dot(r)) <= bound:
-        return SweepDiagnostic(1, True)
-    np.negative(g_u, out=g_u)
-    power = dtrtrs(p.T, g_u.T, overwrite_b=1)[0]  # (D + g L)^T G^T = -(g U)^T, in place
-    del p, g_u
-    sweeps = 1
-    while sweeps < min(cap, n):
-        r = r @ power
-        sweeps += 1
-        if math.sqrt(r.dot(r)) <= bound:
-            return SweepDiagnostic(sweeps, True)
-    k_max = min(_BAND_SWEEPS, max(1, _CHUNK_BYTES // (8 * n)))
-    block, k = r[None], 1
-    while sweeps < cap:
-        nxt = block[: cap - sweeps] @ power
-        norms = np.sqrt(_dots(nxt)).tolist()
-        stop = next((i for i, v in enumerate(norms, 1) if v <= bound), 0)
-        if stop:
-            return SweepDiagnostic(sweeps + stop, True)
-        sweeps += len(norms)
-        if 2 * k <= k_max and cap - sweeps > 2 * k:
-            block, power, k = np.concatenate([block, nxt]), power @ power, 2 * k
-        else:
-            block = nxt
-    return SweepDiagnostic(cap, False)
+    rec = _Recurrence(sigma, g, shared=False) if recurrence is None else recurrence
+    return rec.count(np.ldexp(mu.values, -e), bound, cap)

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (
     CorrelationMatrix, CovarianceMatrix, Signal, _count, _paired, _row_chunks, _symmetric, to_correlation,
 )
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, SingularCovarianceError
 from .metrics import dir_error
 
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
@@ -251,14 +251,18 @@ def worst_case_mu(
 
     L-BFGS-B with an analytic gradient on the sphere (the objective is
     scale-invariant). Returns the best signal found and its dir_diag value;
-    never worse than the best random starting point.
+    never worse than the best random starting point. A Sigma that
+    ``np.linalg.inv`` finds singular raises ``SingularCovarianceError``.
     """
     import scipy.optimize  # here, its only user: every package import would pay it
 
     _count(restarts, 1, "needs at least one restart")
     rng = _rng(seed)
     n = sigma.n
-    sigma_inv = np.linalg.inv(sigma.entries)
+    try:
+        sigma_inv = np.linalg.inv(sigma.entries)
+    except np.linalg.LinAlgError as exc:  # typed, as markowitz_direct's factor failure is
+        raise SingularCovarianceError(f"covariance inversion failed: {exc}") from exc
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     inv_diag = 1.0 / np.diag(sigma.entries)
     f = _dir_diag_objective(sigma_inv, inv_diag)

@@ -549,6 +549,14 @@ class TestTrajectoryAndWorstMu:
         assert code == 0
         assert "dir_diag" in out
 
+    def test_worst_mu_on_a_singular_covariance(self, tmp_path, capsys):
+        # np.linalg.inv's LinAlgError is typed, so the CLI reports it and exits 1
+        cov = tmp_path / "ones.csv"
+        np.savetxt(cov, np.ones((3, 3)), delimiter=",")
+        code, out, err = run_cli(["worst-mu", "--cov", str(cov), "--restarts", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: covariance inversion failed: Singular matrix\n"
+
 
 _NEGATIVE_SEED = "error: seeds must be whole numbers of at least 0, got -1"
 

@@ -49,7 +49,7 @@ from crisp_alloc import (
     signed_cosine,
     to_correlation,
 )
-from crisp_alloc import experiments
+from crisp_alloc import experiments, solver
 from crisp_alloc.experiments import METHOD_IDS, PRESET_NAMES, Inputs, _Context, _score
 
 
@@ -547,7 +547,7 @@ def test_sweep_rate_names_a_capped_solve(monkeypatch):
     # a solve stopped at the cap would enter the mean as the cap itself
     calls = []
 
-    def capped(sigma, mu, gamma, tol):
+    def capped(sigma, mu, gamma, tol, recurrence=None):
         calls.append(gamma)
         return SweepDiagnostic(50000, False)
 
@@ -555,6 +555,26 @@ def test_sweep_rate_names_a_capped_solve(monkeypatch):
     with pytest.raises(ConditioningError, match="sweep cap hit at gamma=0, signal seed 100"):
         run_experiment(preset("sweep_rate"))
     assert calls == [0.0]
+
+
+def test_sweep_rate_shares_one_recurrence_per_gamma(monkeypatch):
+    # each gamma's five counts read one P_gamma, G and set of squares
+    made, used = [], []
+    real_recurrence, real_count = solver._Recurrence, experiments.sweeps_to_tolerance
+
+    def recurrence(*args, **kwargs):
+        made.append(real_recurrence(*args, **kwargs))
+        return made[-1]
+
+    def count(sigma, mu, gamma, tol, recurrence=None):
+        used.append(recurrence)
+        return real_count(sigma, mu, gamma, tol, recurrence=recurrence)
+
+    monkeypatch.setattr(solver, "_Recurrence", recurrence)
+    monkeypatch.setattr(experiments, "sweeps_to_tolerance", count)
+    run_experiment(preset("sweep_rate"))
+    assert [rec.gamma for rec in made] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0]
+    assert len(used) == 40 and all(rec is made[i // 5] for i, rec in enumerate(used))
 
 
 @pytest.mark.parametrize("k", (-330, 330))

@@ -1545,14 +1545,35 @@ class TestSweepsToTolerance:
         # one product a sweep up to sweep N, then blocks of 1, 2, 4, ..., 128
         # residuals, K doubled only while the doubled block fits under the
         # cap: caps on either side of sweep N, of the 2-row block's end and
-        # of the first 128-row block's end (sweep N + 255), and the default
+        # of the first 128-row block's end (sweep N + 255), and the default.
+        # Five signals on one recurrence pool the switch to squaring: a later
+        # one crosses sweep N part way, or takes blocks from its first sweep
+        # with the squares formed before it; each count is still its own call's
         sigma = gen_regime(RegimeSpec(kind, n=n, seed=n))
-        mu = _rand_mu(n, n)
+        mus = [_rand_mu(n, n + i) for i in range(5)]
         for gamma in (0.0, 1e-9, 0.1, 0.5, 1.0):
             for tol in (1e-6, 1e-10):
                 for cap in (1, n - 1, n, n + 1, n + 3, n + 4, n + 255, n + 256, 50000):
-                    want = block_sweeps_to_tolerance(sigma, mu, gamma, tol, cap)
-                    assert tuple(sweeps_to_tolerance(sigma, mu, gamma, tol, cap)) == want, (gamma, tol, cap)
+                    want = block_sweeps_to_tolerance(sigma, mus[0], gamma, tol, cap)
+                    assert tuple(sweeps_to_tolerance(sigma, mus[0], gamma, tol, cap)) == want, (gamma, tol, cap)
+                    rec = solver._Recurrence(sigma, gamma)
+                    for i, mu in enumerate(mus):
+                        want = sweeps_to_tolerance(sigma, mu, gamma, tol, cap)
+                        got = sweeps_to_tolerance(sigma, mu, gamma, tol, cap, recurrence=rec)
+                        assert got == want, (gamma, tol, cap, i)
+
+    def test_the_pool_switches_to_squaring_at_sweep_n(self):
+        # N = 40, cap 30, a tol no residual meets: the first count runs 30
+        # sweeps one product a sweep; the second 10 more, to sweep 40 of
+        # the pool, then blocks of 1, 2, 4 and 8 residuals, forming G^2, G^4
+        # and G^8; the third takes blocks from its first sweep with them
+        n = 40
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=n))
+        rec, states = solver._Recurrence(sigma, 0.5), []
+        for i in range(3):
+            assert sweeps_to_tolerance(sigma, _rand_mu(n, i), 0.5, 1e-300, 30, recurrence=rec) == (30, False)
+            states.append((rec.swept, len(rec.powers)))
+        assert states == [(30, 1), (40, 4), (41, 4)]
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_the_benchmark_capped_solve(self, seed):
@@ -1581,6 +1602,22 @@ class TestSweepsToTolerance:
         sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
         mu = _rand_mu(n, 5)
         assert peak_matrices(lambda: sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=n + 400), n) < bound
+
+    def test_working_matrices_of_a_shared_recurrence(self):
+        # P_gamma, gamma U, G and its seven squares to G^128 stay for the
+        # counts to come, with blocks of up to 256 residuals (3.3 at N = 100):
+        # 13.3 read, where one count alone holds at most two N x N arrays
+        n = 100
+        sigma = gen_regime(RegimeSpec("block_sector", n=n, seed=5))
+        mus = [_rand_mu(n, 5 + i) for i in range(5)]
+
+        def counts():
+            rec = solver._Recurrence(sigma, 0.5)
+            for mu in mus:
+                sweeps_to_tolerance(sigma, mu, 0.5, 1e-300, cap=n + 400, recurrence=rec)
+            assert len(rec.powers) == 8
+
+        assert peak_matrices(counts, n) < 14.0
 
 
 _SIGMA4, _MU4, _MU3 = random_spd(4, 0), _rand_mu(4, 0), _rand_mu(3, 0)
@@ -1626,6 +1663,15 @@ _FM2 = FactorModel(np.ones((2, 1)), np.eye(1), np.ones(2))
                      "the sweep cap must be at least 1", id="projected-cap-float"),
         pytest.param(lambda: sweeps_to_tolerance(_SIGMA4, _MU4, 0.5, 1e-10, cap=2.5),
                      ParameterError, "the sweep cap must be at least 1", id="residual-cap-float"),
+        # a recurrence serves the covariance object and the gamma it was built for
+        pytest.param(lambda: sweeps_to_tolerance(_SIGMA4, _MU4, 0.5, 1e-10,
+                                                 recurrence=solver._Recurrence(random_spd(4, 1), 0.5)),
+                     ParameterError, "the recurrence is of another covariance or gamma",
+                     id="recurrence-sigma"),
+        pytest.param(lambda: sweeps_to_tolerance(_SIGMA4, _MU4, 0.5, 1e-10,
+                                                 recurrence=solver._Recurrence(_SIGMA4, 0.4)),
+                     ParameterError, "the recurrence is of another covariance or gamma",
+                     id="recurrence-gamma"),
     ],
 )
 def test_rejected_input(call, error, fragment):

@@ -17,6 +17,7 @@ from crisp_alloc import (
     RegimeSpec,
     Signal,
     SignalSpec,
+    SingularCovarianceError,
     corr_distance,
     dir_diag,
     gen_regime,
@@ -321,6 +322,11 @@ class TestWorstCase:
         mu, val = worst_case_mu(sigma, restarts=4, seed=0)
         assert val < 1e-12
         assert np.linalg.norm(mu.values) == pytest.approx(1.0, abs=1e-12)
+
+    def test_singular_covariance_is_a_typed_error(self):
+        # the inverse fails before any restart runs
+        with pytest.raises(SingularCovarianceError, match="covariance inversion failed: Singular matrix"):
+            worst_case_mu(CovarianceMatrix(np.ones((3, 3))), restarts=1)
 
     def test_never_below_best_start(self):
         sigma = gen_regime(RegimeSpec("hedged_tight_blocks", n=30, seed=1))
